@@ -15,7 +15,7 @@ the rest of the package leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import DimensionMismatch, HypothesisError, NotASummand, NotWellDefined
 from .intmat import (
@@ -24,6 +24,7 @@ from .intmat import (
     hermite_row_basis,
     int_nullspace,
     int_solve,
+    int_solver,
     lattice_contains,
     smith_normal_form,
 )
@@ -201,32 +202,47 @@ class GroupHom:
         return self.kernel() == SubgroupRep.zero(self.source)
 
 
-def solve_in_group(h: GroupHom, y: Sequence[int]) -> Vec | None:
-    """A source element x with h(x) = y, or None.
+def group_solver(h: GroupHom) -> Callable[[Sequence[int]], Vec | None]:
+    """Factor h once; the result maps y to a source element x with h(x) = y, or None.
 
     The solution is the canonical one produced by the Smith decomposition
     of the matrix [H | relations(target)].
     """
-    y = h.target.reduce(y)
     rel = h.target.relation_rows()
     block = h.matrix
     if rel:
         block = block.hstack(IntMatrix.from_columns([list(r) for r in rel], rows=h.target.num_gens))
-    sol = int_solve(block, y)
-    if sol is None:
-        return None
-    return h.source.reduce(sol[: h.source.num_gens])
+    solve = int_solver(block)
+
+    def solve_for(y: Sequence[int]) -> Vec | None:
+        sol = solve(h.target.reduce(y))
+        if sol is None:
+            return None
+        return h.source.reduce(sol[: h.source.num_gens])
+
+    return solve_for
+
+
+def solve_in_group(h: GroupHom, y: Sequence[int]) -> Vec | None:
+    """A source element x with h(x) = y, or None (see ``group_solver``)."""
+    return group_solver(h)(y)
+
+
+def require_free_bijective(h: GroupHom) -> None:
+    """Raise unless h, a hom between free groups, has a unimodular matrix."""
+    if h.source.num_gens != h.target.num_gens or not h.matrix.is_unimodular():
+        raise HypothesisError("not bijective", "free-group hom with non-unimodular matrix")
 
 
 def invert_iso(h: GroupHom) -> GroupHom:
     """Two-sided inverse of a bijective hom (raises if not bijective)."""
     if h.source.is_free and h.target.is_free:
-        if h.source.num_gens != h.target.num_gens or not h.matrix.is_unimodular():
-            raise HypothesisError("not bijective", "free-group hom with non-unimodular matrix")
+        require_free_bijective(h)
         return GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
+    solve = group_solver(h)
     cols = []
     for g in h.target.gens():
-        x = solve_in_group(h, g)
+        x = solve(g)
         if x is None:
             raise HypothesisError("not surjective", "hom has no preimage for a target generator")
         cols.append(x)
@@ -393,11 +409,12 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     """
     amb = b.ambient
     quot, proj = quotient_with_projection(b)
+    solve_free = group_solver(proj) if quot.free_rank else None
     lifts = []
     for i, g in enumerate(quot.gens()):
         order = 0 if i < quot.free_rank else quot.torsion[i - quot.free_rank]
         if order == 0:
-            x = solve_in_group(proj, g)
+            x = solve_free(g)
             if x is None:
                 raise NotASummand("projection is not surjective (internal error)")
         else:
@@ -569,9 +586,10 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
         raise HypothesisError("unknown mode", mode)
 
     # lift f through g, generator by generator
+    lift_through_g = group_solver(g)
     lift_cols = []
     for gen in f.source.gens():
-        x = solve_in_group(g, f.apply(gen))
+        x = lift_through_g(f.apply(gen))
         assert x is not None  # g surjective
         lift_cols.append(x)
     fbar = GroupHom.from_gen_images(f.source, g.source, lift_cols) if lift_cols else GroupHom.zero(f.source, g.source)
@@ -587,7 +605,8 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
     if not fbar1.is_surjective():
         raise NotWellDefined("augmented lift failed to be surjective")
     # right inverse c: G -> F1
-    c_cols = [solve_in_group(fbar1, gen) for gen in g.source.gens()]
+    right_inverse = group_solver(fbar1)
+    c_cols = [right_inverse(gen) for gen in g.source.gens()]
     c = GroupHom.from_gen_images(g.source, f1_group, c_cols) if c_cols else GroupHom.zero(g.source, f1_group)
 
     f_extra = free_group(rk_f0 + rk_g)
@@ -603,8 +622,9 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
 
 def _match_strict(f: GroupHom, g: GroupHom) -> MatchedSurjections:
     a = f.target
-    c_cols = [solve_in_group(f, gen) for gen in a.gens()]
-    d_cols = [solve_in_group(g, gen) for gen in a.gens()]
+    solve_f, solve_g = group_solver(f), group_solver(g)
+    c_cols = [solve_f(gen) for gen in a.gens()]
+    d_cols = [solve_g(gen) for gen in a.gens()]
     kf = f.kernel().generators()
     kg = g.kernel().generators()
     if len(kf) != len(kg):

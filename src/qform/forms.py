@@ -22,11 +22,11 @@ from .abelian import (
     free_group,
     invert_iso,
     is_direct_summand,
+    require_free_bijective,
 )
 from .errors import (
     DimensionMismatch,
     HypothesisError,
-    NoSolution,
     NotWellDefined,
     VMissing,
 )
@@ -200,15 +200,22 @@ def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
 class FormIso:
     """A validated isomorphism of extended quadratic forms.
 
-    The underlying group map must be bijective and pull the target's λ
-    and μ back to the source's.  Construction fails otherwise, so a
-    FormIso value is itself the certificate.
+    Construction is the certificate: it checks, in this order, that the
+    map pulls the target's λ back to the source's, that it pulls μ back,
+    and that it is bijective (determinant ±1 between free groups; between
+    groups with torsion, an explicit two-sided inverse), and fails
+    otherwise.  There is no unchecked constructor, so every FormIso,
+    including every deserialized move, has passed these checks.
+
+    Between free groups the inverse is computed on first use and cached.
+    ``inverse`` hands its result ``hom`` as that result's inverse, and
+    ``compose`` hands on b⁻¹∘a⁻¹ when both inverses are already known.
     """
 
     source: EQForm
     target: EQForm
     hom: GroupHom
-    inverse_hom: GroupHom = field(init=False, compare=False, repr=False)
+    _inverse: GroupHom | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.source.target != self.target.target:
@@ -222,11 +229,21 @@ class FormIso:
             raise NotWellDefined("map does not pull the pairing back")
         if self.target.mu.compose(self.hom) != self.source.mu:
             raise NotWellDefined("map does not pull mu back")
-        try:
-            inv = invert_iso(self.hom)
-        except NoSolution as exc:
-            raise NotWellDefined(f"map is not bijective: {exc}") from exc
-        object.__setattr__(self, "inverse_hom", inv)
+        if self.hom.source.is_free and self.hom.target.is_free:
+            require_free_bijective(self.hom)
+        else:
+            self._cache_inverse(invert_iso(self.hom))
+
+    def _cache_inverse(self, inv: GroupHom) -> None:
+        object.__setattr__(self, "_inverse", inv)
+
+    @property
+    def inverse_hom(self) -> GroupHom:
+        if self._inverse is None:
+            # only a map between free groups reaches here: its det is ±1
+            h = self.hom
+            self._cache_inverse(GroupHom(h.target, h.source, h.matrix.inverse_unimodular()))
+        return self._inverse
 
     @staticmethod
     def identity(e: EQForm) -> "FormIso":
@@ -236,13 +253,18 @@ class FormIso:
         return self.hom.apply(x)
 
     def inverse(self) -> "FormIso":
-        return FormIso(self.target, self.source, self.inverse_hom)
+        inv = FormIso(self.target, self.source, self.inverse_hom)
+        inv._cache_inverse(self.hom)
+        return inv
 
     def compose(self, other: "FormIso") -> "FormIso":
         """self ∘ other (other applied first)."""
         if other.target != self.source:
             raise DimensionMismatch("isomorphisms do not compose")
-        return FormIso(other.source, self.target, self.hom.compose(other.hom))
+        iso = FormIso(other.source, self.target, self.hom.compose(other.hom))
+        if self._inverse is not None and other._inverse is not None:
+            iso._cache_inverse(other._inverse.compose(self._inverse))
+        return iso
 
 
 def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:

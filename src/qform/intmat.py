@@ -12,12 +12,25 @@ are the workhorses of everything else in the package:
   lattice spanned by the given rows (echelon shape, positive pivots,
   entries above each pivot reduced into ``[0, pivot)``).  Uniqueness of
   this form is what makes subgroup equality a plain tuple comparison.
+
+Products go through one kernel, ``_combine``: each row of A*B is
+accumulated from the rows of B that the nonzero entries of A's row pick
+out, and A*v from the columns of A that the nonzero entries of v pick
+out.  Zero entries are skipped, so the mostly permutation and
+block-diagonal operands of the move calculus cost little more than their
+nonzero entries.
+
+Solving factors once: ``int_solver`` computes one Smith decomposition and
+returns a function that solves A*x = y for any number of right-hand sides;
+``int_solve`` is that solver used once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
 
@@ -118,12 +131,9 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
+        return IntMatrix(
+            self.rows, other.cols, tuple(_combine(row, other.entries, other.cols) for row in self.entries)
         )
-        return IntMatrix(self.rows, other.cols, data)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -152,7 +162,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> Vec:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return _combine(vec, tuple(zip(*self.entries)), self.rows)
 
     # -- composition helpers ------------------------------------------
 
@@ -217,6 +227,23 @@ class IntMatrix:
         if dec.d != IntMatrix.identity(self.rows):
             raise NoSolution("matrix is not unimodular")
         return dec.v.mul(dec.u)
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
+    """The sum of c_k * rows[k] over the nonzero c_k; rows have ``width`` entries.
+
+    This is the product kernel: row i of A*B is A's row i combining B's
+    rows, and A*v is v combining A's columns.  A zero coefficient costs one
+    test and a coefficient 1 reuses its row.
+    """
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            if acc is None:
+                acc = row if c == 1 else tuple(map(mul, repeat(c), row))
+            else:
+                acc = tuple(map(add, acc, map(mul, repeat(c), row)))
+    return (0,) * width if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -381,13 +408,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if m[i][i] < 0:
             negate_row(i)
 
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, rows),
-        IntMatrix.from_rows(m, cols),
-        IntMatrix.from_rows(v, cols),
-        IntMatrix.from_rows(ui, rows),
-        IntMatrix.from_rows(vi, cols),
-    )
+    def freeze(data, width):
+        return IntMatrix(len(data), width, tuple(map(tuple, data)))
+
+    return SmithDecomposition(freeze(u, rows), freeze(m, cols), freeze(v, cols), freeze(ui, rows), freeze(vi, cols))
 
 
 def hermite_row_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
@@ -454,25 +478,35 @@ def int_nullspace(a: IntMatrix) -> list[Vec]:
     return free
 
 
-def int_solve(a: IntMatrix, y: Sequence[int]) -> Vec | None:
-    """One integer solution of A*x = y, or None.
+def int_solver(a: IntMatrix) -> Callable[[Sequence[int]], Vec | None]:
+    """Factor A once; the result maps y to one integer solution of A*x = y, or None.
 
     The particular solution is the canonical one coming from the Smith
-    decomposition, so repeated calls are deterministic.
+    decomposition, so it is the same for every right-hand side as a fresh
+    ``int_solve`` would give.
     """
-    if len(y) != a.rows:
-        raise DimensionMismatch("right-hand side length mismatch")
     dec = smith_normal_form(a)
-    uy = dec.u.apply(y)
-    w = [0] * a.cols
     limit = min(a.rows, a.cols)
-    for i in range(a.rows):
-        d = dec.d.entries[i][i] if i < limit else 0
-        if d == 0:
-            if uy[i] != 0:
-                return None
-        else:
-            if uy[i] % d != 0:
-                return None
-            w[i] = uy[i] // d
-    return dec.v.apply(w)
+    diag = [dec.d.entries[i][i] if i < limit else 0 for i in range(a.rows)]
+
+    def solve(y: Sequence[int]) -> Vec | None:
+        if len(y) != a.rows:
+            raise DimensionMismatch("right-hand side length mismatch")
+        uy = dec.u.apply(y)
+        w = [0] * a.cols
+        for i, d in enumerate(diag):
+            if d == 0:
+                if uy[i] != 0:
+                    return None
+            else:
+                if uy[i] % d != 0:
+                    return None
+                w[i] = uy[i] // d
+        return dec.v.apply(w)
+
+    return solve
+
+
+def int_solve(a: IntMatrix, y: Sequence[int]) -> Vec | None:
+    """One integer solution of A*x = y, or None (see ``int_solver``)."""
+    return int_solver(a)(y)

@@ -45,7 +45,7 @@ from .forms import (
     orthogonal_complement,
     subgroup_classify,
 )
-from .intmat import IntMatrix, int_solve
+from .intmat import IntMatrix, int_solver
 
 
 @dataclass(frozen=True)
@@ -367,9 +367,9 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
     vbar_basis = reduced.summand.generators()
     lifted = []
     if v_gens:
-        proj_cols = IntMatrix.from_columns([list(pi.apply(g)) for g in v_gens], rows=r)
+        solve = int_solver(IntMatrix.from_columns([list(pi.apply(g)) for g in v_gens], rows=r))
         for b in vbar_basis:
-            coeff = int_solve(proj_cols, b)
+            coeff = solve(b)
             if coeff is None:
                 raise NotWellDefined("summand does not project onto its image")
             acc = [0] * group.num_gens
@@ -414,9 +414,10 @@ def _restrict_form(e: EQForm, s: SubgroupRep) -> tuple[EQForm, GroupHom]:
 
 def _subgroup_in_basis(s: SubgroupRep, incl: GroupHom) -> SubgroupRep:
     """Rewrite a subgroup of the ambient in the coordinates of a summand."""
+    solve = int_solver(incl.matrix)
     coords = []
     for g in s.generators():
-        x = int_solve(incl.matrix, list(g))
+        x = solve(list(g))
         if x is None:
             raise NotWellDefined("subgroup is not contained in the summand")
         coords.append(x)

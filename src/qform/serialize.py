@@ -90,7 +90,8 @@ def _as_int(value: Any, path: str) -> int:
         return value
     if isinstance(value, str):
         body = value[1:] if value.startswith("-") else value
-        if body.isdigit():
+        # str.isdigit alone also accepts non-ASCII digits such as "²"
+        if body.isascii() and body.isdigit():
             return int(value)
     raise SchemaError(path, "expected an integer or a decimal string")
 

@@ -14,6 +14,7 @@ from qform.abelian import (
     direct_sum_with_maps,
     free_group,
     group_from_presentation,
+    group_solver,
     invert_iso,
     is_direct_summand,
     match_surjections,
@@ -23,7 +24,7 @@ from qform.abelian import (
     torsion_subgroup,
 )
 from qform.errors import HypothesisError, NotASummand
-from qform.intmat import IntMatrix
+from qform.intmat import IntMatrix, int_solve
 
 
 def enumerate_elements(g: AbGroup, free_bound: int = 2):
@@ -396,3 +397,114 @@ def test_match_strict_randomized():
         f, g = surj(), surj()
         m = match_surjections(f, g, mode="strict")
         assert g.compose(m.iso) == f
+
+
+# -- factor-once solving against one solve per right-hand side ---------
+
+GROUPS = [free_group(2), AbGroup(0, (2, 4)), AbGroup(1, (2,)), AbGroup(2, (3, 6)), AbGroup(1, (2, 2, 4))]
+
+
+def random_endomorphism(rng, g):
+    """A product of shears, sign changes and the odd doubling of a generator."""
+    r, n = g.free_rank, g.num_gens
+    h = GroupHom.identity(g)
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        cols = [list(x) for x in g.gens()]
+        kind = rng.randrange(10)
+        if kind < 7 and i != j and (j < r or r <= i <= j):
+            cols[j][i] += rng.choice([-2, -1, 1, 2])  # gen_j -> gen_j + c gen_i stays well defined
+        elif kind < 9:
+            cols[i][i] = -1
+        else:
+            cols[i][i] = 2  # not bijective
+        h = GroupHom.from_gen_images(g, g, cols).compose(h)
+    return h
+
+
+def invert_one_solve_at_a_time(h):
+    """invert_iso on groups with torsion, with one fresh solve per generator."""
+    cols = [solve_in_group(h, g) for g in h.target.gens()]
+    if any(x is None for x in cols):
+        raise HypothesisError("not surjective", "hom has no preimage for a target generator")
+    inv = GroupHom.from_gen_images(h.target, h.source, cols)
+    if inv.compose(h) != GroupHom.identity(h.source) or h.compose(inv) != GroupHom.identity(h.target):
+        raise HypothesisError("not bijective", "hom has a right inverse but is not invertible")
+    return inv
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HypothesisError, NotASummand) as exc:
+        return type(exc), str(exc)
+
+
+def test_group_solver_matches_fresh_solves():
+    rng = random.Random(41)
+    for g in GROUPS:
+        for _ in range(10):
+            h = random_endomorphism(rng, g)
+            solve = group_solver(h)
+            for _ in range(6):
+                y = [rng.randint(-4, 4) for _ in range(g.num_gens)]
+                x = solve(y)
+                assert x == solve_in_group(h, y)
+                assert x is None or h.apply(x) == g.reduce(y)
+
+
+def test_invert_iso_matches_one_solve_per_generator():
+    rng = random.Random(43)
+    inverted = 0
+    for g in GROUPS:
+        for _ in range(15):
+            h = random_endomorphism(rng, g)
+            got = outcome(invert_iso, h)
+            if g.is_free:
+                if isinstance(got, GroupHom):
+                    assert h.compose(got) == GroupHom.identity(g)
+                else:
+                    assert got == (HypothesisError, "not bijective: free-group hom with non-unimodular matrix")
+            else:
+                assert got == outcome(invert_one_solve_at_a_time, h)
+            inverted += isinstance(got, GroupHom)
+    assert 20 < inverted < 75  # both outcomes are exercised
+
+
+def complement_one_solve_at_a_time(b):
+    """direct_complement with one fresh factorization per quotient generator."""
+    amb = b.ambient
+    quot, proj = quotient_with_projection(b)
+    lifts = []
+    for i, g in enumerate(quot.gens()):
+        order = 0 if i < quot.free_rank else quot.torsion[i - quot.free_rank]
+        if order == 0:
+            x = solve_in_group(proj, g)
+        else:
+            stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(order))
+            cols = [list(r) + [0] * amb.num_gens for r in quot.relation_rows()]
+            cols += [[0] * quot.num_gens + list(r) for r in amb.relation_rows()]
+            block = stacked.hstack(IntMatrix.from_columns(cols, rows=stacked.rows)) if cols else stacked
+            sol = int_solve(block, list(g) + list(amb.zero()))
+            if sol is None:
+                raise NotASummand("no section: subgroup is not a direct summand")
+            x = amb.reduce(sol[: amb.num_gens])
+        lifts.append(x)
+    comp = SubgroupRep.from_elements(amb, lifts)
+    if not b.intersection(comp).is_zero() or not b.sum(comp).is_full():
+        raise NotASummand("computed section does not split the ambient group")
+    return comp
+
+
+def test_direct_complement_matches_one_solve_per_generator():
+    rng = random.Random(47)
+    summands = 0
+    for g in GROUPS:
+        for _ in range(15):
+            h = random_endomorphism(rng, g)
+            gens = [h.apply(x) for x in rng.sample(g.gens(), rng.randint(0, g.num_gens))]
+            b = SubgroupRep.from_elements(g, gens)
+            got = outcome(direct_complement, b)
+            assert got == outcome(complement_one_solve_at_a_time, b)
+            summands += isinstance(got, SubgroupRep)
+    assert 10 < summands < 75

@@ -284,6 +284,39 @@ def test_form_iso_inverse_composes_to_identity():
     assert both.hom == GroupHom.identity(e.group)
 
 
+def test_non_bijective_free_map_is_rejected_at_construction():
+    g = free_group(2)
+    flat = EQForm(g, IntMatrix.zeros(2, 2), GroupHom.zero(g, Z))
+    double = GroupHom.from_gen_images(g, g, [(2, 0), (0, 1)])
+    with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$"):
+        FormIso(flat, flat, double)
+
+
+def automorphism_pairs():
+    """Two automorphisms that do not commute, of a free form and of a form with torsion."""
+    for g, a, b in (
+        (free_group(2), [(1, 1), (0, 1)], [(1, 0), (1, 1)]),
+        (AbGroup(1, (2, 4)), [(1, 1, 3), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 2), (0, 0, 1)]),
+    ):
+        e = EQForm(g, IntMatrix.zeros(g.num_gens, g.num_gens), GroupHom.zero(g, Z))
+        yield FormIso(e, e, GroupHom.from_gen_images(g, g, a)), FormIso(e, e, GroupHom.from_gen_images(g, g, b))
+
+
+@pytest.mark.parametrize("a, b", list(automorphism_pairs()), ids=["free", "torsion"])
+def test_lazy_inverse_round_trips(a, b):
+    for iso in (a, b, a.compose(b)):
+        inv = iso.inverse()
+        assert inv._inverse is iso.hom  # handed over, not recomputed
+        assert inv.inverse().hom == iso.hom
+        assert inv.compose(iso).hom == GroupHom.identity(iso.source.group)
+        assert iso.compose(inv).hom == GroupHom.identity(iso.target.group)
+    # a and b now know their inverses, so a∘b is handed b⁻¹∘a⁻¹
+    assert a.hom.compose(b.hom) != b.hom.compose(a.hom)
+    ab = a.compose(b)
+    assert ab._inverse is not None
+    assert ab.inverse().hom == FormIso(ab.source, ab.target, ab.hom).inverse().hom
+
+
 def test_iso_direct_sum():
     e = e_form(1, 2)
     neg = FormIso(negate(hyperbolic(1)), hyperbolic(1),

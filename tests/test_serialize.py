@@ -1,6 +1,10 @@
 """Round-trip and schema tests for the JSON document layer."""
 
+import json
+
 import pytest
+
+from qform import cli
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import ru_wall_witness, ru_word_eval
@@ -225,3 +229,18 @@ def test_inconsistent_objects_fail_with_library_errors():
 def test_decimal_string_integers_are_accepted_on_load():
     doc = {"free_rank": "2", "torsion": []}
     assert group_from_doc(doc) == free_group(2)
+
+
+@pytest.mark.parametrize("text", ["²", "-²", "١٢", "１"])
+def test_non_ascii_digit_strings_are_schema_errors(text):
+    with pytest.raises(SchemaError, match=r"^input\.free_rank: "):
+        group_from_doc({"free_rank": text, "torsion": []}, "input")
+
+
+def test_validate_rejects_a_superscript_rank_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text('{"free_rank": "\\u00b2", "torsion": []}\n')
+    code = cli.run(["validate", "--input", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["path"] == "input.free_rank"
