@@ -5,7 +5,6 @@ import json
 import pytest
 
 from qform import cli
-
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import ru_wall_witness, ru_word_eval
 from qform.errors import NotWellDefined, SchemaError
@@ -231,7 +230,9 @@ def test_decimal_string_integers_are_accepted_on_load():
     assert group_from_doc(doc) == free_group(2)
 
 
-@pytest.mark.parametrize("text", ["²", "-²", "١٢", "１"])
+@pytest.mark.parametrize(
+    "text", ["²", "-²", "١٢", "１"], ids=["superscript", "negative-superscript", "arabic-indic", "fullwidth"]
+)
 def test_non_ascii_digit_strings_are_schema_errors(text):
     with pytest.raises(SchemaError, match=r"^input\.free_rank: "):
         group_from_doc({"free_rank": text, "torsion": []}, "input")
