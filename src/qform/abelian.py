@@ -312,6 +312,11 @@ class SubgroupRep:
     def contains_torsion(self) -> bool:
         return self.contains_subgroup(torsion_subgroup(self.ambient))
 
+    def inclusion(self) -> GroupHom:
+        """Z^k → ambient onto the canonical generators; a basis when the subgroup is free."""
+        gens = self.generators()
+        return GroupHom.from_gen_images(free_group(len(gens)), self.ambient, gens)
+
     # -- lattice operations -------------------------------------------
 
     def sum(self, other: "SubgroupRep") -> "SubgroupRep":
@@ -355,6 +360,12 @@ class SubgroupRep:
         vecs = [col[:n] for col in ns]
         vecs.extend(h.source.relation_rows())
         return SubgroupRep.from_elements(h.source, vecs)
+
+
+def free_section(g: AbGroup) -> GroupHom:
+    """Z^r → g onto the free coordinates: a section of the quotient by torsion."""
+    r = g.free_rank
+    return GroupHom(free_group(r), g, IntMatrix.diagonal([1] * r, rows=g.num_gens, cols=r))
 
 
 def torsion_subgroup(g: AbGroup) -> SubgroupRep:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import oracle
 from .abelian import GroupHom, Z2
@@ -39,6 +41,7 @@ from .lmonoid import (
     zero_formation,
 )
 from .serialize import (
+    NESTED_TOO_DEEPLY,
     _as_dict,
     _as_int,
     _as_int_list,
@@ -109,6 +112,11 @@ def _budget_from_doc(doc, path: str) -> oracle.SearchBudget:
         _as_int(_get(d, "max_stab", path), path + ".max_stab"),
         _as_int(_get(d, "node_limit", path), path + ".node_limit"),
     )
+
+
+def _schema_failure(exc: SchemaError) -> int:
+    _emit({"error": str(exc), "path": exc.path})
+    return EXIT_INVALID
 
 
 def _emit(payload: dict, args=None) -> None:
@@ -326,7 +334,6 @@ def _si_result(doc) -> dict:
         "b": b,
         "size": rep.size,
         "reps": [list(p) for p in rep.representatives],
-        "trace": list(rep.trace),
     }
 
 
@@ -391,30 +398,6 @@ def _oracle_si_result(doc) -> dict:
 
 # -- validate ----------------------------------------------------------
 
-_RECHECK = {
-    "invariants": lambda d: _invariants_result(_get(d, "form", "input")),
-    "perp": _perp_result,
-    "classify": _classify_result,
-    "metabolic-basis": _metabolic_basis_result,
-    "stable-iso": _stable_iso_result,
-    "ru-wall": _ru_wall_result,
-    "zero-form": _zero_form_result,
-    "bar": lambda d: _bar_result(_get(d, "formation", "input")),
-    "elementary": lambda d: _elementary_result(_get(d, "formation", "input")),
-    "ltriv": lambda d: _ltriv_result(_get(d, "formation", "input")),
-    "jacobi": _jacobi_result,
-    "kappa": _kappa_result,
-    "si": _si_result,
-    "stable-class": _stable_class_result,
-    "oracle-lagrangians": lambda d: _oracle_lagrangians_result(
-        _get(d, "form", "input"), _budget_from_doc(_get(d, "budget", "input"), "input.budget")
-    ),
-    "oracle-iso": lambda d: _oracle_iso_result(
-        d, _budget_from_doc(_get(d, "budget", "input"), "input.budget")
-    ),
-    "oracle-si": _oracle_si_result,
-}
-
 
 def _validate_doc(doc):
     """Classify a document by shape and re-check it; returns (kind, ok, extra)."""
@@ -423,10 +406,14 @@ def _validate_doc(doc):
         name = d["command"]
         if name == "validate":
             raise SchemaError("input.command", "validation reports are not re-checkable")
-        recheck = _RECHECK.get(name)
-        if recheck is None:
+        cmd = COMMANDS.get(name) if isinstance(name, str) else None
+        if cmd is None:
             raise SchemaError("input.command", "unknown command %r" % name)
-        fresh = recheck(d)
+        inp = d if cmd.echo is None else _get(d, cmd.echo, "input")
+        if cmd.budget:
+            fresh = cmd.build(inp, _budget_from_doc(_get(d, "budget", "input"), "input.budget"))
+        else:
+            fresh = cmd.build(inp)
         ok = canonical_dumps(fresh) == canonical_dumps(d)
         extra = {} if ok else {"reason": "stored results differ from recomputation"}
         return "%s result" % name, ok, extra
@@ -466,86 +453,102 @@ def _validate_doc(doc):
     raise SchemaError("input", "unrecognized document shape")
 
 
-# -- subcommand handlers -----------------------------------------------
-
-
-def _cmd_validate(args):
-    kind, ok, extra = _validate_doc(_read_doc(args))
+def _validate_result(doc):
+    kind, ok, extra = _validate_doc(doc)
     payload = {"command": "validate", "kind": kind, "ok": ok}
     payload.update(extra)
     return payload, (EXIT_OK if ok else EXIT_INVALID)
 
 
-def _cmd_invariants(args):
-    return _invariants_result(_read_doc(args))
+# -- the command table -------------------------------------------------
 
 
-def _cmd_perp(args):
-    return _perp_result(_read_doc(args))
+def _flags_doc(*names):
+    """An input reader that builds the input document from the named flags."""
+    return lambda args: {name: getattr(args, name) for name in names}
 
 
-def _cmd_classify(args):
-    return _classify_result(_read_doc(args))
-
-
-def _cmd_metabolic_basis(args):
-    return _metabolic_basis_result(_read_doc(args))
-
-
-def _cmd_stable_iso(args):
-    return _stable_iso_result(_read_doc(args))
-
-
-def _cmd_ru_wall(args):
-    return _ru_wall_result(_read_doc(args))
-
-
-def _cmd_zero_form(args):
-    return _zero_form_result(_read_doc(args))
-
-
-def _cmd_bar(args):
-    return _bar_result(_read_doc(args))
-
-
-def _cmd_elementary(args):
-    return _elementary_result(_read_doc(args))
-
-
-def _cmd_ltriv(args):
-    return _ltriv_result(_read_doc(args))
-
-
-def _cmd_jacobi(args):
-    return _jacobi_result(_read_doc(args))
-
-
-def _cmd_kappa(args):
+def _kappa_doc(args):
     if args.input:
-        return _kappa_result(_read_doc(args))
+        return _read_doc(args)
     if args.a is None or args.b is None:
         raise SchemaError("", "kappa needs either --input FILE or both --a and --b")
-    return _kappa_result({"a": args.a, "b": args.b})
+    return {"a": args.a, "b": args.b}
 
 
-def _cmd_si(args):
-    return _si_result({"a": args.a, "b": args.b})
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help, extra options, input reader and result builder.
+
+    ``build`` takes the input document, plus the search budget when
+    ``budget`` is set: from the flags on the command line, from the
+    document's "budget" under ``validate``.  A result document echoes its
+    input under ``echo``, or at its top level when ``echo`` is None.
+    """
+
+    help: str
+    build: Callable
+    read: Callable = _read_doc  # parsed arguments -> input document
+    echo: str | None = None
+    options: tuple = ()  # extra (flag, add_argument keywords) pairs
+    budget: bool = False
 
 
-def _cmd_stable_class(args):
-    return _stable_class_result({"rkq": args.rkq, "a": args.a, "b": args.b})
+_PAIR = (("--a", {"type": int, "required": True}), ("--b", {"type": int, "required": True}))
 
-
-def _cmd_oracle_lagrangians(args):
-    return _oracle_lagrangians_result(_read_doc(args), _budget(args))
-
-
-def _cmd_oracle_iso(args):
-    return _oracle_iso_result(_read_doc(args), _budget(args))
-
-
-def _cmd_oracle_si(args):
-    return _oracle_si_result({"a": args.a, "b": args.b})
+COMMANDS = {
+    "validate": Command("re-check any document produced by this tool", _validate_result),
+    "invariants": Command("evaluate all predicates of a form", _invariants_result, echo="form"),
+    "perp": Command("orthogonal complement of a subgroup", _perp_result),
+    "classify": Command("isotropy/lagrangian flags of a subgroup", _classify_result),
+    "metabolic-basis": Command(
+        "normal basis [[0,I],[I,D]] for a metabolic form", _metabolic_basis_result
+    ),
+    "stable-iso": Command("stable isomorphism matching two lagrangians", _stable_iso_result),
+    "ru-wall": Command(
+        "word in Keep/Flip letters evaluating to phi + phi^-1 + id", _ru_wall_result
+    ),
+    "zero-form": Command(
+        "the zero-class quasi-formation of a coefficient group", _zero_form_result
+    ),
+    "bar": Command(
+        "reduce a quasi-formation modulo carrier torsion", _bar_result, echo="formation"
+    ),
+    "elementary": Command(
+        "test whether a quasi-formation splits as L + V", _elementary_result, echo="formation"
+    ),
+    "ltriv": Command(
+        "split an invertible class into zero and hyperbolic parts", _ltriv_result, echo="formation"
+    ),
+    "jacobi": Command("move certificate for the triple composition identity", _jacobi_result),
+    "kappa": Command(
+        "form induced on the perp of ker mu", _kappa_result, read=_kappa_doc,
+        options=(("--a", {"type": int, "default": None}), ("--b", {"type": int, "default": None})),
+    ),
+    "si": Command(
+        "stable classes of the twisted plane E_{a,b}", _si_result,
+        read=_flags_doc("a", "b"), options=_PAIR,
+    ),
+    "stable-class": Command(
+        "stable smoothing counts by coefficient rank", _stable_class_result,
+        read=_flags_doc("rkq", "a", "b"),
+        options=(
+            ("--rkq", {"type": int, "required": True, "choices": (0, 1, 2)}),
+            ("--a", {"type": int, "default": 0}),
+            ("--b", {"type": int, "default": 0}),
+        ),
+    ),
+    "oracle-lagrangians": Command(
+        "bounded search for free lagrangians", _oracle_lagrangians_result, echo="form", budget=True
+    ),
+    "oracle-iso": Command(
+        "bounded search for an isomorphism of forms", _oracle_iso_result, budget=True
+    ),
+    "oracle-si": Command(
+        "divisor-scan cross-check of the si enumeration", _oracle_si_result,
+        read=_flags_doc("a", "b"), options=_PAIR,
+    ),
+}
 
 
 # -- parser ------------------------------------------------------------
@@ -569,56 +572,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="reject input files that are not canonical JSON")
 
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    add("validate", _cmd_validate, "re-check any document produced by this tool")
-    add("invariants", _cmd_invariants, "evaluate all predicates of a form")
-    add("perp", _cmd_perp, "orthogonal complement of a subgroup")
-    add("classify", _cmd_classify, "isotropy/lagrangian flags of a subgroup")
-    add("metabolic-basis", _cmd_metabolic_basis, "normal basis [[0,I],[I,D]] for a metabolic form")
-    add("stable-iso", _cmd_stable_iso, "stable isomorphism matching two lagrangians")
-    add("ru-wall", _cmd_ru_wall, "word in Keep/Flip letters evaluating to phi + phi^-1 + id")
-    add("zero-form", _cmd_zero_form, "the zero-class quasi-formation of a coefficient group")
-    add("bar", _cmd_bar, "reduce a quasi-formation modulo carrier torsion")
-    add("elementary", _cmd_elementary, "test whether a quasi-formation splits as L + V")
-    add("ltriv", _cmd_ltriv, "split an invertible class into zero and hyperbolic parts")
-
-    p = add("jacobi", _cmd_jacobi, "move certificate for the triple composition identity")
-
-    p = add("kappa", _cmd_kappa, "form induced on the perp of ker mu")
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-
-    p = add("si", _cmd_si, "stable classes of the twisted plane E_{a,b}")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = add("stable-class", _cmd_stable_class, "stable smoothing counts by coefficient rank")
-    p.add_argument("--rkq", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-
-    add("oracle-lagrangians", _cmd_oracle_lagrangians, "bounded search for free lagrangians")
-    add("oracle-iso", _cmd_oracle_iso, "bounded search for an isomorphism of forms")
-
-    p = add("oracle-si", _cmd_oracle_si, "divisor-scan cross-check of the si enumeration")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=cmd.help)
+        for flag, options in cmd.options:
+            p.add_argument(flag, **options)
     return parser
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cmd = COMMANDS[args.cmd]
     try:
-        result = args.handler(args)
+        doc = cmd.read(args)
+        result = cmd.build(doc, _budget(args)) if cmd.budget else cmd.build(doc)
+    except RecursionError:
+        # a document that parsed but is nested too deeply to re-serialize or quote
+        return _schema_failure(SchemaError("", NESTED_TOO_DEEPLY))
     except SchemaError as exc:
-        _emit({"error": str(exc), "path": exc.path})
-        return EXIT_INVALID
+        return _schema_failure(exc)
     except NodeLimitExceeded as exc:
         _emit({"error": str(exc)})
         return EXIT_BUDGET

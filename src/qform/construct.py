@@ -23,7 +23,10 @@ from .forms import (
     iso_direct_sum,
     negate,
     dual,
+    pullback,
+    split_pair,
     subgroup_classify,
+    swap_blocks,
 )
 from .intmat import IntMatrix, Vec
 
@@ -248,13 +251,6 @@ class StableLagrangianIso:
     target_lagrangian: SubgroupRep
 
 
-def _restrict_mu(e: EQForm, basis: list[Vec]) -> GroupHom:
-    src = free_group(len(basis))
-    if not basis:
-        return GroupHom.zero(src, e.target)
-    return GroupHom.from_gen_images(src, e.target, [e.mu.apply(b) for b in basis])
-
-
 def stable_lagrangian_iso(
     e: EQForm,
     l: SubgroupRep,
@@ -280,10 +276,11 @@ def stable_lagrangian_iso(
         if not form.is_geometric():
             raise HypothesisError("not geometric")
 
-    n_basis = direct_complement(l).generators()
-    n2_basis = direct_complement(l2).generators()
-    f = _restrict_mu(e, n_basis)
-    g = _restrict_mu(e2, n2_basis)
+    n_sub, n2_sub = direct_complement(l), direct_complement(l2)
+    n_basis, n2_basis = n_sub.generators(), n2_sub.generators()
+    # μ on each complement: the form restricted to it, by pullback
+    f = pullback(n_sub.inclusion(), e).mu
+    g = pullback(n2_sub.inclusion(), e2).mu
     matched = match_surjections(f, g, mode="strict" if mode == "strict" else "stable")
     k = matched.f_extra.free_rank
     kl = matched.g_extra.free_rank
@@ -350,9 +347,10 @@ class Keep:
 class Flip:
     """Generator I⁻¹ ∘ (σ ⊕ id) ∘ I for a splitting I : M → H_2 ⊕ M'.
 
-    ``witness`` is I; its target must carry the split form with the
-    hyperbolic pair in the first two coordinates.  ``rest_lagrangian``
-    is the lagrangian L' of M' with I(L) = ({0} × Z) ⊕ L'.
+    ``witness`` is I; its target must be a split form (see
+    ``forms.split_pair``: the hyperbolic pair in the first two
+    coordinates, the layout FlipL shares).  ``rest_lagrangian`` is the
+    lagrangian L' of M' with I(L) = ({0} × Z) ⊕ L'.
     """
 
     witness: FormIso
@@ -374,16 +372,12 @@ class RUWord:
         return RUWord(self.form, self.lagrangian, tuple(g.inverse() for g in reversed(self.letters)))
 
 
-def _split_rest_form(t: EQForm) -> EQForm:
-    """The M' in a target form laid out as H_2 ⊕ M'."""
-    n = t.group.num_gens
-    rest = free_group(n - 2)
-    rest_matrix = IntMatrix.from_rows([row[2:] for row in t.matrix.entries[2:]], n - 2)
-    if n > 2:
-        mu_matrix = IntMatrix.from_rows([row[2:] for row in t.mu.matrix.entries], n - 2)
-    else:
-        mu_matrix = IntMatrix.zeros(t.target.num_gens, 0)
-    return EQForm(rest, rest_matrix, GroupHom(rest, t.target, mu_matrix), t.v)
+def _realize_letter_unchecked(letter) -> FormIso:
+    """Product form of a letter without the lagrangian-side checks."""
+    if isinstance(letter, Keep):
+        return letter.iso
+    w = letter.witness
+    return w.inverse().compose(swap_blocks(w.target, 1)).compose(w)
 
 
 def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> FormIso:
@@ -402,33 +396,20 @@ def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> Form
     w = letter.witness
     if w.source != form:
         bad("flip witness does not start at the ambient form")
-    t = w.target
-    n = t.group.num_gens
-    if not t.group.is_free or n < 2:
-        bad("flip witness target is not a free form of rank at least 2")
-    m = t.matrix.entries
-    if m[0][0] != 0 or m[1][1] != 0 or m[0][1] != 1:
-        bad("flip witness target does not start with a hyperbolic pair")
-    if any(m[0][j] != 0 or m[1][j] != 0 for j in range(2, n)):
-        bad("hyperbolic pair is not orthogonal to the rest")
-    for i in (0, 1):
-        if not t.target.is_zero_element(t.mu.apply(t.group.gen(i))):
-            bad("mu does not vanish on the hyperbolic pair")
-    rest_form = _split_rest_form(t)
+    try:
+        rest_form, embed = split_pair(w.target)
+    except HypothesisError as exc:
+        raise HypothesisError(f"generator {index}: {exc}") from None
     lp = letter.rest_lagrangian
     if lp.ambient != rest_form.group:
         bad("rest lagrangian lives in the wrong group")
     if not subgroup_classify(rest_form, lp).free_lagrangian:
         bad("rest lagrangian fails the lagrangian check")
-    embedded = [t.group.gen(1)] + [(0, 0) + g for g in lp.generators()]
-    if lagr.transport(w.hom) != SubgroupRep.from_elements(t.group, embedded):
+    t_group = w.target.group
+    embedded = [t_group.gen(1)] + [embed.apply(g) for g in lp.generators()]
+    if lagr.transport(w.hom) != SubgroupRep.from_elements(t_group, embedded):
         bad("witness does not carry the lagrangian onto ({0}×Z) ⊕ L'")
-    perm = [1, 0] + list(range(2, n))
-    sigma_matrix = IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)], n
-    )
-    sigma = FormIso(t, t, GroupHom(t.group, t.group, sigma_matrix))
-    return w.inverse().compose(sigma).compose(w)
+    return _realize_letter_unchecked(letter)
 
 
 def ru_word_eval(word: RUWord) -> FormIso:
@@ -445,13 +426,14 @@ def ru_word_eval(word: RUWord) -> FormIso:
 # -- the Wall-type factorization --------------------------------------
 
 
-def _perm_form(t: EQForm, perm: list[int]) -> tuple[EQForm, IntMatrix]:
-    """The form with coordinates permuted so that new slot i holds old perm[i]."""
-    n = t.group.num_gens
-    p = IntMatrix.from_rows([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)], n)
-    lam = p.mul(t.matrix).mul(p.transpose())
-    mu = GroupHom(t.group, t.target, t.mu.matrix.mul(p.transpose()))
-    return EQForm(t.group, lam, mu, t.v), p
+def _permuted(e: EQForm, perm: list[int]) -> FormIso:
+    """e onto the form whose new slot i holds old slot perm[i].
+
+    That form is the pullback of e along the inverse permutation.
+    """
+    p = IntMatrix.permutation(perm)
+    target = pullback(GroupHom(e.group, e.group, p.transpose()), e)
+    return FormIso(e, target, GroupHom(e.group, target.group, p))
 
 
 def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pre: FormIso) -> list[Flip]:
@@ -468,8 +450,7 @@ def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pr
         others_a = [n + j for j in range(pairs) if j != i]
         others_b = [n + pairs + j for j in range(pairs) if j != i]
         perm = [n + i, n + pairs + i] + list(range(n)) + others_a + others_b
-        target, p = _perm_form(sum_form, perm)
-        witness = FormIso(sum_form, target, GroupHom(sum_form.group, target.group, p)).compose(pre)
+        witness = _permuted(sum_form, perm).compose(pre)
         rest_total = n + 2 * (pairs - 1)
         rest_gens = [g + (0,) * (2 * (pairs - 1)) for g in l_gens]
         for j in range(pairs - 1):
@@ -489,8 +470,7 @@ def _embed_letter_after_first(first: EQForm, first_l: SubgroupRep, letter):
     total = inner.target.group.num_gens
     # rotate (first, h2, rest) into (h2, first, rest)
     perm = [n, n + 1] + list(range(n)) + list(range(n + 2, total))
-    target, p = _perm_form(inner.target, perm)
-    witness = FormIso(inner.target, target, GroupHom(inner.target.group, target.group, p)).compose(inner)
+    witness = _permuted(inner.target, perm).compose(inner)
     rest_total = total - 2
     rest_gens = [g + (0,) * (rest_total - n) for g in first_l.generators()]
     for g in letter.rest_lagrangian.generators():
@@ -568,11 +548,7 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
 
     embedded = [_embed_letter_after_first(e, l, g) for g in pair_word]
 
-    perm = list(range(n, 2 * n)) + list(range(n)) + list(range(2 * n, 3 * n))
-    swap_matrix = IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(3 * n)] for i in range(3 * n)], 3 * n
-    )
-    tau = Keep(FormIso(ambient, ambient, GroupHom(ambient.group, ambient.group, swap_matrix)))
+    tau = Keep(swap_blocks(ambient, n))
 
     letters = [tau] + embedded + [tau] + [g.inverse() for g in reversed(embedded)]
     word = RUWord(ambient, l3, tuple(letters))
@@ -580,16 +556,3 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     expected = iso_direct_sum(phi, iso_direct_sum(phi.inverse(), FormIso.identity(negate(e))))
     return RUWallWitness(ambient, l3, word, expected)
 
-
-def _realize_letter_unchecked(letter) -> FormIso:
-    """Product form of a letter without the lagrangian-side checks."""
-    if isinstance(letter, Keep):
-        return letter.iso
-    w = letter.witness
-    n = w.target.group.num_gens
-    perm = [1, 0] + list(range(2, n))
-    sigma_matrix = IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)], n
-    )
-    sigma = FormIso(w.target, w.target, GroupHom(w.target.group, w.target.group, sigma_matrix))
-    return w.inverse().compose(sigma).compose(w)

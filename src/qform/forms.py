@@ -278,6 +278,40 @@ def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
     return FormIso(src.form, tgt.form, hom)
 
 
+def swap_blocks(e: EQForm, size: int) -> FormIso:
+    """The automorphism of e exchanging its two leading blocks of ``size`` coordinates."""
+    n = e.group.num_gens
+    perm = list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n))
+    return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
+
+
+# -- the split hyperbolic pair -----------------------------------------
+#
+# A split form is laid out as H_2 ⊕ rest: its first two free coordinates
+# are a hyperbolic pair (a, b) orthogonal to the rest and killed by μ, and
+# the rest keeps its order, torsion generators last.  Flip letters and
+# FlipL moves both use this layout; σ = swap_blocks(t, 1) exchanges a and b.
+
+
+def split_pair(t: EQForm) -> tuple[EQForm, GroupHom]:
+    """Check the split-pair layout of t; return the rest form and its embedding."""
+    r = t.group.free_rank
+    if r < 2:
+        raise HypothesisError("split target has free rank < 2")
+    m = t.matrix.entries
+    if m[0][0] != 0 or m[1][1] != 0 or m[0][1] != 1:
+        raise HypothesisError("split target does not start with a hyperbolic pair")
+    if any(m[0][j] != 0 or m[1][j] != 0 for j in range(2, t.group.num_gens)):
+        raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
+    for i in (0, 1):
+        if not t.target.is_zero_element(t.mu.apply(t.group.gen(i))):
+            raise HypothesisError("mu does not vanish on the hyperbolic pair")
+    rest = AbGroup(r - 2, t.group.torsion)
+    k = rest.num_gens
+    embed = GroupHom(rest, t.group, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
+    return pullback(embed, t), embed
+
+
 # -- orthogonal complements and subgroup classification ---------------
 
 

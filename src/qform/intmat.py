@@ -87,6 +87,12 @@ class IntMatrix:
         )
 
     @staticmethod
+    def permutation(perm: Sequence[int]) -> "IntMatrix":
+        """The permutation matrix under which new slot i holds old perm[i]."""
+        n = len(perm)
+        return IntMatrix(n, n, tuple(tuple(1 if j == p else 0 for j in range(n)) for p in perm))
+
+    @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if not cols:
             if rows is None:

@@ -23,13 +23,11 @@ from .abelian import (
     ZERO_GROUP,
     direct_complement,
     free_group,
+    free_section,
     torsion_subgroup,
 )
 from .construct import (
-    Flip,
     Keep,
-    _perm_form,
-    _realize_letter_unchecked,
     is_hyperbolic_with_witness,
     ru_wall_witness,
     stable_lagrangian_iso,
@@ -43,7 +41,10 @@ from .forms import (
     iso_direct_sum,
     negate,
     orthogonal_complement,
+    pullback,
+    split_pair,
     subgroup_classify,
+    swap_blocks,
 )
 from .intmat import IntMatrix, int_solver
 
@@ -166,10 +167,11 @@ class Destab:
 class FlipL:
     """Exchange the halves of a split-off hyperbolic plane in the lagrangian.
 
-    ``witness`` maps the current form onto a form whose last two free
-    coordinates are a hyperbolic pair orthogonal to the rest, with the
-    lagrangian landing on L' ⊕ ({0} × Z).  The move replaces the
-    lagrangian by the pullback of L' ⊕ (Z × {0}); form and summand stay.
+    ``witness`` maps the current form onto a split form (see
+    ``forms.split_pair``: the hyperbolic pair in the first two free
+    coordinates, the layout Flip letters share), with the lagrangian
+    landing on ({0} × Z) ⊕ L'.  The move replaces the lagrangian by the
+    pullback of (Z × {0}) ⊕ L'; form and summand stay.
     """
 
     witness: FormIso
@@ -183,40 +185,6 @@ class ApplyIso:
 
 
 Move = Stab | Destab | FlipL | ApplyIso
-
-
-def _split_pair_data(t: EQForm):
-    """Check the trailing-pair layout of a FlipL witness target.
-
-    Returns (rest form, pair indices, embedding of the rest group).
-    """
-    r = t.group.free_rank
-    if r < 2:
-        raise HypothesisError("split target has free rank < 2")
-    p0, p1 = r - 2, r - 1
-    m = t.matrix.entries
-    n = t.group.num_gens
-    if m[p0][p0] != 0 or m[p1][p1] != 0 or m[p0][p1] != 1:
-        raise HypothesisError("trailing coordinates are not a hyperbolic pair")
-    if any(m[p0][j] != 0 or m[p1][j] != 0 for j in range(n) if j not in (p0, p1)):
-        raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
-    for i in (p0, p1):
-        if not t.target.is_zero_element(t.mu.apply(t.group.gen(i))):
-            raise HypothesisError("mu does not vanish on the hyperbolic pair")
-    rest_group = AbGroup(r - 2, t.group.torsion)
-    keep = [j for j in range(n) if j not in (p0, p1)]
-    rest_matrix = IntMatrix.from_rows(
-        [[m[i][j] for j in keep] for i in keep], rest_group.num_gens
-    )
-    rest_mu = GroupHom(
-        rest_group,
-        t.target,
-        IntMatrix.from_rows([[row[j] for j in keep] for row in t.mu.matrix.entries], rest_group.num_gens),
-    )
-    rest_form = EQForm(rest_group, rest_matrix, rest_mu, t.v)
-    embed_cols = [list(t.group.gen(j)) for j in keep]
-    embed = GroupHom(rest_group, t.group, IntMatrix.from_columns(embed_cols, rows=n))
-    return rest_form, (p0, p1), embed
 
 
 def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
@@ -248,15 +216,13 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
         w = move.witness
         if w.source != q.form:
             raise HypothesisError("flip witness does not start at the current form")
-        rest_form, (p0, p1), embed = _split_pair_data(w.target)
+        _, embed = split_pair(w.target)
         t_group = w.target.group
         transported = q.lagrangian.transport(w.hom)
-        rest_embedded = SubgroupRep.full(rest_form.group).transport(embed)
-        inner = transported.intersection(rest_embedded)
-        e_part = SubgroupRep.from_elements(t_group, [t_group.gen(p1)])
-        if inner.sum(e_part) != transported:
-            raise HypothesisError("lagrangian does not split as L' ⊕ ({0} × Z)")
-        flipped = inner.sum(SubgroupRep.from_elements(t_group, [t_group.gen(p0)]))
+        inner = transported.intersection(embed.image())
+        if inner.sum(SubgroupRep.from_elements(t_group, [t_group.gen(1)])) != transported:
+            raise HypothesisError("lagrangian does not split as ({0} × Z) ⊕ L'")
+        flipped = inner.sum(SubgroupRep.from_elements(t_group, [t_group.gen(0)]))
         new_lagr = flipped.preimage(w.hom)
         return QuasiFormation(q.form, new_lagr, q.summand)
     raise HypothesisError("unknown move kind")
@@ -296,13 +262,6 @@ def replay(seq: MoveSequence) -> ReplayResult:
 # -- torsion reduction -------------------------------------------------
 
 
-def _free_quotient_projection(g: AbGroup) -> GroupHom:
-    r = g.free_rank
-    rows = [[1 if j == i else 0 for j in range(g.num_gens)] for i in range(r)]
-    mat = IntMatrix.from_rows(rows, g.num_gens) if rows else IntMatrix.zeros(0, g.num_gens)
-    return GroupHom(g, free_group(r), mat)
-
-
 def bar_reduce(q: QuasiFormation) -> QuasiFormation:
     """Quotient the torsion away: (N; K, W) ↦ (N̄; K̄, image of W)."""
     group = q.form.group
@@ -312,16 +271,10 @@ def bar_reduce(q: QuasiFormation) -> QuasiFormation:
     for g in tors.generators():
         if not q.target.is_zero_element(q.form.mu.apply(g)):
             raise HypothesisError("mu does not vanish on torsion")
-    pi = _free_quotient_projection(group)
-    bar_form = EQForm(
-        pi.target,
-        q.form.reduced_matrix(),
-        GroupHom(pi.target, q.target, IntMatrix.from_rows(
-            [row[: group.free_rank] for row in q.form.mu.matrix.entries], group.free_rank
-        )),
-        q.form.v,
-    )
-    return QuasiFormation(bar_form, q.lagrangian.transport(pi), q.summand.transport(pi))
+    # the form on the free coordinates; projecting onto them is the quotient map
+    section = free_section(group)
+    pi = GroupHom(group, section.source, section.matrix.transpose())
+    return QuasiFormation(pullback(section, q.form), q.lagrangian.transport(pi), q.summand.transport(pi))
 
 
 def unbar(qbar: QuasiFormation, r_group: AbGroup) -> QuasiFormation:
@@ -360,14 +313,13 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
     reduced = bar_reduce(q)
     rebuilt = unbar(reduced, AbGroup(0, group.torsion))
     r = group.free_rank
-    pi = _free_quotient_projection(group)
 
     # lift the canonical basis of the reduced summand back into the summand
     v_gens = q.summand.generators()
     vbar_basis = reduced.summand.generators()
     lifted = []
     if v_gens:
-        solve = int_solver(IntMatrix.from_columns([list(pi.apply(g)) for g in v_gens], rows=r))
+        solve = int_solver(IntMatrix.from_columns([list(g[:r]) for g in v_gens], rows=r))
         for b in vbar_basis:
             coeff = solve(b)
             if coeff is None:
@@ -397,19 +349,6 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
 
 
 # -- trivialization of invertible classes over free coefficients -------
-
-
-def _restrict_form(e: EQForm, s: SubgroupRep) -> tuple[EQForm, GroupHom]:
-    """The form induced on a subgroup of a free form, with its inclusion."""
-    gens = s.generators()
-    sub = free_group(len(gens))
-    lam = IntMatrix.from_rows(
-        [[e.lam(x, y) for y in gens] for x in gens], len(gens)
-    )
-    mu = GroupHom.from_gen_images(sub, e.target, [e.mu.apply(g) for g in gens]) \
-        if gens else GroupHom.zero(sub, e.target)
-    incl = GroupHom(sub, e.group, IntMatrix.from_columns([list(g) for g in gens], rows=e.group.num_gens))
-    return EQForm(sub, lam, mu, e.v), incl
 
 
 def _subgroup_in_basis(s: SubgroupRep, incl: GroupHom) -> SubgroupRep:
@@ -467,8 +406,8 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
     if not m_prime.intersection(h).is_zero() or not m_prime.sum(h).is_full():
         raise NotWellDefined("perpendicular part does not complement")
 
-    m_form, m_incl = _restrict_form(e, m_prime)
-    h_form, h_incl = _restrict_form(e, h)
+    m_incl, h_incl = m_prime.inclusion(), h.inclusion()
+    m_form, h_form = pullback(m_incl, e), pullback(h_incl, e)
     j_in = _subgroup_in_basis(common, m_incl)
     l_in = _subgroup_in_basis(l_rest, h_incl)
     k_in = _subgroup_in_basis(k_rest, h_incl)
@@ -496,32 +435,20 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
 # -- the sum identity --------------------------------------------------
 
 
-def _swap_iso(e: EQForm, left: int) -> FormIso:
-    """Swap the two leading blocks of rank ``left`` in a 2·left+rest form."""
-    n = e.group.num_gens
-    perm = list(range(left, 2 * left)) + list(range(left)) + list(range(2 * left, n))
-    target, p = _perm_form(e, perm)
-    if target != e:
-        raise NotWellDefined("block swap does not preserve the form")
-    return FormIso(e, e, GroupHom(e.group, e.group, p))
-
-
 def _expand_ru_letter(letter) -> list[Move]:
-    """Moves realizing V ↦ Ψ(V) for one word letter, keeping L fixed."""
+    """Moves realizing V ↦ Ψ(V) for one word letter, keeping L fixed.
+
+    A Flip letter Ψ = w⁻¹∘σ∘w becomes [ApplyIso(w∘Ψ), FlipL(σ), ApplyIso(w⁻¹)]:
+    w∘Ψ = σ∘w carries L onto (Z × {0}) ⊕ L', the flip with witness σ on
+    w's target turns that into ({0} × Z) ⊕ L' = w(L), and w⁻¹ brings the
+    lagrangian back to L while the summand ends at Ψ(V).  Flip and FlipL
+    share the split-pair layout, so no coordinates are moved in between.
+    """
     if isinstance(letter, Keep):
         return [ApplyIso(letter.iso)]
     w = letter.witness
-    psi = _realize_letter_unchecked(letter)
-    n = w.target.group.num_gens
-    rotate, p = _perm_form(w.target, list(range(2, n)) + [0, 1])
-    to_last = FormIso(w.target, rotate, GroupHom(w.target.group, rotate.group, p))
-    entry = to_last.compose(w).compose(psi)
-    swap_last, ps = _perm_form(rotate, list(range(n - 2)) + [n - 1, n - 2])
-    if swap_last != rotate:
-        raise NotWellDefined("trailing pair swap does not preserve the form")
-    flip = FlipL(FormIso(rotate, rotate, GroupHom(rotate.group, rotate.group, ps)))
-    exit_iso = to_last.compose(w).inverse()
-    return [ApplyIso(entry), flip, ApplyIso(exit_iso)]
+    sigma = swap_blocks(w.target, 1)
+    return [ApplyIso(sigma.compose(w)), FlipL(sigma), ApplyIso(w.inverse())]
 
 
 @dataclass(frozen=True)
@@ -588,7 +515,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     moves: list[Move] = [first]
     for letter in reversed(wall.word.letters):
         moves.extend(_expand_ru_letter(letter))
-    moves.append(ApplyIso(_swap_iso(wall.ambient, big.group.num_gens)))
+    moves.append(ApplyIso(swap_blocks(wall.ambient, big.group.num_gens)))
 
     end_paddings = (QuasiFormation(big, k_tilde, k_tilde), start_padding)
     end = qf_direct_sum(

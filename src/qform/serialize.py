@@ -26,6 +26,7 @@ from .intmat import IntMatrix
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
+NESTED_TOO_DEEPLY = "document nested too deeply"
 
 
 # -- canonical bytes -----------------------------------------------------
@@ -66,6 +67,8 @@ def loads_document(text: str) -> Any:
         )
     except json.JSONDecodeError as err:
         raise SchemaError("", "not valid JSON: %s" % err) from None
+    except RecursionError:
+        raise SchemaError("", NESTED_TOO_DEEPLY) from None
 
 
 # -- field access with paths ---------------------------------------------

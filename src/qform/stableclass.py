@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group
+from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, free_section
 from .errors import DimensionMismatch, HypothesisError, NotWellDefined
-from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, orthogonal_complement
+from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, orthogonal_complement, pullback
 from .intmat import IntMatrix
 
 Z = free_group(1)
@@ -87,16 +87,8 @@ def _induced_form(e: EQForm, s: SubgroupRep) -> EQForm:
     gens = s.generators()
     free_gens = [g for g in gens if any(g[: amb.free_rank])]
     tors_gens = [g for g in gens if not any(g[: amb.free_rank])]
-    ordered = free_gens + tors_gens
     group = AbGroup(len(free_gens), amb.torsion)
-    lam = IntMatrix.from_rows(
-        [[e.lam(x, y) for y in ordered] for x in ordered], group.num_gens
-    )
-    if ordered:
-        mu = GroupHom.from_gen_images(group, e.target, [e.mu.apply(g) for g in ordered])
-    else:
-        mu = GroupHom.zero(group, e.target)
-    return EQForm(group, lam, mu, e.v)
+    return pullback(GroupHom.from_gen_images(group, amb, free_gens + tors_gens), e)
 
 
 def kappa(e: EQForm) -> EQForm:
@@ -258,16 +250,6 @@ def si_enumerate(a: int, b: int) -> SIReport:
     return SIReport(len(reps_sorted), reps_sorted)
 
 
-def _strip_torsion(e: EQForm) -> EQForm:
-    r = e.group.free_rank
-    mu = GroupHom(
-        free_group(r),
-        e.target,
-        IntMatrix.from_rows([row[:r] for row in e.mu.matrix.entries], r),
-    )
-    return EQForm(free_group(r), e.reduced_matrix(), mu, e.v)
-
-
 def _hyperbolic_basis(matrix: IntMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
     """A basis (x, y) of Z² with x·y = 1 and both isotropic, canonically.
 
@@ -320,7 +302,7 @@ def si_hyp(e: EQForm) -> SIReport:
     trace = []
     if e.group.torsion:
         trace.append("stripped torsion %s" % (e.group.torsion,))
-    bar = _strip_torsion(e) if e.group.torsion else e
+    bar = pullback(free_section(e.group), e)
     x, y = _hyperbolic_basis(bar.matrix)
     rkq = e.target.free_rank
     if rkq == 0:

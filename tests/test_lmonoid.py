@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
+from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, QformError
 from qform.forms import EQForm, FormIso, hyperbolic, subgroup_classify
 from qform.intmat import IntMatrix
@@ -215,24 +216,48 @@ def test_destab_with_wrong_witness_reports_the_index():
     assert "lagrangian" in res.reason
 
 
+def plane_swap(e):
+    """The automorphism of double_h2 exchanging its two planes."""
+    return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation([2, 3, 0, 1])))
+
+
 def test_flip_exchanges_the_split_plane_halves():
     e = double_h2()
     q = QuasiFormation(e, sub(e, (0, 1, 0, 0), (0, 0, 0, 1)), sub(e, (1, 0, 0, 0), (0, 0, 1, 0)))
-    flipped = apply_move(q, FlipL(FormIso.identity(e)))
+    flipped = apply_move(q, FlipL(plane_swap(e)))
     assert flipped.form == e
     assert flipped.summand == q.summand
     assert flipped.lagrangian == sub(e, (0, 1, 0, 0), (0, 0, 1, 0))
     expected = QuasiFormation(e, flipped.lagrangian, q.summand)
-    assert replay(MoveSequence(q, expected, (FlipL(FormIso.identity(e)),)))
+    assert replay(MoveSequence(q, expected, (FlipL(plane_swap(e)),)))
 
 
 def test_flip_with_unsplit_lagrangian_fails_with_index():
     e = double_h2()
     q = QuasiFormation(e, sub(e, (0, 1, 0, 0), (0, 0, 1, 0)), sub(e, (1, 0, 0, 0), (0, 0, 0, 1)))
-    res = replay(MoveSequence(q, q, (FlipL(FormIso.identity(e)),)))
+    res = replay(MoveSequence(q, q, (FlipL(plane_swap(e)),)))
     assert not res
     assert res.failed_index == 0
     assert "split" in res.reason
+
+
+def test_flipl_moves_the_lagrangian_as_each_flip_letter_does():
+    # Flip letters and FlipL moves share the split-pair layout, so a flip
+    # letter's witness is itself a FlipL witness at every rank
+    h = hyperbolic(2, ZERO_GROUP, GroupHom.zero(ZERO_GROUP, Z2))
+    a = IntMatrix.from_rows([[1, 1], [0, 1]])
+    shear = IntMatrix.block_diagonal([a, a.inverse_unimodular().transpose()])
+    phi = FormIso(h, h, GroupHom(h.group, h.group, shear))
+    wall = ru_wall_witness(h, sub(h, (0, 0, 1, 0), (0, 0, 0, 1)), phi)
+    form, lagr = wall.word.form, wall.word.lagrangian
+    q = QuasiFormation(form, lagr, lagr)
+    flips = [g for g in wall.word.letters if isinstance(g, Flip)]
+    assert flips and all(g.witness.target.rank >= 4 for g in flips)
+    for letter in flips:
+        psi = ru_word_eval(RUWord(form, lagr, (letter,)))
+        moved = apply_move(q, FlipL(letter.witness))
+        assert moved.lagrangian == lagr.transport(psi.hom)
+        assert moved.summand == lagr
 
 
 def test_apply_iso_from_elsewhere_fails():

@@ -245,3 +245,35 @@ def test_validate_rejects_a_superscript_rank_with_exit_2(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["path"] == "input.free_rank"
+
+
+def test_loads_document_rejects_deep_nesting():
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        loads_document("[" * 100000 + "]" * 100000)
+
+
+@pytest.mark.parametrize(
+    "text, strict",
+    [
+        ("[" * 100000 + "]" * 100000, False),
+        ("[" * 900 + "]" * 900, True),
+        ('{"a": 1, "b": 2, "command": "si", "x": ' + "[" * 950 + "]" * 950 + "}", False),
+    ],
+    ids=["past-the-parser", "strict-re-serialization", "stored-result-comparison"],
+)
+def test_validate_rejects_deep_nesting_with_exit_2(tmp_path, capsys, text, strict):
+    path = tmp_path / "deep.json"
+    path.write_text(text + "\n")
+    code = cli.run(["validate", "--input", str(path)] + (["--strict"] if strict else []))
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc == {"error": ": document nested too deeply", "path": ""}
+
+
+def test_validate_rejects_a_non_string_command_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "command.json"
+    path.write_text('{"command": []}\n')
+    code = cli.run(["validate", "--input", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["path"] == "input.command"
