@@ -403,11 +403,45 @@ def summand_test(b: SubgroupRep) -> bool:
 
 
 def is_direct_summand(b: SubgroupRep) -> bool:
-    try:
-        direct_complement(b)
+    """True iff B is a direct summand of its ambient group A; builds no complement.
+
+    Unit-pivot rule: when every pivot of the Hermite basis ``b.lattice`` is
+    1, its rows extend to a basis of Z^{r+m} by unit vectors, and since the
+    lattice contains the relations, B splits off.  Otherwise Miyata's
+    criterion decides (T. Miyata, Note on direct summands of modules,
+    J. Math. Kyoto Univ. 7, 1967): 0 → B → A → A/B → 0 splits iff
+    A ≅ B ⊕ A/B, a comparison of invariant factors.  A/B comes from the
+    Smith diagonal of the lattice, B from that of the relations written in
+    the lattice's echelon basis, and the combined torsion is renormalized
+    through the Smith form of its diagonal matrix.
+    """
+    amb = b.ambient
+    pivots = [next(j for j, x in enumerate(row) if x) for row in b.lattice]
+    if all(row[p] == 1 for row, p in zip(b.lattice, pivots)):
         return True
-    except NotASummand:
-        return False
+    quot = _cokernel(IntMatrix.from_rows(b.lattice, amb.num_gens))
+    coords = [_echelon_coordinates(b.lattice, pivots, rel) for rel in amb.relation_rows()]
+    sub = _cokernel(IntMatrix.from_rows(coords, len(b.lattice)))
+    torsion = _cokernel(IntMatrix.diagonal(quot.torsion + sub.torsion)).torsion
+    return AbGroup(quot.free_rank + sub.free_rank, torsion) == amb
+
+
+def _cokernel(a: IntMatrix) -> AbGroup:
+    """Z^cols modulo the rows of A, in invariant-factor form."""
+    diag = smith_normal_form(a).diagonal
+    return AbGroup(a.cols - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2))
+
+
+def _echelon_coordinates(basis: Sequence[Vec], pivots: Sequence[int], v: Sequence[int]) -> list[int]:
+    """Coefficients of v, a lattice vector, in an echelon basis with the given pivot columns."""
+    v = list(v)
+    coeffs = []
+    for row, p in zip(basis, pivots):
+        c = v[p] // row[p]
+        if c:
+            v = [x - c * y for x, y in zip(v, row)]
+        coeffs.append(c)
+    return coeffs
 
 
 def direct_complement(b: SubgroupRep) -> SubgroupRep:

@@ -47,6 +47,7 @@ from .serialize import (
     _as_int_list,
     _get,
     canonical_dumps,
+    decimal_to_int,
     form_from_doc,
     form_to_doc,
     formation_from_doc,
@@ -494,7 +495,14 @@ class Command:
     budget: bool = False
 
 
-_PAIR = (("--a", {"type": int, "required": True}), ("--b", {"type": int, "required": True}))
+def _int_flag(text: str) -> int:
+    """An integer flag of any size (argparse's ``type=int`` stops at 4300 digits)."""
+    return decimal_to_int(text)
+
+
+_int_flag.__name__ = "int"  # argparse names the type in "invalid int value" errors
+
+_PAIR = (("--a", {"type": _int_flag, "required": True}), ("--b", {"type": _int_flag, "required": True}))
 
 COMMANDS = {
     "validate": Command("re-check any document produced by this tool", _validate_result),
@@ -523,7 +531,7 @@ COMMANDS = {
     "jacobi": Command("move certificate for the triple composition identity", _jacobi_result),
     "kappa": Command(
         "form induced on the perp of ker mu", _kappa_result, read=_kappa_doc,
-        options=(("--a", {"type": int, "default": None}), ("--b", {"type": int, "default": None})),
+        options=(("--a", {"type": _int_flag, "default": None}), ("--b", {"type": _int_flag, "default": None})),
     ),
     "si": Command(
         "stable classes of the twisted plane E_{a,b}", _si_result,
@@ -534,8 +542,8 @@ COMMANDS = {
         read=_flags_doc("rkq", "a", "b"),
         options=(
             ("--rkq", {"type": int, "required": True, "choices": (0, 1, 2)}),
-            ("--a", {"type": int, "default": 0}),
-            ("--b", {"type": int, "default": 0}),
+            ("--a", {"type": _int_flag, "default": 0}),
+            ("--b", {"type": _int_flag, "default": 0}),
         ),
     ),
     "oracle-lagrangians": Command(
@@ -586,7 +594,7 @@ def run(argv=None) -> int:
         doc = cmd.read(args)
         result = cmd.build(doc, _budget(args)) if cmd.budget else cmd.build(doc)
     except RecursionError:
-        # a document that parsed but is nested too deeply to re-serialize or quote
+        # a document that parsed but is too deep for a later recursive step
         return _schema_failure(SchemaError("", NESTED_TOO_DEEPLY))
     except SchemaError as exc:
         return _schema_failure(exc)

@@ -23,6 +23,11 @@ nonzero entries.
 Solving factors once: ``int_solver`` computes one Smith decomposition and
 returns a function that solves A*x = y for any number of right-hand sides;
 ``int_solve`` is that solver used once.
+
+``det`` eliminates on ±1 pivots while a column offers one, touching only
+the rows that are nonzero in the pivot column, so a mostly permutation
+matrix costs about its nonzero entries; the first column without a ±1
+entry hands the remaining block to fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -199,30 +204,37 @@ class IntMatrix:
     # -- exact linear algebra -----------------------------------------
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by exact elimination on unit pivots, then Bareiss.
+
+        Column by column, a row whose entry in the column is ±1 becomes the
+        pivot row, and only the rows that are nonzero in the column are
+        updated, along the pivot row's nonzero entries.  With pivots ±1 every
+        entry stays an integer minor, so no division is needed.  The first
+        column without a ±1 entry hands the remaining block to fraction-free
+        (Bareiss) elimination; a zero column gives 0.
+        """
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
         n = self.rows
-        if n == 0:
-            return 1
         m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        det = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if m[i][k] in (1, -1)), None)
+            if piv is None:
+                return det * _bareiss_det([r[k:] for r in m[k:]])
+            if piv != k:
+                m[k], m[piv] = m[piv], m[k]
+                det = -det
+            p = m[k][k]
+            det *= p
+            pivot_row = [(j, p * m[k][j]) for j in range(k + 1, n) if m[k][j]]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+                row = m[i]
+                f = row[k]
+                if f:
+                    for j, x in pivot_row:
+                        row[j] -= f * x
+        return det
 
     def is_unimodular(self) -> bool:
         return self.is_square and abs(self.det()) == 1
@@ -250,6 +262,30 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
             else:
                 acc = tuple(map(add, acc, map(mul, repeat(c), row)))
     return (0,) * width if acc is None else acc
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square list matrix by fraction-free (Bareiss) elimination; ``m`` is consumed."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

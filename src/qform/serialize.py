@@ -6,6 +6,19 @@ anywhere.  Integers that do not fit into 53 bits are written as decimal
 strings so that readers which parse numbers as doubles cannot corrupt
 them; on input both plain integers and decimal strings are accepted.
 
+``canonical_dumps`` writes that layout in one recursive pass.  Its bytes
+are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` on the
+document with every integer of magnitude 2**53 or more replaced by its
+decimal string; a list of 53-bit integers, the bulk of every matrix, is
+written with a single join.  Object keys must be strings, and a document
+nested more than ``MAX_DEPTH`` containers deep is refused with a
+SchemaError, as is one too deep to parse.
+
+Integers have no size limit in either direction.  Python refuses int/str
+conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
+default); past that limit, and only there, ``int_to_decimal`` and
+``decimal_to_int`` convert in chunks by divide and conquer.
+
 Loading re-runs every constructor, so a document that parses but encodes
 an inconsistent object (a pairing that is not symmetric, a subgroup
 outside its group, and so on) still fails — with the library's own error,
@@ -16,6 +29,7 @@ offending field.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, List, Sequence
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group
@@ -26,31 +40,107 @@ from .intmat import IntMatrix
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
+_INT_ONLY = {int}
+# The deepest documents any command writes (jacobi, ru-wall and ltriv
+# results) are 8 containers deep; the limit leaves ample room above that
+# and keeps the encoder's one stack frame per level far below Python's
+# recursion limit.
+MAX_DEPTH = 256
 NESTED_TOO_DEEPLY = "document nested too deeply"
+
+# Chunks stay below 640 digits, the smallest int/str limit Python accepts.
+_CHUNK_DIGITS = 600
+_CHUNK_BITS = 1993  # 2**1993 < 10**600
+
+
+# -- integers of any size ------------------------------------------------
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal string of an integer of any size."""
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int/str digit limit
+        return "-" + _digits(-n) if n < 0 else _digits(n)
+
+
+def _digits(n: int) -> str:
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of the decimal digits
+    hi, lo = divmod(n, 10**k)
+    return _digits(hi) + _digits(lo).zfill(k)
+
+
+def decimal_to_int(text: str) -> int:
+    """``int(text)``, also past the digit limit for a signed string of ASCII digits."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text[1:] if text[:1] in "+-" else text
+        if not (body.isascii() and body.isdigit()):
+            raise
+        value = _parse_digits(body)
+        return -value if text[0] == "-" else value
+
+
+def _parse_digits(body: str) -> int:
+    if len(body) <= _CHUNK_DIGITS:
+        return int(body)
+    mid = len(body) // 2
+    return _parse_digits(body[:mid]) * 10 ** (len(body) - mid) + _parse_digits(body[mid:])
 
 
 # -- canonical bytes -----------------------------------------------------
 
 
-def _encode(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= _SAFE else value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if value is None:
-        return None
-    raise SchemaError("", "cannot serialize %r" % type(value).__name__)
-
-
 def canonical_dumps(doc: Any) -> str:
     """Serialize to the canonical byte layout."""
-    return json.dumps(_encode(doc), sort_keys=True, indent=2) + "\n"
+    out: List[str] = []
+    _write(doc, "\n", 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, depth: int, out: List[str]) -> None:
+    """Append ``value``; ``newline`` breaks a line and indents to ``value``'s level."""
+    if isinstance(value, (dict, list, tuple)):
+        if depth >= MAX_DEPTH:
+            raise SchemaError("", NESTED_TOO_DEEPLY)
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise SchemaError("", "cannot serialize a %r key" % type(key).__name__)
+            out.append("{")
+            for i, key in enumerate(sorted(value)):
+                out.append((sep if i else inner) + _quote(key) + ": ")
+                _write(value[key], inner, depth + 1, out)
+            out.append(newline + "}")
+        elif set(map(type, value)) == _INT_ONLY and -_SAFE < min(value) and max(value) < _SAFE:
+            out.append("[" + inner + sep.join(map(str, value)) + newline + "]")
+        else:
+            out.append("[")
+            for i, item in enumerate(value):
+                out.append(sep if i else inner)
+                _write(item, inner, depth + 1, out)
+            out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value) if -_SAFE < value < _SAFE else '"%s"' % int_to_decimal(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise SchemaError("", "cannot serialize %r" % type(value).__name__)
 
 
 def _reject_float(text: str) -> None:
@@ -59,16 +149,20 @@ def _reject_float(text: str) -> None:
 
 def loads_document(text: str) -> Any:
     """Parse JSON, rejecting floats and non-finite constants."""
-    try:
-        return json.loads(
-            text,
-            parse_float=_reject_float,
-            parse_constant=_reject_float,
-        )
-    except json.JSONDecodeError as err:
-        raise SchemaError("", "not valid JSON: %s" % err) from None
-    except RecursionError:
-        raise SchemaError("", NESTED_TOO_DEEPLY) from None
+    parse_int = None
+    while True:
+        try:
+            return json.loads(
+                text, parse_float=_reject_float, parse_constant=_reject_float, parse_int=parse_int
+            )
+        except json.JSONDecodeError as err:
+            raise SchemaError("", "not valid JSON: %s" % err) from None
+        except RecursionError:
+            raise SchemaError("", NESTED_TOO_DEEPLY) from None
+        except ValueError:
+            if parse_int is not None:
+                raise
+            parse_int = decimal_to_int  # an integer literal past the digit limit
 
 
 # -- field access with paths ---------------------------------------------
@@ -95,7 +189,7 @@ def _as_int(value: Any, path: str) -> int:
         body = value[1:] if value.startswith("-") else value
         # str.isdigit alone also accepts non-ASCII digits such as "²"
         if body.isascii() and body.isdigit():
-            return int(value)
+            return decimal_to_int(value)
     raise SchemaError(path, "expected an integer or a decimal string")
 
 

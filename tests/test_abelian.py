@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qform.abelian import (
     AbGroup,
@@ -508,3 +509,42 @@ def test_direct_complement_matches_one_solve_per_generator():
             assert got == outcome(complement_one_solve_at_a_time, b)
             summands += isinstance(got, SubgroupRep)
     assert 10 < summands < 75
+
+
+# -- the summand decision against direct_complement ------------------------
+
+
+@st.composite
+def subgroups(draw):
+    """A subgroup of Z^r ⊕ Z/d_1 ⊕ ... ⊕ Z/d_m spanned by a few drawn elements."""
+    torsion = []
+    for _ in range(draw(st.integers(0, 3))):
+        step = st.sampled_from([1, 2, 3]) if torsion else st.sampled_from([2, 3, 4, 6])
+        torsion.append((torsion[-1] if torsion else 1) * draw(step))
+    g = AbGroup(draw(st.integers(0, 3)), tuple(torsion))
+    element = st.lists(st.integers(-4, 4), min_size=g.num_gens, max_size=g.num_gens)
+    return SubgroupRep.from_elements(g, draw(st.lists(element, max_size=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(subgroups())
+@example(SubgroupRep.from_elements(AbGroup(1, (2,)), [(1, 1)]))  # a summand with A/B not free
+@example(SubgroupRep.from_elements(AbGroup(0, (4,)), [(2,)]))
+def test_summand_decision_matches_direct_complement(b):
+    assert is_direct_summand(b) == isinstance(outcome(direct_complement, b), SubgroupRep)
+
+
+def test_summand_decision_on_images_under_endomorphisms():
+    rng = random.Random(53)
+    summands = 0
+    for g in GROUPS:
+        for _ in range(15):
+            h = random_endomorphism(rng, g)
+            gens = [h.apply(x) for x in rng.sample(g.gens(), rng.randint(0, g.num_gens))]
+            if gens and rng.random() < 0.5:
+                gens[0] = g.smul(rng.choice([2, 3]), gens[0])
+            b = SubgroupRep.from_elements(g, gens)
+            decided = is_direct_summand(b)
+            assert decided == isinstance(outcome(direct_complement, b), SubgroupRep)
+            summands += decided
+    assert 30 < summands < 70  # both outcomes are exercised

@@ -75,6 +75,28 @@ def test_oracle_si_matches_si(capsys):
     assert brute["reps"] == fast["reps"] == [[1, 30], [2, 15], [3, 10], [5, 6]]
 
 
+
+# a smooth 5000-digit value, past the interpreter's 4300-digit int/str limit
+A_TEXT = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("command", ["si", "kappa"])
+def test_a_5000_digit_flag_computes_and_validates(tmp_path, capsys, command):
+    code, doc, text = invoke(capsys, command, "--a", A_TEXT, "--b", "3")
+    assert code == 0
+    assert doc["a"] == A_TEXT and doc["b"] == 3
+    _, small, _ = invoke(capsys, command, "--a", "10", "--b", "3")
+    if command == "si":
+        assert doc["size"] == small["size"] == 4  # the primes of ab are 2, 3 and 5 either way
+        assert [3, A_TEXT] in doc["reps"]
+    else:
+        assert doc["agree"] is True
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    code, report, _ = invoke(capsys, "validate", "--strict", "--input", str(path))
+    assert (code, report["ok"], report["kind"]) == (0, True, command + " result")
+
+
 # -- validate ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exact matrix layer: Smith/Hermite normal forms and integer solving."""
 
+import itertools
 import random
 
 import pytest
@@ -254,3 +255,85 @@ def test_solver_matches_fresh_solves_and_detects_unsolvable():
 def test_solver_checks_the_right_hand_side_length():
     with pytest.raises(DimensionMismatch):
         int_solver(IntMatrix.identity(2))((1, 2, 3))
+
+
+# -- det against references that share no code with it ------------------
+
+
+def leibniz_det(a):
+    """The determinant by its definition: signed products over all permutations."""
+    n = a.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a.entries[i][j]
+        total += term
+    return total
+
+
+def plain_bareiss(a):
+    """Fraction-free elimination on the first nonzero pivot of each column."""
+    n = a.rows
+    m = [list(r) for r in a.entries]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+@st.composite
+def small_square(draw):
+    n = draw(st.integers(0, 6))
+    return draw(st.one_of(dense(n, n), permutation(n), block_diagonal(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_square())
+def test_det_matches_the_leibniz_expansion(a):
+    assert a.det() == leibniz_det(a)
+
+
+@st.composite
+def permutation_like(draw, n=30):
+    """A signed rank-30 permutation matrix with a few extra entries, some past 2**64.
+
+    "singular" repeats a row; "scaled" multiplies a row by a non-unit, so
+    its column may have no ±1 entry and elimination falls back to Bareiss.
+    """
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = draw(st.sampled_from([1, -1]))
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 40))):
+        rows[draw(index)][draw(index)] = draw(entries)
+    kind = draw(st.sampled_from(["plain", "singular", "scaled"]))
+    if kind == "singular":
+        i = draw(index)
+        rows[(i + 1) % n] = list(rows[i])
+    elif kind == "scaled":
+        i, k = draw(index), draw(st.sampled_from([2, -3, BIG + 1]))
+        rows[i] = [k * x for x in rows[i]]
+    return IntMatrix.from_rows(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_like())
+def test_det_matches_plain_bareiss_at_rank_30(a):
+    assert a.det() == plain_bareiss(a)
+
+
+def test_det_of_an_all_non_unit_matrix_is_bareiss():
+    a = IntMatrix.from_rows([[2, 3, 5], [7, 11, 13], [17, 19, 23]])
+    assert a.det() == plain_bareiss(a) == leibniz_det(a) == -78

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
@@ -12,13 +13,16 @@ from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
 from qform.lmonoid import MoveSequence, Stab, apply_move, replay, standard_elementary
 from qform.serialize import (
+    MAX_DEPTH,
     canonical_dumps,
+    decimal_to_int,
     form_from_doc,
     form_to_doc,
     formation_from_doc,
     formation_to_doc,
     group_from_doc,
     group_to_doc,
+    int_to_decimal,
     iso_from_doc,
     iso_to_doc,
     loads_document,
@@ -277,3 +281,104 @@ def test_validate_rejects_a_non_string_command_with_exit_2(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["path"] == "input.command"
+
+
+# -- the one-pass encoder against the json module ------------------------
+
+SAFE = 2**53
+
+
+def reference_dumps(doc):
+    """The canonical bytes by the json module's own encoder."""
+
+    def encode(value):
+        if isinstance(value, bool) or value is None or isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value) if abs(value) >= SAFE else value
+        if isinstance(value, dict):
+            return {k: encode(v) for k, v in value.items()}
+        return [encode(v) for v in value]
+
+    return json.dumps(encode(doc), sort_keys=True, indent=2) + "\n"
+
+
+boundary = st.sampled_from([SAFE - 1, SAFE, SAFE + 1, -(SAFE - 1), -SAFE, -(SAFE + 1), 0, 2**64])
+integers = st.one_of(st.integers(-9, 9), st.integers(), boundary)
+strings = st.one_of(st.text(), st.text(alphabet="\x00\x1f\x7f\"\\/é\u2028☃\U0001f600 a"))
+scalars = st.one_of(st.none(), st.booleans(), integers, strings)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(integers, max_size=6),
+        st.dictionaries(strings, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_encoder_matches_the_json_module(doc):
+    assert canonical_dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"x": [1, 2.0]}, [{1, 2}], {"x": b"bytes"}, [object()], {1: 2}, {"a": 1, 2: 3}],
+    ids=["float", "nested-float", "set", "bytes", "object", "integer-key", "mixed-keys"],
+)
+def test_encoder_refuses_unsupported_values(doc):
+    with pytest.raises(SchemaError, match="cannot serialize"):
+        canonical_dumps(doc)
+
+
+def nested(depth, inner=None):
+    """A document ``depth`` containers deep, alternating lists and objects."""
+    doc = [] if inner is None else inner
+    for level in range(depth - 1):
+        doc = {"k": doc} if level % 2 else [doc, 1]
+    return doc
+
+
+@pytest.mark.parametrize("inner", [None, [1, 2]], ids=["empty", "integer-list"])
+def test_encoder_depth_limit_boundary(inner):
+    assert canonical_dumps(nested(MAX_DEPTH, inner)) == reference_dumps(nested(MAX_DEPTH, inner))
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        canonical_dumps(nested(MAX_DEPTH + 1, inner))
+
+
+def test_validate_strict_depth_limit_boundary(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(reference_dumps(nested(MAX_DEPTH)))
+    assert cli.run(["validate", "--strict", "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input: expected an object"
+    path.write_text(reference_dumps(nested(MAX_DEPTH + 1)))
+    assert cli.run(["validate", "--strict", "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == ": document nested too deeply"
+
+
+# -- integers past the interpreter's 4300-digit int/str limit ------------
+
+HUGE_TEXT = "-" + "9" * 5000
+HUGE = -(10**5000 - 1)
+
+
+def test_huge_integers_convert_both_ways():
+    assert decimal_to_int(HUGE_TEXT) == HUGE
+    assert int_to_decimal(HUGE) == HUGE_TEXT
+    assert int_to_decimal(10**5000) == "1" + "0" * 5000
+    assert decimal_to_int("+" + "0" * 4999 + "7") == 7
+    with pytest.raises(ValueError):
+        decimal_to_int("9" * 4999 + "x")
+
+
+def test_huge_integers_are_written_and_loaded():
+    text = canonical_dumps({"x": HUGE, "y": [1, 10**5000]})
+    assert '"x": "%s"' % HUGE_TEXT in text
+    assert loads_document(text) == {"x": HUGE_TEXT, "y": [1, "1" + "0" * 5000]}
+    assert loads_document("[%s, 1]" % HUGE_TEXT) == [HUGE, 1]
+    group = group_from_doc({"free_rank": 0, "torsion": ["1" + "0" * 5000]})
+    assert group.torsion == (10**5000,)
