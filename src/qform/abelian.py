@@ -10,6 +10,9 @@ full preimage lattice in ``Z^{r+m}`` (the preimage always contains the
 relation lattice ``d_i * e_{r+i}``).  Two subgroup values are equal as
 Python objects exactly when they are equal as subgroups, which is what
 the rest of the package leans on.
+
+Meets, preimages and kernels read that basis straight off one stacked
+Hermite basis (Zassenhaus' algorithm), with no Smith form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .intmat import (
     IntMatrix,
     Vec,
     hermite_row_basis,
-    int_nullspace,
     int_solve,
     int_solver,
     lattice_contains,
@@ -184,16 +186,8 @@ class GroupHom:
         return SubgroupRep.from_elements(self.target, [self.apply(g) for g in self.source.gens()])
 
     def kernel(self) -> "SubgroupRep":
-        """Kernel as a subgroup of the source."""
-        rel = self.target.relation_rows()
-        block = self.matrix
-        if rel:
-            block = block.hstack(IntMatrix.from_columns([list(r) for r in rel], rows=self.target.num_gens))
-        ns = int_nullspace(block)
-        n = self.source.num_gens
-        vecs = [col[:n] for col in ns]
-        vecs.extend(self.source.relation_rows())
-        return SubgroupRep.from_elements(self.source, vecs)
+        """Kernel as a subgroup of the source: the preimage of zero."""
+        return SubgroupRep.zero(self.target).preimage(self)
 
     def is_surjective(self) -> bool:
         return self.image() == SubgroupRep.full(self.target)
@@ -325,20 +319,12 @@ class SubgroupRep:
         return SubgroupRep(self.ambient, hermite_row_basis(self.lattice + other.lattice, self.ambient.num_gens))
 
     def intersection(self, other: "SubgroupRep") -> "SubgroupRep":
+        """The meet, by Zassenhaus: rows (a | a) for a in self, (b | 0) for b in other."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("subgroup intersection across different ambients")
-        a = self.lattice
-        b = other.lattice
-        if not a or not b:
-            # both contain the relation lattice, so emptiness means trivial ambient
-            return SubgroupRep(self.ambient, ())
-        stacked = IntMatrix.from_rows([list(r) for r in a] + [list(r) for r in b], self.ambient.num_gens)
-        ns = int_nullspace(stacked.transpose())
-        rows = []
-        for coeff in ns:
-            xa = coeff[: len(a)]
-            rows.append([sum(c * r[j] for c, r in zip(xa, a)) for j in range(self.ambient.num_gens)])
-        return SubgroupRep(self.ambient, hermite_row_basis(rows, self.ambient.num_gens))
+        zeros = self.ambient.zero()
+        rows = [a + a for a in self.lattice] + [b + zeros for b in other.lattice]
+        return _zero_head_tails(self.ambient, self.ambient.num_gens, rows)
 
     def transport(self, h: GroupHom) -> "SubgroupRep":
         """Image of this subgroup under a hom out of the ambient group."""
@@ -347,19 +333,25 @@ class SubgroupRep:
         return SubgroupRep.from_elements(h.target, [h.apply(g) for g in self.generators()])
 
     def preimage(self, h: GroupHom) -> "SubgroupRep":
-        """Preimage h^{-1}(self) as a subgroup of h.source."""
+        """Preimage h^{-1}(self) as a subgroup of h.source: rows (h(e_j) | e_j), (s | 0) for s in self."""
         if h.target != self.ambient:
             raise DimensionMismatch("preimage along hom with wrong target")
-        if not self.lattice:
-            # zero subgroup of a free ambient: the preimage is the kernel
-            return h.kernel()
-        lat = IntMatrix.from_rows([list(r) for r in self.lattice], self.ambient.num_gens)
-        block = h.matrix.hstack(lat.transpose().neg())
-        ns = int_nullspace(block)
-        n = h.source.num_gens
-        vecs = [col[:n] for col in ns]
-        vecs.extend(h.source.relation_rows())
-        return SubgroupRep.from_elements(h.source, vecs)
+        zeros = h.source.zero()
+        rows = [h.matrix.column(j) + e for j, e in enumerate(h.source.gens())]
+        rows += [s + zeros for s in self.lattice]
+        return _zero_head_tails(h.source, self.ambient.num_gens, rows)
+
+
+def _zero_head_tails(ambient: AbGroup, head: int, rows: list[Vec]) -> SubgroupRep:
+    """The subgroup of ``ambient`` whose lattice is {t : (0 | t) in the span of ``rows``}.
+
+    In the Hermite basis of ``rows`` the tails of the rows whose first
+    ``head`` entries vanish are echelon and reduced, so they are already
+    the canonical lattice.  It contains the relations: both lattices of a
+    meet do, and a well-defined hom maps source relations into the target's.
+    """
+    basis = hermite_row_basis(rows, head + ambient.num_gens)
+    return SubgroupRep(ambient, tuple(r[head:] for r in basis if not any(r[:head])))
 
 
 def free_section(g: AbGroup) -> GroupHom:
@@ -450,7 +442,8 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     Works for arbitrary subgroups: we look for a section of the quotient
     projection by solving, for each quotient generator of order k, the
     system  proj(x) = generator, k*x = 0.  Sections exist exactly when B
-    is a direct summand.
+    is a direct summand.  The lifts define a section, so their span is a
+    complement by construction and is not checked again.
     """
     amb = b.ambient
     quot, proj = quotient_with_projection(b)
@@ -459,9 +452,7 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     for i, g in enumerate(quot.gens()):
         order = 0 if i < quot.free_rank else quot.torsion[i - quot.free_rank]
         if order == 0:
-            x = solve_free(g)
-            if x is None:
-                raise NotASummand("projection is not surjective (internal error)")
+            x = solve_free(g)  # the projection is onto, so a free generator always lifts
         else:
             # combined condition: proj(x) = g and order*x = 0 in the ambient
             rel = amb.relation_rows()
@@ -481,10 +472,7 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
                 raise NotASummand("no section: subgroup is not a direct summand")
             x = amb.reduce(sol[: amb.num_gens])
         lifts.append(x)
-    comp = SubgroupRep.from_elements(amb, lifts)
-    if not b.intersection(comp).is_zero() or not b.sum(comp).is_full():
-        raise NotASummand("computed section does not split the ambient group")
-    return comp
+    return SubgroupRep.from_elements(amb, lifts)
 
 
 # -- direct sums with coordinate maps ----------------------------------
@@ -504,7 +492,9 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
 
     When both torsion lists merge without interaction (the common free
     case) the coordinate maps are plain embeddings; in general the merged
-    torsion is renormalized through a Smith decomposition.
+    torsion is renormalized through a Smith decomposition, the inclusions
+    going by U and the projections back by U^{-1}, so the biproduct
+    identities hold by construction and are not checked on each call.
     """
     ra, rb = a.free_rank, b.free_rank
     mixed = list(a.torsion) + list(b.torsion)
@@ -515,7 +505,7 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     torsion = tuple(dec.d.entries[i][i] for i in keep)
     total = AbGroup(ra + rb, torsion)
 
-    def embed_free(offset: int, rank: int, src_index: int) -> list[int]:
+    def embed_free(offset: int, src_index: int) -> list[int]:
         col = [0] * total.num_gens
         col[offset + src_index] = 1
         return col
@@ -527,8 +517,8 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
             col[ra + rb + pos] = dec.u.entries[i][j]
         return col
 
-    cols_a = [embed_free(0, ra, i) for i in range(ra)] + [embed_tors(j) for j in range(len(a.torsion))]
-    cols_b = [embed_free(ra, rb, i) for i in range(rb)] + [
+    cols_a = [embed_free(0, i) for i in range(ra)] + [embed_tors(j) for j in range(len(a.torsion))]
+    cols_b = [embed_free(ra, i) for i in range(rb)] + [
         embed_tors(len(a.torsion) + j) for j in range(len(b.torsion))
     ]
     incl_a = GroupHom.from_gen_images(a, total, cols_a) if cols_a else GroupHom.zero(a, total)
@@ -554,14 +544,6 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
 
     proj_a = GroupHom(total, a, proj_matrix("a"))
     proj_b = GroupHom(total, b, proj_matrix("b"))
-    # sanity: the four maps must satisfy the biproduct identities
-    if proj_a.compose(incl_a) != GroupHom.identity(a) or proj_b.compose(incl_b) != GroupHom.identity(b):
-        raise NotWellDefined("direct sum projections fail the retraction identity")
-    if not proj_a.compose(incl_b).is_zero() or not proj_b.compose(incl_a).is_zero():
-        raise NotWellDefined("direct sum projections fail orthogonality")
-    recomposed = incl_a.compose(proj_a).add(incl_b.compose(proj_b))
-    if recomposed != GroupHom.identity(total):
-        raise NotWellDefined("direct sum inclusions do not reassemble the identity")
     return DirectSum(total, incl_a, incl_b, proj_a, proj_b)
 
 
@@ -647,8 +629,6 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
     f1_group = free_group(rk_f + rk_f0)
     fbar1_matrix = fbar.matrix.hstack(f0.matrix)
     fbar1 = GroupHom(f1_group, g.source, fbar1_matrix)
-    if not fbar1.is_surjective():
-        raise NotWellDefined("augmented lift failed to be surjective")
     # right inverse c: G -> F1
     right_inverse = group_solver(fbar1)
     c_cols = [right_inverse(gen) for gen in g.source.gens()]
@@ -661,7 +641,6 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
     bottom = IntMatrix.identity(rk_f + rk_f0).hstack(c.matrix)
     h_matrix = top.vstack(bottom)
     iso = GroupHom(free_group(rk_f + rk_f0 + rk_g), free_group(rk_g + rk_f + rk_f0), h_matrix)
-    _verify_match(f, g, f_extra, g_extra, iso)
     return MatchedSurjections(f_extra, g_extra, iso)
 
 
@@ -680,14 +659,5 @@ def _match_strict(f: GroupHom, g: GroupHom) -> MatchedSurjections:
     h_matrix = p_g.mul(p_f.inverse_unimodular())
     iso = GroupHom(f.source, g.source, h_matrix)
     trivial = free_group(0)
-    _verify_match(f, g, trivial, trivial, iso)
     return MatchedSurjections(trivial, trivial, iso)
 
-
-def _verify_match(f: GroupHom, g: GroupHom, f_extra: AbGroup, g_extra: AbGroup, iso: GroupHom):
-    if not iso.matrix.is_unimodular():
-        raise NotWellDefined("matching map is not unimodular")
-    f_ext = GroupHom(iso.source, f.target, f.matrix.hstack(IntMatrix.zeros(f.target.num_gens, f_extra.num_gens)))
-    g_ext = GroupHom(iso.target, g.target, g.matrix.hstack(IntMatrix.zeros(g.target.num_gens, g_extra.num_gens)))
-    if g_ext.compose(iso) != f_ext:
-        raise NotWellDefined("matching identity (f+0) = (g+0)∘h fails")

@@ -14,6 +14,7 @@ condition in the "error" field of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -562,6 +563,7 @@ COMMANDS = {
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qform",

@@ -1,11 +1,19 @@
 """Constructive isomorphisms between metabolic forms.
 
-Everything here returns explicit matrices that are re-validated on the
-spot: metabolic normal bases, the isomorphism M ≅ -M fixing a
-lagrangian, the doubling isomorphism M⊕M ≅ M⊕H, the stable isomorphism
-between full geometric metabolic forms, and words in the lagrangian-
-respecting unitary group (Keep/Flip generators) including the Wall-type
-factorization of Φ ⊕ Φ⁻¹.
+Everything here returns explicit matrices: metabolic normal bases, the
+isomorphism M ≅ -M fixing a lagrangian, the doubling isomorphism
+M⊕M ≅ M⊕H, the stable isomorphism between full geometric metabolic
+forms, and words in the lagrangian-respecting unitary group (Keep/Flip
+generators) including the Wall-type factorization of Φ ⊕ Φ⁻¹.
+
+What is checked where: every ``FormIso`` checks on construction that it
+pulls λ and μ back and is bijective; a ``MetabolicBasis`` checks its
+shape, unimodularity, normal form and span on construction;
+``stable_lagrangian_iso`` checks that its isomorphism carries one
+lagrangian onto the other; ``ru_word_eval`` checks every letter against
+the word's lagrangian.  The lattice steps in between (complements,
+matched surjections) hold by construction in ``abelian`` and are not
+checked again.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ are the workhorses of everything else in the package:
   entries above each pivot reduced into ``[0, pivot)``).  Uniqueness of
   this form is what makes subgroup equality a plain tuple comparison.
 
+Kernels come from Hermite bases too: ``int_nullspace`` computes no Smith
+form.
+
 Products go through one kernel, ``_combine``: each row of A*B is
 accumulated from the rows of B that the nonzero entries of A's row pick
 out, and A*v from the columns of A that the nonzero entries of v pick
@@ -62,7 +65,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if cols is None:
             if not data:
                 raise DimensionMismatch("cannot infer column count of empty matrix")
@@ -510,14 +513,15 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
 
 
 def int_nullspace(a: IntMatrix) -> list[Vec]:
-    """Basis (as columns) of the integer solutions of A*x = 0."""
-    dec = smith_normal_form(a)
-    free = []
-    limit = min(a.rows, a.cols)
-    for i in range(a.cols):
-        if i >= limit or dec.d.entries[i][i] == 0:
-            free.append(dec.v.column(i))
-    return free
+    """Hermite row basis of the integer solutions of A*x = 0.
+
+    The rows (column j of A | e_j) span {(A*x, x)}; in their Hermite basis
+    the tails of the rows whose head (first ``a.rows`` entries) is zero
+    are echelon and reduced, so they are the kernel's Hermite basis.
+    """
+    m, n = a.rows, a.cols
+    rows = [a.column(j) + tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    return [r[m:] for r in hermite_row_basis(rows, m + n) if not any(r[:m])]
 
 
 def int_solver(a: IntMatrix) -> Callable[[Sequence[int]], Vec | None]:

@@ -196,7 +196,8 @@ def _as_int(value: Any, path: str) -> int:
 def _as_int_list(value: Any, path: str) -> List[int]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list")
-    return [_as_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    # a plain int, the bulk of every matrix, needs no check and no path
+    return [v if type(v) is int else _as_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
 def _as_int_rows(value: Any, path: str, cols: int) -> List[List[int]]:

@@ -1,6 +1,7 @@
 """Tests for finitely generated abelian groups, subgroups and matching."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from qform.abelian import (
     torsion_subgroup,
 )
 from qform.errors import HypothesisError, NotASummand
-from qform.intmat import IntMatrix, int_solve
+from qform.intmat import IntMatrix, hermite_row_basis, int_nullspace, int_solve, smith_normal_form
 
 
 def enumerate_elements(g: AbGroup, free_bound: int = 2):
@@ -284,8 +285,18 @@ def test_direct_complement_randomized():
 # -- direct sums -------------------------------------------------------
 
 
+def assert_biproduct(ds, a, b):
+    """The five biproduct identities of A ⊕ B with its four maps."""
+    assert ds.proj_a.compose(ds.incl_a) == GroupHom.identity(a)
+    assert ds.proj_b.compose(ds.incl_b) == GroupHom.identity(b)
+    assert ds.proj_a.compose(ds.incl_b).is_zero()
+    assert ds.proj_b.compose(ds.incl_a).is_zero()
+    assert ds.incl_a.compose(ds.proj_a).add(ds.incl_b.compose(ds.proj_b)) == GroupHom.identity(ds.group)
+
+
 def test_direct_sum_free():
     ds = direct_sum_with_maps(free_group(2), free_group(1))
+    assert_biproduct(ds, free_group(2), free_group(1))
     assert ds.group == free_group(3)
     assert ds.incl_a.apply((1, 0)) == (1, 0, 0)
     assert ds.incl_b.apply((1,)) == (0, 0, 1)
@@ -295,6 +306,7 @@ def test_direct_sum_free():
 
 def test_direct_sum_renormalizes_torsion():
     ds = direct_sum_with_maps(AbGroup(0, (2,)), AbGroup(0, (3,)))
+    assert_biproduct(ds, AbGroup(0, (2,)), AbGroup(0, (3,)))
     assert ds.group == AbGroup(0, (6,))
     x = ds.incl_a.apply((1,))
     y = ds.incl_b.apply((1,))
@@ -311,12 +323,22 @@ def test_direct_sum_mixed():
     b = AbGroup(0, (2, 4))
     ds = direct_sum_with_maps(a, b)
     assert ds.group == AbGroup(1, (2, 2, 4))
-    # biproduct identities are verified inside the constructor; spot-check
     for x in [(0, 1), (1, 0), (1, 1)]:
         assert ds.proj_a.apply(ds.incl_a.apply(x)) == a.reduce(x)
+    for g1, g2 in itertools.product(GROUPS, repeat=2):
+        assert_biproduct(direct_sum_with_maps(g1, g2), g1, g2)
 
 
 # -- matching surjections ---------------------------------------------
+
+
+def assert_matched(f, g, m):
+    """(f + 0) = (g + 0) ∘ h with h unimodular, for h = m.iso."""
+    h = m.iso
+    assert h.matrix.is_unimodular()
+    f0 = GroupHom(h.source, f.target, f.matrix.hstack(IntMatrix.zeros(f.target.num_gens, m.f_extra.num_gens)))
+    g0 = GroupHom(h.target, g.target, g.matrix.hstack(IntMatrix.zeros(g.target.num_gens, m.g_extra.num_gens)))
+    assert g0.compose(h) == f0
 
 
 def test_match_strict_free_target():
@@ -333,6 +355,7 @@ def test_match_stable_z_onto_z2():
     f = GroupHom.from_gen_images(free_group(1), target, [(1,)])
     g = GroupHom.from_gen_images(free_group(1), target, [(1,)])
     m = match_surjections(f, g)
+    assert_matched(f, g, m)
     # kernel of g is 2Z, so the free cover has rank 1
     assert m.g_extra == free_group(2)
     assert m.f_extra == free_group(2)
@@ -377,7 +400,7 @@ def test_match_stable_randomized(torsion, rank):
         f = random_surjection(rng, target)
         g = random_surjection(rng, target)
         m = match_surjections(f, g)
-        # the identity (f+0) = (g+0) ∘ h is checked inside; confirm shape
+        assert_matched(f, g, m)
         assert m.iso.source.free_rank == f.source.free_rank + m.f_extra.free_rank
         assert m.iso.target.free_rank == g.source.free_rank + m.g_extra.free_rank
         assert m.iso.source.free_rank == m.iso.target.free_rank
@@ -397,6 +420,7 @@ def test_match_strict_randomized():
 
         f, g = surj(), surj()
         m = match_surjections(f, g, mode="strict")
+        assert_matched(f, g, m)
         assert g.compose(m.iso) == f
 
 
@@ -515,13 +539,19 @@ def test_direct_complement_matches_one_solve_per_generator():
 
 
 @st.composite
-def subgroups(draw):
-    """A subgroup of Z^r ⊕ Z/d_1 ⊕ ... ⊕ Z/d_m spanned by a few drawn elements."""
+def groups(draw):
+    """Z^r ⊕ Z/d_1 ⊕ ... ⊕ Z/d_m with r, m at most 3."""
     torsion = []
     for _ in range(draw(st.integers(0, 3))):
         step = st.sampled_from([1, 2, 3]) if torsion else st.sampled_from([2, 3, 4, 6])
         torsion.append((torsion[-1] if torsion else 1) * draw(step))
-    g = AbGroup(draw(st.integers(0, 3)), tuple(torsion))
+    return AbGroup(draw(st.integers(0, 3)), tuple(torsion))
+
+
+@st.composite
+def subgroups(draw, ambient=None):
+    """A subgroup of a drawn group (or of ``ambient``) spanned by a few drawn elements."""
+    g = draw(groups()) if ambient is None else ambient
     element = st.lists(st.integers(-4, 4), min_size=g.num_gens, max_size=g.num_gens)
     return SubgroupRep.from_elements(g, draw(st.lists(element, max_size=3)))
 
@@ -548,3 +578,80 @@ def test_summand_decision_on_images_under_endomorphisms():
             assert decided == isinstance(outcome(direct_complement, b), SubgroupRep)
             summands += decided
     assert 30 < summands < 70  # both outcomes are exercised
+
+
+# -- lattice operations against the Smith-form reference -------------------
+
+
+def smith_nullspace(a):
+    """Integer kernel basis of A from the columns of V in U*A*V = D."""
+    dec = smith_normal_form(a)
+    limit = min(a.rows, a.cols)
+    return [dec.v.column(i) for i in range(a.cols) if i >= limit or dec.d.entries[i][i] == 0]
+
+
+def reference_kernel(h):
+    block = h.matrix
+    rel = h.target.relation_rows()
+    if rel:
+        block = block.hstack(IntMatrix.from_columns([list(r) for r in rel], rows=h.target.num_gens))
+    n = h.source.num_gens
+    vecs = [col[:n] for col in smith_nullspace(block)] + h.source.relation_rows()
+    return SubgroupRep.from_elements(h.source, vecs)
+
+
+def reference_intersection(s, t):
+    a, b = s.lattice, t.lattice
+    if not a or not b:
+        return SubgroupRep(s.ambient, ())
+    stacked = IntMatrix.from_rows([list(r) for r in a] + [list(r) for r in b], s.ambient.num_gens)
+    rows = []
+    for coeff in smith_nullspace(stacked.transpose()):
+        rows.append([sum(c * r[j] for c, r in zip(coeff[: len(a)], a)) for j in range(s.ambient.num_gens)])
+    return SubgroupRep(s.ambient, hermite_row_basis(rows, s.ambient.num_gens))
+
+
+def reference_preimage(s, h):
+    if not s.lattice:
+        return reference_kernel(h)
+    lat = IntMatrix.from_rows([list(r) for r in s.lattice], s.ambient.num_gens)
+    n = h.source.num_gens
+    vecs = [col[:n] for col in smith_nullspace(h.matrix.hstack(lat.transpose().neg()))]
+    return SubgroupRep.from_elements(h.source, vecs + h.source.relation_rows())
+
+
+@st.composite
+def homs(draw):
+    """A well-defined hom between drawn groups: a generator of order d maps into the d-torsion."""
+    source, target = draw(groups()), draw(groups())
+    r = target.free_rank
+    images = []
+    for i in range(source.num_gens):
+        d = 0 if i < source.free_rank else source.torsion[i - source.free_rank]
+        free = [0 if d else draw(st.integers(-3, 3)) for _ in range(r)]
+        tors = [draw(st.integers(-3, 3)) * (e // math.gcd(d, e)) for e in target.torsion]
+        images.append(free + tors)
+    return GroupHom.from_gen_images(source, target, images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lattice_operations_match_the_smith_reference(data):
+    h = data.draw(homs())
+    s, t = data.draw(subgroups(h.target)), data.draw(subgroups(h.target))
+    assert s.intersection(t) == reference_intersection(s, t)
+    assert s.preimage(h) == reference_preimage(s, h)
+    assert h.kernel() == reference_kernel(h)
+
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entry = st.integers(-6, 6)
+    return IntMatrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_int_nullspace_is_the_hermite_basis_of_the_smith_reference(a):
+    assert int_nullspace(a) == list(hermite_row_basis(smith_nullspace(a), a.cols))

@@ -296,3 +296,18 @@ def test_output_is_deterministic(capsys):
     _, _, second = invoke(capsys, "si", "--a", "2", "--b", "15")
     assert first == second
     assert first.endswith("\n")
+
+
+def test_argparse_help_and_errors_repeat_exactly(capsys):
+    """The parser is built once per process, so later runs must read the same."""
+    seen = []
+    for _ in range(2):
+        for argv in (["si", "--help"], ["si", "--a", "x", "--b", "1"], ["nope"], ["stable-class", "--rkq", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            out = capsys.readouterr()
+            seen.append((exc.value.code, out.out, out.err))
+        assert invoke(capsys, "si", "--a", "2", "--b", "3")[0] == 0
+    assert seen[:4] == seen[4:]
+    assert [code for code, _, _ in seen[:4]] == [0, 2, 2, 2]
+    assert "invalid int value: 'x'" in seen[1][2]

@@ -124,8 +124,14 @@ def test_nullspace_and_solve():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = random_matrix(rng, rows, cols, bound=6)
-        for col in int_nullspace(a):
+        basis = int_nullspace(a)
+        for col in basis:
             assert a.apply(col) == (0,) * rows
+        # the basis spans the whole kernel: full rank, and Z^cols / span is
+        # torsion-free (saturated), so every Smith invariant of the basis is 1
+        assert len(basis) == cols - smith_normal_form(a).rank
+        if basis:
+            assert set(smith_normal_form(IntMatrix.from_rows(basis, cols)).diagonal) == {1}
         # solvable instance: pick x, solve for A x
         x = tuple(rng.randint(-5, 5) for _ in range(cols))
         y = a.apply(x)

@@ -234,6 +234,35 @@ def test_decimal_string_integers_are_accepted_on_load():
     assert group_from_doc(doc) == free_group(2)
 
 
+def plane_doc(rows):
+    """A document of a form on Z^2 over the zero group with pairing ``rows``."""
+    return {"group": group_to_doc(free_group(2)), "lambda": rows, "target": group_to_doc(ZERO_GROUP), "mu": []}
+
+
+def test_decimal_string_matrix_entries_are_accepted_at_any_size():
+    huge = "1" + "0" * 5000
+    form = form_from_doc(plane_doc([["0", -3], ["-3", "0"]]))
+    assert form.matrix.entries == ((0, -3), (-3, 0))
+    form = form_from_doc(plane_doc([[0, huge], [huge, 0]]))
+    assert form.matrix.entries == ((0, 10**5000), (10**5000, 0))
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([0, True], "form.lambda[1][1]: expected an integer"),
+        ([1, "2", "x", False], "form.lambda[1][2]: expected an integer or a decimal string"),
+        ([False, "x"], "form.lambda[1][0]: expected an integer"),
+        (["-4", 5, None, 6], "form.lambda[1][2]: expected an integer or a decimal string"),
+    ],
+    ids=["true", "bad-string-after-ints", "false-first", "null-in-mixed-row"],
+)
+def test_bad_matrix_entries_report_the_first_bad_index(row, message):
+    with pytest.raises(SchemaError) as err:
+        form_from_doc(plane_doc([[0, 1], row]))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "text", ["²", "-²", "١٢", "１"], ids=["superscript", "negative-superscript", "arabic-indic", "fullwidth"]
 )
