@@ -192,9 +192,6 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return self.image() == SubgroupRep.full(self.target)
 
-    def is_injective(self) -> bool:
-        return self.kernel() == SubgroupRep.zero(self.source)
-
 
 def group_solver(h: GroupHom) -> Callable[[Sequence[int]], Vec | None]:
     """Factor h once; the result maps y to a source element x with h(x) = y, or None.
@@ -490,19 +487,23 @@ class DirectSum:
 def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     """A ⊕ B renormalized to invariant-factor form, with its four maps.
 
-    When both torsion lists merge without interaction (the common free
-    case) the coordinate maps are plain embeddings; in general the merged
-    torsion is renormalized through a Smith decomposition, the inclusions
-    going by U and the projections back by U^{-1}, so the biproduct
-    identities hold by construction and are not checked on each call.
+    When neither group has torsion (the common case) no Smith form is
+    computed and the coordinate maps are plain embeddings; otherwise the
+    merged torsion is renormalized through a Smith decomposition, the
+    inclusions going by U and the projections back by U^{-1}, so the
+    biproduct identities hold by construction and are not checked on
+    each call.
     """
     ra, rb = a.free_rank, b.free_rank
     mixed = list(a.torsion) + list(b.torsion)
     # cokernel of diag(mixed) describes the combined torsion part
     t = len(mixed)
-    dec = smith_normal_form(IntMatrix.diagonal(mixed, rows=t, cols=t))
-    keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
-    torsion = tuple(dec.d.entries[i][i] for i in keep)
+    if t:
+        dec = smith_normal_form(IntMatrix.diagonal(mixed, rows=t, cols=t))
+        keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
+        torsion = tuple(dec.d.entries[i][i] for i in keep)
+    else:  # both groups free: no torsion to renormalize
+        keep, torsion = [], ()
     total = AbGroup(ra + rb, torsion)
 
     def embed_free(offset: int, src_index: int) -> list[int]:

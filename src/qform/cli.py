@@ -76,7 +76,8 @@ EXIT_HYPOTHESIS = 4
 # -- plumbing ----------------------------------------------------------
 
 
-def _read_doc(args):
+def _read_doc_and_text(args):
+    """The input document and the text it was parsed from."""
     if not args.input:
         raise SchemaError("", "this subcommand needs --input FILE")
     try:
@@ -87,7 +88,11 @@ def _read_doc(args):
     doc = loads_document(text)
     if args.strict and canonical_dumps(doc) != text:
         raise SchemaError("", "input is not in canonical form")
-    return doc
+    return doc, text
+
+
+def _read_doc(args):
+    return _read_doc_and_text(args)[0]
 
 
 def _budget(args) -> oracle.SearchBudget:
@@ -401,8 +406,14 @@ def _oracle_si_result(doc) -> dict:
 # -- validate ----------------------------------------------------------
 
 
-def _validate_doc(doc):
-    """Classify a document by shape and re-check it; returns (kind, ok, extra)."""
+def _validate_doc(doc, text):
+    """Classify a document by shape and re-check it; returns (kind, ok, extra).
+
+    ``text`` is the input ``doc`` was parsed from.  A command result is
+    recomputed and encoded; when that encoding is the input text itself
+    the stored document encodes to the same bytes, so it is encoded only
+    when the two differ.
+    """
     d = _as_dict(doc, "input")
     if "command" in d:
         name = d["command"]
@@ -416,7 +427,8 @@ def _validate_doc(doc):
             fresh = cmd.build(inp, _budget_from_doc(_get(d, "budget", "input"), "input.budget"))
         else:
             fresh = cmd.build(inp)
-        ok = canonical_dumps(fresh) == canonical_dumps(d)
+        fresh_text = canonical_dumps(fresh)
+        ok = fresh_text == text or fresh_text == canonical_dumps(d)
         extra = {} if ok else {"reason": "stored results differ from recomputation"}
         return "%s result" % name, ok, extra
     if "lambda" in d:
@@ -455,8 +467,8 @@ def _validate_doc(doc):
     raise SchemaError("input", "unrecognized document shape")
 
 
-def _validate_result(doc):
-    kind, ok, extra = _validate_doc(doc)
+def _validate_result(doc_and_text):
+    kind, ok, extra = _validate_doc(*doc_and_text)
     payload = {"command": "validate", "kind": kind, "ok": ok}
     payload.update(extra)
     return payload, (EXIT_OK if ok else EXIT_INVALID)
@@ -482,7 +494,8 @@ def _kappa_doc(args):
 class Command:
     """One subcommand: its help, extra options, input reader and result builder.
 
-    ``build`` takes the input document, plus the search budget when
+    ``build`` takes what ``read`` returns, the input document (``validate``
+    reads the document and its text), plus the search budget when
     ``budget`` is set: from the flags on the command line, from the
     document's "budget" under ``validate``.  A result document echoes its
     input under ``echo``, or at its top level when ``echo`` is None.
@@ -506,7 +519,9 @@ _int_flag.__name__ = "int"  # argparse names the type in "invalid int value" err
 _PAIR = (("--a", {"type": _int_flag, "required": True}), ("--b", {"type": _int_flag, "required": True}))
 
 COMMANDS = {
-    "validate": Command("re-check any document produced by this tool", _validate_result),
+    "validate": Command(
+        "re-check any document produced by this tool", _validate_result, read=_read_doc_and_text
+    ),
     "invariants": Command("evaluate all predicates of a form", _invariants_result, echo="form"),
     "perp": Command("orthogonal complement of a subgroup", _perp_result),
     "classify": Command("isotropy/lagrangian flags of a subgroup", _classify_result),

@@ -74,9 +74,6 @@ class EQForm:
         yr = self.group.reduce(y)
         return sum(a * b for a, b in zip(xr, self.matrix.apply(yr)))
 
-    def mu_of(self, x) -> Vec:
-        return self.mu.apply(x)
-
     def reduced_matrix(self) -> IntMatrix:
         """The pairing restricted to the free generators."""
         r = self.group.free_rank
@@ -207,9 +204,13 @@ class FormIso:
     otherwise.  There is no unchecked constructor, so every FormIso,
     including every deserialized move, has passed these checks.
 
-    Between free groups the inverse is computed on first use and cached.
-    ``inverse`` hands its result ``hom`` as that result's inverse, and
-    ``compose`` hands on b⁻¹∘a⁻¹ when both inverses are already known.
+    Between free groups the inverse is computed on first use, by
+    ``IntMatrix.inverse_unimodular``, and cached.  Inverses known by
+    construction are handed on instead: ``identity`` and ``swap_blocks``
+    are their own inverses, ``inverse`` hands its result ``hom``,
+    ``compose`` hands on b⁻¹∘a⁻¹ and ``iso_direct_sum`` the block sum
+    a⁻¹ ⊕ b⁻¹ when both inverses are already known.  Handing on skips
+    only the inversion: the checks above run on every construction.
     """
 
     source: EQForm
@@ -247,7 +248,9 @@ class FormIso:
 
     @staticmethod
     def identity(e: EQForm) -> "FormIso":
-        return FormIso(e, e, GroupHom.identity(e.group))
+        iso = FormIso(e, e, GroupHom.identity(e.group))
+        iso._cache_inverse(iso.hom)
+        return iso
 
     def apply(self, x) -> Vec:
         return self.hom.apply(x)
@@ -271,18 +274,27 @@ def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
     """The block sum a ⊕ b between the corresponding direct-sum forms."""
     src = form_direct_sum(a.source, b.source)
     tgt = form_direct_sum(a.target, b.target)
-    hom = (
-        tgt.incl_a.compose(a.hom).compose(src.proj_a)
-        .add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
+    iso = FormIso(src.form, tgt.form, _block_sum(src, tgt, a.hom, b.hom))
+    if a._inverse is not None and b._inverse is not None:
+        iso._cache_inverse(_block_sum(tgt, src, a._inverse, b._inverse))
+    return iso
+
+
+def _block_sum(src: FormSum, tgt: FormSum, ha: GroupHom, hb: GroupHom) -> GroupHom:
+    """ha ⊕ hb from src's group to tgt's, through their coordinate maps."""
+    return (
+        tgt.incl_a.compose(ha).compose(src.proj_a)
+        .add(tgt.incl_b.compose(hb).compose(src.proj_b))
     )
-    return FormIso(src.form, tgt.form, hom)
 
 
 def swap_blocks(e: EQForm, size: int) -> FormIso:
     """The automorphism of e exchanging its two leading blocks of ``size`` coordinates."""
     n = e.group.num_gens
     perm = list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n))
-    return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
+    iso = FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
+    iso._cache_inverse(iso.hom)  # an exchange is an involution
+    return iso
 
 
 # -- the split hyperbolic pair -----------------------------------------

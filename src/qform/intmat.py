@@ -12,6 +12,8 @@ are the workhorses of everything else in the package:
   lattice spanned by the given rows (echelon shape, positive pivots,
   entries above each pivot reduced into ``[0, pivot)``).  Uniqueness of
   this form is what makes subgroup equality a plain tuple comparison.
+  Rows are kept by their leading column, so a column that leads no row
+  costs nothing.
 
 Kernels come from Hermite bases too: ``int_nullspace`` computes no Smith
 form.
@@ -27,10 +29,12 @@ Solving factors once: ``int_solver`` computes one Smith decomposition and
 returns a function that solves A*x = y for any number of right-hand sides;
 ``int_solve`` is that solver used once.
 
-``det`` eliminates on ±1 pivots while a column offers one, touching only
-the rows that are nonzero in the pivot column, so a mostly permutation
-matrix costs about its nonzero entries; the first column without a ±1
-entry hands the remaining block to fraction-free (Bareiss) elimination.
+``det`` and ``inverse_unimodular`` eliminate on ±1 pivots while a column
+offers one, touching only the rows that are nonzero in the pivot column,
+so a mostly permutation matrix costs about its nonzero entries.  At the
+first column without a ±1 entry, ``det`` hands the remaining block to
+fraction-free (Bareiss) elimination and ``inverse_unimodular`` hands the
+whole matrix to the Smith decomposition.
 """
 
 from __future__ import annotations
@@ -243,11 +247,39 @@ class IntMatrix:
         return self.is_square and abs(self.det()) == 1
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix (raises if D != I in the SNF)."""
-        dec = smith_normal_form(self)
-        if dec.d != IntMatrix.identity(self.rows):
+        """Inverse of a unimodular matrix; NoSolution for any other matrix.
+
+        Gauss–Jordan elimination on the augmented rows (A | I) with the
+        pivot rule of ``det``: column by column, the first remaining row
+        whose entry is ±1 becomes the pivot row, is made to start with 1,
+        and is subtracted from every other row that is nonzero in the
+        column, along its own nonzero entries.  With pivots ±1 no division
+        is needed, and when every column has one A is unimodular and the
+        right half ends as A⁻¹.  The first column without a ±1 entry hands
+        the whole matrix to the Smith decomposition, which raises unless
+        its diagonal is I and otherwise returns V·U.
+        """
+        if not self.is_square:
             raise NoSolution("matrix is not unimodular")
-        return dec.v.mul(dec.u)
+        n = self.rows
+        m = [list(r) + [0] * n for r in self.entries]
+        for i, row in enumerate(m):
+            row[n + i] = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if m[i][k] in (1, -1)), None)
+            if piv is None:
+                return _smith_inverse(self)
+            m[k], m[piv] = m[piv], m[k]
+            if m[k][k] == -1:
+                m[k] = [-x for x in m[k]]
+            pivot_row = [(j, x) for j, x in enumerate(m[k]) if x and j != k]
+            for i, row in enumerate(m):
+                f = row[k]
+                if f and i != k:
+                    row[k] = 0
+                    for j, x in pivot_row:
+                        row[j] -= f * x
+        return IntMatrix(n, n, tuple(tuple(r[n:]) for r in m))
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
@@ -265,6 +297,14 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
             else:
                 acc = tuple(map(add, acc, map(mul, repeat(c), row)))
     return (0,) * width if acc is None else acc
+
+
+def _smith_inverse(a: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix from its Smith decomposition (raises if D != I)."""
+    dec = smith_normal_form(a)
+    if dec.d != IntMatrix.identity(a.rows):
+        raise NoSolution("matrix is not unimodular")
+    return dec.v.mul(dec.u)
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -465,37 +505,53 @@ def hermite_row_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, .
     The result is the unique echelon basis: pivot columns strictly
     increase, pivots are positive, and every entry above a pivot lies in
     ``[0, pivot)``.  Zero input rows are discarded.
+
+    Rows wait in buckets keyed by their leading column.  Columns are taken
+    in order: the rows of a column's bucket are reduced by Euclid against
+    the one of least magnitude until a single row leads there; every
+    remainder moves to the bucket of its new leading column (or vanishes).
+    The survivor becomes the next basis row and reduces the entries above
+    it.  A column no row leads in costs one lookup.
     """
-    work = [list(r) for r in rows if any(r)]
-    for r in work:
+    buckets: dict[int, list[list[int]]] = {}
+    for r in rows:
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
         if len(r) != width:
             raise DimensionMismatch("row width mismatch in lattice basis")
-    fixed = 0
+        buckets.setdefault(lead, []).append(list(r))
+    basis: list[list[int]] = []
     for col in range(width):
-        while True:
-            live = [i for i in range(fixed, len(work)) if work[i][col] != 0]
-            if not live:
-                break
-            piv = min(live, key=lambda i: (abs(work[i][col]), i))
-            others = [i for i in live if i != piv]
-            if not others:
-                work[fixed], work[piv] = work[piv], work[fixed]
-                break
-            for i in others:
-                q = work[i][col] // work[piv][col]
-                work[i] = [x - q * y for x, y in zip(work[i], work[piv])]
-        live = [i for i in range(fixed, len(work)) if work[i][col] != 0]
-        if not live:
+        live = buckets.pop(col, None)
+        if live is None:
             continue
-        if work[fixed][col] < 0:
-            work[fixed] = [-x for x in work[fixed]]
-        p = work[fixed][col]
-        for i in range(fixed):
-            q = work[i][col] // p
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            p = piv[col]
+            survivors = [piv]
+            for r in live:
+                if r is piv:
+                    continue
+                q = r[col] // p
+                r = [x - q * y for x, y in zip(r, piv)]
+                if r[col]:
+                    survivors.append(r)
+                else:
+                    lead = next((j for j in range(col + 1, width) if r[j]), None)
+                    if lead is not None:
+                        buckets.setdefault(lead, []).append(r)
+            live = survivors
+        top = live[0]
+        if top[col] < 0:
+            top = [-x for x in top]
+        p = top[col]
+        for i, b in enumerate(basis):
+            q = b[col] // p
             if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[fixed])]
-        fixed += 1
-    return tuple(tuple(r) for r in work[:fixed] if any(r))
+                basis[i] = [x - q * y for x, y in zip(b, top)]
+        basis.append(top)
+    return tuple(map(tuple, basis))
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:

@@ -4,6 +4,7 @@ Commands run in-process through ``cli.run`` so the tests can capture the
 JSON payload and the exit code without spawning interpreters.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -311,3 +312,113 @@ def test_argparse_help_and_errors_repeat_exactly(capsys):
     assert seen[:4] == seen[4:]
     assert [code for code, _, _ in seen[:4]] == [0, 2, 2, 2]
     assert "invalid int value: 'x'" in seen[1][2]
+
+
+# -- validate encodes the stored result only when the input text is not canonical
+
+
+@pytest.fixture(scope="module")
+def jacobi_text():
+    """The canonical text of a jacobi result on a triple in H_2."""
+    h2 = hyperbolic(1, ZERO_GROUP, V0)
+    doc = {"form": form_to_doc(h2)}
+    for key, gen in (("K", [0, 1]), ("L", [1, 0]), ("V", [1, 1])):
+        doc[key] = subgroup_to_doc(SubgroupRep.from_elements(h2.group, [gen]))
+    return canonical_dumps(cli.COMMANDS["jacobi"].build(doc))
+
+
+def reorder_keys(value):
+    if isinstance(value, dict):
+        return {k: reorder_keys(value[k]) for k in sorted(value, reverse=True)}
+    if isinstance(value, list):
+        return [reorder_keys(v) for v in value]
+    return value
+
+
+def int_as_string(doc):
+    # an input field: recomputation parses the same int, the stored bytes differ
+    doc["form"]["group"]["free_rank"] = str(doc["form"]["group"]["free_rank"])
+    return doc
+
+
+def tamper(doc):
+    doc["sequence"]["moves"][0]["kind"] = "stab"
+    return doc
+
+
+def deepen(doc):
+    doc["pairs"] = json.loads("[" * 300 + "]" * 300)
+    return doc
+
+
+STORED_VARIANTS = {
+    "canonical": lambda text: text,
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "re-indented": lambda text: json.dumps(json.loads(text), indent=4, sort_keys=True) + "\n",
+    "keys-reordered": lambda text: json.dumps(reorder_keys(json.loads(text)), indent=2) + "\n",
+    "int-as-string": lambda text: canonical_dumps(int_as_string(json.loads(text))),
+    "tampered": lambda text: canonical_dumps(tamper(json.loads(text))),
+    "tampered-compact": lambda text: json.dumps(tamper(json.loads(text))),
+    "too-deep": lambda text: json.dumps(deepen(json.loads(text))),
+}
+
+
+def validate_both_ways(monkeypatch, capsys, argv):
+    """Stdout, exit code and encoder calls of validate, then the same with the stored document always encoded."""
+    calls = []
+
+    def counting(doc):
+        calls.append(None)
+        return canonical_dumps(doc)
+
+    monkeypatch.setattr(cli, "canonical_dumps", counting)
+    code = cli.run(argv)
+    out = capsys.readouterr().out
+    fast_calls = len(calls)
+    slow = dataclasses.replace(cli.COMMANDS["validate"], read=lambda args: (cli._read_doc(args), None))
+    monkeypatch.setitem(cli.COMMANDS, "validate", slow)
+    slow_code = cli.run(argv)
+    return (out, code), (capsys.readouterr().out, slow_code), fast_calls, len(calls) - fast_calls
+
+
+@pytest.mark.parametrize("variant", list(STORED_VARIANTS))
+def test_validate_fast_path_reports_as_before(tmp_path, capsys, monkeypatch, jacobi_text, variant):
+    path = tmp_path / "stored.json"
+    path.write_text(STORED_VARIANTS[variant](jacobi_text))
+    fast, slow, fast_calls, slow_calls = validate_both_ways(
+        monkeypatch, capsys, ["validate", "--input", str(path)]
+    )
+    assert fast == slow
+    out, code = fast
+    report = json.loads(out)
+    if variant in ("canonical", "compact", "re-indented", "keys-reordered"):
+        assert (code, report) == (0, {"command": "validate", "kind": "jacobi result", "ok": True})
+    elif variant == "too-deep":
+        assert (code, report) == (2, {"error": ": document nested too deeply", "path": ""})
+    else:
+        assert code == 2
+        assert report == {
+            "command": "validate",
+            "kind": "jacobi result",
+            "ok": False,
+            "reason": "stored results differ from recomputation",
+        }
+    # the fresh result and the report are encoded; the stored document only when its text is not canonical
+    assert fast_calls == (2 if variant == "canonical" else slow_calls)
+
+
+@pytest.mark.parametrize("variant", ["canonical", "re-indented", "tampered"])
+def test_validate_strict_behaves_as_before(tmp_path, capsys, monkeypatch, jacobi_text, variant):
+    path = tmp_path / "stored.json"
+    path.write_text(STORED_VARIANTS[variant](jacobi_text))
+    fast, slow, _, _ = validate_both_ways(monkeypatch, capsys, ["validate", "--strict", "--input", str(path)])
+    assert fast == slow
+    out, code = fast
+    expected = {
+        "canonical": 0,  # strict reading encodes the document once; it equals the text
+        "re-indented": 2,  # "input is not in canonical form"
+        "tampered": 2,  # canonical bytes, wrong results
+    }[variant]
+    assert code == expected
+    if variant == "re-indented":
+        assert json.loads(out) == {"error": ": input is not in canonical form", "path": ""}

@@ -9,6 +9,7 @@ from qform.construct import (
     Flip,
     Keep,
     RUWord,
+    _permuted,
     diagonal_lagrangians,
     double_to_hyperbolic,
     is_hyperbolic_with_witness,
@@ -401,3 +402,29 @@ def random_h_automorphism(rng, k):
             m = top.vstack(bottom)
         result = GroupHom(h.group, h.group, m).compose(result)
     return FormIso(h, h, result)
+
+
+# -- inverses handed on by construction ---------------------------------
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3], [2, 3, 0, 1], [1, 3, 0, 2], [3, 2, 1, 0]])
+def test_permuted_is_handed_the_transpose_as_its_inverse(perm):
+    e = metabolic_form([[0, 1, 0, 0], [1, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, -2]], [0, 1, 2, 5], V0)
+    iso = _permuted(e, perm)
+    assert iso._inverse is not None
+    assert iso._inverse.matrix == iso.hom.matrix.inverse_unimodular() == iso.hom.matrix.transpose()
+    # new slot i holds old slot perm[i]
+    for i, p in enumerate(perm):
+        assert iso.apply(e.group.gen(p)) == e.group.gen(i)
+    assert iso.compose(iso.inverse()).hom == GroupHom.identity(e.group)
+
+
+def test_flip_witness_inverses_match_elimination():
+    rng = random.Random(5)
+    h = geo_hyperbolic(2)
+    lagr = SubgroupRep.from_elements(h.group, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    witness = ru_wall_witness(h, lagr, random_h_automorphism(rng, 2))
+    for letter in witness.word.letters:
+        if isinstance(letter, Flip):
+            w = letter.witness
+            assert w.inverse_hom.matrix == w.hom.matrix.inverse_unimodular()

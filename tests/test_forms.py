@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group
+from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, invert_iso
 from qform.errors import HypothesisError, NotWellDefined, VMissing
 from qform.forms import (
     EQForm,
@@ -18,6 +18,7 @@ from qform.forms import (
     orthogonal_complement,
     pullback,
     subgroup_classify,
+    swap_blocks,
 )
 from qform.intmat import IntMatrix
 
@@ -326,3 +327,54 @@ def test_iso_direct_sum():
         iso_direct_sum(FormIso.identity(e), neg)
     total = iso_direct_sum(FormIso.identity(e), FormIso(dual(dual(e)), e, GroupHom.identity(e.group)))
     assert total.source.rank == 4
+
+
+# -- inverses handed on by construction --------------------------------
+
+
+def reference_inverse(iso):
+    """The inverse computed from scratch: by elimination between free groups."""
+    h = iso.hom
+    if h.source.is_free and h.target.is_free:
+        return GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
+    return invert_iso(h)
+
+
+def torsion_form():
+    g = AbGroup(2, (2, 4))
+    return EQForm(g, IntMatrix.zeros(4, 4), GroupHom.zero(g, Z))
+
+
+@pytest.mark.parametrize("e", [e_form(2, 3), hyperbolic(2), torsion_form()], ids=["e23", "h4", "torsion"])
+def test_identity_is_handed_its_own_inverse(e):
+    iso = FormIso.identity(e)
+    assert iso._inverse is iso.hom
+    assert iso._inverse == reference_inverse(iso)
+
+
+@pytest.mark.parametrize("e, size", [(hyperbolic(1), 1), (hyperbolic(2), 2), (torsion_form(), 1)],
+                         ids=["h2", "h4", "torsion"])
+def test_swap_blocks_is_handed_its_own_inverse(e, size):
+    iso = swap_blocks(e, size)
+    assert iso._inverse is iso.hom
+    assert iso._inverse == reference_inverse(iso)
+    assert iso.compose(iso).hom == GroupHom.identity(e.group)
+
+
+@pytest.mark.parametrize("a, b", list(automorphism_pairs()), ids=["free", "torsion"])
+def test_iso_direct_sum_hands_on_the_block_sum_of_known_inverses(a, b):
+    for iso in (a, b):
+        assert iso.inverse_hom == reference_inverse(iso)  # now known to both
+    total = iso_direct_sum(a, b.compose(a))
+    assert total._inverse is not None
+    assert total._inverse == reference_inverse(total)
+    assert total.compose(total.inverse()).hom == GroupHom.identity(total.target.group)
+
+
+def test_iso_direct_sum_leaves_an_unknown_inverse_to_first_use():
+    e = e_form(1, 1)
+    u = GroupHom.from_gen_images(e.group, e.group, [(1, 0), (-3, 1)])
+    unknown = FormIso(pullback(u, e), e, u)
+    total = iso_direct_sum(FormIso.identity(e), unknown)
+    assert total._inverse is None
+    assert total.inverse_hom == reference_inverse(total)

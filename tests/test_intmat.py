@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qform.errors import DimensionMismatch
+from qform import intmat
+from qform.errors import DimensionMismatch, NoSolution
 from qform.intmat import (
     IntMatrix,
     hermite_row_basis,
@@ -343,3 +344,191 @@ def test_det_matches_plain_bareiss_at_rank_30(a):
 def test_det_of_an_all_non_unit_matrix_is_bareiss():
     a = IntMatrix.from_rows([[2, 3, 5], [7, 11, 13], [17, 19, 23]])
     assert a.det() == plain_bareiss(a) == leibniz_det(a) == -78
+
+
+# -- inverse by elimination against the Smith-form reference ------------
+
+
+def smith_inverse(a):
+    """The inverse from U*A*V = D, raising unless D = I: V*U."""
+    dec = smith_normal_form(a)
+    if dec.d != IntMatrix.identity(a.rows):
+        raise NoSolution("matrix is not unimodular")
+    return dec.v.mul(dec.u)
+
+
+NO_UNIT_BLOCK = IntMatrix.from_rows([[2, 3], [3, 5]])  # det 1, no ±1 entry
+
+
+@st.composite
+def inverse_inputs(draw):
+    """Square matrices that are unimodular or nearly so, with entries past 2**64.
+
+    A signed permutation is sheared by row operations.  "no_unit" puts a
+    unimodular block without ±1 entries at a drawn position, so elimination
+    reaches the Smith fallback after some unit pivots; "scaled" and
+    "singular" make the matrix non-unimodular.
+    """
+    n = draw(st.integers(0, 8))
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["plain", "no_unit", "scaled", "singular"]))
+    if kind == "no_unit" and n >= 2:
+        k = draw(st.integers(0, n - 2))
+        lead = IntMatrix.identity(k)
+        tail = IntMatrix.identity(n - k - 2)
+        rows = [list(r) for r in IntMatrix.block_diagonal([lead, NO_UNIT_BLOCK, tail]).entries]
+    index = st.integers(0, max(n - 1, 0))
+    for _ in range(draw(st.integers(0, 12)) if n >= 2 else 0):
+        i, j = draw(index), draw(index)
+        if i != j:
+            c = draw(entries)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if n and kind == "scaled":
+        i, k = draw(index), draw(st.sampled_from([2, -3, BIG + 1, 0]))
+        rows[i] = [k * x for x in rows[i]]
+    elif n >= 2 and kind == "singular":
+        i = draw(index)
+        rows[(i + 1) % n] = list(rows[i])
+    return IntMatrix(n, n, tuple(map(tuple, rows)))
+
+
+def outcome(f, a):
+    try:
+        return f(a)
+    except NoSolution as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_inputs())
+def test_inverse_matches_the_smith_reference(a):
+    inv = outcome(IntMatrix.inverse_unimodular, a)
+    assert inv == outcome(smith_inverse, a)
+    if isinstance(inv, IntMatrix):
+        assert a.mul(inv) == inv.mul(a) == IntMatrix.identity(a.rows)
+
+
+def count_smith_calls(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append((a.rows, a.cols))
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize("lead", [0, 1, 3])
+def test_inverse_falls_back_at_the_first_column_without_a_unit(monkeypatch, lead):
+    a = IntMatrix.block_diagonal([IntMatrix.identity(lead), NO_UNIT_BLOCK]).mul(
+        IntMatrix.block_diagonal([IntMatrix.identity(lead), IntMatrix.from_rows([[1, BIG], [0, 1]])])
+    )
+    calls = count_smith_calls(monkeypatch)
+    inv = a.inverse_unimodular()
+    assert calls == [(lead + 2, lead + 2)]
+    assert inv == smith_inverse(a)
+
+
+def test_inverse_with_unit_pivots_takes_no_smith_form(monkeypatch):
+    a = IntMatrix.from_rows([[0, 1, BIG**2], [-1, 0, 3], [0, 0, -1]])
+    calls = count_smith_calls(monkeypatch)
+    inv = a.inverse_unimodular()
+    assert calls == []
+    assert inv == smith_inverse(a)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (0, 2), (2, 0)])
+def test_inverse_of_a_non_square_matrix_is_refused(rows, cols):
+    a = IntMatrix.diagonal([1] * min(rows, cols), rows, cols)
+    with pytest.raises(NoSolution, match="^matrix is not unimodular$"):
+        a.inverse_unimodular()
+    with pytest.raises(NoSolution, match="^matrix is not unimodular$"):
+        smith_inverse(a)
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 1]], [[1, 0], [0, 2]], [[2]], [[0]]])
+def test_inverse_of_a_non_unimodular_matrix_is_refused(rows):
+    with pytest.raises(NoSolution, match="^matrix is not unimodular$"):
+        IntMatrix.from_rows(rows).inverse_unimodular()
+
+
+def test_inverse_of_the_empty_matrix():
+    assert IntMatrix.zeros(0, 0).inverse_unimodular() == IntMatrix.zeros(0, 0) == smith_inverse(IntMatrix.zeros(0, 0))
+
+
+# -- Hermite basis against the rescanning reference ---------------------
+
+
+def rescanning_hermite_row_basis(rows, width):
+    """The Hermite basis by rescanning every remaining row for every column."""
+    work = [list(r) for r in rows if any(r)]
+    for r in work:
+        if len(r) != width:
+            raise DimensionMismatch("row width mismatch in lattice basis")
+    fixed = 0
+    for col in range(width):
+        while True:
+            live = [i for i in range(fixed, len(work)) if work[i][col] != 0]
+            if not live:
+                break
+            piv = min(live, key=lambda i: (abs(work[i][col]), i))
+            others = [i for i in live if i != piv]
+            if not others:
+                work[fixed], work[piv] = work[piv], work[fixed]
+                break
+            for i in others:
+                q = work[i][col] // work[piv][col]
+                work[i] = [x - q * y for x, y in zip(work[i], work[piv])]
+        live = [i for i in range(fixed, len(work)) if work[i][col] != 0]
+        if not live:
+            continue
+        if work[fixed][col] < 0:
+            work[fixed] = [-x for x in work[fixed]]
+        p = work[fixed][col]
+        for i in range(fixed):
+            q = work[i][col] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[fixed])]
+        fixed += 1
+    return tuple(tuple(r) for r in work[:fixed] if any(r))
+
+
+@st.composite
+def row_lists(draw):
+    """Row lists with zero rows, repeated rows, empty columns and entries past 2**64."""
+    width = draw(st.integers(0, 9))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), entries)
+    rows = [[draw(entry) for _ in range(width)] for _ in range(draw(st.integers(0, 8)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * width)
+    return rows, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_hermite_matches_the_rescanning_reference(case):
+    rows, width = case
+    assert hermite_row_basis(rows, width) == rescanning_hermite_row_basis(rows, width)
+
+
+def test_hermite_of_stacked_rows_matches_the_reference():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        rows = [r + r for r in a] + [r + [0] * n for r in b]
+        assert hermite_row_basis(rows, 2 * n) == rescanning_hermite_row_basis(rows, 2 * n)
+
+
+def test_hermite_checks_the_width_of_nonzero_rows_only():
+    assert hermite_row_basis([[0, 0, 0], [1, 2]], 2) == rescanning_hermite_row_basis([[0, 0, 0], [1, 2]], 2)
+    for basis in (hermite_row_basis, rescanning_hermite_row_basis):
+        with pytest.raises(DimensionMismatch):
+            basis([[1, 2], [0, 0, 1]], 2)
