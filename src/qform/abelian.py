@@ -95,9 +95,6 @@ class AbGroup:
         n = self.num_gens
         return [tuple(self.torsion[j] if i == r + j else 0 for i in range(n)) for j in range(len(self.torsion))]
 
-    def element_order_divides(self, x: Sequence[int], k: int) -> bool:
-        return self.is_zero_element(self.smul(k, x))
-
 
 ZERO_GROUP = AbGroup(0, ())
 Z2 = AbGroup(0, (2,))
@@ -385,12 +382,6 @@ def quotient_with_projection(b: SubgroupRep) -> tuple[AbGroup, GroupHom]:
     return quot, proj
 
 
-def summand_test(b: SubgroupRep) -> bool:
-    """True iff ambient/B is free (B is a summand containing all torsion)."""
-    quot, _ = quotient_with_projection(b)
-    return quot.is_free
-
-
 def is_direct_summand(b: SubgroupRep) -> bool:
     """True iff B is a direct summand of its ambient group A; builds no complement.
 
@@ -500,6 +491,7 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     t = len(mixed)
     if t:
         dec = smith_normal_form(IntMatrix.diagonal(mixed, rows=t, cols=t))
+        u_inv = dec.u.inverse_unimodular()
         keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
         torsion = tuple(dec.d.entries[i][i] for i in keep)
     else:  # both groups free: no torsion to renormalize
@@ -538,7 +530,7 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
         # torsion part: new torsion generator pos corresponds to old coords via U^{-1}
         t_off = 0 if which == "a" else len(a.torsion)
         for pos, i in enumerate(keep):
-            col = dec.u_inv.column(i)  # expression of new generator in mixed coordinates
+            col = u_inv.column(i)  # expression of new generator in mixed coordinates
             for j in range(len(tgt.torsion)):
                 rows_out[tgt.free_rank + j][ra + rb + pos] = col[t_off + j]
         return IntMatrix.from_rows(rows_out, total.num_gens) if rows_out else IntMatrix.zeros(0, total.num_gens)

@@ -437,14 +437,11 @@ def ru_word_eval(word: RUWord) -> FormIso:
 def _permuted(e: EQForm, perm: list[int]) -> FormIso:
     """e onto the form whose new slot i holds old slot perm[i].
 
-    That form is the pullback of e along the inverse permutation, the
-    transpose, which is handed on as the isomorphism's inverse.
+    That form is the pullback of e along the inverse permutation.
     """
     p = IntMatrix.permutation(perm)
-    back = GroupHom(e.group, e.group, p.transpose())
-    iso = FormIso(e, pullback(back, e), GroupHom(e.group, e.group, p))
-    iso._cache_inverse(back)
-    return iso
+    target = pullback(GroupHom(e.group, e.group, p.transpose()), e)
+    return FormIso(e, target, GroupHom(e.group, target.group, p))
 
 
 def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pre: FormIso) -> list[Flip]:

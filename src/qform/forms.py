@@ -204,13 +204,9 @@ class FormIso:
     otherwise.  There is no unchecked constructor, so every FormIso,
     including every deserialized move, has passed these checks.
 
-    Between free groups the inverse is computed on first use, by
-    ``IntMatrix.inverse_unimodular``, and cached.  Inverses known by
-    construction are handed on instead: ``identity`` and ``swap_blocks``
-    are their own inverses, ``inverse`` hands its result ``hom``,
-    ``compose`` hands on b⁻¹∘a⁻¹ and ``iso_direct_sum`` the block sum
-    a⁻¹ ⊕ b⁻¹ when both inverses are already known.  Handing on skips
-    only the inversion: the checks above run on every construction.
+    The inverse is computed on first use, by
+    ``IntMatrix.inverse_unimodular``, and cached; between groups with
+    torsion the bijectivity check computes it.
     """
 
     source: EQForm
@@ -233,68 +229,49 @@ class FormIso:
         if self.hom.source.is_free and self.hom.target.is_free:
             require_free_bijective(self.hom)
         else:
-            self._cache_inverse(invert_iso(self.hom))
-
-    def _cache_inverse(self, inv: GroupHom) -> None:
-        object.__setattr__(self, "_inverse", inv)
+            object.__setattr__(self, "_inverse", invert_iso(self.hom))
 
     @property
     def inverse_hom(self) -> GroupHom:
         if self._inverse is None:
             # only a map between free groups reaches here: its det is ±1
             h = self.hom
-            self._cache_inverse(GroupHom(h.target, h.source, h.matrix.inverse_unimodular()))
+            object.__setattr__(self, "_inverse", GroupHom(h.target, h.source, h.matrix.inverse_unimodular()))
         return self._inverse
 
     @staticmethod
     def identity(e: EQForm) -> "FormIso":
-        iso = FormIso(e, e, GroupHom.identity(e.group))
-        iso._cache_inverse(iso.hom)
-        return iso
+        return FormIso(e, e, GroupHom.identity(e.group))
 
     def apply(self, x) -> Vec:
         return self.hom.apply(x)
 
     def inverse(self) -> "FormIso":
-        inv = FormIso(self.target, self.source, self.inverse_hom)
-        inv._cache_inverse(self.hom)
-        return inv
+        return FormIso(self.target, self.source, self.inverse_hom)
 
     def compose(self, other: "FormIso") -> "FormIso":
         """self ∘ other (other applied first)."""
         if other.target != self.source:
             raise DimensionMismatch("isomorphisms do not compose")
-        iso = FormIso(other.source, self.target, self.hom.compose(other.hom))
-        if self._inverse is not None and other._inverse is not None:
-            iso._cache_inverse(other._inverse.compose(self._inverse))
-        return iso
+        return FormIso(other.source, self.target, self.hom.compose(other.hom))
 
 
 def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
     """The block sum a ⊕ b between the corresponding direct-sum forms."""
     src = form_direct_sum(a.source, b.source)
     tgt = form_direct_sum(a.target, b.target)
-    iso = FormIso(src.form, tgt.form, _block_sum(src, tgt, a.hom, b.hom))
-    if a._inverse is not None and b._inverse is not None:
-        iso._cache_inverse(_block_sum(tgt, src, a._inverse, b._inverse))
-    return iso
-
-
-def _block_sum(src: FormSum, tgt: FormSum, ha: GroupHom, hb: GroupHom) -> GroupHom:
-    """ha ⊕ hb from src's group to tgt's, through their coordinate maps."""
-    return (
-        tgt.incl_a.compose(ha).compose(src.proj_a)
-        .add(tgt.incl_b.compose(hb).compose(src.proj_b))
+    hom = (
+        tgt.incl_a.compose(a.hom).compose(src.proj_a)
+        .add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
     )
+    return FormIso(src.form, tgt.form, hom)
 
 
 def swap_blocks(e: EQForm, size: int) -> FormIso:
     """The automorphism of e exchanging its two leading blocks of ``size`` coordinates."""
     n = e.group.num_gens
     perm = list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n))
-    iso = FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
-    iso._cache_inverse(iso.hom)  # an exchange is an involution
-    return iso
+    return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
 
 
 # -- the split hyperbolic pair -----------------------------------------

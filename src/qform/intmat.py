@@ -4,10 +4,10 @@ All arithmetic is over arbitrary-precision Python ints, so the classic
 fixed-width overflow failure mode cannot occur.  The two normal forms here
 are the workhorses of everything else in the package:
 
-* ``smith_normal_form`` returns a full decomposition U*A*V = D together
-  with the inverses of U and V.  Pivots are chosen as the minimal absolute
-  nonzero entry of the working block, ties broken lexicographically, which
-  makes U and V reproducible across platforms.
+* ``smith_normal_form`` returns a full decomposition U*A*V = D.  Pivots
+  are chosen as the minimal absolute nonzero entry of the working block,
+  ties broken lexicographically, which makes U and V reproducible across
+  platforms.
 * ``hermite_row_basis`` returns the unique row-style Hermite basis of the
   lattice spanned by the given rows (echelon shape, positive pivots,
   entries above each pivot reduced into ``[0, pivot)``).  Uniqueness of
@@ -135,11 +135,7 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
+        return self.is_square and self.entries == tuple(zip(*self.entries))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
@@ -338,8 +334,6 @@ class SmithDecomposition:
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -352,7 +346,7 @@ class SmithDecomposition:
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms and their inverses.
+    """Smith normal form with its unimodular transforms.
 
     Pivot rule: minimal absolute nonzero entry of the working block, ties
     broken lexicographically by (row, column).  Diagonal entries come out
@@ -361,17 +355,13 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    ui = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vi = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         if i == j:
             return
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -380,7 +370,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
@@ -388,8 +377,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             return
         m[i] = [x + c * y for x, y in zip(m[i], m[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= c * r[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
@@ -399,13 +386,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
 
     def negate_row(i):
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
 
     def find_pivot(t):
         best = None
@@ -496,7 +480,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     def freeze(data, width):
         return IntMatrix(len(data), width, tuple(map(tuple, data)))
 
-    return SmithDecomposition(freeze(u, rows), freeze(m, cols), freeze(v, cols), freeze(ui, rows), freeze(vi, cols))
+    return SmithDecomposition(freeze(u, rows), freeze(m, cols), freeze(v, cols))
 
 
 def hermite_row_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:

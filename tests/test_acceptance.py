@@ -321,6 +321,10 @@ def test_invertible_classes_trivialize():
         assert is_L_element(q), trial
         dec = l_group_trivialize(q)
         assert replay(dec.sequence).ok, trial
+        # the complement splits both subgroups off the common part
+        for sub in (q.lagrangian, q.summand):
+            assert dec.common.sum(sub.intersection(dec.complement)) == sub, trial
+        assert is_L_element(dec.zero_part) and is_L_element(dec.hyperbolic_part), trial
         witness = is_hyperbolic_with_witness(dec.hyperbolic_part.form, dec.hyperbolic_part.lagrangian)
         assert isinstance(witness, FormIso), trial
         if dec.hyperbolic_part.form.rank:

@@ -404,15 +404,15 @@ def random_h_automorphism(rng, k):
     return FormIso(h, h, result)
 
 
-# -- inverses handed on by construction ---------------------------------
+# -- inverses of the isomorphisms the word construction builds ----------
 
 
 @pytest.mark.parametrize("perm", [[0, 1, 2, 3], [2, 3, 0, 1], [1, 3, 0, 2], [3, 2, 1, 0]])
 def test_permuted_is_handed_the_transpose_as_its_inverse(perm):
     e = metabolic_form([[0, 1, 0, 0], [1, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, -2]], [0, 1, 2, 5], V0)
     iso = _permuted(e, perm)
-    assert iso._inverse is not None
-    assert iso._inverse.matrix == iso.hom.matrix.inverse_unimodular() == iso.hom.matrix.transpose()
+    assert iso.inverse_hom == GroupHom(e.group, e.group, iso.hom.matrix.inverse_unimodular())
+    assert iso.inverse_hom.matrix == iso.hom.matrix.transpose()
     # new slot i holds old slot perm[i]
     for i, p in enumerate(perm):
         assert iso.apply(e.group.gen(p)) == e.group.gen(i)

