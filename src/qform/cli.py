@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import oracle
@@ -96,20 +96,10 @@ def _read_doc(args):
 
 
 def _budget(args) -> oracle.SearchBudget:
-    base = oracle.default_budget()
-    return oracle.SearchBudget(
-        base.entry_bound if args.entry_bound is None else args.entry_bound,
-        base.max_stab if args.max_stab is None else args.max_stab,
-        base.node_limit if args.node_limit is None else args.node_limit,
-    )
-
-
-def _budget_doc(budget: oracle.SearchBudget) -> dict:
-    return {
-        "entry_bound": budget.entry_bound,
-        "max_stab": budget.max_stab,
-        "node_limit": budget.node_limit,
-    }
+    """The budget flags; QFORM_NODE_LIMIT is read only when --node-limit is absent."""
+    names = ("entry_bound", "max_stab", "node_limit")
+    given = {name: value for name in names if (value := getattr(args, name)) is not None}
+    return oracle.SearchBudget(**given) if "node_limit" in given else oracle.default_budget(**given)
 
 
 def _budget_from_doc(doc, path: str) -> oracle.SearchBudget:
@@ -141,20 +131,15 @@ def _emit(payload: dict, args=None) -> None:
 # the same code) and returns the full payload.
 
 
+def _report_doc(e) -> dict:
+    """The fields of ``form_validate(e)``."""
+    rep = form_validate(e)
+    return {**asdict(rep), "torsion": list(rep.torsion)}
+
+
 def _invariants_result(fdoc) -> dict:
     e = form_from_doc(fdoc, "input")
-    rep = form_validate(e)
-    return {
-        "command": "invariants",
-        "form": form_to_doc(e),
-        "rank": rep.rank,
-        "torsion": list(rep.torsion),
-        "free": rep.free,
-        "nonsingular": rep.nonsingular,
-        "even": rep.even,
-        "full": rep.full,
-        "geometric": rep.geometric,
-    }
+    return {"command": "invariants", "form": form_to_doc(e), **_report_doc(e)}
 
 
 def _perp_result(doc) -> dict:
@@ -330,13 +315,14 @@ def _kappa_result(doc) -> dict:
     }
 
 
-def _si_result(doc) -> dict:
+def _si_result(doc, command: str = "si") -> dict:
+    """The stable classes of E_{a,b}: by ``si_enumerate``, or by the oracle's scan for oracle-si."""
     d = _as_dict(doc, "input")
     a = _as_int(_get(d, "a", "input"), "input.a")
     b = _as_int(_get(d, "b", "input"), "input.b")
-    rep = si_enumerate(a, b)
+    rep = si_enumerate(a, b) if command == "si" else oracle.brute_si(a, b)
     return {
-        "command": "si",
+        "command": command,
         "a": a,
         "b": b,
         "size": rep.size,
@@ -366,7 +352,7 @@ def _oracle_lagrangians_result(fdoc, budget: oracle.SearchBudget) -> dict:
     return {
         "command": "oracle-lagrangians",
         "form": form_to_doc(e),
-        "budget": _budget_doc(budget),
+        "budget": asdict(budget),
         "count": len(subs),
         "lagrangians": [subgroup_to_doc(s) for s in subs],
     }
@@ -381,25 +367,11 @@ def _oracle_iso_result(doc, budget: oracle.SearchBudget) -> dict:
         "command": "oracle-iso",
         "source": form_to_doc(e),
         "target": form_to_doc(f),
-        "budget": _budget_doc(budget),
+        "budget": asdict(budget),
         "found": found.iso is not None,
         "exhaustive": found.exhaustive,
         "nodes": found.nodes,
         "iso": iso_to_doc(found.iso) if found.iso is not None else None,
-    }
-
-
-def _oracle_si_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    a = _as_int(_get(d, "a", "input"), "input.a")
-    b = _as_int(_get(d, "b", "input"), "input.b")
-    rep = oracle.brute_si(a, b)
-    return {
-        "command": "oracle-si",
-        "a": a,
-        "b": b,
-        "size": rep.size,
-        "reps": [list(p) for p in rep.representatives],
     }
 
 
@@ -432,16 +404,7 @@ def _validate_doc(doc, text):
         extra = {} if ok else {"reason": "stored results differ from recomputation"}
         return "%s result" % name, ok, extra
     if "lambda" in d:
-        rep = form_validate(form_from_doc(d, "input"))
-        return "form", True, {
-            "rank": rep.rank,
-            "torsion": list(rep.torsion),
-            "free": rep.free,
-            "nonsingular": rep.nonsingular,
-            "even": rep.even,
-            "full": rep.full,
-            "geometric": rep.geometric,
-        }
+        return "form", True, _report_doc(form_from_doc(d, "input"))
     if "form" in d and "L" in d and "V" in d:
         q = formation_from_doc(d, "input")
         return "formation", True, {"elementary": is_elementary(q)}
@@ -569,7 +532,7 @@ COMMANDS = {
         "bounded search for an isomorphism of forms", _oracle_iso_result, budget=True
     ),
     "oracle-si": Command(
-        "divisor-scan cross-check of the si enumeration", _oracle_si_result,
+        "divisor-scan cross-check of the si enumeration", functools.partial(_si_result, command="oracle-si"),
         read=_flags_doc("a", "b"), options=_PAIR,
     ),
 }

@@ -6,6 +6,10 @@ M⊕M ≅ M⊕H, the stable isomorphism between full geometric metabolic
 forms, and words in the lagrangian-respecting unitary group (Keep/Flip
 generators) including the Wall-type factorization of Φ ⊕ Φ⁻¹.
 
+Bases and frames are matrix products in the metabolic basis: the normal
+basis comes from the pairing matrices L·Λ·Fᵀ and F·Λ·Fᵀ, and each frame
+is the metabolic basis applied to a constant pattern of blocks 0, ±I, D.
+
 What is checked where: every ``FormIso`` checks on construction that it
 pulls λ and μ back and is bijective; a ``MetabolicBasis`` checks its
 shape, unimodularity, normal form and span on construction;
@@ -19,6 +23,7 @@ checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .abelian import GroupHom, SubgroupRep, direct_complement, free_group, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
@@ -36,7 +41,7 @@ from .forms import (
     subgroup_classify,
     swap_blocks,
 )
-from .intmat import IntMatrix, Vec
+from .intmat import IntMatrix
 
 
 # -- shared basis machinery -------------------------------------------
@@ -52,52 +57,46 @@ def _require_free_metabolic(e: EQForm, l: SubgroupRep, who: str):
         raise HypothesisError("not a lagrangian", who)
 
 
-def _dual_basis(e: EQForm, l_basis: list[Vec], f_basis: list[Vec]) -> list[Vec]:
-    """Basis e_i of <l_basis> with λ(e_i, f_j) = δ_ij.
+def _dual_basis(e: EQForm, l_basis: IntMatrix, f_basis: IntMatrix) -> IntMatrix:
+    """Rows e_i spanning the row span of l_basis with λ(e_i, f_j) = δ_ij.
 
-    Exists (with a unimodular pairing matrix) whenever the span of
-    l_basis is a lagrangian and f_basis spans a complement.
+    With P = L·Λ·Fᵀ the pairing of the rows, E = P⁻¹·L.  P is unimodular
+    whenever the rows of L span a lagrangian and the rows of F a
+    complement.
     """
-    r = len(l_basis)
-    p = IntMatrix.from_rows([[e.lam(li, fj) for fj in f_basis] for li in l_basis], r)
+    p = l_basis.mul(e.matrix).mul(f_basis.transpose())
     try:
         pinv = p.inverse_unimodular()
     except NoSolution as exc:
         raise HypothesisError("dual basis", "pairing of lagrangian against complement is singular") from exc
-    n = e.group.num_gens
-    out = []
-    for i in range(r):
-        vec = [0] * n
-        for s in range(r):
-            c = pinv.entries[i][s]
-            for t in range(n):
-                vec[t] += c * l_basis[s][t]
-        out.append(tuple(vec))
-    return out
+    return pinv.mul(l_basis)
 
 
-def _straighten_f_basis(e: EQForm, es: list[Vec], fs: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """The recursion producing f̄_i with λ(f̄_i, f̄_j) = δ_ij · d_i, d_i ∈ {0,1}.
+def _straighten_f_basis(e: EQForm, es: IntMatrix, fs: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """Rows f̄_i with λ(f̄_i, f̄_j) = δ_ij · d_i, d_i ∈ {0, 1}, and the d_i.
 
-    f̄_{i+1} = f_{i+1} - Σ_{j≤i} λ(f̄_j, f_{i+1}) e_j - ⌊λ(f_{i+1}, f_{i+1})/2⌋ e_{i+1}.
-    The e_i are assumed dual to the f_i and isotropic, which makes each
-    correction kill the off-diagonal pairings while preserving μ.
+    With G = F·Λ·Fᵀ: F̄ = F − N·E and d_i = G_ii mod 2, where N holds G
+    below the diagonal, ⌊G_ii/2⌋ on it and 0 above it.  This is the
+    recursion f̄_i = f_i − Σ_{j<i} λ(f̄_j, f_i) e_j − ⌊λ(f_i, f_i)/2⌋ e_i
+    in closed form: the e_k are isotropic and dual to the f_i, so
+    λ(e_k, f_i) = δ_ki gives λ(f̄_j, f_i) = λ(f_j, f_i) for j < i.  Each
+    correction kills an off-diagonal pairing while preserving μ.
     """
-    n = e.group.num_gens
-    fbar: list[Vec] = []
-    diag: list[int] = []
-    for i, f in enumerate(fs):
-        cur = list(f)
-        for j, prev in enumerate(fbar):
-            c = e.lam(prev, f)
-            for t in range(n):
-                cur[t] -= c * es[j][t]
-        half = e.lam(f, f) // 2
-        for t in range(n):
-            cur[t] -= half * es[i][t]
-        fbar.append(tuple(cur))
-        diag.append(e.lam(f, f) % 2)
-    return fbar, diag
+    g = fs.mul(e.matrix).mul(fs.transpose()).entries
+    r = fs.rows
+    n = IntMatrix.from_rows([g[i][:i] + (g[i][i] // 2,) + (0,) * (r - 1 - i) for i in range(r)], r)
+    return fs.sub(n.mul(es)), tuple(g[i][i] % 2 for i in range(r))
+
+
+def _normal_basis(e: EQForm, l_basis: IntMatrix, f_basis: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """Columns e_1..e_r, f̄_1..f̄_r in which the pairing is [[0, I], [I, D]], and D.
+
+    The rows of ``l_basis`` span a lagrangian and those of ``f_basis`` a
+    complement of it.
+    """
+    es = _dual_basis(e, l_basis, f_basis)
+    fbar, diag = _straighten_f_basis(e, es, f_basis)
+    return es.vstack(fbar).transpose(), diag
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class MetabolicBasis:
             raise NotWellDefined("metabolic basis has wrong shape")
         if not b.is_unimodular():
             raise NotWellDefined("metabolic basis is not unimodular")
-        expected = _block_form_matrix(k, self.diag)
+        expected = _block_pattern(("0 I", "I D"), self.diag)
         if b.transpose().mul(self.form.matrix).mul(b) != expected:
             raise NotWellDefined("metabolic basis does not normalize the pairing")
         span = SubgroupRep.from_elements(self.form.group, [b.column(i) for i in range(k)])
@@ -128,22 +127,31 @@ class MetabolicBasis:
             raise NotWellDefined("first half of metabolic basis does not span the lagrangian")
 
 
-def _block_form_matrix(k: int, diag) -> IntMatrix:
-    top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
-    bottom = IntMatrix.identity(k).hstack(IntMatrix.diagonal(list(diag)))
-    return top.vstack(bottom)
+def _block_pattern(pattern: tuple[str, ...], diag) -> IntMatrix:
+    """The matrix of k×k blocks named by ``pattern``, k = len(diag).
+
+    Each string is one block row; its words name the blocks: 0, I, -I or
+    D = diag(diag).
+    """
+    k = len(diag)
+    blocks = {
+        "0": IntMatrix.zeros(k, k),
+        "I": IntMatrix.identity(k),
+        "-I": IntMatrix.identity(k).neg(),
+        "D": IntMatrix.diagonal(list(diag)),
+    }
+    rows = [reduce(IntMatrix.hstack, [blocks[w] for w in row.split()]) for row in pattern]
+    return reduce(IntMatrix.vstack, rows)
 
 
 def metabolic_basis(e: EQForm, l: SubgroupRep) -> MetabolicBasis:
     """Normal basis of a free metabolic form adapted to a lagrangian."""
     _require_free_metabolic(e, l, "metabolic basis")
-    l_basis = l.generators()
-    n_basis = direct_complement(l).generators()
-    es = _dual_basis(e, l_basis, n_basis)
-    fbar, diag = _straighten_f_basis(e, es, n_basis)
-    cols = [list(v) for v in es] + [list(v) for v in fbar]
-    basis = IntMatrix.from_columns(cols, rows=e.group.num_gens)
-    return MetabolicBasis(e, l, basis, tuple(diag))
+    n = e.group.num_gens
+    l_basis = IntMatrix.from_rows(l.generators(), n)
+    f_basis = IntMatrix.from_rows(direct_complement(l).generators(), n)
+    basis, diag = _normal_basis(e, l_basis, f_basis)
+    return MetabolicBasis(e, l, basis, diag)
 
 
 def is_hyperbolic_with_witness(e: EQForm, l: SubgroupRep) -> FormIso:
@@ -176,12 +184,31 @@ def neg_isomorphism(e: EQForm, l: SubgroupRep) -> FormIso:
     In a metabolic basis: J(e_i) = e_i and J(f_i) = d_i e_i - f_i.
     """
     mb = metabolic_basis(e, l)
-    k = len(mb.diag)
-    top = IntMatrix.identity(k).hstack(IntMatrix.diagonal(list(mb.diag)))
-    bottom = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k).neg())
-    j_new = top.vstack(bottom)
+    j_new = _block_pattern(("I D", "0 -I"), mb.diag)
     j = mb.basis.mul(j_new).mul(mb.basis.inverse_unimodular())
     return FormIso(e, negate(e), GroupHom(e.group, e.group, j))
+
+
+# The frames M ⊕ M' → M ⊕ H below are diag(B, I)·P·diag(B, B)⁻¹ for the
+# metabolic basis B of M: P is a pattern of k×k blocks whose columns are
+# the images of (e, f, ē, f̄) in the coordinates (e, f, a, b), with ē, f̄
+# the metabolic basis of the second summand and a, b the hyperbolic basis.
+_DOUBLE_PATTERN = ("I 0 0 0", "0 I 0 I", "0 0 0 -I", "I D -I 0")
+_WALL_PATTERN = ("0 0 I D", "0 I 0 -I", "0 -I 0 0", "-I 0 I 0")
+
+
+def _frame(e: EQForm, mb: MetabolicBasis, second: EQForm, pattern: tuple[str, ...]) -> FormIso:
+    """The frame e ⊕ second → e ⊕ H_2k with block pattern ``pattern``."""
+    k = len(mb.diag)
+    source = form_direct_sum(e, second).form
+    target = form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
+    b, b_inv = mb.basis, mb.basis.inverse_unimodular()
+    hom = (
+        IntMatrix.block_diagonal([b, IntMatrix.identity(2 * k)])
+        .mul(_block_pattern(pattern, mb.diag))
+        .mul(IntMatrix.block_diagonal([b_inv, b_inv]))
+    )
+    return FormIso(source, target, GroupHom(source.group, target.group, hom))
 
 
 def double_to_hyperbolic(e: EQForm, l: SubgroupRep) -> FormIso:
@@ -190,37 +217,7 @@ def double_to_hyperbolic(e: EQForm, l: SubgroupRep) -> FormIso:
     Images in a metabolic basis (a_i, b_i the hyperbolic basis):
     e_i ↦ e_i + b_i, f_i ↦ f_i + d_i b_i, ē_i ↦ -b_i, f̄_i ↦ f_i - a_i.
     """
-    mb = metabolic_basis(e, l)
-    k = len(mb.diag)
-    n = 2 * k
-    source = form_direct_sum(e, e).form
-    target = form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
-
-    def tvec(m_part: Vec | None, a: dict[int, int], b: dict[int, int]) -> list[int]:
-        out = [0] * (2 * n)
-        if m_part is not None:
-            for t in range(n):
-                out[t] = m_part[t]
-        for i, c in a.items():
-            out[n + i] = c
-        for i, c in b.items():
-            out[n + k + i] = c
-        return out
-
-    e_cols = [mb.basis.column(i) for i in range(k)]
-    f_cols = [mb.basis.column(k + i) for i in range(k)]
-    images = []
-    for i in range(k):
-        images.append(tvec(e_cols[i], {}, {i: 1}))
-    for i in range(k):
-        images.append(tvec(f_cols[i], {}, {i: mb.diag[i]}))
-    for i in range(k):
-        images.append(tvec(None, {}, {i: -1}))
-    for i in range(k):
-        images.append(tvec(f_cols[i], {i: -1}, {}))
-    src_basis = IntMatrix.block_diagonal([mb.basis, mb.basis])
-    hom = IntMatrix.from_columns(images, rows=2 * n).mul(src_basis.inverse_unimodular())
-    return FormIso(source, target, GroupHom(source.group, target.group, hom))
+    return _frame(e, metabolic_basis(e, l), e, _DOUBLE_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -296,43 +293,29 @@ def stable_lagrangian_iso(
     sum_s = form_direct_sum(e, hyperbolic(k, e.target, e.v))
     sum_t = form_direct_sum(e2, hyperbolic(kl, e.target, e.v))
 
-    def stabilized(sumform: FormSum, base_rank: int, pairs: int, l_gens, n_gens):
-        ia, ib = sumform.incl_a, sumform.incl_b
-        a_vecs = [ib.apply(tuple(1 if t == j else 0 for t in range(2 * pairs))) for j in range(pairs)]
-        b_vecs = [ib.apply(tuple(1 if t == pairs + j else 0 for t in range(2 * pairs))) for j in range(pairs)]
-        ls = [ia.apply(v) for v in l_gens] + b_vecs
-        fs = [ia.apply(v) for v in n_gens] + a_vecs
+    def stabilized(sumform: FormSum, pairs: int, l_gens, n_gens) -> tuple[IntMatrix, IntMatrix]:
+        """Rows spanning the stabilized lagrangian and its complement."""
+        ia = sumform.incl_a
+        hyp = list(sumform.incl_b.matrix.transpose().entries)  # the images of a_1..a_k, b_1..b_k
+        width = sumform.form.group.num_gens
+        ls = IntMatrix.from_rows([ia.apply(v) for v in l_gens] + hyp[pairs:], width)
+        fs = IntMatrix.from_rows([ia.apply(v) for v in n_gens] + hyp[:pairs], width)
         return ls, fs
 
-    ls, fs = stabilized(sum_s, e.rank, k, l.generators(), n_basis)
-    ls2, fs2 = stabilized(sum_t, e2.rank, kl, l2.generators(), n2_basis)
-    r = len(fs)
-    if len(fs2) != r:
+    ls, fs = stabilized(sum_s, k, l.generators(), n_basis)
+    ls2, fs2 = stabilized(sum_t, kl, l2.generators(), n2_basis)
+    if fs2.rows != fs.rows:
         raise NotWellDefined("matched complements have different ranks")
 
     # transport the source f-basis through the matching isomorphism
-    h = matched.iso.matrix
-    fs_prime = []
-    for t in range(r):
-        vec = [0] * sum_t.form.group.num_gens
-        for s in range(r):
-            c = h.entries[s][t]
-            for q in range(len(vec)):
-                vec[q] += c * fs2[s][q]
-        fs_prime.append(tuple(vec))
-
-    es = _dual_basis(sum_s.form, ls, fs)
-    es2 = _dual_basis(sum_t.form, ls2, fs_prime)
-    fbar, _ = _straighten_f_basis(sum_s.form, es, fs)
-    fbar2, _ = _straighten_f_basis(sum_t.form, es2, fs_prime)
-
-    bs = IntMatrix.from_columns([list(v) for v in es + fbar], rows=sum_s.form.group.num_gens)
-    bt = IntMatrix.from_columns([list(v) for v in es2 + fbar2], rows=sum_t.form.group.num_gens)
+    fs_prime = matched.iso.matrix.transpose().mul(fs2)
+    bs, _ = _normal_basis(sum_s.form, ls, fs)
+    bt, _ = _normal_basis(sum_t.form, ls2, fs_prime)
     hom = bt.mul(bs.inverse_unimodular())
     iso = FormIso(sum_s.form, sum_t.form, GroupHom(sum_s.form.group, sum_t.form.group, hom))
 
-    src_l = SubgroupRep.from_elements(sum_s.form.group, ls)
-    tgt_l = SubgroupRep.from_elements(sum_t.form.group, ls2)
+    src_l = SubgroupRep.from_elements(sum_s.form.group, ls.entries)
+    tgt_l = SubgroupRep.from_elements(sum_t.form.group, ls2.entries)
     if src_l.transport(iso.hom) != tgt_l:
         raise NotWellDefined("stable isomorphism does not match the lagrangians")
     return StableLagrangianIso(k, kl, iso, src_l, tgt_l)
@@ -508,36 +491,10 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     s = len(mb.diag)
     n = 2 * s
 
-    dbl = form_direct_sum(e, negate(e)).form
-    th = form_direct_sum(e, hyperbolic(s, e.target, e.v)).form
-
     # the frame F : M ⊕ (-M) → M ⊕ H with
     # F(e_i) = -b_i, F(f_i) = f_i - a_i, F(ē_i) = e_i + b_i, F(f̄_i) = d_i e_i - f_i
-    def tvec(m_part, a: dict[int, int], b: dict[int, int]) -> list[int]:
-        out = [0] * (2 * n)
-        if m_part is not None:
-            for t in range(n):
-                out[t] += m_part[t]
-        for idx, c in a.items():
-            out[n + idx] = c
-        for idx, c in b.items():
-            out[n + s + idx] = c
-        return out
-
-    e_cols = [mb.basis.column(i) for i in range(s)]
-    f_cols = [mb.basis.column(s + i) for i in range(s)]
-    images = []
-    for i in range(s):
-        images.append(tvec(None, {}, {i: -1}))
-    for i in range(s):
-        images.append(tvec(f_cols[i], {i: -1}, {}))
-    for i in range(s):
-        images.append(tvec(e_cols[i], {}, {i: 1}))
-    for i in range(s):
-        images.append(tvec([mb.diag[i] * x - y for x, y in zip(e_cols[i], f_cols[i])], {}, {}))
-    src_basis = IntMatrix.block_diagonal([mb.basis, mb.basis])
-    f_matrix = IntMatrix.from_columns(images, rows=2 * n).mul(src_basis.inverse_unimodular())
-    frame = FormIso(dbl, th, GroupHom(dbl.group, th.group, f_matrix))
+    frame = _frame(e, mb, negate(e), _WALL_PATTERN)
+    dbl = frame.source
 
     w_letters = _flip_letters_for_stabilization(e, l, s, frame)
     w_iso = FormIso.identity(dbl)

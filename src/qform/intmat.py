@@ -149,9 +149,6 @@ class IntMatrix:
             self.rows, other.cols, tuple(_combine(row, other.entries, other.cols) for row in self.entries)
         )
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")

@@ -320,15 +320,11 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
     lifted = []
     if v_gens:
         solve = int_solver(IntMatrix.from_columns([list(g[:r]) for g in v_gens], rows=r))
-        for b in vbar_basis:
-            coeff = solve(b)
-            if coeff is None:
-                raise NotWellDefined("summand does not project onto its image")
-            acc = [0] * group.num_gens
-            for c, g in zip(coeff, v_gens):
-                for j in range(group.num_gens):
-                    acc[j] += c * g[j]
-            lifted.append(group.reduce(acc))
+        coeffs = [solve(b) for b in vbar_basis]
+        if None in coeffs:
+            raise NotWellDefined("summand does not project onto its image")
+        combined = IntMatrix.from_rows(coeffs, len(v_gens)).mul(IntMatrix.from_rows(v_gens, group.num_gens))
+        lifted = [group.reduce(row) for row in combined.entries]
     comp = direct_complement(reduced.summand)
     basis_cols = [list(b) for b in vbar_basis] + [list(c) for c in comp.generators()]
     image_cols = [list(x) for x in lifted]

@@ -25,6 +25,7 @@ from .errors import (
     NodeLimitExceeded,
     NoSolution,
     NotWellDefined,
+    SchemaError,
 )
 from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, subgroup_classify
 from .intmat import IntMatrix
@@ -50,8 +51,14 @@ class SearchBudget:
 
 
 def default_budget(entry_bound: int = 3, max_stab: int = 2) -> SearchBudget:
-    """Budget with the node limit taken from QFORM_NODE_LIMIT if set."""
-    limit = int(os.environ.get("QFORM_NODE_LIMIT", _DEFAULT_NODE_LIMIT))
+    """Budget with the node limit taken from QFORM_NODE_LIMIT if set.
+
+    A value that is not an integer raises ``SchemaError``.
+    """
+    try:
+        limit = int(os.environ.get("QFORM_NODE_LIMIT", _DEFAULT_NODE_LIMIT))
+    except ValueError:
+        raise SchemaError("QFORM_NODE_LIMIT", "expected an integer") from None
     return SearchBudget(entry_bound, max_stab, limit)
 
 

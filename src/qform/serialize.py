@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, List, Sequence
+from typing import Any, List
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group
 from .construct import Flip, Keep, RUWord

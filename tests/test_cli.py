@@ -286,6 +286,19 @@ def test_node_limit_env_default(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_malformed_node_limit_env(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "h2.json", form_to_doc(hyperbolic(1, ZERO_GROUP, V0)))
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "abc")
+    code, doc, _ = invoke(capsys, "oracle-lagrangians", "--input", path)
+    assert code == 2
+    assert doc["path"] == "QFORM_NODE_LIMIT"
+    assert "expected an integer" in doc["error"]
+    # the variable is not read when the flag gives the limit
+    code, doc, _ = invoke(capsys, "oracle-lagrangians", "--input", path, "--node-limit", "100000")
+    assert code == 0
+    assert doc["budget"] == {"entry_bound": 3, "max_stab": 2, "node_limit": 100000}
+
+
 def test_missing_input_flag(capsys):
     code, doc, _ = invoke(capsys, "perp")
     assert code == 2

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
+from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, direct_complement, free_group
 from qform.construct import (
     Flip,
     Keep,
     RUWord,
+    _WALL_PATTERN,
+    _dual_basis,
+    _frame,
     _permuted,
+    _straighten_f_basis,
     diagonal_lagrangians,
     double_to_hyperbolic,
     is_hyperbolic_with_witness,
@@ -23,12 +27,13 @@ from qform.errors import HypothesisError
 from qform.forms import (
     EQForm,
     FormIso,
-    dual,
     form_direct_sum,
     hyperbolic,
+    iso_direct_sum,
     negate,
     pullback,
     subgroup_classify,
+    swap_blocks,
 )
 from qform.intmat import IntMatrix
 
@@ -193,6 +198,157 @@ def test_double_to_hyperbolic_odd():
     e = metabolic_form([[0, 1], [1, 1]])
     iso = double_to_hyperbolic(e, sub(e, (1, 0)))
     assert iso.target.rank == 2 * e.rank
+
+
+# -- bases and frames against their entry-by-entry definitions ----------
+#
+# The references below build each basis vector and each frame image one
+# coordinate at a time, as the recursion and the image formulas state
+# them; construct builds the same integers as matrix products.
+
+
+def scrambled_metabolic(rng, k):
+    """[[0, I], [I, S]] for a random symmetric S (odd entries included) in a
+    random basis, with the lagrangian spanned by the first k old basis vectors."""
+    n = 2 * k
+    g = free_group(n)
+    s = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            s[i][j] = s[j][i] = rng.randrange(-3, 4)
+    top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
+    bottom = IntMatrix.identity(k).hstack(IntMatrix.from_rows(s, k))
+    base = EQForm(g, top.vstack(bottom), GroupHom.zero(g, ZERO_GROUP), None)
+    u = random_unimodular(rng, n) if k else IntMatrix.identity(0)
+    uinv = u.inverse_unimodular()
+    lagr = SubgroupRep.from_elements(g, [uinv.column(i) for i in range(k)])
+    return pullback(GroupHom(g, g, u), base), lagr
+
+
+def scrambled_forms(seed, count):
+    rng = random.Random(seed)
+    return [scrambled_metabolic(rng, k) for k in [0] + [rng.randrange(1, 5) for _ in range(count)]]
+
+
+def reference_dual_basis(e, l_basis, f_basis):
+    r = len(l_basis)
+    p = IntMatrix.from_rows([[e.lam(li, fj) for fj in f_basis] for li in l_basis], r)
+    pinv = p.inverse_unimodular()
+    n = e.group.num_gens
+    out = []
+    for i in range(r):
+        vec = [0] * n
+        for s in range(r):
+            c = pinv.entries[i][s]
+            for t in range(n):
+                vec[t] += c * l_basis[s][t]
+        out.append(tuple(vec))
+    return out
+
+
+def reference_straighten(e, es, fs):
+    """f̄_i = f_i - Σ_{j<i} λ(f̄_j, f_i) e_j - ⌊λ(f_i, f_i)/2⌋ e_i, one vector at a time."""
+    n = e.group.num_gens
+    fbar, diag = [], []
+    for i, f in enumerate(fs):
+        cur = list(f)
+        for j, prev in enumerate(fbar):
+            c = e.lam(prev, f)
+            for t in range(n):
+                cur[t] -= c * es[j][t]
+        half = e.lam(f, f) // 2
+        for t in range(n):
+            cur[t] -= half * es[i][t]
+        fbar.append(tuple(cur))
+        diag.append(e.lam(f, f) % 2)
+    return fbar, diag
+
+
+def reference_frame(mb, images):
+    """The frame sending the metabolic basis (e, f, ē, f̄) of M ⊕ M' to ``images``.
+
+    ``images(e_cols, f_cols, d)`` lists, per basis vector, its M part (or
+    None) and its a and b coordinates as {index: coefficient} maps.
+    """
+    s = len(mb.diag)
+    n = 2 * s
+    e_cols = [mb.basis.column(i) for i in range(s)]
+    f_cols = [mb.basis.column(s + i) for i in range(s)]
+    cols = []
+    for m_part, a, b in images(e_cols, f_cols, mb.diag):
+        out = [0] * (2 * n)
+        if m_part is not None:
+            for t in range(n):
+                out[t] += m_part[t]
+        for idx, c in a.items():
+            out[n + idx] = c
+        for idx, c in b.items():
+            out[n + s + idx] = c
+        cols.append(out)
+    src_basis = IntMatrix.block_diagonal([mb.basis, mb.basis])
+    return IntMatrix.from_columns(cols, rows=2 * n).mul(src_basis.inverse_unimodular())
+
+
+def double_images(e_cols, f_cols, d):
+    """e_i ↦ e_i + b_i, f_i ↦ f_i + d_i b_i, ē_i ↦ -b_i, f̄_i ↦ f_i - a_i."""
+    s = len(d)
+    return (
+        [(e_cols[i], {}, {i: 1}) for i in range(s)]
+        + [(f_cols[i], {}, {i: d[i]}) for i in range(s)]
+        + [(None, {}, {i: -1}) for i in range(s)]
+        + [(f_cols[i], {i: -1}, {}) for i in range(s)]
+    )
+
+
+def wall_images(e_cols, f_cols, d):
+    """e_i ↦ -b_i, f_i ↦ f_i - a_i, ē_i ↦ e_i + b_i, f̄_i ↦ d_i e_i - f_i."""
+    s = len(d)
+    return (
+        [(None, {}, {i: -1}) for i in range(s)]
+        + [(f_cols[i], {i: -1}, {}) for i in range(s)]
+        + [(e_cols[i], {}, {i: 1}) for i in range(s)]
+        + [([d[i] * x - y for x, y in zip(e_cols[i], f_cols[i])], {}, {}) for i in range(s)]
+    )
+
+
+def test_normal_basis_matches_the_recursion():
+    odd = 0
+    for e, lagr in scrambled_forms(808, 40):
+        n = e.group.num_gens
+        l_gens = list(lagr.generators())
+        f_gens = list(direct_complement(lagr).generators())
+        es = _dual_basis(e, IntMatrix.from_rows(l_gens, n), IntMatrix.from_rows(f_gens, n))
+        ref_es = reference_dual_basis(e, l_gens, f_gens)
+        assert list(es.entries) == ref_es
+        fbar, diag = _straighten_f_basis(e, es, IntMatrix.from_rows(f_gens, n))
+        ref_fbar, ref_diag = reference_straighten(e, ref_es, f_gens)
+        assert list(fbar.entries) == ref_fbar
+        assert list(diag) == ref_diag
+        mb = metabolic_basis(e, lagr)
+        assert mb.basis == IntMatrix.from_columns([list(v) for v in ref_es + ref_fbar], rows=n)
+        assert mb.diag == tuple(ref_diag)
+        odd += 1 in diag
+    assert odd > 5  # odd D entries are drawn
+
+
+def test_frames_match_their_image_formulas():
+    for e, lagr in scrambled_forms(909, 25):
+        mb = metabolic_basis(e, lagr)
+        assert double_to_hyperbolic(e, lagr).hom.matrix == reference_frame(mb, double_images)
+        assert _frame(e, mb, negate(e), _WALL_PATTERN).hom.matrix == reference_frame(mb, wall_images)
+
+
+def test_wall_frame_is_doubling_after_negation_and_swap():
+    # F = I ∘ σ ∘ (id ⊕ J): J : -M → M fixes L, σ swaps the copies of M
+    for e, lagr in scrambled_forms(1010, 25):
+        mb = metabolic_basis(e, lagr)
+        j = neg_isomorphism(e, lagr).hom.matrix
+        j_back = FormIso(negate(e), e, GroupHom(e.group, e.group, j))
+        sigma = swap_blocks(form_direct_sum(e, e).form, e.group.num_gens)
+        composite = double_to_hyperbolic(e, lagr).compose(sigma).compose(
+            iso_direct_sum(FormIso.identity(e), j_back)
+        )
+        assert composite.hom == _frame(e, mb, negate(e), _WALL_PATTERN).hom
 
 
 # -- diagonal lagrangians ---------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import stable_lagrangian_iso
-from qform.errors import DimensionMismatch, HypothesisError, NodeLimitExceeded
+from qform.errors import DimensionMismatch, HypothesisError, NodeLimitExceeded, SchemaError
 from qform.forms import EQForm, hyperbolic
 from qform.intmat import IntMatrix
 from qform.lmonoid import qf_direct_sum, standard_elementary
@@ -38,6 +38,13 @@ def test_default_budget_reads_environment(monkeypatch):
     assert default_budget().node_limit == 123
     monkeypatch.delenv("QFORM_NODE_LIMIT")
     assert default_budget().node_limit == 200_000
+
+
+def test_default_budget_rejects_a_malformed_environment(monkeypatch):
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "abc")
+    with pytest.raises(SchemaError) as err:
+        default_budget()
+    assert err.value.path == "QFORM_NODE_LIMIT"
 
 
 # -- lagrangian enumeration ----------------------------------------------
