@@ -13,6 +13,10 @@ the rest of the package leans on.
 
 Meets, preimages and kernels read that basis straight off one stacked
 Hermite basis (Zassenhaus' algorithm), with no Smith form.
+
+Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
+whose coordinates are free(A), free(B), then the merged torsion; its
+inclusions and projections are block-diagonal matrices.
 """
 
 from __future__ import annotations
@@ -127,11 +131,12 @@ class GroupHom:
         # reduce rows that land in target torsion coordinates
         r = self.target.free_rank
         ds = self.target.torsion
-        reduced = tuple(
-            row if i < r else tuple(x % ds[i - r] for x in row)
-            for i, row in enumerate(self.matrix.entries)
-        )
-        object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
+        if ds:
+            reduced = tuple(
+                row if i < r else tuple(x % ds[i - r] for x in row)
+                for i, row in enumerate(self.matrix.entries)
+            )
+            object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
         # well-definedness on source torsion generators
         sr = self.source.free_rank
         for j, d in enumerate(self.source.torsion):
@@ -478,66 +483,45 @@ class DirectSum:
 def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     """A ⊕ B renormalized to invariant-factor form, with its four maps.
 
-    When neither group has torsion (the common case) no Smith form is
-    computed and the coordinate maps are plain embeddings; otherwise the
-    merged torsion is renormalized through a Smith decomposition, the
-    inclusions going by U and the projections back by U^{-1}, so the
-    biproduct identities hold by construction and are not checked on
-    each call.
+    Coordinates are laid out as free(A), free(B), then the merged torsion.
+    The merged torsion is the cokernel of diag(torsion(A), torsion(B)); its
+    Smith decomposition U·diag·V = D gives the new torsion generators, the
+    kept rows of D (entries ≥ 2).  So each map is one block diagonal:
+
+        incl_a = diag(I, 0_{rb×0}, U_a)    proj_a = diag(I, 0_{0×rb}, W_a)
+        incl_b = diag(0_{ra×0}, I, U_b)    proj_b = diag(0_{0×ra}, I, W_b)
+
+    with U_a, U_b the kept rows of U at A's and B's torsion columns and
+    W_a, W_b the matching rows of U⁻¹ at the kept columns.  The biproduct
+    identities hold by construction and are not checked on each call.
+    When neither group has torsion no Smith form is computed.
     """
-    ra, rb = a.free_rank, b.free_rank
-    mixed = list(a.torsion) + list(b.torsion)
-    # cokernel of diag(mixed) describes the combined torsion part
+    ra, rb, ta = a.free_rank, b.free_rank, len(a.torsion)
+    mixed = a.torsion + b.torsion
     t = len(mixed)
     if t:
-        dec = smith_normal_form(IntMatrix.diagonal(mixed, rows=t, cols=t))
-        u_inv = dec.u.inverse_unimodular()
+        dec = smith_normal_form(IntMatrix.diagonal(mixed))
         keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
         torsion = tuple(dec.d.entries[i][i] for i in keep)
+        u = [dec.u.entries[i] for i in keep]
+        w = [tuple(row[i] for i in keep) for row in dec.u.inverse_unimodular().entries]
     else:  # both groups free: no torsion to renormalize
-        keep, torsion = [], ()
+        torsion, u, w = (), [], []
     total = AbGroup(ra + rb, torsion)
-
-    def embed_free(offset: int, src_index: int) -> list[int]:
-        col = [0] * total.num_gens
-        col[offset + src_index] = 1
-        return col
-
-    # torsion generator j of the mixed list maps to U[:, j] restricted to kept rows
-    def embed_tors(j: int) -> list[int]:
-        col = [0] * total.num_gens
-        for pos, i in enumerate(keep):
-            col[ra + rb + pos] = dec.u.entries[i][j]
-        return col
-
-    cols_a = [embed_free(0, i) for i in range(ra)] + [embed_tors(j) for j in range(len(a.torsion))]
-    cols_b = [embed_free(ra, i) for i in range(rb)] + [
-        embed_tors(len(a.torsion) + j) for j in range(len(b.torsion))
-    ]
-    incl_a = GroupHom.from_gen_images(a, total, cols_a) if cols_a else GroupHom.zero(a, total)
-    incl_b = GroupHom.from_gen_images(b, total, cols_b) if cols_b else GroupHom.zero(b, total)
-
-    # projections: invert the torsion change of basis
-    def proj_matrix(which: Literal["a", "b"]) -> IntMatrix:
-        tgt = a if which == "a" else b
-        rows_out = []
-        for i in range(tgt.num_gens):
-            rows_out.append([0] * total.num_gens)
-        # free part
-        off = 0 if which == "a" else ra
-        for i in range(tgt.free_rank):
-            rows_out[i][off + i] = 1
-        # torsion part: new torsion generator pos corresponds to old coords via U^{-1}
-        t_off = 0 if which == "a" else len(a.torsion)
-        for pos, i in enumerate(keep):
-            col = u_inv.column(i)  # expression of new generator in mixed coordinates
-            for j in range(len(tgt.torsion)):
-                rows_out[tgt.free_rank + j][ra + rb + pos] = col[t_off + j]
-        return IntMatrix.from_rows(rows_out, total.num_gens) if rows_out else IntMatrix.zeros(0, total.num_gens)
-
-    proj_a = GroupHom(total, a, proj_matrix("a"))
-    proj_b = GroupHom(total, b, proj_matrix("b"))
-    return DirectSum(total, incl_a, incl_b, proj_a, proj_b)
+    k = len(torsion)
+    u_a = IntMatrix(k, ta, tuple(row[:ta] for row in u))
+    u_b = IntMatrix(k, t - ta, tuple(row[ta:] for row in u))
+    w_a = IntMatrix(ta, k, tuple(w[:ta]))
+    w_b = IntMatrix(t - ta, k, tuple(w[ta:]))
+    diag, zeros = IntMatrix.block_diagonal, IntMatrix.zeros
+    eye_a, eye_b = IntMatrix.identity(ra), IntMatrix.identity(rb)
+    return DirectSum(
+        total,
+        GroupHom(a, total, diag([eye_a, zeros(rb, 0), u_a])),
+        GroupHom(b, total, diag([zeros(ra, 0), eye_b, u_b])),
+        GroupHom(total, a, diag([eye_a, zeros(0, rb), w_a])),
+        GroupHom(total, b, diag([zeros(0, ra), eye_b, w_b])),
+    )
 
 
 # -- presentation -----------------------------------------------------

@@ -95,20 +95,33 @@ def _read_doc(args):
     return _read_doc_and_text(args)[0]
 
 
+_BUDGET_FIELDS = ("entry_bound", "max_stab", "node_limit")
+
+
 def _budget(args) -> oracle.SearchBudget:
     """The budget flags; QFORM_NODE_LIMIT is read only when --node-limit is absent."""
-    names = ("entry_bound", "max_stab", "node_limit")
-    given = {name: value for name in names if (value := getattr(args, name)) is not None}
+    given = {name: value for name in _BUDGET_FIELDS if (value := getattr(args, name)) is not None}
     return oracle.SearchBudget(**given) if "node_limit" in given else oracle.default_budget(**given)
 
 
 def _budget_from_doc(doc, path: str) -> oracle.SearchBudget:
     d = _as_dict(doc, path)
-    return oracle.SearchBudget(
-        _as_int(_get(d, "entry_bound", path), path + ".entry_bound"),
-        _as_int(_get(d, "max_stab", path), path + ".max_stab"),
-        _as_int(_get(d, "node_limit", path), path + ".node_limit"),
-    )
+    fields = {name: _as_int(_get(d, name, path), path + "." + name) for name in _BUDGET_FIELDS}
+    for name, value in fields.items():
+        if value < 0:
+            raise SchemaError(path + "." + name, "must be non-negative")
+    return oracle.SearchBudget(**fields)
+
+
+def _non_negative(text: str) -> int:
+    """The argparse type of the budget flags."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
 
 
 def _schema_failure(exc: SchemaError) -> int:
@@ -550,11 +563,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="JSON input document")
     common.add_argument("--output", metavar="FILE", help="also write the result here")
-    common.add_argument("--entry-bound", type=int, default=None, metavar="N",
+    common.add_argument("--entry-bound", type=_non_negative, default=None, metavar="N",
                         help="largest matrix entry tried by oracle searches")
-    common.add_argument("--max-stab", type=int, default=None, metavar="N",
+    common.add_argument("--max-stab", type=_non_negative, default=None, metavar="N",
                         help="largest number of stabilizing planes tried")
-    common.add_argument("--node-limit", type=int, default=None, metavar="N",
+    common.add_argument("--node-limit", type=_non_negative, default=None, metavar="N",
                         help="search node budget (default from QFORM_NODE_LIMIT)")
     common.add_argument("--strict", action="store_true",
                         help="reject input files that are not canonical JSON")

@@ -23,7 +23,6 @@ checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .abelian import GroupHom, SubgroupRep, direct_complement, free_group, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
@@ -119,29 +118,12 @@ class MetabolicBasis:
             raise NotWellDefined("metabolic basis has wrong shape")
         if not b.is_unimodular():
             raise NotWellDefined("metabolic basis is not unimodular")
-        expected = _block_pattern(("0 I", "I D"), self.diag)
+        expected = IntMatrix.block_pattern(("0 I", "I D"), self.diag)
         if b.transpose().mul(self.form.matrix).mul(b) != expected:
             raise NotWellDefined("metabolic basis does not normalize the pairing")
         span = SubgroupRep.from_elements(self.form.group, [b.column(i) for i in range(k)])
         if span != self.lagrangian:
             raise NotWellDefined("first half of metabolic basis does not span the lagrangian")
-
-
-def _block_pattern(pattern: tuple[str, ...], diag) -> IntMatrix:
-    """The matrix of k×k blocks named by ``pattern``, k = len(diag).
-
-    Each string is one block row; its words name the blocks: 0, I, -I or
-    D = diag(diag).
-    """
-    k = len(diag)
-    blocks = {
-        "0": IntMatrix.zeros(k, k),
-        "I": IntMatrix.identity(k),
-        "-I": IntMatrix.identity(k).neg(),
-        "D": IntMatrix.diagonal(list(diag)),
-    }
-    rows = [reduce(IntMatrix.hstack, [blocks[w] for w in row.split()]) for row in pattern]
-    return reduce(IntMatrix.vstack, rows)
 
 
 def metabolic_basis(e: EQForm, l: SubgroupRep) -> MetabolicBasis:
@@ -184,7 +166,7 @@ def neg_isomorphism(e: EQForm, l: SubgroupRep) -> FormIso:
     In a metabolic basis: J(e_i) = e_i and J(f_i) = d_i e_i - f_i.
     """
     mb = metabolic_basis(e, l)
-    j_new = _block_pattern(("I D", "0 -I"), mb.diag)
+    j_new = IntMatrix.block_pattern(("I D", "0 -I"), mb.diag)
     j = mb.basis.mul(j_new).mul(mb.basis.inverse_unimodular())
     return FormIso(e, negate(e), GroupHom(e.group, e.group, j))
 
@@ -205,7 +187,7 @@ def _frame(e: EQForm, mb: MetabolicBasis, second: EQForm, pattern: tuple[str, ..
     b, b_inv = mb.basis, mb.basis.inverse_unimodular()
     hom = (
         IntMatrix.block_diagonal([b, IntMatrix.identity(2 * k)])
-        .mul(_block_pattern(pattern, mb.diag))
+        .mul(IntMatrix.block_pattern(pattern, mb.diag))
         .mul(IntMatrix.block_diagonal([b_inv, b_inv]))
     )
     return FormIso(source, target, GroupHom(source.group, target.group, hom))

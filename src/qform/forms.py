@@ -143,9 +143,8 @@ def hyperbolic(k: int, target: AbGroup = ZERO_GROUP, v: GroupHom | None = None) 
     """
     if k < 0:
         raise DimensionMismatch("hyperbolic rank parameter must be non-negative")
-    top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
-    bottom = IntMatrix.identity(k).hstack(IntMatrix.zeros(k, k))
-    return EQForm(free_group(2 * k), top.vstack(bottom), GroupHom.zero(free_group(2 * k), target), v)
+    lam = IntMatrix.block_pattern(("0 I", "I 0"), (0,) * k)
+    return EQForm(free_group(2 * k), lam, GroupHom.zero(free_group(2 * k), target), v)
 
 
 def negate(e: EQForm) -> EQForm:
@@ -178,13 +177,22 @@ class FormSum:
 
 
 def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
+    """(A, λ_A, μ_A) ⊕ (B, λ_B, μ_B) on ``direct_sum_with_maps(A, B)``.
+
+    Coordinates are free(A), free(B), then the merged torsion, and λ is
+    the block diagonal of the two reduced pairings and a zero torsion
+    block.  That equals pa^T·λ_A·pa + pb^T·λ_B·pb for the projections pa,
+    pb: each projection is the identity on its own free coordinates, and
+    λ_A, λ_B vanish on torsion (``EQForm`` requires it), so the torsion
+    blocks of the projections meet only zeros.  μ = μ_A∘pa + μ_B∘pb.
+    """
     if a.target != b.target:
         raise HypothesisError("target mismatch", "direct sum needs a common coefficient group")
     if a.v != b.v:
         raise HypothesisError("parity mismatch", "direct sum needs a common parity map")
     ds = direct_sum_with_maps(a.group, b.group)
-    pa, pb = ds.proj_a.matrix, ds.proj_b.matrix
-    lam = pa.transpose().mul(a.matrix).mul(pa).add(pb.transpose().mul(b.matrix).mul(pb))
+    t = len(ds.group.torsion)
+    lam = IntMatrix.block_diagonal([a.reduced_matrix(), b.reduced_matrix(), IntMatrix.zeros(t, t)])
     mu = a.mu.compose(ds.proj_a).add(b.mu.compose(ds.proj_b))
     total = EQForm(ds.group, lam, mu, a.v)
     return FormSum(total, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b)

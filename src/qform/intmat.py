@@ -40,6 +40,7 @@ whole matrix to the Smith decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
@@ -78,11 +79,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def diagonal(diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -189,17 +190,36 @@ class IntMatrix:
 
     @staticmethod
     def block_diagonal(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        """diag(blocks): each block's rows padded with zeros to either side.
+
+        A block may have no rows or no columns; it then only shifts the
+        blocks after it right or down.
+        """
+        cols = sum([b.cols for b in blocks])
+        data = []
+        left = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    data[r0 + i][c0 + j] = b.entries[i][j]
-            r0 += b.rows
-            c0 += b.cols
-        return IntMatrix.from_rows(data, cols)
+            before, after = (0,) * left, (0,) * (cols - left - b.cols)
+            data += [before + row + after for row in b.entries]
+            left += b.cols
+        return IntMatrix(len(data), cols, tuple(data))
+
+    @staticmethod
+    def block_pattern(pattern: Sequence[str], diag: Sequence[int]) -> "IntMatrix":
+        """The matrix of k×k blocks named by ``pattern``, k = len(diag).
+
+        Each string is one block row; its words name the blocks: 0, I, -I or
+        D = diag(diag).
+        """
+        k = len(diag)
+        blocks = {
+            "0": IntMatrix.zeros(k, k),
+            "I": IntMatrix.identity(k),
+            "-I": IntMatrix.identity(k).neg(),
+            "D": IntMatrix.diagonal(diag),
+        }
+        rows = [reduce(IntMatrix.hstack, [blocks[w] for w in row.split()]) for row in pattern]
+        return reduce(IntMatrix.vstack, rows)
 
     # -- exact linear algebra -----------------------------------------
 

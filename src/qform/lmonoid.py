@@ -130,11 +130,9 @@ def zero_formation(q_group: AbGroup, v: GroupHom) -> QuasiFormation:
         raise DimensionMismatch("parity map must go from the coefficient group to Z/2")
     k = q_group.num_gens
     m = free_group(2 * k)
-    diag = [v.apply(g)[0] for g in q_group.gens()]
-    top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
-    bottom = IntMatrix.identity(k).hstack(IntMatrix.diagonal(diag, rows=k, cols=k))
+    lam = IntMatrix.block_pattern(("0 I", "I D"), [v.apply(g)[0] for g in q_group.gens()])
     mu = GroupHom.from_gen_images(m, q_group, [q_group.zero()] * k + list(q_group.gens()))
-    form = EQForm(m, top.vstack(bottom), mu, v)
+    form = EQForm(m, lam, mu, v)
     lagr = SubgroupRep.from_elements(m, [m.gen(i) for i in range(k)])
     return QuasiFormation(form, lagr, lagr)
 
@@ -278,28 +276,13 @@ def bar_reduce(q: QuasiFormation) -> QuasiFormation:
 
 
 def unbar(qbar: QuasiFormation, r_group: AbGroup) -> QuasiFormation:
-    """Append the torsion group (R, 0, 0), enlarging the lagrangian by R."""
+    """qbar ⊕ ((R, 0, 0); R, 0): append the torsion group R, enlarging the lagrangian by R."""
     if not qbar.form.is_free():
         raise HypothesisError("unbar starts from a free quasi-formation")
     if r_group.free_rank != 0:
         raise HypothesisError("appended group must be torsion")
-    r = qbar.form.rank
-    t = len(r_group.torsion)
-    group = AbGroup(r, r_group.torsion)
-    lam = IntMatrix.block_diagonal([qbar.form.matrix, IntMatrix.zeros(t, t)])
-    mu = GroupHom(group, qbar.target, qbar.form.mu.matrix.hstack(
-        IntMatrix.zeros(qbar.target.num_gens, t)
-    ))
-    form = EQForm(group, lam, mu, qbar.form.v)
-    pad = (0,) * t
-    lagr_gens = [g + pad for g in qbar.lagrangian.generators()]
-    lagr_gens += [group.gen(r + j) for j in range(t)]
-    summ_gens = [g + pad for g in qbar.summand.generators()]
-    return QuasiFormation(
-        form,
-        SubgroupRep.from_elements(group, lagr_gens),
-        SubgroupRep.from_elements(group, summ_gens),
-    )
+    appended = pullback(GroupHom.zero(r_group, qbar.form.group), qbar.form)
+    return qf_direct_sum(qbar, QuasiFormation(appended, SubgroupRep.full(r_group), SubgroupRep.zero(r_group)))
 
 
 def bar_round_trip(q: QuasiFormation) -> FormIso:

@@ -53,12 +53,14 @@ class SearchBudget:
 def default_budget(entry_bound: int = 3, max_stab: int = 2) -> SearchBudget:
     """Budget with the node limit taken from QFORM_NODE_LIMIT if set.
 
-    A value that is not an integer raises ``SchemaError``.
+    A value that is not a non-negative integer raises ``SchemaError``.
     """
     try:
         limit = int(os.environ.get("QFORM_NODE_LIMIT", _DEFAULT_NODE_LIMIT))
     except ValueError:
         raise SchemaError("QFORM_NODE_LIMIT", "expected an integer") from None
+    if limit < 0:
+        raise SchemaError("QFORM_NODE_LIMIT", "must be non-negative")
     return SearchBudget(entry_bound, max_stab, limit)
 
 
@@ -312,6 +314,14 @@ class StableSearch:
     iso: FormIso
 
 
+def _stabilizations(rank: int, other_rank: int, max_stab: int) -> Iterator[tuple[int, int]]:
+    """The pairs (k, l), k ascending, with rank + 2k = other_rank + 2l and k, l ≤ max_stab."""
+    for k in range(max_stab + 1):
+        diff = rank + 2 * k - other_rank
+        if diff >= 0 and diff % 2 == 0 and diff // 2 <= max_stab:
+            yield k, diff // 2
+
+
 def search_stable_isomorphism(
     q: QuasiFormation, qp: QuasiFormation, budget: Optional[SearchBudget] = None
 ) -> Optional[StableSearch]:
@@ -328,13 +338,7 @@ def search_stable_isomorphism(
     ticker = _Ticker(budget.node_limit)
     target = q.form.target
     v = q.form.v
-    for k in range(budget.max_stab + 1):
-        diff = q.form.group.free_rank + 2 * k - qp.form.group.free_rank
-        if diff < 0 or diff % 2:
-            continue
-        l = diff // 2
-        if l > budget.max_stab:
-            continue
+    for k, l in _stabilizations(q.form.rank, qp.form.rank, budget.max_stab):
         a = q if k == 0 else qf_direct_sum(q, standard_elementary(k, target, v))
         b = qp if l == 0 else qf_direct_sum(qp, standard_elementary(l, target, v))
         if a.form.group != b.form.group:
@@ -353,13 +357,7 @@ def search_stable_form_isomorphism(
     if e.target != f.target or e.v != f.v:
         raise DimensionMismatch("forms live over different coefficients")
     ticker = _Ticker(budget.node_limit)
-    for k in range(budget.max_stab + 1):
-        diff = e.group.free_rank + 2 * k - f.group.free_rank
-        if diff < 0 or diff % 2:
-            continue
-        l = diff // 2
-        if l > budget.max_stab:
-            continue
+    for k, l in _stabilizations(e.rank, f.rank, budget.max_stab):
         a = e if k == 0 else form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
         b = f if l == 0 else form_direct_sum(f, hyperbolic(l, e.target, e.v)).form
         if a.group != b.group:

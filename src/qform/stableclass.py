@@ -9,7 +9,7 @@ the answer to forms with torsion, is what this module does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, free_section
@@ -317,15 +317,10 @@ def si_hyp(e: EQForm) -> SIReport:
     b = bar.mu.apply(y)[0]
     trace.append("hyperbolic basis values (%d, %d)" % (a, b))
     pairs = si_enumerate(a, b)
-    torsion = e.group.torsion
-    reps = []
-    for c, d in pairs.representatives:
-        group = AbGroup(2, torsion)
-        t = len(torsion)
-        lam = IntMatrix.block_diagonal([H2_MATRIX, IntMatrix.zeros(t, t)])
-        mu = GroupHom(group, e.target, IntMatrix.from_rows([[c, d] + [0] * t], group.num_gens))
-        reps.append(EQForm(group, lam, mu, e.v))
-    return SIReport(pairs.size, tuple(reps), tuple(trace))
+    # (T, 0, 0): the torsion of e with the zero pairing and μ = 0
+    torsion = pullback(GroupHom.zero(AbGroup(0, e.group.torsion), e.group), e)
+    reps = tuple(form_direct_sum(replace(e_ab(c, d), v=e.v), torsion).form for c, d in pairs.representatives)
+    return SIReport(pairs.size, reps, tuple(trace))
 
 
 def aut_action_check(e: EQForm, n: EQForm, h: GroupHom) -> FormIso:

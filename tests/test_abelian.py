@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from qform.abelian import (
     AbGroup,
-    DirectSum,
     GroupHom,
     SubgroupRep,
     direct_complement,
@@ -646,3 +645,74 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_int_nullspace_is_the_hermite_basis_of_the_smith_reference(a):
     assert int_nullspace(a) == list(hermite_row_basis(smith_nullspace(a), a.cols))
+
+
+# -- direct sums against the former construction ----------------------
+
+
+def reference_direct_sum(a, b):
+    """A ⊕ B with its four maps, built column by column and row by row.
+
+    The former hand-written construction, kept as the reference for the
+    block-diagonal maps; returns (group, incl_a, incl_b, proj_a, proj_b).
+    """
+    ra, rb = a.free_rank, b.free_rank
+    mixed = list(a.torsion) + list(b.torsion)
+    t = len(mixed)
+    keep, torsion = [], ()
+    if t:
+        dec = smith_normal_form(IntMatrix.diagonal(mixed, rows=t, cols=t))
+        u_inv = dec.u.inverse_unimodular()
+        keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
+        torsion = tuple(dec.d.entries[i][i] for i in keep)
+    total = AbGroup(ra + rb, torsion)
+
+    def embed_free(offset, src_index):
+        col = [0] * total.num_gens
+        col[offset + src_index] = 1
+        return col
+
+    def embed_tors(j):
+        col = [0] * total.num_gens
+        for pos, i in enumerate(keep):
+            col[ra + rb + pos] = dec.u.entries[i][j]
+        return col
+
+    cols_a = [embed_free(0, i) for i in range(ra)] + [embed_tors(j) for j in range(len(a.torsion))]
+    cols_b = [embed_free(ra, i) for i in range(rb)] + [
+        embed_tors(len(a.torsion) + j) for j in range(len(b.torsion))
+    ]
+    incl_a = GroupHom.from_gen_images(a, total, cols_a) if cols_a else GroupHom.zero(a, total)
+    incl_b = GroupHom.from_gen_images(b, total, cols_b) if cols_b else GroupHom.zero(b, total)
+
+    def proj_matrix(tgt, off, t_off):
+        rows_out = [[0] * total.num_gens for _ in range(tgt.num_gens)]
+        for i in range(tgt.free_rank):
+            rows_out[i][off + i] = 1
+        for pos, i in enumerate(keep):
+            col = u_inv.column(i)
+            for j in range(len(tgt.torsion)):
+                rows_out[tgt.free_rank + j][ra + rb + pos] = col[t_off + j]
+        return IntMatrix.from_rows(rows_out, total.num_gens) if rows_out else IntMatrix.zeros(0, total.num_gens)
+
+    proj_a = GroupHom(total, a, proj_matrix(a, 0, 0))
+    proj_b = GroupHom(total, b, proj_matrix(b, ra, len(a.torsion)))
+    return total, incl_a, incl_b, proj_a, proj_b
+
+
+def test_direct_sum_maps_match_the_reference_on_every_pair_of_groups():
+    for g1, g2 in itertools.product(GROUPS, repeat=2):
+        ds = direct_sum_with_maps(g1, g2)
+        assert (ds.group, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b) == reference_direct_sum(g1, g2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups(), groups())
+@example(AbGroup(0, (2,)), AbGroup(0, (3,)))
+@example(AbGroup(1, (2,)), AbGroup(0, (2, 4)))
+@example(AbGroup(0, (4,)), AbGroup(0, (6,)))
+@example(AbGroup(0, ()), AbGroup(0, ()))
+def test_direct_sum_maps_match_the_reference(g1, g2):
+    ds = direct_sum_with_maps(g1, g2)
+    assert (ds.group, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b) == reference_direct_sum(g1, g2)
+    assert_biproduct(ds, g1, g2)

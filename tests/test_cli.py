@@ -10,7 +10,7 @@ import json
 import pytest
 
 from qform import cli
-from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
+from qform.abelian import GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
 from qform.lmonoid import standard_elementary
@@ -325,6 +325,38 @@ def test_argparse_help_and_errors_repeat_exactly(capsys):
     assert seen[:4] == seen[4:]
     assert [code for code, _, _ in seen[:4]] == [0, 2, 2, 2]
     assert "invalid int value: 'x'" in seen[1][2]
+
+
+@pytest.mark.parametrize("field", ["entry_bound", "max_stab", "node_limit"])
+def test_negative_budget_in_a_stored_result_is_a_schema_error(tmp_path, capsys, field):
+    path = write_doc(tmp_path, "h2.json", form_to_doc(hyperbolic(1, ZERO_GROUP, V0)))
+    code, doc, _ = invoke(capsys, "oracle-lagrangians", "--input", path)
+    assert code == 0
+    doc["budget"][field] = -1
+    code, err, _ = invoke(capsys, "validate", "--input", write_doc(tmp_path, "stored.json", doc))
+    assert code == 2
+    assert err["path"] == "input.budget." + field
+    assert "must be non-negative" in err["error"]
+
+
+def test_negative_node_limit_env(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "h2.json", form_to_doc(hyperbolic(1, ZERO_GROUP, V0)))
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "-1")
+    code, doc, _ = invoke(capsys, "oracle-lagrangians", "--input", path)
+    assert code == 2
+    assert doc["path"] == "QFORM_NODE_LIMIT"
+    assert "must be non-negative" in doc["error"]
+
+
+@pytest.mark.parametrize("flag", ["--entry-bound", "--max-stab", "--node-limit"])
+def test_negative_budget_flags_are_usage_errors(tmp_path, capsys, flag):
+    path = write_doc(tmp_path, "h2.json", form_to_doc(hyperbolic(1, ZERO_GROUP, V0)))
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["oracle-lagrangians", "--input", path, flag, "-1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "expected a non-negative integer, got '-1'" in out.err
 
 
 # -- validate encodes the stored result only when the input text is not canonical

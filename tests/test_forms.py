@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, invert_iso
+from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, direct_sum_with_maps, free_group, invert_iso
 from qform.errors import HypothesisError, NotWellDefined, VMissing
 from qform.forms import (
     EQForm,
@@ -171,6 +171,55 @@ def test_hyperbolic_sum_is_hyperbolic_shuffle():
         s.form.group, h4.group, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
     )
     FormIso(s.form, h4, shuffle)  # validates
+
+
+SUM_GROUPS = [
+    free_group(0), free_group(2), AbGroup(0, (2,)), AbGroup(0, (3,)), AbGroup(1, (2,)),
+    AbGroup(0, (2, 4)), AbGroup(2, (3, 6)), AbGroup(1, (2, 2, 4)),
+]
+Q_MIXED = AbGroup(1, (2,))
+V_MIXED = GroupHom.from_gen_images(Q_MIXED, Z2, [(1,), (1,)])
+
+
+def random_form(rng, group, v=None):
+    """A random symmetric pairing on the free part and a random μ into Z ⊕ Z/2."""
+    r, t = group.free_rank, len(group.torsion)
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            s[i][j] = s[j][i] = rng.randint(-3, 3)
+    lam = IntMatrix.block_diagonal([IntMatrix.from_rows(s, r), IntMatrix.zeros(t, t)])
+    images = [(rng.randint(-3, 3), rng.randrange(2)) for _ in range(r)]
+    images += [(0, rng.randrange(2) if d % 2 == 0 else 0) for d in group.torsion]
+    return EQForm(group, lam, GroupHom.from_gen_images(group, Q_MIXED, images), v)
+
+
+def product_direct_sum(a, b):
+    """The former λ = pa^T·λ_A·pa + pb^T·λ_B·pb and μ = μ_A∘pa + μ_B∘pb."""
+    ds = direct_sum_with_maps(a.group, b.group)
+    pa, pb = ds.proj_a.matrix, ds.proj_b.matrix
+    lam = pa.transpose().mul(a.matrix).mul(pa).add(pb.transpose().mul(b.matrix).mul(pb))
+    mu = a.mu.compose(ds.proj_a).add(b.mu.compose(ds.proj_b))
+    return EQForm(ds.group, lam, mu, a.v)
+
+
+def test_direct_sum_pairing_matches_the_product_formula():
+    rng = random.Random(19)
+    for g1 in SUM_GROUPS:
+        for g2 in SUM_GROUPS:
+            for v in (None, V_MIXED):
+                a, b = random_form(rng, g1, v), random_form(rng, g2, v)
+                s = form_direct_sum(a, b)
+                assert s.form == product_direct_sum(a, b)
+                ds = direct_sum_with_maps(g1, g2)
+                assert (s.incl_a, s.incl_b, s.proj_a, s.proj_b) == (ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b)
+
+
+def test_hyperbolic_matches_its_block_matrix():
+    for k in range(4):
+        top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
+        bottom = IntMatrix.identity(k).hstack(IntMatrix.zeros(k, k))
+        assert hyperbolic(k).matrix == top.vstack(bottom)
 
 
 # -- orthogonal complements -------------------------------------------

@@ -1,6 +1,7 @@
 """Exact matrix layer: Smith/Hermite normal forms and integer solving."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -538,3 +539,113 @@ def test_hermite_checks_the_width_of_nonzero_rows_only():
     for basis in (hermite_row_basis, rescanning_hermite_row_basis):
         with pytest.raises(DimensionMismatch):
             basis([[1, 2], [0, 0, 1]], 2)
+
+
+# -- block matrices against the former index loop ------------------------
+
+
+def looped_block_diagonal(blocks):
+    """diag(blocks) filled entry by entry into a zero matrix."""
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    data = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                data[r0 + i][c0 + j] = b.entries[i][j]
+        r0 += b.rows
+        c0 += b.cols
+    return IntMatrix.from_rows(data, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(lambda s: dense(*s)), max_size=4))
+@example([IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3), IntMatrix.identity(1)])
+def test_block_diagonal_matches_the_index_loop(blocks):
+    assert IntMatrix.block_diagonal(blocks) == looped_block_diagonal(blocks)
+
+
+def test_block_pattern_names_its_blocks():
+    assert IntMatrix.block_pattern(("0 I", "I D"), (0, 1)).tolist() == [
+        [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1],
+    ]
+    assert IntMatrix.block_pattern(("I D", "0 -I"), (1,)).tolist() == [[1, 1], [0, -1]]
+    assert IntMatrix.block_pattern(("0 I", "I 0"), ()) == IntMatrix.zeros(0, 0)
+
+
+# -- normal forms against oracles that share no code with intmat ----------
+
+
+def determinantal_divisors(rows, m, n):
+    """d_k = gcd of the k×k minors (Leibniz), k = 0..min(m, n); d_0 = 1."""
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                g = math.gcd(g, leibniz_det(IntMatrix(k, k, tuple(tuple(rows[i][j] for j in ci) for i in ri))))
+        divisors.append(g)
+    return divisors
+
+
+@st.composite
+def structured_small(draw):
+    """Up to 5×5 with scaled rows and columns and repeated rows, so the divisors are not all 1."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    row_scale = [draw(st.sampled_from([1, 2, 3, 6])) for _ in range(m)]
+    col_scale = [draw(st.sampled_from([1, 2, 5])) for _ in range(n)]
+    return [[x * row_scale[i] * col_scale[j] for j, x in enumerate(r)] for i, r in enumerate(rows)], m, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_small())
+@example(([[2, 0], [0, 3]], 2, 2))
+@example(([[0, 0, 0]], 1, 3))
+def test_smith_diagonal_is_the_ratio_of_determinantal_divisors(case):
+    rows, m, n = case
+    d = determinantal_divisors(rows, m, n)
+    expected = tuple(d[k] // d[k - 1] if d[k - 1] else 0 for k in range(1, min(m, n) + 1))
+    assert smith_normal_form(IntMatrix(m, n, tuple(map(tuple, rows)))).diagonal == expected
+
+
+def scrambled(rng, rows):
+    """``rows`` after random swaps, negations and additions of multiples of one row to another."""
+    work = [list(r) for r in rows]
+    for _ in range(rng.randint(0, 12)):
+        i, j = rng.randrange(len(work)), rng.randrange(len(work))
+        kind = rng.randrange(3)
+        if kind == 0:
+            work[i], work[j] = work[j], work[i]
+        elif kind == 1:
+            work[i] = [-x for x in work[i]]
+        elif i != j:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            work[i] = [x + c * y for x, y in zip(work[i], work[j])]
+    return work
+
+
+def test_hermite_basis_is_unchanged_by_unimodular_row_operations():
+    rng = random.Random(37)
+    for _ in range(150):
+        width = rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(rng.randint(1, 6))]
+        basis = hermite_row_basis(rows, width)
+        assert hermite_row_basis(scrambled(rng, rows), width) == basis
+        assert hermite_row_basis(scrambled(rng, rows) + [[0] * width], width) == basis
+
+
+def test_invariant_factors_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(43)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        scale = [rng.choice([1, 2, 3, 4]) for _ in range(m)]
+        rows = [[scale[i] * rng.randint(-9, 9) for _ in range(n)] for i in range(m)]
+        theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert smith_normal_form(IntMatrix.from_rows(rows, n)).diagonal == tuple(int(x) for x in theirs)

@@ -78,6 +78,19 @@ def test_zero_formation_parity_twists_the_diagonal():
     assert q.form.is_geometric()
 
 
+@pytest.mark.parametrize("torsion", [(), (2,), (3,), (2, 2), (2, 4)])
+@pytest.mark.parametrize("free_rank", [0, 1, 2])
+def test_zero_formation_pairing_matches_its_block_matrix(free_rank, torsion):
+    q_group = AbGroup(free_rank, torsion)
+    images = [(i % 2,) for i in range(free_rank)] + [(1,) if d % 2 == 0 else (0,) for d in torsion]
+    v = GroupHom.from_gen_images(q_group, Z2, images)
+    k = q_group.num_gens
+    diag = [v.apply(g)[0] for g in q_group.gens()]
+    top = IntMatrix.zeros(k, k).hstack(IntMatrix.identity(k))
+    bottom = IntMatrix.identity(k).hstack(IntMatrix.diagonal(diag, rows=k, cols=k))
+    assert zero_formation(q_group, v).form.matrix == top.vstack(bottom)
+
+
 def test_zero_formation_trivial_group_is_elementary():
     q = zero_formation(ZERO_GROUP, V0)
     assert q.form.rank == 0
@@ -315,6 +328,45 @@ def test_unbar_restores_the_aligned_instance():
     e = torsion_block(1, (3,))
     q = QuasiFormation(e, sub(e, (1, 0, 0), (0, 0, 1)), sub(e, (0, 1, 0)))
     assert unbar(bar_reduce(q), AbGroup(0, (3,))) == q
+
+
+def reference_unbar(qbar, r_group):
+    """The former unbar: its block matrices and padded generators written out."""
+    r = qbar.form.rank
+    t = len(r_group.torsion)
+    group = AbGroup(r, r_group.torsion)
+    lam = IntMatrix.block_diagonal([qbar.form.matrix, IntMatrix.zeros(t, t)])
+    mu = GroupHom(group, qbar.target, qbar.form.mu.matrix.hstack(IntMatrix.zeros(qbar.target.num_gens, t)))
+    form = EQForm(group, lam, mu, qbar.form.v)
+    pad = (0,) * t
+    lagr_gens = [g + pad for g in qbar.lagrangian.generators()]
+    lagr_gens += [group.gen(r + j) for j in range(t)]
+    summ_gens = [g + pad for g in qbar.summand.generators()]
+    return QuasiFormation(form, sub(form, *lagr_gens), sub(form, *summ_gens))
+
+
+def test_unbar_matches_the_reference():
+    half = AbGroup(0, (2,))
+    e = torsion_block(1, (3,))
+    free = [
+        standard_elementary(2),
+        zero_formation(Z, VZ),
+        zero_formation(half, GroupHom.from_gen_images(half, Z2, [(1,)])),
+        zero_formation(ZERO_GROUP, V0),
+        bar_reduce(QuasiFormation(e, sub(e, (1, 0, 0), (0, 0, 1)), sub(e, (0, 1, 1)))),
+    ]
+    for qbar in free:
+        for torsion in [(), (2,), (3,), (2, 4), (3, 6), (2, 2, 4)]:
+            r_group = AbGroup(0, torsion)
+            assert unbar(qbar, r_group) == reference_unbar(qbar, r_group)
+
+
+def test_unbar_refusals():
+    e = torsion_block(1, (3,))
+    with pytest.raises(HypothesisError, match="free quasi-formation"):
+        unbar(QuasiFormation(e, sub(e, (1, 0, 0), (0, 0, 1)), sub(e, (0, 1, 0))), AbGroup(0, (2,)))
+    with pytest.raises(HypothesisError, match="must be torsion"):
+        unbar(standard_elementary(1), AbGroup(1, (2,)))
 
 
 def test_round_trip_handles_a_twisted_summand():

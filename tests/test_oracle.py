@@ -47,6 +47,13 @@ def test_default_budget_rejects_a_malformed_environment(monkeypatch):
     assert err.value.path == "QFORM_NODE_LIMIT"
 
 
+def test_default_budget_rejects_a_negative_environment(monkeypatch):
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "-1")
+    with pytest.raises(SchemaError) as err:
+        default_budget()
+    assert err.value.path == "QFORM_NODE_LIMIT"
+
+
 # -- lagrangian enumeration ----------------------------------------------
 
 

@@ -6,11 +6,10 @@ from math import gcd
 import pytest
 
 from qform.abelian import AbGroup, GroupHom, Z2, ZERO_GROUP, free_group
-from qform.errors import DimensionMismatch, HypothesisError, NotWellDefined
+from qform.errors import HypothesisError
 from qform.forms import EQForm, FormIso, form_direct_sum, hyperbolic
 from qform.intmat import IntMatrix
 from qform.stableclass import (
-    SIReport,
     aut_action_check,
     e_ab,
     gcd_profile,
@@ -294,6 +293,30 @@ def test_si_hyp_strips_torsion():
     assert r.trace[0] == "stripped torsion (5,)"
     assert [rep.mu.matrix.tolist() for rep in r.representatives] == [[[1, 6, 0]], [[2, 3, 0]]]
     assert all(rep.group == g for rep in r.representatives)
+
+
+def reference_si_representatives(e, pairs):
+    """The former representatives: block matrices and a padded μ row written out."""
+    torsion = e.group.torsion
+    group = AbGroup(2, torsion)
+    t = len(torsion)
+    lam = IntMatrix.block_diagonal([IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.zeros(t, t)])
+    return tuple(
+        EQForm(group, lam, GroupHom(group, e.target, IntMatrix.from_rows([[c, d] + [0] * t], group.num_gens)), e.v)
+        for c, d in pairs
+    )
+
+
+@pytest.mark.parametrize("torsion", [(), (5,), (2, 4), (3, 6)])
+def test_si_hyp_representatives_match_the_reference(torsion):
+    g = AbGroup(2, torsion)
+    t = len(torsion)
+    lam = IntMatrix.block_diagonal([IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.zeros(t, t)])
+    for v in (None, GroupHom.zero(Z, Z2), GroupHom.from_gen_images(Z, Z2, [(1,)])):
+        for a, b in [(1, 6), (1, 30), (2, 15), (1, 4), (5, 6), (1, 0)]:
+            e = EQForm(g, lam, GroupHom(g, Z, IntMatrix.from_rows([[a, b] + [0] * t])), v)
+            r = si_hyp(e)
+            assert r.representatives == reference_si_representatives(e, si_enumerate(a, b).representatives)
 
 
 def test_si_hyp_reads_values_off_the_found_basis():
