@@ -554,9 +554,22 @@ COMMANDS = {
 # -- parser ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that also puts a usage error on stdout as a JSON document.
+
+    Subparsers are built by the same class, so every usage error (unknown
+    command, bad or missing argument) writes {"error", "path": "argv"} before
+    argparse prints the usage to stderr and exits 2.
+    """
+
+    def error(self, message):
+        _emit({"error": message, "path": "argv"})
+        super().error(message)
+
+
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qform",
         description="Exact computations with extended quadratic forms and quasi-formations.",
     )

@@ -15,8 +15,8 @@ are the workhorses of everything else in the package:
   Rows are kept by their leading column, so a column that leads no row
   costs nothing.
 
-Kernels come from Hermite bases too: ``int_nullspace`` computes no Smith
-form.
+Kernels and inverses come from Hermite bases too: ``int_nullspace`` and
+``inverse_unimodular`` compute no Smith form.
 
 Products go through one kernel, ``_combine``: each row of A*B is
 accumulated from the rows of B that the nonzero entries of A's row pick
@@ -29,12 +29,10 @@ Solving factors once: ``int_solver`` computes one Smith decomposition and
 returns a function that solves A*x = y for any number of right-hand sides;
 ``int_solve`` is that solver used once.
 
-``det`` and ``inverse_unimodular`` eliminate on ±1 pivots while a column
-offers one, touching only the rows that are nonzero in the pivot column,
-so a mostly permutation matrix costs about its nonzero entries.  At the
-first column without a ±1 entry, ``det`` hands the remaining block to
-fraction-free (Bareiss) elimination and ``inverse_unimodular`` hands the
-whole matrix to the Smith decomposition.
+``det`` eliminates on ±1 pivots while a column offers one, touching only
+the rows that are nonzero in the pivot column, so a mostly permutation
+matrix costs about its nonzero entries.  At the first column without a ±1
+entry it hands the remaining block to fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -262,37 +260,20 @@ class IntMatrix:
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a unimodular matrix; NoSolution for any other matrix.
 
-        Gauss–Jordan elimination on the augmented rows (A | I) with the
-        pivot rule of ``det``: column by column, the first remaining row
-        whose entry is ±1 becomes the pivot row, is made to start with 1,
-        and is subtracted from every other row that is nonzero in the
-        column, along its own nonzero entries.  With pivots ±1 no division
-        is needed, and when every column has one A is unimodular and the
-        right half ends as A⁻¹.  The first column without a ±1 entry hands
-        the whole matrix to the Smith decomposition, which raises unless
-        its diagonal is I and otherwise returns V·U.
+        The Hermite basis of the rows (A | I) is (I | A⁻¹) exactly when A is
+        unimodular: A⁻¹·(A | I) = (I | A⁻¹) lies in the row span and is a
+        basis of it, it is already in Hermite form (unit pivots, zeros
+        above them), and the Hermite form of a lattice is unique.  A left
+        half other than I means no integer inverse exists.
         """
         if not self.is_square:
             raise NoSolution("matrix is not unimodular")
         n = self.rows
-        m = [list(r) + [0] * n for r in self.entries]
-        for i, row in enumerate(m):
-            row[n + i] = 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k] in (1, -1)), None)
-            if piv is None:
-                return _smith_inverse(self)
-            m[k], m[piv] = m[piv], m[k]
-            if m[k][k] == -1:
-                m[k] = [-x for x in m[k]]
-            pivot_row = [(j, x) for j, x in enumerate(m[k]) if x and j != k]
-            for i, row in enumerate(m):
-                f = row[k]
-                if f and i != k:
-                    row[k] = 0
-                    for j, x in pivot_row:
-                        row[j] -= f * x
-        return IntMatrix(n, n, tuple(tuple(r[n:]) for r in m))
+        unit = IntMatrix.identity(n).entries
+        basis = hermite_row_basis([r + e for r, e in zip(self.entries, unit)], 2 * n)
+        if any(r[:n] != e for r, e in zip(basis, unit)):
+            raise NoSolution("matrix is not unimodular")
+        return IntMatrix(n, n, tuple(r[n:] for r in basis))
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
@@ -310,14 +291,6 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
             else:
                 acc = tuple(map(add, acc, map(mul, repeat(c), row)))
     return (0,) * width if acc is None else acc
-
-
-def _smith_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix from its Smith decomposition (raises if D != I)."""
-    dec = smith_normal_form(a)
-    if dec.d != IntMatrix.identity(a.rows):
-        raise NoSolution("matrix is not unimodular")
-    return dec.v.mul(dec.u)
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

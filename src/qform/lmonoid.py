@@ -46,7 +46,7 @@ from .forms import (
     subgroup_classify,
     swap_blocks,
 )
-from .intmat import IntMatrix, int_solver
+from .intmat import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -290,35 +290,22 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
 
     Built from a section of the torsion quotient whose image contains the
     summand; the identification of the appended torsion group with Tor is
-    coordinatewise.
+    coordinatewise.  The summand V is free, so its lattice meets the
+    torsion coordinates only in the relations: its canonical generators
+    are the Hermite rows that lead in a free column, and their free parts
+    are a basis of V̄.  The section sends each free part back to its
+    generator and a complement of V̄ to itself.
     """
     group = q.form.group
     reduced = bar_reduce(q)
     rebuilt = unbar(reduced, AbGroup(0, group.torsion))
-    r = group.free_rank
-
-    # lift the canonical basis of the reduced summand back into the summand
+    r, t = group.free_rank, len(group.torsion)
     v_gens = q.summand.generators()
-    vbar_basis = reduced.summand.generators()
-    lifted = []
-    if v_gens:
-        solve = int_solver(IntMatrix.from_columns([list(g[:r]) for g in v_gens], rows=r))
-        coeffs = [solve(b) for b in vbar_basis]
-        if None in coeffs:
-            raise NotWellDefined("summand does not project onto its image")
-        combined = IntMatrix.from_rows(coeffs, len(v_gens)).mul(IntMatrix.from_rows(v_gens, group.num_gens))
-        lifted = [group.reduce(row) for row in combined.entries]
-    comp = direct_complement(reduced.summand)
-    basis_cols = [list(b) for b in vbar_basis] + [list(c) for c in comp.generators()]
-    image_cols = [list(x) for x in lifted]
-    image_cols += [list(c) + [0] * len(group.torsion) for c in comp.generators()]
-    section = IntMatrix.from_columns(image_cols, rows=group.num_gens).mul(
-        IntMatrix.from_columns(basis_cols, rows=r).inverse_unimodular()
-    )
-    torsion_cols = [list(group.gen(r + j)) for j in range(len(group.torsion))]
-    full = section if not torsion_cols else section.hstack(
-        IntMatrix.from_columns(torsion_cols, rows=group.num_gens)
-    )
+    comp = direct_complement(reduced.summand).generators()
+    basis = IntMatrix.from_columns([g[:r] for g in v_gens] + comp, rows=r)
+    lifts = IntMatrix.from_columns(v_gens + [c + (0,) * t for c in comp], rows=group.num_gens)
+    torsion = IntMatrix.from_columns([group.gen(r + j) for j in range(t)], rows=group.num_gens)
+    full = lifts.mul(basis.inverse_unimodular()).hstack(torsion)
     iso = FormIso(rebuilt.form, q.form, GroupHom(rebuilt.form.group, group, full))
     if rebuilt.summand.transport(iso.hom) != q.summand:
         raise NotWellDefined("round trip does not restore the summand")
@@ -328,18 +315,6 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
 
 
 # -- trivialization of invertible classes over free coefficients -------
-
-
-def _subgroup_in_basis(s: SubgroupRep, incl: GroupHom) -> SubgroupRep:
-    """Rewrite a subgroup of the ambient in the coordinates of a summand."""
-    solve = int_solver(incl.matrix)
-    coords = []
-    for g in s.generators():
-        x = solve(list(g))
-        if x is None:
-            raise NotWellDefined("subgroup is not contained in the summand")
-        coords.append(x)
-    return SubgroupRep.from_elements(incl.source, coords)
 
 
 @dataclass(frozen=True)
@@ -361,7 +336,9 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
     lagrangians in the hyperbolic part H, where X is a direct complement
     of J and H = M'^⊥.  These hold by construction and are not re-checked
     here; the change of basis is returned as a one-move sequence that
-    ``replay`` re-checks.
+    ``replay`` re-checks.  Each part's subgroups are preimages along its
+    inclusion: the inclusion is injective and the subgroup lies in its
+    image, so the preimage is the subgroup in the part's coordinates.
     """
     e = q.form
     if not e.target.is_free:
@@ -386,9 +363,9 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
 
     m_incl, h_incl = m_prime.inclusion(), h.inclusion()
     m_form, h_form = pullback(m_incl, e), pullback(h_incl, e)
-    j_in = _subgroup_in_basis(common, m_incl)
-    l_in = _subgroup_in_basis(l_rest, h_incl)
-    k_in = _subgroup_in_basis(k_rest, h_incl)
+    j_in = common.preimage(m_incl)
+    l_in = l_rest.preimage(h_incl)
+    k_in = k_rest.preimage(h_incl)
     witness = is_hyperbolic_with_witness(h_form, l_in)
 
     zero_part = QuasiFormation(m_form, j_in, j_in)

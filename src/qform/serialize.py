@@ -32,10 +32,10 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, List
 
-from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group
+from .abelian import AbGroup, GroupHom, SubgroupRep, Z2
 from .construct import Flip, Keep, RUWord
-from .errors import SchemaError
-from .forms import EQForm, FormIso
+from .errors import HypothesisError, SchemaError
+from .forms import EQForm, FormIso, split_pair
 from .intmat import IntMatrix
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
@@ -375,10 +375,13 @@ def letter_from_doc(doc: Any, path: str = "letter") -> Any:
         return Keep(iso_from_doc(_get(d, "iso", path), path + ".iso"))
     if kind == "flip":
         witness = iso_from_doc(_get(d, "witness", path), path + ".witness")
-        rest = free_group(witness.target.group.num_gens - 2)
+        try:
+            rest, _ = split_pair(witness.target)
+        except HypothesisError as exc:
+            raise HypothesisError(f"{path}.witness: {exc}") from None
         return Flip(
             witness,
-            subgroup_from_doc(_get(d, "rest_lagrangian", path), rest, path + ".rest_lagrangian"),
+            subgroup_from_doc(_get(d, "rest_lagrangian", path), rest.group, path + ".rest_lagrangian"),
         )
     raise SchemaError(path + ".letter", "unknown letter kind %r" % kind)
 

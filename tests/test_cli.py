@@ -325,6 +325,11 @@ def test_argparse_help_and_errors_repeat_exactly(capsys):
     assert seen[:4] == seen[4:]
     assert [code for code, _, _ in seen[:4]] == [0, 2, 2, 2]
     assert "invalid int value: 'x'" in seen[1][2]
+    assert seen[0][1].startswith("usage: qform si") and seen[0][2] == ""
+    for _, out, err in seen[1:4]:
+        doc = json.loads(out)
+        assert doc["path"] == "argv"
+        assert err.startswith("usage: ") and err.endswith("error: %s\n" % doc["error"])
 
 
 @pytest.mark.parametrize("field", ["entry_bound", "max_stab", "node_limit"])
@@ -355,7 +360,10 @@ def test_negative_budget_flags_are_usage_errors(tmp_path, capsys, flag):
         cli.run(["oracle-lagrangians", "--input", path, flag, "-1"])
     out = capsys.readouterr()
     assert exc.value.code == 2
-    assert out.out == ""
+    assert json.loads(out.out) == {
+        "error": "argument %s: expected a non-negative integer, got '-1'" % flag,
+        "path": "argv",
+    }
     assert "expected a non-negative integer, got '-1'" in out.err
 
 

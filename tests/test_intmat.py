@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qform import intmat
 from qform.errors import DimensionMismatch, NoSolution
 from qform.intmat import (
     IntMatrix,
@@ -353,7 +352,7 @@ def test_det_of_an_all_non_unit_matrix_is_bareiss():
     assert a.det() == plain_bareiss(a) == leibniz_det(a) == -78
 
 
-# -- inverse by elimination against the Smith-form reference ------------
+# -- inverse from the Hermite basis against the Smith-form reference ----
 
 
 def smith_inverse(a):
@@ -372,8 +371,8 @@ def inverse_inputs(draw):
     """Square matrices that are unimodular or nearly so, with entries past 2**64.
 
     A signed permutation is sheared by row operations.  "no_unit" puts a
-    unimodular block without ±1 entries at a drawn position, so elimination
-    reaches the Smith fallback after some unit pivots; "scaled" and
+    unimodular block without ±1 entries at a drawn position, so the
+    Hermite reduction meets columns without a unit; "scaled" and
     "singular" make the matrix non-unimodular.
     """
     n = draw(st.integers(0, 8))
@@ -418,34 +417,17 @@ def test_inverse_matches_the_smith_reference(a):
         assert a.mul(inv) == inv.mul(a) == IntMatrix.identity(a.rows)
 
 
-def count_smith_calls(monkeypatch):
-    calls = []
-
-    def counting(a):
-        calls.append((a.rows, a.cols))
-        return smith_normal_form(a)
-
-    monkeypatch.setattr(intmat, "smith_normal_form", counting)
-    return calls
-
-
 @pytest.mark.parametrize("lead", [0, 1, 3])
-def test_inverse_falls_back_at_the_first_column_without_a_unit(monkeypatch, lead):
+def test_inverse_of_a_block_without_a_unit_matches_the_smith_reference(lead):
     a = IntMatrix.block_diagonal([IntMatrix.identity(lead), NO_UNIT_BLOCK]).mul(
         IntMatrix.block_diagonal([IntMatrix.identity(lead), IntMatrix.from_rows([[1, BIG], [0, 1]])])
     )
-    calls = count_smith_calls(monkeypatch)
-    inv = a.inverse_unimodular()
-    assert calls == [(lead + 2, lead + 2)]
-    assert inv == smith_inverse(a)
+    assert a.inverse_unimodular() == smith_inverse(a)
 
 
-def test_inverse_with_unit_pivots_takes_no_smith_form(monkeypatch):
+def test_inverse_with_unit_pivots_matches_the_smith_reference():
     a = IntMatrix.from_rows([[0, 1, BIG**2], [-1, 0, 3], [0, 0, -1]])
-    calls = count_smith_calls(monkeypatch)
-    inv = a.inverse_unimodular()
-    assert calls == []
-    assert inv == smith_inverse(a)
+    assert a.inverse_unimodular() == smith_inverse(a)
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (0, 2), (2, 0)])
@@ -649,3 +631,27 @@ def test_invariant_factors_agree_with_sympy():
         rows = [[scale[i] * rng.randint(-9, 9) for _ in range(n)] for i in range(m)]
         theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         assert smith_normal_form(IntMatrix.from_rows(rows, n)).diagonal == tuple(int(x) for x in theirs)
+
+
+def test_hermite_basis_agrees_with_sympy():
+    """sympy's Hermite form is column-style and pivots from the bottom right.
+
+    With every row reversed, `hermite_row_basis` is its column basis read backwards:
+    reverse each basis row and the order of the rows.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(47)
+    cases = [[[0, 0], [0, 0]], [[2, 4], [1, 2]]]
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice([1, 2, 3]) * rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            rows[-1] = [rng.choice([-2, 1, 3]) * x for x in rows[0]]  # rank-deficient
+        cases.append(rows)
+    for rows in cases:
+        n = len(rows[0])
+        ours = [r[::-1] for r in hermite_row_basis([r[::-1] for r in rows], n)][::-1]
+        theirs = hermite_normal_form(sympy.Matrix(rows).T)
+        assert ours == [tuple(int(x) for x in theirs.col(j)) for j in range(theirs.cols)]

@@ -398,6 +398,8 @@ def test_round_trip_randomized():
                 g[2 * k + j] += rng.randrange(torsion[j])
             v_gens.append(tuple(g))
         q = QuasiFormation(e, lagr, sub(e, *v_gens))
+        # V is free: the free parts of its generators are V̄'s Hermite basis, which bar_round_trip lifts by them
+        assert bar_reduce(q).summand.generators() == [g[: 2 * k] for g in q.summand.generators()]
         iso = bar_round_trip(q)
         assert iso.source == unbar(bar_reduce(q), AbGroup(0, torsion)).form
         assert iso.target == q.form

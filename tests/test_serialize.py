@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
-from qform.construct import ru_wall_witness, ru_word_eval
-from qform.errors import NotWellDefined, SchemaError
+from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
+from qform.errors import HypothesisError, NotWellDefined, SchemaError
 from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
 from qform.lmonoid import MoveSequence, Stab, apply_move, replay, standard_elementary
@@ -108,6 +108,42 @@ def test_word_round_trip_evaluates_identically():
     assert back == w.word
     assert canonical_dumps(word_to_doc(back)) == text
     assert ru_word_eval(back) == w.expected
+
+
+def flip_word_with_torsion():
+    """H ⊕ 0 on Z² ⊕ Z/2, L = ⟨e₁⟩, one flip whose rest lagrangian is 0 ⊂ Z/2."""
+    g = AbGroup(2, (2,))
+    e = EQForm(g, IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), GroupHom.zero(g, ZERO_GROUP))
+    rest = SubgroupRep.zero(AbGroup(0, (2,)))
+    return RUWord(e, SubgroupRep.from_elements(g, [g.gen(1)]), (Flip(FormIso.identity(e), rest),))
+
+
+def test_flip_word_with_torsion_round_trips_and_validates(tmp_path, capsys):
+    word = flip_word_with_torsion()
+    text = canonical_dumps(word_to_doc(word))
+    back = word_from_doc(reload(text))
+    assert back == word
+    assert ru_word_eval(back) == ru_word_eval(word)
+    path = tmp_path / "word.json"
+    path.write_text(text)
+    assert cli.run(["validate", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"command": "validate", "kind": "word", "letters": 1, "ok": True}
+
+
+@pytest.mark.parametrize(
+    "group, rows, reason",
+    [
+        (AbGroup(0, (2,)), [[0]], "split target has free rank < 2"),
+        (AbGroup(2, (2,)), [[1, 0, 0], [0, -1, 0], [0, 0, 0]], "split target does not start with a hyperbolic pair"),
+    ],
+    ids=["rank-below-two", "no-hyperbolic-pair"],
+)
+def test_flip_letter_with_a_non_split_target_names_the_letter(group, rows, reason):
+    e = EQForm(group, IntMatrix.from_rows(rows), GroupHom.zero(group, ZERO_GROUP))
+    doc = word_to_doc(RUWord(e, SubgroupRep.zero(group), ()))
+    doc["letters"] = [{"letter": "flip", "witness": iso_to_doc(FormIso.identity(e)), "rest_lagrangian": {"generators": []}}]
+    with pytest.raises(HypothesisError, match=r"^word\.letters\[0\]\.witness: %s$" % reason):
+        word_from_doc(reload(canonical_dumps(doc)))
 
 
 # -- canonical layout --------------------------------------------------
