@@ -185,7 +185,8 @@ class GroupHom:
     # -- subgroup-level operations ------------------------------------
 
     def image(self) -> "SubgroupRep":
-        return SubgroupRep.from_elements(self.target, [self.apply(g) for g in self.source.gens()])
+        """The subgroup the generators' images span: the columns of the matrix."""
+        return SubgroupRep.from_elements(self.target, self.matrix.transpose().entries)
 
     def kernel(self) -> "SubgroupRep":
         """Kernel as a subgroup of the source: the preimage of zero."""
@@ -300,6 +301,8 @@ class SubgroupRep:
 
     def is_free(self) -> bool:
         """True iff the subgroup contains no nonzero torsion element."""
+        if self.ambient.is_free:
+            return True
         return self.intersection(torsion_subgroup(self.ambient)).is_zero()
 
     def contains_torsion(self) -> bool:
@@ -326,10 +329,14 @@ class SubgroupRep:
         return _zero_head_tails(self.ambient, self.ambient.num_gens, rows)
 
     def transport(self, h: GroupHom) -> "SubgroupRep":
-        """Image of this subgroup under a hom out of the ambient group."""
+        """Image of this subgroup under a hom out of the ambient group.
+
+        The images are the rows of one product: the generators times hᵀ.
+        """
         if h.source != self.ambient:
             raise DimensionMismatch("transport along hom with wrong source")
-        return SubgroupRep.from_elements(h.target, [h.apply(g) for g in self.generators()])
+        gens = IntMatrix.from_rows(self.generators(), h.source.num_gens)
+        return SubgroupRep.from_elements(h.target, gens.mul(h.matrix.transpose()).entries)
 
     def preimage(self, h: GroupHom) -> "SubgroupRep":
         """Preimage h^{-1}(self) as a subgroup of h.source: rows (h(e_j) | e_j), (s | 0) for s in self."""

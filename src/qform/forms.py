@@ -205,16 +205,28 @@ def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
 class FormIso:
     """A validated isomorphism of extended quadratic forms.
 
-    Construction is the certificate: it checks, in this order, that the
-    map pulls the target's λ back to the source's, that it pulls μ back,
-    and that it is bijective (determinant ±1 between free groups; between
-    groups with torsion, an explicit two-sided inverse), and fails
-    otherwise.  There is no unchecked constructor, so every FormIso,
-    including every deserialized move, has passed these checks.
+    The public constructor is the certificate: it checks, in this order,
+    that the map pulls the target's λ back to the source's, that it pulls
+    μ back, and that it is bijective (determinant ±1 between free groups;
+    between groups with torsion, an explicit two-sided inverse), and fails
+    otherwise.  Every FormIso read from a document, and every one built
+    from a raw matrix, comes through it.
 
-    The inverse is computed on first use, by
-    ``IntMatrix.inverse_unimodular``, and cached; between groups with
-    torsion the bijectivity check computes it.
+    Each fact is checked once.  ``identity``, ``inverse``, ``compose`` and
+    ``iso_direct_sum`` build their results through ``_unchecked``, because
+    those results are isomorphisms whenever their inputs are: the identity
+    pulls everything back to itself; the inverse of a bijection that pulls
+    λ and μ back pulls them forward, which is the same facts read the
+    other way; a composite pulls back along each factor in turn; and a
+    block sum pulls back blockwise on the direct sums of the forms.  Only
+    the composition's endpoints are compared.
+
+    The inverse is computed on first use and cached: by
+    ``IntMatrix.inverse_unimodular`` between free groups, by ``invert_iso``
+    otherwise.  The public constructor's bijectivity check already
+    computes it between groups with torsion, ``identity`` is its own
+    inverse, and ``inverse()`` hands ``hom`` to its result as that
+    result's inverse.
     """
 
     source: EQForm
@@ -239,29 +251,40 @@ class FormIso:
         else:
             object.__setattr__(self, "_inverse", invert_iso(self.hom))
 
+    @classmethod
+    def _unchecked(cls, source: EQForm, target: EQForm, hom: GroupHom, inverse: GroupHom | None = None):
+        """An isomorphism that holds by construction from checked ones; nothing is re-checked."""
+        iso = object.__new__(cls)
+        iso.__dict__.update(source=source, target=target, hom=hom, _inverse=inverse)
+        return iso
+
     @property
     def inverse_hom(self) -> GroupHom:
         if self._inverse is None:
-            # only a map between free groups reaches here: its det is ±1
             h = self.hom
-            object.__setattr__(self, "_inverse", GroupHom(h.target, h.source, h.matrix.inverse_unimodular()))
+            if h.source.is_free and h.target.is_free:
+                inv = GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
+            else:
+                inv = invert_iso(h)
+            object.__setattr__(self, "_inverse", inv)
         return self._inverse
 
     @staticmethod
     def identity(e: EQForm) -> "FormIso":
-        return FormIso(e, e, GroupHom.identity(e.group))
+        one = GroupHom.identity(e.group)
+        return FormIso._unchecked(e, e, one, one)
 
     def apply(self, x) -> Vec:
         return self.hom.apply(x)
 
     def inverse(self) -> "FormIso":
-        return FormIso(self.target, self.source, self.inverse_hom)
+        return FormIso._unchecked(self.target, self.source, self.inverse_hom, self.hom)
 
     def compose(self, other: "FormIso") -> "FormIso":
         """self ∘ other (other applied first)."""
         if other.target != self.source:
             raise DimensionMismatch("isomorphisms do not compose")
-        return FormIso(other.source, self.target, self.hom.compose(other.hom))
+        return FormIso._unchecked(other.source, self.target, self.hom.compose(other.hom))
 
 
 def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
@@ -272,7 +295,7 @@ def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
         tgt.incl_a.compose(a.hom).compose(src.proj_a)
         .add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
     )
-    return FormIso(src.form, tgt.form, hom)
+    return FormIso._unchecked(src.form, tgt.form, hom)
 
 
 def swap_blocks(e: EQForm, size: int) -> FormIso:

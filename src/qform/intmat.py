@@ -18,12 +18,11 @@ are the workhorses of everything else in the package:
 Kernels and inverses come from Hermite bases too: ``int_nullspace`` and
 ``inverse_unimodular`` compute no Smith form.
 
-Products go through one kernel, ``_combine``: each row of A*B is
+Matrix products go through one kernel, ``_combine``: each row of A*B is
 accumulated from the rows of B that the nonzero entries of A's row pick
-out, and A*v from the columns of A that the nonzero entries of v pick
 out.  Zero entries are skipped, so the mostly permutation and
 block-diagonal operands of the move calculus cost little more than their
-nonzero entries.
+nonzero entries.  A*v is one dot product per row of A, with no transpose.
 
 Solving factors once: ``int_solver`` computes one Smith decomposition and
 returns a function that solves A*x = y for any number of right-hand sides;
@@ -172,7 +171,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> Vec:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return _combine(vec, tuple(zip(*self.entries)), self.rows)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     # -- composition helpers ------------------------------------------
 
@@ -280,8 +279,8 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
     """The sum of c_k * rows[k] over the nonzero c_k; rows have ``width`` entries.
 
     This is the product kernel: row i of A*B is A's row i combining B's
-    rows, and A*v is v combining A's columns.  A zero coefficient costs one
-    test and a coefficient 1 reuses its row.
+    rows.  A zero coefficient costs one test and a coefficient 1 reuses its
+    row.
     """
     acc = None
     for c, row in zip(coeffs, rows):

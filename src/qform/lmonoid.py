@@ -51,11 +51,30 @@ from .intmat import IntMatrix
 
 @dataclass(frozen=True)
 class QuasiFormation:
-    """A nonsingular form with a T-lagrangian and a free half-rank summand."""
+    """A nonsingular form with a T-lagrangian and a free half-rank summand.
+
+    The public constructor checks all three.  Formations read from a
+    document come through it, and so do ``standard_elementary``,
+    ``zero_formation`` and the result of a ``FlipL`` move.  Two
+    constructions skip it through ``_unchecked``, because there the facts
+    hold by construction from checked parts:
+    * ``qf_direct_sum``: a block sum of nonsingular forms is nonsingular,
+      and the sums of two T-lagrangians and of two free half-rank
+      summands are again such;
+    * the ``ApplyIso`` move: a checked isomorphism carries each fact from
+      its source form to its target form.
+    """
 
     form: EQForm
     lagrangian: SubgroupRep
     summand: SubgroupRep
+
+    @classmethod
+    def _unchecked(cls, form: EQForm, lagrangian: SubgroupRep, summand: SubgroupRep) -> "QuasiFormation":
+        """A quasi-formation that holds by construction from checked ones; nothing is re-checked."""
+        q = object.__new__(cls)
+        q.__dict__.update(form=form, lagrangian=lagrangian, summand=summand)
+        return q
 
     def __post_init__(self):
         if self.lagrangian.ambient != self.form.group or self.summand.ambient != self.form.group:
@@ -108,7 +127,7 @@ def qf_direct_sum(a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
     s = form_direct_sum(a.form, b.form)
     lagr = a.lagrangian.transport(s.incl_a).sum(b.lagrangian.transport(s.incl_b))
     summ = a.summand.transport(s.incl_a).sum(b.summand.transport(s.incl_b))
-    return QuasiFormation(s.form, lagr, summ)
+    return QuasiFormation._unchecked(s.form, lagr, summ)
 
 
 def standard_elementary(k: int, target: AbGroup = ZERO_GROUP, v: GroupHom | None = None) -> QuasiFormation:
@@ -195,7 +214,7 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
         if move.iso.source != q.form:
             raise HypothesisError("isomorphism does not start at the current form")
         h = move.iso.hom
-        return QuasiFormation(move.iso.target, q.lagrangian.transport(h), q.summand.transport(h))
+        return QuasiFormation._unchecked(move.iso.target, q.lagrangian.transport(h), q.summand.transport(h))
     if isinstance(move, Destab):
         if move.witness.source != q.form:
             raise HypothesisError("split witness does not start at the current form")

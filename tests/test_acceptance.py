@@ -342,7 +342,8 @@ def geometric_double():
     return EQForm(g, IntMatrix.from_rows(rows), mu, VZ)
 
 
-def test_triple_composition_witnesses_replay():
+def triple_composition_suite():
+    """Jacobi triples (e, K, L, V) in small forms, plain and in scrambled bases."""
     h2 = hyperbolic(1, ZERO_GROUP, V0)
     gd = geometric_double()
     zf = zero_formation(Z, VZ)
@@ -379,10 +380,28 @@ def test_triple_composition_witnesses_replay():
         u = random_unimodular(rng, e.group.num_gens)
         s = scramble_iso(e, u)
         suite.append((s.target, ks.transport(s.hom), ls.transport(s.hom), vs.transport(s.hom)))
-    for i, (e, ks, ls, vs) in enumerate(suite):
+    return suite
+
+
+def test_triple_composition_witnesses_replay():
+    for i, (e, ks, ls, vs) in enumerate(triple_composition_suite()):
         w = jacobi_witness(e, ks, ls, vs)
         res = replay(w.sequence)
         assert res.ok, (i, res.reason)
+
+
+def test_every_formation_and_iso_of_a_replay_passes_the_constructors():
+    # direct sums and ApplyIso results are built without re-running the
+    # checks, and so are the composed and inverted isos of the moves
+    for e, ks, ls, vs in triple_composition_suite():
+        seq = jacobi_witness(e, ks, ls, vs).sequence
+        current = seq.start
+        for move in seq.moves:
+            assert QuasiFormation(current.form, current.lagrangian, current.summand) == current
+            iso = move.iso if isinstance(move, ApplyIso) else move.witness
+            assert FormIso(iso.source, iso.target, iso.hom) == iso
+            current = apply_move(current, move)
+        assert QuasiFormation(current.form, current.lagrangian, current.summand) == current == seq.end
 
 
 def hyperbolic_triple(k):
@@ -415,6 +434,20 @@ def test_rank_eight_jacobi_certificate_replays_in_time():
     assert w.sequence.start.form.group.num_gens == 66
     # measured at 1.8 s on a 2-core x86-64 machine with CPython 3.11
     assert elapsed < 6.0
+
+
+def test_rank_twelve_jacobi_certificate_replays_in_time():
+    e, ks, ls, vs = hyperbolic_triple(6)
+    t0 = time.monotonic()
+    w = jacobi_witness(e, ks, ls, vs)
+    res = replay(w.sequence)
+    elapsed = time.monotonic() - t0
+    assert res.ok, res.reason
+    assert res.steps == 210
+    assert w.sequence.start.form.group.num_gens == 102
+    # measured at 2.0 s alone and 2.7 s inside the whole suite on a 2-core
+    # x86-64 machine with CPython 3.11
+    assert elapsed < 7.0
 
 
 # -- 9: structural anchors of the hyperbolic plane

@@ -4,13 +4,16 @@ Commands run in-process through ``cli.run`` so the tests can capture the
 JSON payload and the exit code without spawning interpreters.
 """
 
+import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from qform import cli
 from qform.abelian import GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
+from qform.errors import QformError
 from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
 from qform.lmonoid import standard_elementary
@@ -20,6 +23,7 @@ from qform.serialize import (
     formation_to_doc,
     group_to_doc,
     iso_to_doc,
+    move_from_doc,
     subgroup_to_doc,
 )
 
@@ -250,6 +254,103 @@ def test_oracle_lagrangians_and_iso(tmp_path, capsys):
     assert doc["iso"]["matrix"] == [[0, 1], [1, 0]]
     code, doc, _ = invoke(capsys, "validate", "--input", out)
     assert code == 0 and doc["ok"] is True
+
+
+# -- validate refuses tampered move sequences ---------------------------
+#
+# Two sequences: the benchmark's coverage sequence (stab, destab, flip and
+# iso on H_2) and the certificate jacobi writes for the benchmark's triple
+# A (66 iso and flip moves at ambient rank 30).  A dropped or swapped move
+# must fail at the first move whose check sees the change, and a changed
+# matrix entry must be refused with the move it sits in.
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def sequences():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        triple_a = cli.COMMANDS["jacobi"].build(gen.geometric_double_request("A").doc)
+        return {"coverage": gen.moves_request().doc, "triple-A": json.loads(canonical_dumps(triple_a["sequence"]))}
+
+
+def validate_sequence(tmp_path, capsys, doc):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run(["validate", "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def changes_form(move):
+    """Whether the move ends at another form than it starts from."""
+    if move["move"] == "iso":
+        return move["iso"]["source"] != move["iso"]["target"]
+    return move["move"] != "flip" and move["pairs"] > 0
+
+
+def fails_at_once(moves, i):
+    """Whether moving move i+1 into slot i must fail there.
+
+    Move i+1 starts at the form move i ends at; every kind but stab checks
+    that it starts at the current form.
+    """
+    return changes_form(moves[i]) and i + 1 < len(moves) and moves[i + 1]["move"] != "stab"
+
+
+def assert_refused_from(report, moves, i):
+    assert report["ok"] is False, report
+    if fails_at_once(moves, i):
+        assert report["failed_index"] == i, report
+    else:
+        # a move that keeps the form is missed only by a later check
+        assert report["failed_index"] is None or report["failed_index"] >= i, report
+
+
+@pytest.mark.parametrize(
+    "name,i", [("coverage", i) for i in range(4)] + [("triple-A", i) for i in (0, 1, 2, 33, 65)]
+)
+def test_validate_refuses_a_dropped_move(tmp_path, capsys, sequences, name, i):
+    doc = copy.deepcopy(sequences[name])
+    del doc["moves"][i]
+    code, report = validate_sequence(tmp_path, capsys, doc)
+    assert code == 2
+    assert_refused_from(report, sequences[name]["moves"], i)
+
+
+@pytest.mark.parametrize("name,i", [("coverage", i) for i in range(3)] + [("triple-A", i) for i in (1, 3, 33, 63)])
+def test_validate_refuses_two_swapped_moves(tmp_path, capsys, sequences, name, i):
+    moves = sequences[name]["moves"]
+    # two moves that both keep the form may commute; every triple-A swap here changes it
+    assert name == "coverage" or fails_at_once(moves, i)
+    doc = copy.deepcopy(sequences[name])
+    doc["moves"][i : i + 2] = doc["moves"][i + 1], doc["moves"][i]
+    code, report = validate_sequence(tmp_path, capsys, doc)
+    assert code == 2
+    assert_refused_from(report, moves, i)
+
+
+@pytest.mark.parametrize(
+    "name,i,field",
+    [("coverage", 1, "witness"), ("coverage", 2, "witness"), ("coverage", 3, "iso"), ("triple-A", 1, "iso"),
+     ("triple-A", 2, "witness")],
+)
+def test_validate_refuses_a_changed_matrix_entry(tmp_path, capsys, sequences, name, i, field):
+    # stab moves carry no matrix
+    doc = copy.deepcopy(sequences[name])
+    doc["moves"][i][field]["matrix"][0][1] += 1
+    code, report = validate_sequence(tmp_path, capsys, doc)
+    assert code == 2
+    if "failed_index" in report:
+        assert report["failed_index"] == i, report
+        return
+    # refused while reading: the move alone raises the reported error
+    with pytest.raises(QformError) as err:
+        move_from_doc(doc["moves"][i], "input.moves[%d]" % i)
+    assert report["error"] in (str(err.value), getattr(err.value, "condition", None)), report
+    assert report.get("path", "input.moves[%d]" % i).startswith("input.moves[%d]" % i), report
 
 
 # -- exit codes and diagnostics ----------------------------------------

@@ -1,8 +1,10 @@
 """Tests for extended quadratic forms: predicates, sums, complements."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, direct_sum_with_maps, free_group, invert_iso
 from qform.errors import HypothesisError, NotWellDefined, VMissing
@@ -425,3 +427,59 @@ def test_iso_direct_sum_leaves_an_unknown_inverse_to_first_use():
     total = iso_direct_sum(FormIso.identity(e), unknown)
     assert total.inverse_hom == reference_inverse(total)
     assert total.inverse().compose(total).hom == GroupHom.identity(total.source.group)
+
+
+# -- isomorphisms built from checked ones --------------------------------
+#
+# identity, inverse, compose and iso_direct_sum build their results without
+# re-running the checks; each such result must be one the public
+# constructor accepts.
+
+
+def assert_passes_the_constructor(iso):
+    assert FormIso(iso.source, iso.target, iso.hom) == iso
+    assert iso.inverse_hom.compose(iso.hom) == GroupHom.identity(iso.source.group)
+    assert iso.hom.compose(iso.inverse_hom) == GroupHom.identity(iso.target.group)
+
+
+def random_automorphism(rng, group):
+    """[[A, 0], [C, D]]: A unimodular, C torsion images of the free generators, D units on the torsion."""
+    r = group.free_rank
+    rows = [[int(i == j) for j in range(group.num_gens)] for i in range(group.num_gens)]
+    for _ in range(4 if r else 0):
+        i, j, c = rng.randrange(r), rng.randrange(r), rng.choice([-1, 1])
+        if i == j:
+            rows[i][:r] = [-x for x in rows[i][:r]]
+        else:
+            rows[j][:r] = [x + c * y for x, y in zip(rows[j][:r], rows[i][:r])]
+    for k, d in enumerate(group.torsion):
+        rows[r + k][:r] = [rng.randrange(d) for _ in range(r)]
+        rows[r + k][r + k] = rng.choice([u for u in range(1, d) if math.gcd(u, d) == 1])
+    return GroupHom(group, group, IntMatrix.from_rows(rows, group.num_gens))
+
+
+def random_iso(rng, e):
+    """A checked isomorphism from e onto e written in a random basis."""
+    h = random_automorphism(rng, e.group)
+    return FormIso(e, pullback(invert_iso(h), e), h)
+
+
+SMALL_GROUPS = [free_group(0), free_group(2), free_group(3), AbGroup(0, (3,)), AbGroup(1, (2,)), AbGroup(2, (2, 4))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.randoms(use_true_random=False))
+def test_isos_built_from_checked_ones_pass_the_constructor(g1, g2, rng):
+    f = random_iso(rng, random_form(rng, g1))
+    g = random_iso(rng, f.target)
+    k = random_iso(rng, random_form(rng, g2))
+    built = [
+        FormIso.identity(f.source),
+        f.inverse(),
+        g.compose(f),
+        f.inverse().compose(g.inverse()),
+        iso_direct_sum(f, k),
+        iso_direct_sum(g.compose(f), k.inverse()),
+    ]
+    for iso in built:
+        assert_passes_the_constructor(iso)
