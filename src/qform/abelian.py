@@ -7,12 +7,15 @@ into ``[0, d_i)``.
 
 Subgroups are represented canonically by the Hermite row basis of their
 full preimage lattice in ``Z^{r+m}`` (the preimage always contains the
-relation lattice ``d_i * e_{r+i}``).  Two subgroup values are equal as
-Python objects exactly when they are equal as subgroups, which is what
-the rest of the package leans on.
+relation lattice ``d_i * e_{r+i}``), held as sparse rows (``intmat.Row``)
+like every matrix.  Two subgroup values are equal as Python objects
+exactly when they are equal as subgroups, which is what the rest of the
+package leans on.
 
-Meets, preimages and kernels read that basis straight off one stacked
-Hermite basis (Zassenhaus' algorithm), with no Smith form.
+Sums, images, meets, preimages and kernels read that basis straight off
+one stacked Hermite basis of sparse rows (Zassenhaus' algorithm for
+meets and preimages), with no Smith form, so each costs about the
+nonzero entries of the lattices and maps involved.
 
 Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
 whose coordinates are free(A), free(B), then the merged torsion; its
@@ -27,12 +30,16 @@ from typing import Callable, Iterable, Literal, Sequence
 from .errors import DimensionMismatch, HypothesisError, NotASummand, NotWellDefined
 from .intmat import (
     IntMatrix,
+    Row,
     Vec,
+    dense_row,
     hermite_row_basis,
     int_solve,
     int_solver,
     lattice_contains,
+    shifted_row,
     smith_normal_form,
+    sparse_row,
 )
 
 
@@ -71,6 +78,13 @@ class AbGroup:
             raise DimensionMismatch(f"element length {len(vec)} != {self.num_gens} generators")
         r = self.free_rank
         return tuple(vec[:r]) + tuple(x % d for x, d in zip(vec[r:], self.torsion))
+
+    def reduce_row(self, row: Row) -> Row:
+        """A sparse row with its torsion coordinates reduced; zeros drop out."""
+        if not self.torsion:
+            return row
+        r, ds = self.free_rank, self.torsion
+        return tuple([(j, x if j < r else x % ds[j - r]) for j, x in row if j < r or x % ds[j - r]])
 
     def zero(self) -> Vec:
         return (0,) * self.num_gens
@@ -133,15 +147,16 @@ class GroupHom:
         ds = self.target.torsion
         if ds:
             reduced = tuple(
-                row if i < r else tuple(x % ds[i - r] for x in row)
-                for i, row in enumerate(self.matrix.entries)
+                row if i < r else tuple([(j, x % ds[i - r]) for j, x in row if x % ds[i - r]])
+                for i, row in enumerate(self.matrix.sparse)
             )
             object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
         # well-definedness on source torsion generators
         sr = self.source.free_rank
+        if self.source.torsion:
+            cols = self.matrix.transpose().sparse
         for j, d in enumerate(self.source.torsion):
-            col = self.matrix.column(sr + j)
-            if not self.target.is_zero_element(self.target.reduce([d * x for x in col])):
+            if self.target.reduce_row(tuple([(i, d * x) for i, x in cols[sr + j]])):
                 raise NotWellDefined(
                     f"source generator {sr + j} of order {d} maps to an element not killed by {d}"
                 )
@@ -186,7 +201,7 @@ class GroupHom:
 
     def image(self) -> "SubgroupRep":
         """The subgroup the generators' images span: the columns of the matrix."""
-        return SubgroupRep.from_elements(self.target, self.matrix.transpose().entries)
+        return SubgroupRep.from_sparse(self.target, self.matrix.transpose().sparse)
 
     def kernel(self) -> "SubgroupRep":
         """Kernel as a subgroup of the source: the preimage of zero."""
@@ -251,16 +266,26 @@ class SubgroupRep:
     """Subgroup of ``ambient``, canonically represented.
 
     ``lattice`` is the unique Hermite row basis of the full preimage of
-    the subgroup in ``Z^{r+m}``; it always contains the relation lattice.
+    the subgroup in ``Z^{r+m}``, as sparse rows: each row is the tuple of
+    (column, value) pairs of its nonzero entries, columns increasing.  It
+    always contains the relation lattice, so each torsion coordinate
+    that no row leads in is led by its relation row ((r + i, d_i),).
     """
 
     ambient: AbGroup
-    lattice: tuple[Vec, ...]
+    lattice: tuple[Row, ...]
 
     @staticmethod
     def from_elements(ambient: AbGroup, elements: Iterable[Sequence[int]]) -> "SubgroupRep":
-        rows = [list(ambient.reduce(e)) for e in elements]
-        rows.extend(list(r) for r in ambient.relation_rows())
+        """The subgroup the dense elements span."""
+        return SubgroupRep.from_sparse(ambient, [sparse_row(ambient.reduce(e)) for e in elements])
+
+    @staticmethod
+    def from_sparse(ambient: AbGroup, rows: Iterable[Row]) -> "SubgroupRep":
+        """The subgroup the sparse rows span; torsion coordinates need not be reduced."""
+        r = ambient.free_rank
+        rows = [ambient.reduce_row(row) for row in rows]
+        rows += [((r + i, d),) for i, d in enumerate(ambient.torsion)]
         return SubgroupRep(ambient, hermite_row_basis(rows, ambient.num_gens))
 
     @staticmethod
@@ -274,19 +299,20 @@ class SubgroupRep:
     # -- queries ------------------------------------------------------
 
     def contains(self, x: Sequence[int]) -> bool:
-        return lattice_contains(self.lattice, self.ambient.reduce(x))
+        return lattice_contains(self.lattice, sparse_row(self.ambient.reduce(x)))
 
     def contains_subgroup(self, other: "SubgroupRep") -> bool:
-        return all(self.contains(g) for g in other.generators())
+        return all(lattice_contains(self.lattice, g) for g in other.generator_rows())
+
+    def generator_rows(self) -> list[Row]:
+        """Canonical generating set as sparse rows: the nonzero projections of the basis rows."""
+        reduce_row = self.ambient.reduce_row
+        return [g for g in map(reduce_row, self.lattice) if g]
 
     def generators(self) -> list[Vec]:
-        """Canonical generating set: nonzero projections of the basis rows."""
-        out = []
-        for row in self.lattice:
-            g = self.ambient.reduce(row)
-            if any(g):
-                out.append(g)
-        return out
+        """Canonical generating set: ``generator_rows`` as dense elements."""
+        n = self.ambient.num_gens
+        return [dense_row(g, n) for g in self.generator_rows()]
 
     @property
     def rank(self) -> int:
@@ -310,8 +336,9 @@ class SubgroupRep:
 
     def inclusion(self) -> GroupHom:
         """Z^k → ambient onto the canonical generators; a basis when the subgroup is free."""
-        gens = self.generators()
-        return GroupHom.from_gen_images(free_group(len(gens)), self.ambient, gens)
+        gens = self.generator_rows()
+        matrix = IntMatrix(len(gens), self.ambient.num_gens, tuple(gens)).transpose()
+        return GroupHom(free_group(len(gens)), self.ambient, matrix)
 
     # -- lattice operations -------------------------------------------
 
@@ -324,9 +351,9 @@ class SubgroupRep:
         """The meet, by Zassenhaus: rows (a | a) for a in self, (b | 0) for b in other."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("subgroup intersection across different ambients")
-        zeros = self.ambient.zero()
-        rows = [a + a for a in self.lattice] + [b + zeros for b in other.lattice]
-        return _zero_head_tails(self.ambient, self.ambient.num_gens, rows)
+        n = self.ambient.num_gens
+        rows = [a + shifted_row(a, n) for a in self.lattice] + list(other.lattice)
+        return _zero_head_tails(self.ambient, n, rows)
 
     def transport(self, h: GroupHom) -> "SubgroupRep":
         """Image of this subgroup under a hom out of the ambient group.
@@ -335,20 +362,21 @@ class SubgroupRep:
         """
         if h.source != self.ambient:
             raise DimensionMismatch("transport along hom with wrong source")
-        gens = IntMatrix.from_rows(self.generators(), h.source.num_gens)
-        return SubgroupRep.from_elements(h.target, gens.mul(h.matrix.transpose()).entries)
+        gens = self.generator_rows()
+        images = IntMatrix(len(gens), h.source.num_gens, tuple(gens)).mul(h.matrix.transpose())
+        return SubgroupRep.from_sparse(h.target, images.sparse)
 
     def preimage(self, h: GroupHom) -> "SubgroupRep":
         """Preimage h^{-1}(self) as a subgroup of h.source: rows (h(e_j) | e_j), (s | 0) for s in self."""
         if h.target != self.ambient:
             raise DimensionMismatch("preimage along hom with wrong target")
-        zeros = h.source.zero()
-        rows = [h.matrix.column(j) + e for j, e in enumerate(h.source.gens())]
-        rows += [s + zeros for s in self.lattice]
-        return _zero_head_tails(h.source, self.ambient.num_gens, rows)
+        m = self.ambient.num_gens
+        rows = [col + ((m + j, 1),) for j, col in enumerate(h.matrix.transpose().sparse)]
+        rows += self.lattice
+        return _zero_head_tails(h.source, m, rows)
 
 
-def _zero_head_tails(ambient: AbGroup, head: int, rows: list[Vec]) -> SubgroupRep:
+def _zero_head_tails(ambient: AbGroup, head: int, rows: list[Row]) -> SubgroupRep:
     """The subgroup of ``ambient`` whose lattice is {t : (0 | t) in the span of ``rows``}.
 
     In the Hermite basis of ``rows`` the tails of the rows whose first
@@ -357,7 +385,7 @@ def _zero_head_tails(ambient: AbGroup, head: int, rows: list[Vec]) -> SubgroupRe
     meet do, and a well-defined hom maps source relations into the target's.
     """
     basis = hermite_row_basis(rows, head + ambient.num_gens)
-    return SubgroupRep(ambient, tuple(r[head:] for r in basis if not any(r[:head])))
+    return SubgroupRep(ambient, tuple(shifted_row(r, -head) for r in basis if r[0][0] >= head))
 
 
 def free_section(g: AbGroup) -> GroupHom:
@@ -381,17 +409,13 @@ def quotient_with_projection(b: SubgroupRep) -> tuple[AbGroup, GroupHom]:
     """
     amb = b.ambient
     n = amb.num_gens
-    cols = [list(r) for r in b.lattice]
-    mat = IntMatrix.from_columns(cols, rows=n)
-    dec = smith_normal_form(mat)
-    limit = min(n, mat.cols)
-    free_idx = [i for i in range(n) if i >= limit or dec.d.entries[i][i] == 0]
-    tors_idx = [i for i in range(limit) if dec.d.entries[i][i] >= 2]
-    torsion = tuple(dec.d.entries[i][i] for i in tors_idx)
-    quot = AbGroup(len(free_idx), torsion)
-    rows = [dec.u.row(i) for i in free_idx] + [dec.u.row(i) for i in tors_idx]
-    proj = GroupHom(amb, quot, IntMatrix.from_rows(rows, n) if rows else IntMatrix.zeros(0, n))
-    return quot, proj
+    dec = smith_normal_form(IntMatrix(len(b.lattice), n, b.lattice).transpose())
+    diag = dec.diagonal + (0,) * (n - len(dec.diagonal))
+    free_idx = [i for i in range(n) if diag[i] == 0]
+    tors_idx = [i for i in range(n) if diag[i] >= 2]
+    quot = AbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
+    rows = tuple(dec.u.sparse[i] for i in free_idx + tors_idx)
+    return quot, GroupHom(amb, quot, IntMatrix(len(rows), n, rows))
 
 
 def is_direct_summand(b: SubgroupRep) -> bool:
@@ -408,11 +432,10 @@ def is_direct_summand(b: SubgroupRep) -> bool:
     through the Smith form of its diagonal matrix.
     """
     amb = b.ambient
-    pivots = [next(j for j, x in enumerate(row) if x) for row in b.lattice]
-    if all(row[p] == 1 for row, p in zip(b.lattice, pivots)):
+    if all(row[0][1] == 1 for row in b.lattice):
         return True
-    quot = _cokernel(IntMatrix.from_rows(b.lattice, amb.num_gens))
-    coords = [_echelon_coordinates(b.lattice, pivots, rel) for rel in amb.relation_rows()]
+    quot = _cokernel(IntMatrix(len(b.lattice), amb.num_gens, b.lattice))
+    coords = [_echelon_coordinates(b.lattice, rel) for rel in amb.relation_rows()]
     sub = _cokernel(IntMatrix.from_rows(coords, len(b.lattice)))
     torsion = _cokernel(IntMatrix.diagonal(quot.torsion + sub.torsion)).torsion
     return AbGroup(quot.free_rank + sub.free_rank, torsion) == amb
@@ -424,14 +447,16 @@ def _cokernel(a: IntMatrix) -> AbGroup:
     return AbGroup(a.cols - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2))
 
 
-def _echelon_coordinates(basis: Sequence[Vec], pivots: Sequence[int], v: Sequence[int]) -> list[int]:
-    """Coefficients of v, a lattice vector, in an echelon basis with the given pivot columns."""
+def _echelon_coordinates(basis: Sequence[Row], v: Sequence[int]) -> list[int]:
+    """Coefficients of v, a dense lattice vector, in an echelon basis of sparse rows."""
     v = list(v)
     coeffs = []
-    for row, p in zip(basis, pivots):
-        c = v[p] // row[p]
+    for row in basis:
+        p, lead = row[0]
+        c = v[p] // lead
         if c:
-            v = [x - c * y for x, y in zip(v, row)]
+            for j, y in row:
+                v[j] -= c * y
         coeffs.append(c)
     return coeffs
 
@@ -508,18 +533,19 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     t = len(mixed)
     if t:
         dec = smith_normal_form(IntMatrix.diagonal(mixed))
-        keep = [i for i in range(t) if dec.d.entries[i][i] >= 2]
-        torsion = tuple(dec.d.entries[i][i] for i in keep)
-        u = [dec.u.entries[i] for i in keep]
+        invariants, u_rows = dec.diagonal, dec.u.entries
+        keep = [i for i in range(t) if invariants[i] >= 2]
+        torsion = tuple(invariants[i] for i in keep)
+        u = [u_rows[i] for i in keep]
         w = [tuple(row[i] for i in keep) for row in dec.u.inverse_unimodular().entries]
     else:  # both groups free: no torsion to renormalize
         torsion, u, w = (), [], []
     total = AbGroup(ra + rb, torsion)
     k = len(torsion)
-    u_a = IntMatrix(k, ta, tuple(row[:ta] for row in u))
-    u_b = IntMatrix(k, t - ta, tuple(row[ta:] for row in u))
-    w_a = IntMatrix(ta, k, tuple(w[:ta]))
-    w_b = IntMatrix(t - ta, k, tuple(w[ta:]))
+    u_a = IntMatrix.from_rows([row[:ta] for row in u], ta)
+    u_b = IntMatrix.from_rows([row[ta:] for row in u], t - ta)
+    w_a = IntMatrix.from_rows(w[:ta], k)
+    w_b = IntMatrix.from_rows(w[ta:], k)
     diag, zeros = IntMatrix.block_diagonal, IntMatrix.zeros
     eye_a, eye_b = IntMatrix.identity(ra), IntMatrix.identity(rb)
     return DirectSum(

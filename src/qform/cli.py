@@ -29,6 +29,7 @@ from .errors import (
     NodeLimitExceeded,
     NotASummand,
     NotWellDefined,
+    QformError,
     SchemaError,
 )
 from .forms import form_validate, orthogonal_complement, subgroup_classify
@@ -127,6 +128,13 @@ def _non_negative(text: str) -> int:
 def _schema_failure(exc: SchemaError) -> int:
     _emit({"error": str(exc), "path": exc.path})
     return EXIT_INVALID
+
+
+def _emit_failure(payload: dict, exc: QformError) -> None:
+    """The error document, with the JSON path of the object that failed when it is known."""
+    if exc.path is not None:
+        payload["path"] = exc.path
+    _emit(payload)
 
 
 def _emit(payload: dict, args=None) -> None:
@@ -605,16 +613,16 @@ def run(argv=None) -> int:
     except SchemaError as exc:
         return _schema_failure(exc)
     except NodeLimitExceeded as exc:
-        _emit({"error": str(exc)})
+        _emit_failure({"error": str(exc)}, exc)
         return EXIT_BUDGET
     except HypothesisError as exc:
-        _emit({"error": exc.condition, "detail": str(exc)})
+        _emit_failure({"error": exc.condition, "detail": str(exc)}, exc)
         return EXIT_HYPOTHESIS
     except NoSolution as exc:
-        _emit({"error": str(exc)})
+        _emit_failure({"error": str(exc)}, exc)
         return EXIT_HYPOTHESIS
     except (DimensionMismatch, NotASummand, NotWellDefined) as exc:
-        _emit({"error": str(exc)})
+        _emit_failure({"error": str(exc)}, exc)
         return EXIT_INVALID
     payload, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     _emit(payload, args)

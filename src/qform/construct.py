@@ -121,7 +121,7 @@ class MetabolicBasis:
         expected = IntMatrix.block_pattern(("0 I", "I D"), self.diag)
         if b.transpose().mul(self.form.matrix).mul(b) != expected:
             raise NotWellDefined("metabolic basis does not normalize the pairing")
-        span = SubgroupRep.from_elements(self.form.group, [b.column(i) for i in range(k)])
+        span = SubgroupRep.from_sparse(self.form.group, b.transpose().sparse[:k])
         if span != self.lagrangian:
             raise NotWellDefined("first half of metabolic basis does not span the lagrangian")
 
@@ -296,8 +296,8 @@ def stable_lagrangian_iso(
     hom = bt.mul(bs.inverse_unimodular())
     iso = FormIso(sum_s.form, sum_t.form, GroupHom(sum_s.form.group, sum_t.form.group, hom))
 
-    src_l = SubgroupRep.from_elements(sum_s.form.group, ls.entries)
-    tgt_l = SubgroupRep.from_elements(sum_t.form.group, ls2.entries)
+    src_l = SubgroupRep.from_sparse(sum_s.form.group, ls.sparse)
+    tgt_l = SubgroupRep.from_sparse(sum_t.form.group, ls2.sparse)
     if src_l.transport(iso.hom) != tgt_l:
         raise NotWellDefined("stable isomorphism does not match the lagrangians")
     return StableLagrangianIso(k, kl, iso, src_l, tgt_l)

@@ -6,7 +6,13 @@ the CLI maps them onto distinct exit codes.
 
 
 class QformError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``path`` is the JSON path of the document object being read when the
+    error was raised, or None; the CLI reports it beside the message.
+    """
+
+    path: str | None = None
 
 
 class DimensionMismatch(QformError):

@@ -48,9 +48,8 @@ class EQForm:
             raise DimensionMismatch("pairing matrix does not match the group")
         if not self.matrix.is_symmetric():
             raise NotWellDefined("pairing matrix is not symmetric")
-        for i in range(self.group.free_rank, n):
-            if any(self.matrix.entries[i][j] != 0 for j in range(n)):
-                raise NotWellDefined("pairing does not vanish on torsion generators")
+        if any(self.matrix.sparse[self.group.free_rank:]):
+            raise NotWellDefined("pairing does not vanish on torsion generators")
         if self.mu.source != self.group:
             raise DimensionMismatch("mu is not defined on the form's group")
         if self.v is not None:
@@ -77,7 +76,9 @@ class EQForm:
     def reduced_matrix(self) -> IntMatrix:
         """The pairing restricted to the free generators."""
         r = self.group.free_rank
-        return IntMatrix.from_rows([row[:r] for row in self.matrix.entries[:r]], r)
+        if r == self.group.num_gens:
+            return self.matrix
+        return IntMatrix(r, r, tuple(tuple([(j, x) for j, x in row if j < r]) for row in self.matrix.sparse[:r]))
 
     # -- predicates ----------------------------------------------------
 
@@ -88,7 +89,7 @@ class EQForm:
         return abs(self.reduced_matrix().det()) == 1
 
     def is_even(self) -> bool:
-        return all(self.matrix.entries[i][i] % 2 == 0 for i in range(self.group.num_gens))
+        return all(self.matrix[i, i] % 2 == 0 for i in range(self.group.num_gens))
 
     def is_full(self) -> bool:
         return self.mu.is_surjective()
@@ -103,7 +104,7 @@ class EQForm:
             raise VMissing("the geometric predicate needs a parity map v")
         vmu = self.v.compose(self.mu)
         for i, g in enumerate(self.group.gens()):
-            if (self.matrix.entries[i][i] % 2,) != vmu.apply(g):
+            if (self.matrix[i, i] % 2,) != vmu.apply(g):
                 return False
         return True
 
@@ -288,18 +289,34 @@ class FormIso:
 
 
 def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
-    """The block sum a ⊕ b between the corresponding direct-sum forms."""
+    """The block sum a ⊕ b between the corresponding direct-sum forms.
+
+    Between free groups the coordinates of a sum are those of the first
+    summand, then those of the second, so the map is the block diagonal
+    diag(h_a, h_b).  With torsion the sums renormalize the merged torsion,
+    and the map is incl_a·h_a·proj_a + incl_b·h_b·proj_b.
+    """
     src = form_direct_sum(a.source, b.source)
     tgt = form_direct_sum(a.target, b.target)
-    hom = (
-        tgt.incl_a.compose(a.hom).compose(src.proj_a)
-        .add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
-    )
+    if src.form.group.is_free and tgt.form.group.is_free:
+        matrix = IntMatrix.block_diagonal([a.hom.matrix, b.hom.matrix])
+        hom = GroupHom(src.form.group, tgt.form.group, matrix)
+    else:
+        hom = (
+            tgt.incl_a.compose(a.hom).compose(src.proj_a)
+            .add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
+        )
     return FormIso._unchecked(src.form, tgt.form, hom)
 
 
 def swap_blocks(e: EQForm, size: int) -> FormIso:
-    """The automorphism of e exchanging its two leading blocks of ``size`` coordinates."""
+    """The automorphism of e exchanging its two leading blocks of ``size`` coordinates.
+
+    The map is the n-entry sparse permutation.  Not every form admits the
+    exchange, so the full ``FormIso`` check runs, at the cost of the
+    nonzero entries; exchanging blocks that are not interchangeable
+    raises ``NotWellDefined``.
+    """
     n = e.group.num_gens
     perm = list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n))
     return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
@@ -318,10 +335,10 @@ def split_pair(t: EQForm) -> tuple[EQForm, GroupHom]:
     r = t.group.free_rank
     if r < 2:
         raise HypothesisError("split target has free rank < 2")
-    m = t.matrix.entries
-    if m[0][0] != 0 or m[1][1] != 0 or m[0][1] != 1:
+    m = t.matrix
+    if m[0, 0] != 0 or m[1, 1] != 0 or m[0, 1] != 1:
         raise HypothesisError("split target does not start with a hyperbolic pair")
-    if any(m[0][j] != 0 or m[1][j] != 0 for j in range(2, t.group.num_gens)):
+    if any(j >= 2 for j, _ in m.sparse[0] + m.sparse[1]):
         raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
     for i in (0, 1):
         if not t.target.is_zero_element(t.mu.apply(t.group.gen(i))):
@@ -341,12 +358,11 @@ def orthogonal_complement(e: EQForm, x: SubgroupRep) -> SubgroupRep:
         raise DimensionMismatch("subgroup lives in a different group")
     if not e.is_nonsingular():
         raise HypothesisError("not nonsingular", "orthogonal complement needs determinant ±1")
-    gens = x.generators()
+    gens = x.generator_rows()
     if not gens:
         return SubgroupRep.full(e.group)
-    g = IntMatrix.from_rows([list(v) for v in gens], e.group.num_gens)
-    sols = int_nullspace(g.mul(e.matrix))
-    return SubgroupRep.from_elements(e.group, sols)
+    g = IntMatrix(len(gens), e.group.num_gens, tuple(gens))
+    return SubgroupRep.from_sparse(e.group, int_nullspace(g.mul(e.matrix)))
 
 
 @dataclass(frozen=True)
@@ -370,13 +386,10 @@ def subgroup_classify(e: EQForm, s: SubgroupRep) -> SubgroupFlags:
     """
     if s.ambient != e.group:
         raise DimensionMismatch("subgroup lives in a different group")
-    gens = s.generators()
-    if gens:
-        rows = IntMatrix.from_rows([list(v) for v in gens], e.group.num_gens)
-        isotropic = rows.mul(e.matrix).mul(rows.transpose()).is_zero()
-    else:
-        isotropic = True
-    mu_vanishes = all(e.target.is_zero_element(e.mu.apply(g)) for g in gens)
+    gens = s.generator_rows()
+    rows = IntMatrix(len(gens), e.group.num_gens, tuple(gens))
+    isotropic = rows.mul(e.matrix).mul(rows.transpose()).is_zero()
+    mu_vanishes = not any(e.target.reduce_row(r) for r in rows.mul(e.mu.matrix.transpose()).sparse)
     half = 2 * s.rank == e.rank and is_direct_summand(s)
     free_lagr = isotropic and mu_vanishes and half and s.is_free()
     t_lagr = isotropic and mu_vanishes and half and s.contains_torsion()

@@ -1,86 +1,137 @@
-"""Exact integer matrices and the normal forms built on them.
+"""Exact integer matrices on sparse rows, and the normal forms built on them.
 
 All arithmetic is over arbitrary-precision Python ints, so the classic
-fixed-width overflow failure mode cannot occur.  The two normal forms here
-are the workhorses of everything else in the package:
+fixed-width overflow failure mode cannot occur.
 
-* ``smith_normal_form`` returns a full decomposition U*A*V = D.  Pivots
-  are chosen as the minimal absolute nonzero entry of the working block,
-  ties broken lexicographically, which makes U and V reproducible across
-  platforms.
+Every row, of a matrix and of a lattice basis alike, is a ``Row``: the
+tuple of (column, value) pairs of its nonzero entries, columns strictly
+increasing.  That form is unique, so equal matrices and equal lattices
+compare and hash equal as plain tuples.  The matrices of the move
+calculus are nearly permutations or block diagonals, 1–4 % nonzero, and
+every kernel here costs about the nonzero entries it reads and writes,
+not the width squared:
+
+* ``_combine`` is the one row kernel: a linear combination of sparse rows.
+  Row i of A*B combines the rows of B that row i of A picks out; a sum,
+  and two rows meeting in a Hermite column, are combinations of two
+  rows.  A single coefficient 1 reuses its row, so a permutation costs
+  its rows.
 * ``hermite_row_basis`` returns the unique row-style Hermite basis of the
   lattice spanned by the given rows (echelon shape, positive pivots,
-  entries above each pivot reduced into ``[0, pivot)``).  Uniqueness of
-  this form is what makes subgroup equality a plain tuple comparison.
-  Rows are kept by their leading column, so a column that leads no row
-  costs nothing.
+  entries above each pivot reduced into ``[0, pivot)``).  Rows wait in
+  buckets keyed by their leading column, and a new pivot reduces only
+  the basis rows that are nonzero in its column.
+* ``det`` eliminates on ±1 pivots while a column offers one, updating
+  only the rows nonzero in the pivot column along the pivot row's
+  entries; at the first column without a ±1 entry it hands the remaining
+  block to fraction-free (Bareiss) elimination.
 
-Kernels and inverses come from Hermite bases too: ``int_nullspace`` and
-``inverse_unimodular`` compute no Smith form.
+Kernels, inverses and lattice membership come from Hermite bases:
+``int_nullspace``, ``inverse_unimodular`` and ``lattice_contains``
+compute no Smith form.
 
-Matrix products go through one kernel, ``_combine``: each row of A*B is
-accumulated from the rows of B that the nonzero entries of A's row pick
-out.  Zero entries are skipped, so the mostly permutation and
-block-diagonal operands of the move calculus cost little more than their
-nonzero entries.  A*v is one dot product per row of A, with no transpose.
-
-Solving factors once: ``int_solver`` computes one Smith decomposition and
-returns a function that solves A*x = y for any number of right-hand sides;
+The dense rows (``IntMatrix.entries``) are built on each access, never
+stored: the format-1 serializer writes them, ``smith_normal_form`` works
+on a dense copy, and a few small readers index them.
+``smith_normal_form`` returns a full decomposition U*A*V = D with pivots
+chosen as the minimal absolute nonzero entry of the working block, ties
+broken lexicographically, which makes U and V reproducible.  Solving
+factors once: ``int_solver`` computes one Smith decomposition and returns
+a function that solves A*x = y for any number of right-hand sides;
 ``int_solve`` is that solver used once.
-
-``det`` eliminates on ±1 pivots while a column offers one, touching only
-the rows that are nonzero in the pivot column, so a mostly permutation
-matrix costs about its nonzero entries.  At the first column without a ±1
-entry it hands the remaining block to fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add, mul
+from itertools import compress
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
 
 Vec = tuple[int, ...]
+Row = tuple[tuple[int, int], ...]
+
+
+def sparse_row(vec: Sequence[int]) -> Row:
+    """The (column, value) pairs of the nonzero entries of a dense vector."""
+    return tuple(compress(enumerate(vec), vec))
+
+
+def dense_row(row: Row, width: int) -> Vec:
+    """The dense vector of ``width`` entries with the given nonzero entries."""
+    out = [0] * width
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
+def shifted_row(row: Row, by: int) -> Row:
+    """``row`` with every column moved by ``by``."""
+    return tuple([(j + by, x) for j, x in row]) if by else row
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix."""
+    """Immutable integer matrix stored by sparse rows.
+
+    ``sparse[i]`` is row i as a ``Row``.  The constructor refuses a row
+    that is not in that canonical form (unsorted or repeated columns, an
+    explicit zero, a column out of range), so equality stays exact.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Vec, ...]
+    sparse: tuple[Row, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(self.sparse) != self.rows:
             raise DimensionMismatch("row count does not match entries")
-        if any(len(r) != self.cols for r in self.entries):
-            raise DimensionMismatch("ragged rows in matrix")
+        for row in self.sparse:
+            last = -1
+            for j, x in row:
+                if not 0 <= j < self.cols:
+                    raise DimensionMismatch("column out of range in a sparse row")
+                if j <= last:
+                    raise DimensionMismatch("sparse row columns are not strictly increasing")
+                if not x:
+                    raise DimensionMismatch("explicit zero in a sparse row")
+                last = j
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse: tuple[Row, ...]) -> "IntMatrix":
+        """A matrix whose rows a kernel here built canonical; nothing is re-checked."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, sparse=sparse)
+        return m
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(map(tuple, rows))
+        """The matrix with the given dense rows."""
+        data = list(map(tuple, rows))
         if cols is None:
             if not data:
                 raise DimensionMismatch("cannot infer column count of empty matrix")
             cols = len(data[0])
-        return IntMatrix(len(data), cols, data)
+        if cols < 0:
+            raise DimensionMismatch("negative matrix dimensions")
+        if any(len(r) != cols for r in data):
+            raise DimensionMismatch("ragged rows in matrix")
+        return IntMatrix._of(len(data), cols, tuple(map(sparse_row, data)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
+        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+        return IntMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def diagonal(diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -88,19 +139,13 @@ class IntMatrix:
         rows = n if rows is None else rows
         cols = n if cols is None else cols
         return IntMatrix(
-            rows,
-            cols,
-            tuple(
-                tuple(diag[i] if i == j and i < n else 0 for j in range(cols))
-                for i in range(rows)
-            ),
+            rows, cols, tuple(((i, diag[i]),) if i < min(n, cols) and diag[i] else () for i in range(rows))
         )
 
     @staticmethod
     def permutation(perm: Sequence[int]) -> "IntMatrix":
         """The permutation matrix under which new slot i holds old perm[i]."""
-        n = len(perm)
-        return IntMatrix(n, n, tuple(tuple(1 if j == p else 0 for j in range(n)) for p in perm))
+        return IntMatrix(len(perm), len(perm), tuple(((p, 1),) for p in perm))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
@@ -111,95 +156,100 @@ class IntMatrix:
         height = len(cols[0])
         if any(len(c) != height for c in cols):
             raise DimensionMismatch("ragged columns")
-        return IntMatrix(height, len(cols), tuple(tuple(c[i] for c in cols) for i in range(height)))
+        return IntMatrix.from_rows(cols, height).transpose()
 
     # -- basic access -------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[Vec, ...]:
+        """The dense rows, built on each access."""
+        return tuple(dense_row(r, self.cols) for r in self.sparse)
+
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
+        return dict(self.sparse[i]).get(j, 0)
 
     def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        return tuple(dict(r).get(j, 0) for r in self.sparse)
 
     def tolist(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
+        return [list(dense_row(r, self.cols)) for r in self.sparse]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square and self.entries == tuple(zip(*self.entries))
+        return self.is_square and self.sparse == self.transpose().sparse
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(self.sparse)
 
     # -- arithmetic ---------------------------------------------------
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return IntMatrix(
-            self.rows, other.cols, tuple(_combine(row, other.entries, other.cols) for row in self.entries)
-        )
+        rows = other.sparse
+        return IntMatrix._of(self.rows, other.cols, tuple([_combine(row, rows) for row in self.sparse]))
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        sums = tuple([_combine(_SUM, pair) for pair in zip(self.sparse, other.sparse)])
+        return IntMatrix._of(self.rows, self.cols, sums)
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         return self.add(other.neg())
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
+        return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in r) for r in self.entries))
+        if not k:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._of(self.rows, self.cols, tuple(tuple([(j, k * x) for j, x in r]) for r in self.sparse))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                cols[j].append((i, x))
+        return IntMatrix._of(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def apply(self, vec: Sequence[int]) -> Vec:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        return tuple([sum([vec[j] * x for j, x in row]) for row in self.sparse])
 
     # -- composition helpers ------------------------------------------
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
+        by = self.cols
+        return IntMatrix._of(
+            self.rows, by + other.cols, tuple([a + shifted_row(b, by) for a, b in zip(self.sparse, other.sparse)])
+        )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntMatrix._of(self.rows + other.rows, self.cols, self.sparse + other.sparse)
 
     @staticmethod
     def block_diagonal(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        """diag(blocks): each block's rows padded with zeros to either side.
+        """diag(blocks): each block's rows moved right past the blocks before it.
 
         A block may have no rows or no columns; it then only shifts the
         blocks after it right or down.
         """
-        cols = sum([b.cols for b in blocks])
-        data = []
+        data: list[Row] = []
         left = 0
         for b in blocks:
-            before, after = (0,) * left, (0,) * (cols - left - b.cols)
-            data += [before + row + after for row in b.entries]
+            data += [shifted_row(row, left) for row in b.sparse]
             left += b.cols
-        return IntMatrix(len(data), cols, tuple(data))
+        return IntMatrix._of(len(data), left, tuple(data))
 
     @staticmethod
     def block_pattern(pattern: Sequence[str], diag: Sequence[int]) -> "IntMatrix":
@@ -223,35 +273,55 @@ class IntMatrix:
     def det(self) -> int:
         """Determinant by exact elimination on unit pivots, then Bareiss.
 
-        Column by column, a row whose entry in the column is ±1 becomes the
-        pivot row, and only the rows that are nonzero in the column are
-        updated, along the pivot row's nonzero entries.  With pivots ±1 every
-        entry stays an integer minor, so no division is needed.  The first
-        column without a ±1 entry hands the remaining block to fraction-free
-        (Bareiss) elimination; a zero column gives 0.
+        Column by column, a live row whose entry in the column is ±1 (the
+        shortest such) becomes the pivot row and leaves the live set, and
+        only the live rows nonzero in the column are updated, along the
+        pivot row's entries.  With pivots ±1 every entry stays an integer
+        minor, so no division is needed.  The pivot rows in column order,
+        then the live rows, are the rows of a block upper triangular
+        matrix, so the determinant is the sign of that row order times the
+        pivots times the determinant of the live block, which the first
+        column without a ±1 entry hands to fraction-free (Bareiss)
+        elimination.
         """
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
         n = self.rows
-        m = [list(r) for r in self.entries]
+        rows = [dict(r) for r in self.sparse]
+        where: list[set[int]] = [set() for _ in range(n)]  # column -> live rows nonzero there
+        for i, row in enumerate(rows):
+            for j in row:
+                where[j].add(i)
+        order: list[int] = []
         det = 1
         for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k] in (1, -1)), None)
+            live = where[k]
+            piv = min((i for i in live if rows[i][k] in (1, -1)), key=lambda i: len(rows[i]), default=None)
             if piv is None:
-                return det * _bareiss_det([r[k:] for r in m[k:]])
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            p = m[k][k]
+                rest = sorted(set(range(n)).difference(order))
+                block = [[rows[i].get(j, 0) for j in range(k, n)] for i in rest]
+                return _permutation_sign(order + rest) * det * _bareiss_det(block)
+            order.append(piv)
+            pivot_row = rows[piv]
+            p = pivot_row[k]
             det *= p
-            pivot_row = [(j, p * m[k][j]) for j in range(k + 1, n) if m[k][j]]
-            for i in range(k + 1, n):
-                row = m[i]
-                f = row[k]
-                if f:
-                    for j, x in pivot_row:
-                        row[j] -= f * x
-        return det
+            for j in pivot_row:
+                where[j].discard(piv)
+            update = [(j, p * x) for j, x in pivot_row.items() if j != k]
+            for i in live:
+                row = rows[i]
+                f = row.pop(k)
+                for j, x in update:
+                    v = row.get(j, 0) - f * x
+                    if not v:
+                        del row[j]
+                        where[j].discard(i)
+                    else:
+                        if j not in row:
+                            where[j].add(i)
+                        row[j] = v
+            live.clear()
+        return _permutation_sign(order) * det
 
     def is_unimodular(self) -> bool:
         return self.is_square and abs(self.det()) == 1
@@ -268,28 +338,46 @@ class IntMatrix:
         if not self.is_square:
             raise NoSolution("matrix is not unimodular")
         n = self.rows
-        unit = IntMatrix.identity(n).entries
-        basis = hermite_row_basis([r + e for r, e in zip(self.entries, unit)], 2 * n)
-        if any(r[:n] != e for r, e in zip(basis, unit)):
+        basis = hermite_row_basis([r + ((n + i, 1),) for i, r in enumerate(self.sparse)], 2 * n)
+        # pivots 1 in columns 0..n-1 leave zeros above them: the left half is then I
+        if any(r[0] != (i, 1) for i, r in enumerate(basis)):
             raise NoSolution("matrix is not unimodular")
-        return IntMatrix(n, n, tuple(r[n:] for r in basis))
+        return IntMatrix._of(n, n, tuple([shifted_row(r[1:], -n) for r in basis]))
 
 
-def _combine(coeffs: Sequence[int], rows: Sequence[Vec], width: int) -> Vec:
-    """The sum of c_k * rows[k] over the nonzero c_k; rows have ``width`` entries.
+_SUM = ((0, 1), (1, 1))
 
-    This is the product kernel: row i of A*B is A's row i combining B's
-    rows.  A zero coefficient costs one test and a coefficient 1 reuses its
-    row.
+
+def _combine(coeffs: Row, rows: Sequence[Row]) -> Row:
+    """The sparse row Σ c·rows[k] over the pairs (k, c) of ``coeffs``.
+
+    This is the row kernel: row i of A*B is A's row i combining B's rows.
+    A single coefficient 1 reuses its row.
     """
-    acc = None
-    for c, row in zip(coeffs, rows):
-        if c:
-            if acc is None:
-                acc = row if c == 1 else tuple(map(mul, repeat(c), row))
-            else:
-                acc = tuple(map(add, acc, map(mul, repeat(c), row)))
-    return (0,) * width if acc is None else acc
+    if len(coeffs) == 1:
+        k, c = coeffs[0]
+        row = rows[k]
+        return row if c == 1 else tuple([(j, c * x) for j, x in row])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, c in coeffs:
+        for j, x in rows[k]:
+            acc[j] = get(j, 0) + c * x
+    return tuple(sorted([p for p in acc.items() if p[1]]))
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """The sign of the permutation i ↦ perm[i]: a cycle of length L is L − 1 transpositions."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            if i != start:
+                sign = -sign
+    return sign
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -327,7 +415,7 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.d.rows, self.d.cols)
-        return tuple(self.d.entries[i][i] for i in range(n))
+        return tuple(r[0][1] if r else 0 for r in self.d.sparse[:n])
 
     @property
     def rank(self) -> int:
@@ -339,7 +427,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     Pivot rule: minimal absolute nonzero entry of the working block, ties
     broken lexicographically by (row, column).  Diagonal entries come out
-    non-negative and each divides the next.
+    non-negative and each divides the next.  The elimination works on a
+    dense copy of A.
     """
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
@@ -466,91 +555,108 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if m[i][i] < 0:
             negate_row(i)
 
-    def freeze(data, width):
-        return IntMatrix(len(data), width, tuple(map(tuple, data)))
-
-    return SmithDecomposition(freeze(u, rows), freeze(m, cols), freeze(v, cols))
+    return SmithDecomposition(IntMatrix.from_rows(u, rows), IntMatrix.from_rows(m, cols), IntMatrix.from_rows(v, cols))
 
 
-def hermite_row_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
-    """Canonical row Hermite basis of the lattice spanned by ``rows``.
+def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
+    """Canonical row Hermite basis of the lattice spanned by the sparse ``rows``.
 
     The result is the unique echelon basis: pivot columns strictly
     increase, pivots are positive, and every entry above a pivot lies in
     ``[0, pivot)``.  Zero input rows are discarded.
 
     Rows wait in buckets keyed by their leading column.  Columns are taken
-    in order: the rows of a column's bucket are reduced by Euclid against
-    the one of least magnitude until a single row leads there; every
-    remainder moves to the bucket of its new leading column (or vanishes).
-    The survivor becomes the next basis row and reduces the entries above
-    it.  A column no row leads in costs one lookup.
+    in order, starting from the row of least leading magnitude in the
+    column's bucket.  Each other row r of the bucket, by increasing
+    leading magnitude, meets that top row t:
+    with leads a | b one subtraction r − (b/a)·t cancels r's lead;
+    otherwise, with g = gcd(a, b) and u·(a/g) + v·(b/g) = 1, the unimodular
+    step (t, r) ↦ (u·t + v·r, (b/g)·t − (a/g)·r) leaves lead g on the top
+    row and cancels r's, in two row combinations however long Euclid's
+    chain of quotients would be.  A row whose lead is cancelled moves to
+    the bucket of its new leading column (or vanishes).  The top row
+    becomes the next basis row and reduces the entries above it, in the
+    basis rows that ``holders`` lists as nonzero in its column.  A column
+    no row leads in costs one lookup.
     """
-    buckets: dict[int, list[list[int]]] = {}
+    buckets: dict[int, list[Row]] = {}
     for r in rows:
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
+        if not r:
             continue
-        if len(r) != width:
+        if r[-1][0] >= width:
             raise DimensionMismatch("row width mismatch in lattice basis")
-        buckets.setdefault(lead, []).append(list(r))
-    basis: list[list[int]] = []
+        buckets.setdefault(r[0][0], []).append(r)
+    basis: list[dict[int, int]] = []
+    holders: dict[int, set[int]] = {}  # column -> basis rows nonzero there
     for col in range(width):
         live = buckets.pop(col, None)
         if live is None:
             continue
-        while len(live) > 1:
-            piv = min(live, key=lambda r: abs(r[col]))
-            p = piv[col]
-            survivors = [piv]
-            for r in live:
-                if r is piv:
-                    continue
-                q = r[col] // p
-                r = [x - q * y for x, y in zip(r, piv)]
-                if r[col]:
-                    survivors.append(r)
-                else:
-                    lead = next((j for j in range(col + 1, width) if r[j]), None)
-                    if lead is not None:
-                        buckets.setdefault(lead, []).append(r)
-            live = survivors
-        top = live[0]
-        if top[col] < 0:
-            top = [-x for x in top]
-        p = top[col]
-        for i, b in enumerate(basis):
+        top, *others = sorted(live, key=lambda r: abs(r[0][1]))
+        for r in others:
+            a, b = top[0][1], r[0][1]
+            if b % a:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                u = pow(a, -1, abs(b))
+                pair = (top, r)
+                top, r = _combine(((0, u), (1, (1 - u * a) // b)), pair), _combine(((0, b), (1, -a)), pair)
+            else:
+                r = _combine(((0, 1), (1, -(b // a))), (r, top))
+            if r:
+                buckets.setdefault(r[0][0], []).append(r)
+        if top[0][1] < 0:
+            top = tuple([(j, -x) for j, x in top])
+        p = top[0][1]
+        for i in list(holders.get(col, ())):
+            b = basis[i]
             q = b[col] // p
             if q:
-                basis[i] = [x - q * y for x, y in zip(b, top)]
-        basis.append(top)
-    return tuple(map(tuple, basis))
+                for j, x in top:
+                    v = b.get(j, 0) - q * x
+                    if not v:
+                        del b[j]
+                        holders[j].discard(i)
+                    else:
+                        if j not in b:
+                            holders.setdefault(j, set()).add(i)
+                        b[j] = v
+        t = len(basis)
+        for j, _ in top:
+            holders.setdefault(j, set()).add(t)
+        basis.append(dict(top))
+    return tuple([tuple(sorted(b.items())) for b in basis])
 
 
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of ``vec`` in the lattice with Hermite row basis ``basis``."""
-    v = list(vec)
-    for row in basis:
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        if v[piv] % row[piv] == 0:
-            q = v[piv] // row[piv]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+def lattice_contains(basis: Sequence[Row], row: Row) -> bool:
+    """Membership of the sparse ``row`` in the lattice with Hermite row basis ``basis``."""
+    v = dict(row)
+    for b in basis:
+        c, p = b[0]
+        x = v.get(c)
+        if x:
+            q, rem = divmod(x, p)
+            if rem:
+                return False
+            for j, y in b:
+                w = v.get(j, 0) - q * y
+                if w:
+                    v[j] = w
+                else:
+                    del v[j]
+    return not v
 
 
-def int_nullspace(a: IntMatrix) -> list[Vec]:
-    """Hermite row basis of the integer solutions of A*x = 0.
+def int_nullspace(a: IntMatrix) -> list[Row]:
+    """Hermite row basis of the integer solutions of A*x = 0, as sparse rows.
 
     The rows (column j of A | e_j) span {(A*x, x)}; in their Hermite basis
     the tails of the rows whose head (first ``a.rows`` entries) is zero
     are echelon and reduced, so they are the kernel's Hermite basis.
     """
-    m, n = a.rows, a.cols
-    rows = [a.column(j) + tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return [r[m:] for r in hermite_row_basis(rows, m + n) if not any(r[:m])]
+    m = a.rows
+    rows = [c + ((m + j, 1),) for j, c in enumerate(a.transpose().sparse)]
+    return [shifted_row(r, -m) for r in hermite_row_basis(rows, m + a.cols) if r[0][0] >= m]
 
 
 def int_solver(a: IntMatrix) -> Callable[[Sequence[int]], Vec | None]:
@@ -561,8 +667,7 @@ def int_solver(a: IntMatrix) -> Callable[[Sequence[int]], Vec | None]:
     ``int_solve`` would give.
     """
     dec = smith_normal_form(a)
-    limit = min(a.rows, a.cols)
-    diag = [dec.d.entries[i][i] if i < limit else 0 for i in range(a.rows)]
+    diag = dec.diagonal + (0,) * (a.rows - min(a.rows, a.cols))
 
     def solve(y: Sequence[int]) -> Vec | None:
         if len(y) != a.rows:

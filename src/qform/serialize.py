@@ -20,23 +20,26 @@ default); past that limit, and only there, ``int_to_decimal`` and
 ``decimal_to_int`` convert in chunks by divide and conquer.
 
 Loading re-runs every constructor, so a document that parses but encodes
-an inconsistent object (a pairing that is not symmetric, a subgroup
-outside its group, and so on) still fails — with the library's own error,
-while purely structural problems raise SchemaError with the path of the
-offending field.
+an inconsistent object (a pairing that is not symmetric, a map that does
+not pull the pairing back, and so on) still fails — with the library's
+own error, carrying in ``path`` the JSON path of the form, subgroup,
+formation or isomorphism that failed — while purely structural problems
+raise SchemaError with the path of the offending field.  Matrix rows are
+read straight into sparse rows.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, List
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2
 from .construct import Flip, Keep, RUWord
-from .errors import HypothesisError, SchemaError
+from .errors import HypothesisError, QformError, SchemaError
 from .forms import EQForm, FormIso, split_pair
-from .intmat import IntMatrix
+from .intmat import IntMatrix, Row
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
@@ -196,11 +199,14 @@ def _as_int(value: Any, path: str) -> int:
 def _as_int_list(value: Any, path: str) -> List[int]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list")
-    # a plain int, the bulk of every matrix, needs no check and no path
+    # a list of plain ints, the bulk of every matrix, passes one C-level test
+    if set(map(type, value)) == _INT_ONLY:
+        return value
     return [v if type(v) is int else _as_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
-def _as_int_rows(value: Any, path: str, cols: int) -> List[List[int]]:
+def _as_int_rows(value: Any, path: str, cols: int) -> List[Row]:
+    """The rows of a matrix, each read into its sparse (column, value) pairs."""
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of rows")
     rows = []
@@ -208,8 +214,18 @@ def _as_int_rows(value: Any, path: str, cols: int) -> List[List[int]]:
         parsed = _as_int_list(row, "%s[%d]" % (path, i))
         if len(parsed) != cols:
             raise SchemaError("%s[%d]" % (path, i), "expected %d entries" % cols)
-        rows.append(parsed)
+        rows.append(tuple(compress(enumerate(parsed), parsed)))
     return rows
+
+
+def _locate(exc: QformError, path: str) -> None:
+    """Give a library error raised while building the object at ``path`` that path.
+
+    The innermost object keeps its path: an error that already has one
+    is left as it is.
+    """
+    if exc.path is None:
+        exc.path = path
 
 
 # -- groups --------------------------------------------------------------
@@ -250,21 +266,26 @@ def form_from_doc(doc: Any, path: str = "form") -> EQForm:
     d = _as_dict(doc, path)
     group = group_from_doc(_get(d, "group", path), path + ".group")
     target = group_from_doc(_get(d, "target", path), path + ".target")
-    lam_rows = _as_int_rows(_get(d, "lambda", path), path + ".lambda", group.num_gens)
-    if len(lam_rows) != group.num_gens:
-        raise SchemaError(path + ".lambda", "expected %d rows" % group.num_gens)
-    mu_rows = _as_int_rows(_get(d, "mu", path), path + ".mu", group.num_gens)
+    n = group.num_gens
+    lam_rows = _as_int_rows(_get(d, "lambda", path), path + ".lambda", n)
+    if len(lam_rows) != n:
+        raise SchemaError(path + ".lambda", "expected %d rows" % n)
+    mu_rows = _as_int_rows(_get(d, "mu", path), path + ".mu", n)
     if len(mu_rows) != target.num_gens:
         raise SchemaError(path + ".mu", "expected %d rows" % target.num_gens)
-    lam = IntMatrix.from_rows(lam_rows, group.num_gens)
-    mu = GroupHom(group, target, IntMatrix.from_rows(mu_rows, group.num_gens))
-    v = None
-    if "v" in d:
-        row = _as_int_list(d["v"], path + ".v")
-        if len(row) != target.num_gens:
-            raise SchemaError(path + ".v", "expected %d entries" % target.num_gens)
-        v = GroupHom(target, Z2, IntMatrix.from_rows([row], target.num_gens))
-    return EQForm(group, lam, mu, v)
+    try:
+        lam = IntMatrix(n, n, tuple(lam_rows))
+        mu = GroupHom(group, target, IntMatrix(target.num_gens, n, tuple(mu_rows)))
+        v = None
+        if "v" in d:
+            row = _as_int_list(d["v"], path + ".v")
+            if len(row) != target.num_gens:
+                raise SchemaError(path + ".v", "expected %d entries" % target.num_gens)
+            v = GroupHom(target, Z2, IntMatrix.from_rows([row], target.num_gens))
+        return EQForm(group, lam, mu, v)
+    except QformError as exc:
+        _locate(exc, path)
+        raise
 
 
 # -- subgroups -----------------------------------------------------------
@@ -277,7 +298,7 @@ def subgroup_to_doc(s: SubgroupRep) -> dict:
 def subgroup_from_doc(doc: Any, ambient: AbGroup, path: str = "subgroup") -> SubgroupRep:
     d = _as_dict(doc, path)
     rows = _as_int_rows(_get(d, "generators", path), path + ".generators", ambient.num_gens)
-    return SubgroupRep.from_elements(ambient, rows)
+    return SubgroupRep.from_sparse(ambient, rows)
 
 
 # -- quasi-formations ----------------------------------------------------
@@ -296,7 +317,11 @@ def formation_from_doc(doc: Any, path: str = "formation") -> QuasiFormation:
     form = form_from_doc(_get(d, "form", path), path + ".form")
     lagr = subgroup_from_doc(_get(d, "L", path), form.group, path + ".L")
     summ = subgroup_from_doc(_get(d, "V", path), form.group, path + ".V")
-    return QuasiFormation(form, lagr, summ)
+    try:
+        return QuasiFormation(form, lagr, summ)
+    except QformError as exc:
+        _locate(exc, path)
+        raise
 
 
 # -- isomorphisms and move sequences -------------------------------------
@@ -314,11 +339,15 @@ def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
     d = _as_dict(doc, path)
     source = form_from_doc(_get(d, "source", path), path + ".source")
     target = form_from_doc(_get(d, "target", path), path + ".target")
-    rows = _as_int_rows(_get(d, "matrix", path), path + ".matrix", source.group.num_gens)
-    if len(rows) != target.group.num_gens:
-        raise SchemaError(path + ".matrix", "expected %d rows" % target.group.num_gens)
-    hom = GroupHom(source.group, target.group, IntMatrix.from_rows(rows, source.group.num_gens))
-    return FormIso(source, target, hom)
+    m, n = target.group.num_gens, source.group.num_gens
+    rows = _as_int_rows(_get(d, "matrix", path), path + ".matrix", n)
+    if len(rows) != m:
+        raise SchemaError(path + ".matrix", "expected %d rows" % m)
+    try:
+        return FormIso(source, target, GroupHom(source.group, target.group, IntMatrix(m, n, tuple(rows))))
+    except QformError as exc:
+        _locate(exc, path)
+        raise
 
 
 def move_to_doc(move: Any) -> dict:
@@ -378,7 +407,9 @@ def letter_from_doc(doc: Any, path: str = "letter") -> Any:
         try:
             rest, _ = split_pair(witness.target)
         except HypothesisError as exc:
-            raise HypothesisError(f"{path}.witness: {exc}") from None
+            located = HypothesisError(f"{path}.witness: {exc}")
+            located.path = path + ".witness"
+            raise located from None
         return Flip(
             witness,
             subgroup_from_doc(_get(d, "rest_lagrangian", path), rest.group, path + ".rest_lagrangian"),

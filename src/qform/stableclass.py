@@ -256,7 +256,7 @@ def _hyperbolic_basis(matrix: IntMatrix) -> tuple[tuple[int, int], tuple[int, in
     Requires an even 2×2 symmetric matrix of determinant −1; those are
     exactly the matrices equivalent to [[0,1],[1,0]].
     """
-    p, q, s = matrix.entries[0][0], matrix.entries[0][1], matrix.entries[1][1]
+    p, q, s = matrix[0, 0], matrix[0, 1], matrix[1, 1]
     if p % 2 != 0 or s % 2 != 0:
         raise HypothesisError("not even", "no hyperbolic basis exists")
     if matrix.det() != -1:

@@ -24,7 +24,15 @@ from qform.abelian import (
     torsion_subgroup,
 )
 from qform.errors import HypothesisError, NotASummand
-from qform.intmat import IntMatrix, hermite_row_basis, int_nullspace, int_solve, smith_normal_form
+from qform.intmat import (
+    IntMatrix,
+    dense_row,
+    hermite_row_basis,
+    int_nullspace,
+    int_solve,
+    smith_normal_form,
+    sparse_row,
+)
 
 
 def enumerate_elements(g: AbGroup, free_bound: int = 2):
@@ -577,7 +585,7 @@ def smith_nullspace(a):
     """Integer kernel basis of A from the columns of V in U*A*V = D."""
     dec = smith_normal_form(a)
     limit = min(a.rows, a.cols)
-    return [dec.v.column(i) for i in range(a.cols) if i >= limit or dec.d.entries[i][i] == 0]
+    return [dec.v.column(i) for i in range(a.cols) if i >= limit or dec.diagonal[i] == 0]
 
 
 def reference_kernel(h):
@@ -591,20 +599,21 @@ def reference_kernel(h):
 
 
 def reference_intersection(s, t):
-    a, b = s.lattice, t.lattice
+    n = s.ambient.num_gens
+    a, b = [dense_row(r, n) for r in s.lattice], [dense_row(r, n) for r in t.lattice]
     if not a or not b:
         return SubgroupRep(s.ambient, ())
-    stacked = IntMatrix.from_rows([list(r) for r in a] + [list(r) for r in b], s.ambient.num_gens)
+    stacked = IntMatrix.from_rows(a + b, n)
     rows = []
     for coeff in smith_nullspace(stacked.transpose()):
-        rows.append([sum(c * r[j] for c, r in zip(coeff[: len(a)], a)) for j in range(s.ambient.num_gens)])
-    return SubgroupRep(s.ambient, hermite_row_basis(rows, s.ambient.num_gens))
+        rows.append(sparse_row([sum(c * r[j] for c, r in zip(coeff[: len(a)], a)) for j in range(n)]))
+    return SubgroupRep(s.ambient, hermite_row_basis(rows, n))
 
 
 def reference_preimage(s, h):
     if not s.lattice:
         return reference_kernel(h)
-    lat = IntMatrix.from_rows([list(r) for r in s.lattice], s.ambient.num_gens)
+    lat = IntMatrix(len(s.lattice), s.ambient.num_gens, s.lattice)
     n = h.source.num_gens
     vecs = [col[:n] for col in smith_nullspace(h.matrix.hstack(lat.transpose().neg()))]
     return SubgroupRep.from_elements(h.source, vecs + h.source.relation_rows())
@@ -638,13 +647,13 @@ def test_lattice_operations_match_the_smith_reference(data):
 def int_matrices(draw):
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     entry = st.integers(-6, 6)
-    return IntMatrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+    return IntMatrix.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 @settings(max_examples=300, deadline=None)
 @given(int_matrices())
 def test_int_nullspace_is_the_hermite_basis_of_the_smith_reference(a):
-    assert int_nullspace(a) == list(hermite_row_basis(smith_nullspace(a), a.cols))
+    assert int_nullspace(a) == list(hermite_row_basis(map(sparse_row, smith_nullspace(a)), a.cols))
 
 
 # -- direct sums against the former construction ----------------------

@@ -446,8 +446,22 @@ def test_rank_twelve_jacobi_certificate_replays_in_time():
     assert res.steps == 210
     assert w.sequence.start.form.group.num_gens == 102
     # measured at 2.0 s alone and 2.7 s inside the whole suite on a 2-core
-    # x86-64 machine with CPython 3.11
+    # x86-64 machine with CPython 3.11; 0.6 s on sparse rows
     assert elapsed < 7.0
+
+
+def test_rank_sixteen_jacobi_certificate_replays_in_time():
+    e, ks, ls, vs = hyperbolic_triple(8)
+    t0 = time.monotonic()
+    w = jacobi_witness(e, ks, ls, vs)
+    res = replay(w.sequence)
+    elapsed = time.monotonic() - t0
+    assert res.ok, res.reason
+    assert res.steps == 282
+    assert w.sequence.start.form.group.num_gens == 138
+    # measured at 6.6 s with dense rows and 0.9 s with sparse rows on a
+    # 2-core x86-64 machine with CPython 3.11
+    assert elapsed < 4.0
 
 
 # -- 9: structural anchors of the hyperbolic plane

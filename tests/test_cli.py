@@ -353,6 +353,26 @@ def test_validate_refuses_a_changed_matrix_entry(tmp_path, capsys, sequences, na
     assert report.get("path", "input.moves[%d]" % i).startswith("input.moves[%d]" % i), report
 
 
+@pytest.mark.parametrize(
+    "name,keys,value,code,path",
+    [
+        ("triple-A", ("moves", 1, "iso", "matrix", 0, 1), 7, 2, "input.moves[1].iso"),
+        ("coverage", ("moves", 1, "rest", "L", "generators"), [[1, 1]], 4, "input.moves[1].rest"),
+        ("coverage", ("start", "L", "generators"), [[1, 1]], 4, "input.start"),
+    ],
+    ids=["iso-entry", "destab-rest", "start"],
+)
+def test_a_semantic_read_error_names_the_object_that_failed(tmp_path, capsys, sequences, name, keys, value, code, path):
+    doc = json.loads(json.dumps(sequences[name]))  # a deep copy would keep the generator's shared objects
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    got, report = validate_sequence(tmp_path, capsys, doc)
+    assert (got, report["path"]) == (code, path), report
+    assert "failed_index" not in report
+
+
 # -- exit codes and diagnostics ----------------------------------------
 
 

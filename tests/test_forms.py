@@ -411,6 +411,25 @@ def test_swap_blocks_is_handed_its_own_inverse(e, size):
     assert iso.compose(iso).hom == GroupHom.identity(e.group)
 
 
+def unequal_diagonal_form():
+    g = free_group(3)
+    return EQForm(g, IntMatrix.diagonal([1, 2, 1]), GroupHom.zero(g, Z))
+
+
+@pytest.mark.parametrize(
+    "e, size, reason",
+    [
+        (unequal_diagonal_form(), 1, "map does not pull the pairing back"),
+        (e_form(1, 2), 1, "map does not pull mu back"),
+        (form_direct_sum(e_form(1, 0), e_form(0, 1)).form, 2, "map does not pull mu back"),
+    ],
+    ids=["pairing", "mu", "blocks-of-two"],
+)
+def test_swap_blocks_of_blocks_that_are_not_interchangeable_is_refused(e, size, reason):
+    with pytest.raises(NotWellDefined, match="^%s$" % reason):
+        swap_blocks(e, size)
+
+
 @pytest.mark.parametrize("a, b", list(automorphism_pairs()), ids=["free", "torsion"])
 def test_iso_direct_sum_hands_on_the_block_sum_of_known_inverses(a, b):
     ba = b.compose(a)
@@ -483,3 +502,21 @@ def test_isos_built_from_checked_ones_pass_the_constructor(g1, g2, rng):
     ]
     for iso in built:
         assert_passes_the_constructor(iso)
+
+
+# -- block sums against the former formula -------------------------------
+
+
+def product_iso_direct_sum(a, b):
+    """The former map of a ⊕ b at any groups: incl_a·h_a·proj_a + incl_b·h_b·proj_b."""
+    src = form_direct_sum(a.source, b.source)
+    tgt = form_direct_sum(a.target, b.target)
+    return tgt.incl_a.compose(a.hom).compose(src.proj_a).add(tgt.incl_b.compose(b.hom).compose(src.proj_b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.randoms(use_true_random=False))
+def test_iso_direct_sum_matches_the_product_formula(g1, g2, rng):
+    a = random_iso(rng, random_form(rng, g1))
+    b = random_iso(rng, random_form(rng, g2))
+    assert iso_direct_sum(a, b).hom == product_iso_direct_sum(a, b)

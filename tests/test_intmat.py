@@ -10,13 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 from qform.errors import DimensionMismatch, NoSolution
 from qform.intmat import (
     IntMatrix,
+    dense_row,
     hermite_row_basis,
     int_nullspace,
     int_solve,
     int_solver,
     lattice_contains,
     smith_normal_form,
+    sparse_row,
 )
+
+
+def dense_hermite(rows, width):
+    """``hermite_row_basis`` on dense rows, its basis returned as dense rows."""
+    return tuple(dense_row(r, width) for r in hermite_row_basis([sparse_row(r) for r in rows], width))
 
 
 def random_matrix(rng, rows, cols, bound=50):
@@ -90,13 +97,13 @@ def test_hermite_is_canonical_under_row_shuffle():
     for _ in range(50):
         cols = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
-        h1 = hermite_row_basis(rows, cols)
+        h1 = dense_hermite(rows, cols)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         # also mix in sums of rows: the lattice is unchanged
         if len(rows) >= 2:
             shuffled.append([a + b for a, b in zip(rows[0], rows[1])])
-        h2 = hermite_row_basis(shuffled, cols)
+        h2 = dense_hermite(shuffled, cols)
         assert h1 == h2
         # echelon shape with positive pivots, reduced above
         pivots = []
@@ -110,11 +117,11 @@ def test_hermite_is_canonical_under_row_shuffle():
 
 
 def test_lattice_membership():
-    basis = hermite_row_basis([[2, 0], [0, 3]], 2)
-    assert lattice_contains(basis, (2, 3))
-    assert lattice_contains(basis, (-4, 9))
-    assert not lattice_contains(basis, (1, 0))
-    assert not lattice_contains(basis, (2, 2))
+    basis = hermite_row_basis([((0, 2),), ((1, 3),)], 2)
+    assert lattice_contains(basis, sparse_row((2, 3)))
+    assert lattice_contains(basis, sparse_row((-4, 9)))
+    assert not lattice_contains(basis, sparse_row((1, 0)))
+    assert not lattice_contains(basis, sparse_row((2, 2)))
 
 
 def test_nullspace_and_solve():
@@ -123,7 +130,7 @@ def test_nullspace_and_solve():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = random_matrix(rng, rows, cols, bound=6)
-        basis = int_nullspace(a)
+        basis = [dense_row(r, cols) for r in int_nullspace(a)]
         for col in basis:
             assert a.apply(col) == (0,) * rows
         # the basis spans the whole kernel: full rank, and Z^cols / span is
@@ -170,7 +177,7 @@ entries = st.one_of(st.integers(-3, 3), st.integers(-(BIG**2), BIG**2))
 
 @st.composite
 def dense(draw, rows, cols):
-    return IntMatrix(rows, cols, tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows)))
+    return IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 @st.composite
@@ -178,7 +185,7 @@ def permutation(draw, n):
     """A permutation matrix whose ones may be replaced by other entries."""
     perm = draw(st.permutations(range(n)))
     scale = draw(st.sampled_from([1, -1, BIG + 1, -(BIG**2)]))
-    return IntMatrix(n, n, tuple(tuple(scale if j == perm[i] else 0 for j in range(n)) for i in range(n)))
+    return IntMatrix.from_rows([[scale if j == perm[i] else 0 for j in range(n)] for i in range(n)], n)
 
 
 @st.composite
@@ -250,7 +257,7 @@ def test_solver_matches_fresh_solves_and_detects_unsolvable():
     for _ in range(60):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         a = random_matrix(rng, rows, cols, bound=6)
-        column_lattice = hermite_row_basis([a.column(j) for j in range(cols)], rows)
+        column_lattice = hermite_row_basis(a.transpose().sparse, rows)
         solve = int_solver(a)
         for _ in range(8):
             if rng.random() < 0.5:
@@ -260,7 +267,7 @@ def test_solver_matches_fresh_solves_and_detects_unsolvable():
             x = solve(y)
             assert x == int_solve(a, y)
             # solvability decided independently by lattice membership
-            assert (x is not None) == lattice_contains(column_lattice, y)
+            assert (x is not None) == lattice_contains(column_lattice, sparse_row(y))
             if x is not None:
                 assert a.apply(x) == y
 
@@ -398,7 +405,7 @@ def inverse_inputs(draw):
     elif n >= 2 and kind == "singular":
         i = draw(index)
         rows[(i + 1) % n] = list(rows[i])
-    return IntMatrix(n, n, tuple(map(tuple, rows)))
+    return IntMatrix.from_rows(rows, n)
 
 
 def outcome(f, a):
@@ -503,7 +510,7 @@ def row_lists(draw):
 @given(row_lists())
 def test_hermite_matches_the_rescanning_reference(case):
     rows, width = case
-    assert hermite_row_basis(rows, width) == rescanning_hermite_row_basis(rows, width)
+    assert dense_hermite(rows, width) == rescanning_hermite_row_basis(rows, width)
 
 
 def test_hermite_of_stacked_rows_matches_the_reference():
@@ -513,12 +520,12 @@ def test_hermite_of_stacked_rows_matches_the_reference():
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         rows = [r + r for r in a] + [r + [0] * n for r in b]
-        assert hermite_row_basis(rows, 2 * n) == rescanning_hermite_row_basis(rows, 2 * n)
+        assert dense_hermite(rows, 2 * n) == rescanning_hermite_row_basis(rows, 2 * n)
 
 
 def test_hermite_checks_the_width_of_nonzero_rows_only():
-    assert hermite_row_basis([[0, 0, 0], [1, 2]], 2) == rescanning_hermite_row_basis([[0, 0, 0], [1, 2]], 2)
-    for basis in (hermite_row_basis, rescanning_hermite_row_basis):
+    assert dense_hermite([[0, 0, 0], [1, 2]], 2) == rescanning_hermite_row_basis([[0, 0, 0], [1, 2]], 2)
+    for basis in (dense_hermite, rescanning_hermite_row_basis):
         with pytest.raises(DimensionMismatch):
             basis([[1, 2], [0, 0, 1]], 2)
 
@@ -566,7 +573,7 @@ def determinantal_divisors(rows, m, n):
         g = 0
         for ri in itertools.combinations(range(m), k):
             for ci in itertools.combinations(range(n), k):
-                g = math.gcd(g, leibniz_det(IntMatrix(k, k, tuple(tuple(rows[i][j] for j in ci) for i in ri))))
+                g = math.gcd(g, leibniz_det(IntMatrix.from_rows([[rows[i][j] for j in ci] for i in ri], k)))
         divisors.append(g)
     return divisors
 
@@ -591,7 +598,7 @@ def test_smith_diagonal_is_the_ratio_of_determinantal_divisors(case):
     rows, m, n = case
     d = determinantal_divisors(rows, m, n)
     expected = tuple(d[k] // d[k - 1] if d[k - 1] else 0 for k in range(1, min(m, n) + 1))
-    assert smith_normal_form(IntMatrix(m, n, tuple(map(tuple, rows)))).diagonal == expected
+    assert smith_normal_form(IntMatrix.from_rows(rows, n)).diagonal == expected
 
 
 def scrambled(rng, rows):
@@ -615,9 +622,9 @@ def test_hermite_basis_is_unchanged_by_unimodular_row_operations():
     for _ in range(150):
         width = rng.randint(1, 6)
         rows = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(rng.randint(1, 6))]
-        basis = hermite_row_basis(rows, width)
-        assert hermite_row_basis(scrambled(rng, rows), width) == basis
-        assert hermite_row_basis(scrambled(rng, rows) + [[0] * width], width) == basis
+        basis = dense_hermite(rows, width)
+        assert dense_hermite(scrambled(rng, rows), width) == basis
+        assert dense_hermite(scrambled(rng, rows) + [[0] * width], width) == basis
 
 
 def test_invariant_factors_agree_with_sympy():
@@ -652,6 +659,211 @@ def test_hermite_basis_agrees_with_sympy():
         cases.append(rows)
     for rows in cases:
         n = len(rows[0])
-        ours = [r[::-1] for r in hermite_row_basis([r[::-1] for r in rows], n)][::-1]
+        ours = [r[::-1] for r in dense_hermite([r[::-1] for r in rows], n)][::-1]
         theirs = hermite_normal_form(sympy.Matrix(rows).T)
         assert ours == [tuple(int(x) for x in theirs.col(j)) for j in range(theirs.cols)]
+
+
+# -- sparse kernels against the dense kernels they replaced -----------------
+#
+# The former dense implementations, kept as references: each works on dense
+# rows of width entries and shares no code with the sparse kernel it checks.
+
+
+def dense_combine(coeffs, rows, width):
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            if acc is None:
+                acc = row if c == 1 else tuple(c * x for x in row)
+            else:
+                acc = tuple(x + c * y for x, y in zip(acc, row))
+    return (0,) * width if acc is None else acc
+
+
+def dense_mul(a, b):
+    return tuple(dense_combine(row, b.entries, b.cols) for row in a.entries)
+
+
+def dense_transpose(a):
+    return tuple(zip(*a.entries)) if a.entries else tuple(() for _ in range(a.cols))
+
+
+def dense_bareiss(m):
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def dense_det(a):
+    """±1 pivots in row order while a column offers one, then Bareiss."""
+    n = a.rows
+    m = [list(r) for r in a.entries]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] in (1, -1)), None)
+        if piv is None:
+            return det * dense_bareiss([r[k:] for r in m[k:]])
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        p = m[k][k]
+        det *= p
+        pivot_row = [(j, p * m[k][j]) for j in range(k + 1, n) if m[k][j]]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            if f:
+                for j, x in pivot_row:
+                    m[i][j] -= f * x
+    return det
+
+
+def dense_hermite_reference(rows, width):
+    """The bucketed Hermite basis on dense rows, reducing every basis row across the full width."""
+    buckets = {}
+    for r in rows:
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            buckets.setdefault(lead, []).append(list(r))
+    basis = []
+    for col in range(width):
+        live = buckets.pop(col, None)
+        if live is None:
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            survivors = [piv]
+            for r in live:
+                if r is piv:
+                    continue
+                q = r[col] // piv[col]
+                r = [x - q * y for x, y in zip(r, piv)]
+                if r[col]:
+                    survivors.append(r)
+                else:
+                    lead = next((j for j in range(col + 1, width) if r[j]), None)
+                    if lead is not None:
+                        buckets.setdefault(lead, []).append(r)
+            live = survivors
+        top = live[0]
+        if top[col] < 0:
+            top = [-x for x in top]
+        for i, b in enumerate(basis):
+            q = b[col] // top[col]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(b, top)]
+        basis.append(top)
+    return tuple(map(tuple, basis))
+
+
+def dense_lattice_contains(basis, vec):
+    v = list(vec)
+    for row in basis:
+        piv = next((j for j, x in enumerate(row) if x != 0), None)
+        if piv is not None and v[piv] % row[piv] == 0:
+            q = v[piv] // row[piv]
+            v = [x - q * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def dense_nullspace(a):
+    m, n = a.rows, a.cols
+    rows = [a.column(j) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [r[m:] for r in dense_hermite_reference(rows, m + n) if not any(r[:m])]
+
+
+def dense_inverse(a):
+    n = a.rows
+    if not a.is_square:
+        raise NoSolution("matrix is not unimodular")
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    basis = dense_hermite_reference([r + e for r, e in zip(a.entries, unit)], 2 * n)
+    if any(r[:n] != e for r, e in zip(basis, unit)):
+        raise NoSolution("matrix is not unimodular")
+    return IntMatrix.from_rows([r[n:] for r in basis], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pairs())
+@example((IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0)))
+@example((IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 2)))
+def test_sparse_mul_and_transpose_match_the_dense_kernels(pair):
+    a, b = pair
+    assert a.mul(b).entries == dense_mul(a, b)
+    assert a.transpose().entries == dense_transpose(a)
+    assert b.transpose().transpose() == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_square(), permutation_like(), inverse_inputs()))
+def test_sparse_det_and_inverse_match_the_dense_kernels(a):
+    assert a.det() == dense_det(a)
+    assert outcome(IntMatrix.inverse_unimodular, a) == outcome(dense_inverse, a)
+
+
+@st.composite
+def torsion_lattices(draw):
+    """Row lists with relation rows d·e_j added, as the lattice of a subgroup of a group with torsion holds."""
+    rows, width = draw(row_lists())
+    for j in draw(st.lists(st.integers(0, width - 1), max_size=3)) if width else []:
+        rows.append([draw(st.sampled_from([2, 3, 4, 6])) if i == j else 0 for i in range(width)])
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(row_lists(), torsion_lattices()), st.data())
+def test_sparse_hermite_and_membership_match_the_dense_kernels(case, data):
+    rows, width = case
+    basis = hermite_row_basis([sparse_row(r) for r in rows], width)
+    reference = dense_hermite_reference(rows, width)
+    assert tuple(dense_row(r, width) for r in basis) == reference
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)]
+    other = data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
+    assert lattice_contains(basis, sparse_row(member))
+    assert lattice_contains(basis, sparse_row(other)) == dense_lattice_contains(reference, other)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Up to 5×6 with small entries; "repeat" makes the rows rank-deficient."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    m = [[draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        m[-1] = [draw(st.sampled_from([-2, 1, 3])) * x for x in m[0]]
+    return IntMatrix.from_rows(m, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+def test_sparse_nullspace_matches_the_dense_kernel(a):
+    assert [dense_row(r, a.cols) for r in int_nullspace(a)] == dense_nullspace(a)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [((2, 1), (0, 3)), ((0, 2), (0, 3)), ((1, 0),), ((3, 1),), ((-1, 1),)],
+    ids=["unsorted", "repeated", "explicit-zero", "past-the-last-column", "negative-column"],
+)
+def test_the_constructor_rejects_rows_that_are_not_canonical(row):
+    assert IntMatrix(2, 3, (((0, 1), (2, -4)), ())).entries == ((1, 0, -4), (0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(2, 3, (((0, 1),), row))
