@@ -17,6 +17,11 @@ one stacked Hermite basis of sparse rows (Zassenhaus' algorithm for
 meets and preimages), with no Smith form, so each costs about the
 nonzero entries of the lattices and maps involved.
 
+Whether a subgroup is a direct summand is read off Hermite bases too (see
+``is_direct_summand``); only a torsion ambient asks ``direct_complement``
+for a section.  A Smith form is computed only where its transforms are
+used: quotients, the merged torsion of a direct sum, and solving.
+
 Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
 whose coordinates are free(A), free(B), then the merged torsion; its
 inclusions and projections are block-diagonal matrices.
@@ -69,10 +74,6 @@ class AbGroup:
     def is_free(self) -> bool:
         return not self.torsion
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.num_gens == 0
-
     def reduce(self, vec: Sequence[int]) -> Vec:
         if len(vec) != self.num_gens:
             raise DimensionMismatch(f"element length {len(vec)} != {self.num_gens} generators")
@@ -100,9 +101,6 @@ class AbGroup:
 
     def neg(self, x: Sequence[int]) -> Vec:
         return self.reduce([-a for a in x])
-
-    def smul(self, k: int, x: Sequence[int]) -> Vec:
-        return self.reduce([k * a for a in x])
 
     def is_zero_element(self, x: Sequence[int]) -> bool:
         return self.reduce(x) == self.zero()
@@ -419,46 +417,30 @@ def quotient_with_projection(b: SubgroupRep) -> tuple[AbGroup, GroupHom]:
 
 
 def is_direct_summand(b: SubgroupRep) -> bool:
-    """True iff B is a direct summand of its ambient group A; builds no complement.
+    """True iff B is a direct summand of its ambient group A.
 
-    Unit-pivot rule: when every pivot of the Hermite basis ``b.lattice`` is
-    1, its rows extend to a basis of Z^{r+m} by unit vectors, and since the
-    lattice contains the relations, B splits off.  Otherwise Miyata's
-    criterion decides (T. Miyata, Note on direct summands of modules,
-    J. Math. Kyoto Univ. 7, 1967): 0 → B → A → A/B → 0 splits iff
-    A ≅ B ⊕ A/B, a comparison of invariant factors.  A/B comes from the
-    Smith diagonal of the lattice, B from that of the relations written in
-    the lattice's echelon basis, and the combined torsion is renormalized
-    through the Smith form of its diagonal matrix.
+    * Unit pivots: when every pivot of the Hermite basis ``b.lattice`` is
+      1, its rows extend to a basis of Z^{r+m} by unit vectors, and since
+      the lattice contains the relations, B splits off.
+    * Free ambient: B ≤ Z^n with k×n lattice matrix M splits off iff Z^n/B
+      is free, iff the columns of M span Z^k, iff their Hermite basis is
+      the k unit rows: one sparse Hermite basis, no Smith form.
+    * Torsion in the ambient: B splits off iff ``direct_complement`` finds
+      a section of the quotient map; it raises ``NotASummand`` exactly
+      when none exists.
     """
     amb = b.ambient
     if all(row[0][1] == 1 for row in b.lattice):
         return True
-    quot = _cokernel(IntMatrix(len(b.lattice), amb.num_gens, b.lattice))
-    coords = [_echelon_coordinates(b.lattice, rel) for rel in amb.relation_rows()]
-    sub = _cokernel(IntMatrix.from_rows(coords, len(b.lattice)))
-    torsion = _cokernel(IntMatrix.diagonal(quot.torsion + sub.torsion)).torsion
-    return AbGroup(quot.free_rank + sub.free_rank, torsion) == amb
-
-
-def _cokernel(a: IntMatrix) -> AbGroup:
-    """Z^cols modulo the rows of A, in invariant-factor form."""
-    diag = smith_normal_form(a).diagonal
-    return AbGroup(a.cols - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2))
-
-
-def _echelon_coordinates(basis: Sequence[Row], v: Sequence[int]) -> list[int]:
-    """Coefficients of v, a dense lattice vector, in an echelon basis of sparse rows."""
-    v = list(v)
-    coeffs = []
-    for row in basis:
-        p, lead = row[0]
-        c = v[p] // lead
-        if c:
-            for j, y in row:
-                v[j] -= c * y
-        coeffs.append(c)
-    return coeffs
+    if amb.is_free:
+        k = len(b.lattice)
+        columns = IntMatrix(k, amb.num_gens, b.lattice).transpose().sparse
+        return hermite_row_basis(columns, k) == IntMatrix.identity(k).sparse
+    try:
+        direct_complement(b)
+    except NotASummand:
+        return False
+    return True
 
 
 def direct_complement(b: SubgroupRep) -> SubgroupRep:
@@ -473,30 +455,20 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     amb = b.ambient
     quot, proj = quotient_with_projection(b)
     solve_free = group_solver(proj) if quot.free_rank else None
+    relations = [list(r) + [0] * amb.num_gens for r in quot.relation_rows()]
+    relations += [[0] * quot.num_gens + list(r) for r in amb.relation_rows()]
     lifts = []
     for i, g in enumerate(quot.gens()):
-        order = 0 if i < quot.free_rank else quot.torsion[i - quot.free_rank]
-        if order == 0:
-            x = solve_free(g)  # the projection is onto, so a free generator always lifts
-        else:
-            # combined condition: proj(x) = g and order*x = 0 in the ambient
-            rel = amb.relation_rows()
-            mult = IntMatrix.identity(amb.num_gens).scale(order)
-            stacked = proj.matrix.vstack(mult)
-            rhs = list(g) + list(amb.zero())
-            cols = []
-            for r in quot.relation_rows():
-                cols.append(list(r) + [0] * amb.num_gens)
-            for r in rel:
-                cols.append([0] * quot.num_gens + list(r))
-            block = stacked
-            if cols:
-                block = block.hstack(IntMatrix.from_columns(cols, rows=stacked.rows))
-            sol = int_solve(block, rhs)
-            if sol is None:
-                raise NotASummand("no section: subgroup is not a direct summand")
-            x = amb.reduce(sol[: amb.num_gens])
-        lifts.append(x)
+        if i < quot.free_rank:
+            lifts.append(solve_free(g))  # the projection is onto, so a free generator always lifts
+            continue
+        # proj(x) = g and k*x = 0 for g's order k, modulo both groups' relations
+        stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(quot.torsion[i - quot.free_rank]))
+        block = stacked.hstack(IntMatrix.from_columns(relations, rows=stacked.rows))
+        sol = int_solve(block, list(g) + list(amb.zero()))
+        if sol is None:
+            raise NotASummand("no section: subgroup is not a direct summand")
+        lifts.append(amb.reduce(sol[: amb.num_gens]))
     return SubgroupRep.from_elements(amb, lifts)
 
 
@@ -555,16 +527,6 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
         GroupHom(total, a, diag([eye_a, zeros(0, rb), w_a])),
         GroupHom(total, b, diag([zeros(0, ra), eye_b, w_b])),
     )
-
-
-# -- presentation -----------------------------------------------------
-
-
-def group_from_presentation(num_gens: int, relations: Iterable[Sequence[int]]) -> tuple[AbGroup, GroupHom]:
-    """Normalize ``Z^n / <relations>``; returns the group and projection."""
-    free = AbGroup(num_gens, ())
-    sub = SubgroupRep.from_elements(free, relations)
-    return quotient_with_projection(sub)
 
 
 # -- matching of surjections (free sources) ----------------------------

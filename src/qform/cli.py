@@ -50,6 +50,7 @@ from .serialize import (
     _get,
     canonical_dumps,
     decimal_to_int,
+    first_difference,
     form_from_doc,
     form_to_doc,
     formation_from_doc,
@@ -405,7 +406,8 @@ def _validate_doc(doc, text):
     ``text`` is the input ``doc`` was parsed from.  A command result is
     recomputed and encoded; when that encoding is the input text itself
     the stored document encodes to the same bytes, so it is encoded only
-    when the two differ.
+    when the two differ.  A stored result that differs is reported with
+    the first JSON path where it differs from the recomputed one.
     """
     d = _as_dict(doc, "input")
     if "command" in d:
@@ -422,7 +424,8 @@ def _validate_doc(doc, text):
             fresh = cmd.build(inp)
         fresh_text = canonical_dumps(fresh)
         ok = fresh_text == text or fresh_text == canonical_dumps(d)
-        extra = {} if ok else {"reason": "stored results differ from recomputation"}
+        reason = "stored results differ from recomputation"
+        extra = {} if ok else {"reason": reason, "path": first_difference(d, fresh, "input")}
         return "%s result" % name, ok, extra
     if "lambda" in d:
         return "form", True, _report_doc(form_from_doc(d, "input"))

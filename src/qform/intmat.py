@@ -20,7 +20,9 @@ not the width squared:
   lattice spanned by the given rows (echelon shape, positive pivots,
   entries above each pivot reduced into ``[0, pivot)``).  Rows wait in
   buckets keyed by their leading column, and a new pivot reduces only
-  the basis rows that are nonzero in its column.
+  the basis rows that are nonzero in its column.  Rows leading in one
+  column meet by remainder rounds while more than two are left, which
+  keeps dense rows small, and the last pair by one extended-gcd step.
 * ``det`` eliminates on ±1 pivots while a column offers one, updating
   only the rows nonzero in the pivot column along the pivot row's
   entries; at the first column without a ±1 entry it hands the remaining
@@ -565,19 +567,24 @@ def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
     increase, pivots are positive, and every entry above a pivot lies in
     ``[0, pivot)``.  Zero input rows are discarded.
 
-    Rows wait in buckets keyed by their leading column.  Columns are taken
-    in order, starting from the row of least leading magnitude in the
-    column's bucket.  Each other row r of the bucket, by increasing
-    leading magnitude, meets that top row t:
-    with leads a | b one subtraction r − (b/a)·t cancels r's lead;
-    otherwise, with g = gcd(a, b) and u·(a/g) + v·(b/g) = 1, the unimodular
-    step (t, r) ↦ (u·t + v·r, (b/g)·t − (a/g)·r) leaves lead g on the top
-    row and cancels r's, in two row combinations however long Euclid's
-    chain of quotients would be.  A row whose lead is cancelled moves to
-    the bucket of its new leading column (or vanishes).  The top row
-    becomes the next basis row and reduces the entries above it, in the
-    basis rows that ``holders`` lists as nonzero in its column.  A column
-    no row leads in costs one lookup.
+    Rows wait in buckets keyed by their leading column, and columns are
+    taken in order.  While a column's bucket holds more than two rows,
+    remainder rounds run: each row r loses ⌊b/a⌋ times the row t of least
+    leading magnitude (leads a of t, b of r), so r's lead drops below |a|.
+    The last pair, t of lesser lead and r, meets at once: with a | b by
+    r − (b/a)·t; otherwise, with g = gcd(a, b) and u·(a/g) + v·(b/g) = 1,
+    by the unimodular step (t, r) ↦ (u·t + v·r, (b/g)·t − (a/g)·r), which
+    leaves lead g on t and cancels r's.  Both steps are needed: the
+    extended-gcd step multiplies both rows by their leads' cofactors, so a
+    top row met that way with every row of a large bucket blows up on
+    dense rows, while remainder rounds keep entries near the inputs' size;
+    but on two rows alone remainder rounds are Euclid's chain, thousands
+    of rounds for leads of thousands of digits, which the one step
+    replaces.  A row whose lead is cancelled moves to the bucket of its
+    new leading column (or vanishes).  The top row becomes the next basis
+    row and reduces the entries above it, in the basis rows ``holders``
+    lists as nonzero in its column.  A column no row leads in costs one
+    lookup.
     """
     buckets: dict[int, list[Row]] = {}
     for r in rows:
@@ -592,8 +599,18 @@ def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
         live = buckets.pop(col, None)
         if live is None:
             continue
-        top, *others = sorted(live, key=lambda r: abs(r[0][1]))
-        for r in others:
+        while len(live) > 2:
+            top = min(live, key=lambda r: abs(r[0][1]))
+            a = top[0][1]
+            survivors = [top]
+            for r in live:
+                if r is not top:
+                    r = _combine(((0, 1), (1, -(r[0][1] // a))), (r, top))
+                    if r:
+                        (survivors if r[0][0] == col else buckets.setdefault(r[0][0], [])).append(r)
+            live = survivors
+        top, *last = sorted(live, key=lambda r: abs(r[0][1]))
+        for r in last:  # at most one row: the last pair meets by one extended-gcd step
             a, b = top[0][1], r[0][1]
             if b % a:
                 g = gcd(a, b)

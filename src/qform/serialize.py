@@ -12,7 +12,8 @@ document with every integer of magnitude 2**53 or more replaced by its
 decimal string; a list of 53-bit integers, the bulk of every matrix, is
 written with a single join.  Object keys must be strings, and a document
 nested more than ``MAX_DEPTH`` containers deep is refused with a
-SchemaError, as is one too deep to parse.
+SchemaError, as is one too deep to parse.  ``first_difference`` names
+the first JSON path, in that layout's order, where two documents differ.
 
 Integers have no size limit in either direction.  Python refuses int/str
 conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
@@ -103,6 +104,31 @@ def canonical_dumps(doc: Any) -> str:
     _write(doc, "\n", 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def first_difference(a: Any, b: Any, path: str) -> str | None:
+    """The first JSON path where the encodings of a and b differ, or None.
+
+    Keys are taken sorted and list items in order.  A key only one side
+    has, or the first item past the shorter list, is itself the
+    difference; other values differ when their encodings do.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            at = path + "." + key
+            if key not in a or key not in b:
+                return at
+            found = first_difference(a[key], b[key], at)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, "%s[%d]" % (path, i))
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else "%s[%d]" % (path, min(len(a), len(b)))
+    return None if canonical_dumps(a) == canonical_dumps(b) else path
 
 
 def _write(value: Any, newline: str, depth: int, out: List[str]) -> None:

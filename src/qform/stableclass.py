@@ -194,17 +194,6 @@ def orbit_canonical(a: int, b: int) -> tuple[int, int]:
     return min(set(orbit(a, b)), key=lambda p: (p[0] < 0, p[1] < 0, p[0], p[1]))
 
 
-def si2_isomorphic(a: int, b: int, c: int, d: int) -> FormIso | None:
-    """An isomorphism E_{a,b} → E_{c,d} if one exists (orbit membership)."""
-    for rows in _H2_AUT_MATRICES:
-        if (rows[0][0] * a + rows[0][1] * b, rows[1][0] * a + rows[1][1] * b) == (c, d):
-            hom = GroupHom(
-                free_group(2), free_group(2), IntMatrix.from_rows([list(r) for r in rows])
-            )
-            return FormIso(e_ab(a, b), e_ab(c, d), hom)
-    return None
-
-
 # -- enumeration of stable classes -------------------------------------
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qform import abelian, intmat
 from qform.abelian import (
     AbGroup,
     GroupHom,
@@ -14,7 +15,6 @@ from qform.abelian import (
     direct_complement,
     direct_sum_with_maps,
     free_group,
-    group_from_presentation,
     group_solver,
     invert_iso,
     is_direct_summand,
@@ -42,6 +42,11 @@ def enumerate_elements(g: AbGroup, free_bound: int = 2):
     return [g.reduce(v) for v in itertools.product(*ranges)]
 
 
+def smul(g: AbGroup, k: int, x):
+    """k·x in g."""
+    return g.reduce([k * a for a in x])
+
+
 # -- group basics ------------------------------------------------------
 
 
@@ -60,7 +65,7 @@ def test_reduce_and_arithmetic():
     assert g.reduce((5, 3, 9)) == (5, 1, 1)
     assert g.add((1, 1, 3), (2, 1, 2)) == (3, 0, 1)
     assert g.neg((1, 1, 1)) == (-1, 1, 3)
-    assert g.smul(4, (1, 1, 1)) == (4, 0, 0)
+    assert smul(g, 4, (1, 1, 1)) == (4, 0, 0)
     assert g.is_zero_element((0, 2, 4))
     assert not g.is_zero_element((0, 1, 0))
 
@@ -152,7 +157,7 @@ def test_quotient_z2_by_2e1():
     assert proj.is_surjective()
     assert proj.apply((2, 0)) == quot.zero()
     assert not quot.is_zero_element(proj.apply((1, 0)))
-    assert quot.is_zero_element(quot.smul(2, proj.apply((1, 0))))
+    assert quot.is_zero_element(smul(quot, 2, proj.apply((1, 0))))
 
 
 def test_quotient_z_by_2z():
@@ -174,7 +179,7 @@ def test_quotient_by_zero_is_iso():
 
 
 def test_presentation_normalizes():
-    quot, proj = group_from_presentation(3, [(1, -1, 0), (0, 2, 2)])
+    quot, proj = quotient_with_projection(SubgroupRep.from_elements(free_group(3), [(1, -1, 0), (0, 2, 2)]))
     assert quot == AbGroup(1, (2,))
     assert proj.apply((1, -1, 0)) == quot.zero()
     assert proj.apply((0, 2, 2)) == quot.zero()
@@ -308,9 +313,9 @@ def test_direct_sum_renormalizes_torsion():
     assert ds.group == AbGroup(0, (6,))
     x = ds.incl_a.apply((1,))
     y = ds.incl_b.apply((1,))
-    assert ds.group.is_zero_element(ds.group.smul(2, x))
-    assert not ds.group.is_zero_element(ds.group.smul(1, x))
-    assert ds.group.is_zero_element(ds.group.smul(3, y))
+    assert ds.group.is_zero_element(smul(ds.group, 2, x))
+    assert not ds.group.is_zero_element(smul(ds.group, 1, x))
+    assert ds.group.is_zero_element(smul(ds.group, 3, y))
     assert ds.proj_a.apply(x) == (1,)
     assert ds.proj_b.apply(y) == (1,)
     assert ds.proj_a.apply(y) == (0,)
@@ -570,12 +575,112 @@ def test_summand_decision_on_images_under_endomorphisms():
             h = random_endomorphism(rng, g)
             gens = [h.apply(x) for x in rng.sample(g.gens(), rng.randint(0, g.num_gens))]
             if gens and rng.random() < 0.5:
-                gens[0] = g.smul(rng.choice([2, 3]), gens[0])
+                gens[0] = smul(g, rng.choice([2, 3]), gens[0])
             b = SubgroupRep.from_elements(g, gens)
             decided = is_direct_summand(b)
             assert decided == isinstance(outcome(direct_complement, b), SubgroupRep)
             summands += decided
     assert 30 < summands < 70  # both outcomes are exercised
+
+
+# -- the summand decision against Miyata's invariant-factor test -----------
+
+
+def invariant_factors(rows, width):
+    """The nonzero invariant factors of the matrix with the given dense rows, from sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    if not rows or not width:
+        return ()
+    return tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if d)
+
+
+def cokernel(rows, width):
+    """Z^width modulo the dense rows, in invariant-factor form."""
+    factors = invariant_factors(rows, width)
+    return AbGroup(width - len(factors), tuple(d for d in factors if d >= 2))
+
+
+def echelon_coordinates(basis, v):
+    """Coefficients of the lattice vector v in the echelon basis of dense rows."""
+    v, coeffs = list(v), []
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c = v[p] // row[p]
+        v = [x - c * y for x, y in zip(v, row)]
+        coeffs.append(c)
+    assert not any(v)
+    return coeffs
+
+
+def miyata_is_summand(b):
+    """Miyata's criterion (T. Miyata, Note on direct summands of modules, J. Math. Kyoto Univ. 7, 1967).
+
+    0 → B → A → A/B → 0 splits iff A ≅ B ⊕ A/B, a comparison of invariant
+    factors: A/B is Z^n modulo the lattice, B is the lattice modulo the
+    relations written in the lattice's echelon basis, and the torsion of
+    the sum is renormalized as the cokernel of its diagonal.  This was the
+    library's test for lattices with a pivot other than 1.
+    """
+    amb = b.ambient
+    n = amb.num_gens
+    basis = [dense_row(r, n) for r in b.lattice]
+    quot = cokernel(basis, n)
+    sub = cokernel([echelon_coordinates(basis, rel) for rel in amb.relation_rows()], len(basis))
+    t = quot.torsion + sub.torsion
+    torsion = cokernel([[d if i == j else 0 for j in range(len(t))] for i, d in enumerate(t)], len(t)).torsion
+    return AbGroup(quot.free_rank + sub.free_rank, torsion) == amb
+
+
+NAMED_SUMMAND_CASES = [
+    (free_group(2), [(2, 1)], True),
+    (AbGroup(0, (2, 4)), [(1, 2)], True),
+    (free_group(2), [(2, 0)], False),
+    (free_group(2), [(2, 2)], False),
+    (AbGroup(0, (4,)), [(2,)], False),
+    (AbGroup(1, (2,)), [(2, 1)], False),
+]
+
+
+@pytest.mark.parametrize("ambient,gens,splits", NAMED_SUMMAND_CASES)
+def test_summand_decision_on_named_cases(ambient, gens, splits):
+    b = SubgroupRep.from_elements(ambient, gens)
+    assert any(row[0][1] != 1 for row in b.lattice)  # the unit-pivot rule does not decide
+    assert is_direct_summand(b) is splits
+    assert miyata_is_summand(b) is splits
+    assert isinstance(outcome(direct_complement, b), SubgroupRep) is splits
+
+
+@settings(max_examples=300, deadline=None)
+@given(subgroups())
+@example(SubgroupRep.from_elements(free_group(3), [(2, 1, 0), (0, 3, 3)]))
+@example(SubgroupRep.from_elements(AbGroup(1, (2, 4)), [(2, 1, 1), (0, 0, 2)]))
+def test_summand_decision_matches_miyata(b):
+    assert is_direct_summand(b) == miyata_is_summand(b)
+
+
+def test_free_summand_decision_computes_no_smith_form(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    rng = random.Random(59)
+    dense = [[rng.randint(-1, 1) for _ in range(12)] for _ in range(6)]
+    counts = {}
+    for ambient, gens, splits in NAMED_SUMMAND_CASES + [(free_group(12), dense, None)]:
+        b = SubgroupRep.from_elements(ambient, gens)
+        calls.clear()
+        decided = is_direct_summand(b)
+        counts[ambient.is_free] = counts.get(ambient.is_free, 0) + len(calls)
+        if splits is not None:
+            assert decided is splits
+    assert counts[True] == 0
+    assert counts[False] > 0  # a torsion ambient still reaches direct_complement's Smith forms
 
 
 # -- lattice operations against the Smith-form reference -------------------

@@ -166,6 +166,19 @@ def test_validate_recomputes_command_results(tmp_path, capsys):
     bad = write_doc(tmp_path, "tampered.json", tampered)
     code, doc, _ = invoke(capsys, "validate", "--input", bad)
     assert code == 2 and doc["ok"] is False
+    assert doc["reason"] == "stored results differ from recomputation"
+    assert doc["path"] == "input.perp.generators[0][0]"
+
+    # a key the recomputation lacks, a list item past the shorter list, a key it has that the document lacks
+    for edit, path in [
+        (lambda d: d.update(extra=1), "input.extra"),
+        (lambda d: d["perp"]["generators"].append([0, 2]), "input.perp.generators[1]"),
+        (lambda d: d.pop("perp"), "input.perp"),
+    ]:
+        tampered = json.loads(open(out).read())
+        edit(tampered)
+        code, doc, _ = invoke(capsys, "validate", "--input", write_doc(tmp_path, "tampered.json", tampered))
+        assert (code, doc["ok"], doc["path"]) == (2, False, path)
 
 
 # -- witness pipelines -------------------------------------------------
@@ -537,6 +550,14 @@ STORED_VARIANTS = {
 }
 
 
+# the first JSON path where each tampered variant differs from the recomputed result
+TAMPERED_PATHS = {
+    "int-as-string": "input.form.group.free_rank",
+    "tampered": "input.sequence.moves[0].kind",
+    "tampered-compact": "input.sequence.moves[0].kind",
+}
+
+
 def validate_both_ways(monkeypatch, capsys, argv):
     """Stdout, exit code and encoder calls of validate, then the same with the stored document always encoded."""
     calls = []
@@ -576,6 +597,7 @@ def test_validate_fast_path_reports_as_before(tmp_path, capsys, monkeypatch, jac
             "kind": "jacobi result",
             "ok": False,
             "reason": "stored results differ from recomputation",
+            "path": TAMPERED_PATHS[variant],
         }
     # the fresh result and the report are encoded; the stored document only when its text is not canonical
     assert fast_calls == (2 if variant == "canonical" else slow_calls)

