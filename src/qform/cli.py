@@ -23,6 +23,7 @@ from . import oracle
 from .abelian import GroupHom, Z2
 from .construct import metabolic_basis, ru_wall_witness, ru_word_eval, stable_lagrangian_iso
 from .errors import (
+    DEFAULT_NODE_LIMIT,
     DimensionMismatch,
     HypothesisError,
     NoSolution,
@@ -337,12 +338,12 @@ def _kappa_result(doc) -> dict:
     }
 
 
-def _si_result(doc, command: str = "si") -> dict:
+def _si_result(doc, node_limit: int = DEFAULT_NODE_LIMIT, command: str = "si") -> dict:
     """The stable classes of E_{a,b}: by ``si_enumerate``, or by the oracle's scan for oracle-si."""
     d = _as_dict(doc, "input")
     a = _as_int(_get(d, "a", "input"), "input.a")
     b = _as_int(_get(d, "b", "input"), "input.b")
-    rep = si_enumerate(a, b) if command == "si" else oracle.brute_si(a, b)
+    rep = si_enumerate(a, b, node_limit) if command == "si" else oracle.brute_si(a, b)
     return {
         "command": command,
         "a": a,
@@ -352,12 +353,12 @@ def _si_result(doc, command: str = "si") -> dict:
     }
 
 
-def _stable_class_result(doc) -> dict:
+def _stable_class_result(doc, node_limit: int = DEFAULT_NODE_LIMIT) -> dict:
     d = _as_dict(doc, "input")
     rkq = _as_int(_get(d, "rkq", "input"), "input.rkq")
     a = _as_int(d.get("a", 0), "input.a")
     b = _as_int(d.get("b", 0), "input.b")
-    counts = stable_class_report(rkq, a, b)
+    counts = stable_class_report(rkq, a, b, node_limit)
     return {
         "command": "stable-class",
         "rkq": rkq,
@@ -418,7 +419,7 @@ def _validate_doc(doc, text):
         if cmd is None:
             raise SchemaError("input.command", "unknown command %r" % name)
         inp = d if cmd.echo is None else _get(d, cmd.echo, "input")
-        if cmd.budget:
+        if cmd.budget == "search":
             fresh = cmd.build(inp, _budget_from_doc(_get(d, "budget", "input"), "input.budget"))
         else:
             fresh = cmd.build(inp)
@@ -482,10 +483,12 @@ class Command:
     """One subcommand: its help, extra options, input reader and result builder.
 
     ``build`` takes what ``read`` returns, the input document (``validate``
-    reads the document and its text), plus the search budget when
-    ``budget`` is set: from the flags on the command line, from the
-    document's "budget" under ``validate``.  A result document echoes its
-    input under ``echo``, or at its top level when ``echo`` is None.
+    reads the document and its text), plus, by ``budget``, the search
+    budget ("search") or its node limit alone ("nodes") from the flags on
+    the command line.  Under ``validate`` a search budget comes from the
+    document's "budget" and a node limit is the default.  A result
+    document echoes its input under ``echo``, or at its top level when
+    ``echo`` is None.
     """
 
     help: str
@@ -493,7 +496,7 @@ class Command:
     read: Callable = _read_doc  # parsed arguments -> input document
     echo: str | None = None
     options: tuple = ()  # extra (flag, add_argument keywords) pairs
-    budget: bool = False
+    budget: str | None = None  # "search", "nodes" or None
 
 
 def _int_flag(text: str) -> int:
@@ -538,7 +541,7 @@ COMMANDS = {
     ),
     "si": Command(
         "stable classes of the twisted plane E_{a,b}", _si_result,
-        read=_flags_doc("a", "b"), options=_PAIR,
+        read=_flags_doc("a", "b"), options=_PAIR, budget="nodes",
     ),
     "stable-class": Command(
         "stable smoothing counts by coefficient rank", _stable_class_result,
@@ -548,12 +551,13 @@ COMMANDS = {
             ("--a", {"type": _int_flag, "default": 0}),
             ("--b", {"type": _int_flag, "default": 0}),
         ),
+        budget="nodes",
     ),
     "oracle-lagrangians": Command(
-        "bounded search for free lagrangians", _oracle_lagrangians_result, echo="form", budget=True
+        "bounded search for free lagrangians", _oracle_lagrangians_result, echo="form", budget="search"
     ),
     "oracle-iso": Command(
-        "bounded search for an isomorphism of forms", _oracle_iso_result, budget=True
+        "bounded search for an isomorphism of forms", _oracle_iso_result, budget="search"
     ),
     "oracle-si": Command(
         "divisor-scan cross-check of the si enumeration", functools.partial(_si_result, command="oracle-si"),
@@ -609,7 +613,12 @@ def run(argv=None) -> int:
     cmd = COMMANDS[args.cmd]
     try:
         doc = cmd.read(args)
-        result = cmd.build(doc, _budget(args)) if cmd.budget else cmd.build(doc)
+        if cmd.budget == "search":
+            result = cmd.build(doc, _budget(args))
+        elif cmd.budget == "nodes":
+            result = cmd.build(doc, _budget(args).node_limit)
+        else:
+            result = cmd.build(doc)
     except RecursionError:
         # a document that parsed but is too deep for a later recursive step
         return _schema_failure(SchemaError("", NESTED_TOO_DEEPLY))

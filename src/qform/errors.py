@@ -1,8 +1,12 @@
 """Exception hierarchy shared by the whole package.
 
 Every failure that a caller can meaningfully react to gets its own class;
-the CLI maps them onto distinct exit codes.
+the CLI maps them onto distinct exit codes.  The node counter that
+raises ``NodeLimitExceeded`` lives here too, so the oracle's searches
+and the factoring behind the stable-class counts share one budget.
 """
+
+DEFAULT_NODE_LIMIT = 200_000
 
 
 class QformError(Exception):
@@ -53,6 +57,21 @@ class VMissing(HypothesisError):
 
 class NodeLimitExceeded(QformError):
     """A bounded search ran out of its node budget."""
+
+
+class NodeCounter:
+    """Counts visited nodes and aborts once the cap is passed."""
+
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int):
+        self.nodes = 0
+        self.limit = limit
+
+    def tick(self, nodes: int = 1) -> None:
+        self.nodes += nodes
+        if self.nodes > self.limit:
+            raise NodeLimitExceeded("search passed %d nodes" % self.limit)
 
 
 class SchemaError(QformError):

@@ -182,7 +182,16 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square and self.sparse == self.transpose().sparse
+        """Whether each entry (i, j, x) has its mirror (j, i, x); no transpose is built."""
+        if self.rows != self.cols:
+            return False
+        rows = self.sparse
+        at = list(map(dict, rows))
+        for i, row in enumerate(rows):
+            for j, x in row:
+                if at[j].get(i) != x:
+                    return False
+        return True
 
     def is_zero(self) -> bool:
         return not any(self.sparse)

@@ -13,7 +13,6 @@ sequence of moves which `replay` re-checks from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abelian import (
     AbGroup,
@@ -97,21 +96,6 @@ def is_elementary(q: QuasiFormation) -> bool:
     if not q.lagrangian.intersection(q.summand).is_zero():
         return False
     return q.lagrangian.sum(q.summand).is_full()
-
-
-def mu_image_on_summand(q: QuasiFormation) -> SubgroupRep:
-    """μ(V) ≤ Q; additive under direct sum and zero on invertible classes."""
-    return q.summand.transport(q.form.mu)
-
-
-def pairing_gcd_on_summand(q: QuasiFormation) -> int:
-    """Non-negative generator of the image of λ restricted to the summand."""
-    g = 0
-    gens = q.summand.generators()
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            g = gcd(g, q.form.lam(x, y))
-    return g
 
 
 def is_L_element(q: QuasiFormation) -> bool:

@@ -20,9 +20,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .abelian import AbGroup, GroupHom, SubgroupRep
 from .errors import (
+    DEFAULT_NODE_LIMIT,
     DimensionMismatch,
     HypothesisError,
-    NodeLimitExceeded,
+    NodeCounter,
     NoSolution,
     NotWellDefined,
     SchemaError,
@@ -34,8 +35,6 @@ from .stableclass import SIReport, gcd_profile, orbit_canonical
 
 Vec = Tuple[int, ...]
 
-_DEFAULT_NODE_LIMIT = 200_000
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -43,7 +42,7 @@ class SearchBudget:
 
     entry_bound: int = 3
     max_stab: int = 2
-    node_limit: int = _DEFAULT_NODE_LIMIT
+    node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self):
         if self.entry_bound < 0 or self.max_stab < 0 or self.node_limit < 0:
@@ -56,27 +55,12 @@ def default_budget(entry_bound: int = 3, max_stab: int = 2) -> SearchBudget:
     A value that is not a non-negative integer raises ``SchemaError``.
     """
     try:
-        limit = int(os.environ.get("QFORM_NODE_LIMIT", _DEFAULT_NODE_LIMIT))
+        limit = int(os.environ.get("QFORM_NODE_LIMIT", DEFAULT_NODE_LIMIT))
     except ValueError:
         raise SchemaError("QFORM_NODE_LIMIT", "expected an integer") from None
     if limit < 0:
         raise SchemaError("QFORM_NODE_LIMIT", "must be non-negative")
     return SearchBudget(entry_bound, max_stab, limit)
-
-
-class _Ticker:
-    """Counts visited nodes and aborts once the cap is passed."""
-
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise NodeLimitExceeded("search passed %d nodes" % self.limit)
 
 
 def _entry_order(bound: int) -> List[int]:
@@ -145,7 +129,7 @@ def enumerate_lagrangians(e: EQForm, budget: Optional[SearchBudget] = None) -> L
     if n % 2:
         return []
     half = n // 2
-    ticker = _Ticker(budget.node_limit)
+    ticker = NodeCounter(budget.node_limit)
 
     cands: List[Vec] = []
     for w in _bounded_vectors(e.group, budget.entry_bound):
@@ -217,7 +201,7 @@ def _h2_scan_complete(e: EQForm, f: EQForm, budget: SearchBudget) -> bool:
 
 
 def _iso_candidates(
-    e: EQForm, f: EQForm, budget: SearchBudget, ticker: _Ticker
+    e: EQForm, f: EQForm, budget: SearchBudget, ticker: NodeCounter
 ) -> Iterator[FormIso]:
     """Yield every validated iso e → f with column entries within bound."""
     src = e.group
@@ -284,7 +268,7 @@ def search_isomorphism(
         return IsoSearch(None, True, 0)
     if e.group != f.group:
         return IsoSearch(None, False, 0)
-    ticker = _Ticker(budget.node_limit)
+    ticker = NodeCounter(budget.node_limit)
     exhaustive = _h2_scan_complete(e, f, budget)
     for iso in _iso_candidates(e, f, budget, ticker):
         return IsoSearch(iso, True, ticker.nodes)
@@ -296,7 +280,7 @@ def enumerate_automorphisms(
 ) -> List[FormIso]:
     """All self-isomorphisms with matrix entries within the bound."""
     budget = budget or default_budget()
-    ticker = _Ticker(budget.node_limit)
+    ticker = NodeCounter(budget.node_limit)
     found = list(_iso_candidates(e, e, budget, ticker))
     found.sort(key=lambda iso: iso.hom.matrix.entries)
     return found
@@ -335,7 +319,7 @@ def search_stable_isomorphism(
     budget = budget or default_budget()
     if q.form.target != qp.form.target or q.form.v != qp.form.v:
         raise DimensionMismatch("formations live over different coefficients")
-    ticker = _Ticker(budget.node_limit)
+    ticker = NodeCounter(budget.node_limit)
     target = q.form.target
     v = q.form.v
     for k, l in _stabilizations(q.form.rank, qp.form.rank, budget.max_stab):
@@ -356,7 +340,7 @@ def search_stable_form_isomorphism(
     budget = budget or default_budget()
     if e.target != f.target or e.v != f.v:
         raise DimensionMismatch("forms live over different coefficients")
-    ticker = _Ticker(budget.node_limit)
+    ticker = NodeCounter(budget.node_limit)
     for k, l in _stabilizations(e.rank, f.rank, budget.max_stab):
         a = e if k == 0 else form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
         b = f if l == 0 else form_direct_sum(f, hyperbolic(l, e.target, e.v)).form

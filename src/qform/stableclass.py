@@ -10,10 +10,11 @@ the answer to forms with torsion, is what this module does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, free_section
-from .errors import DimensionMismatch, HypothesisError, NotWellDefined
+from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined
 from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, orthogonal_complement, pullback
 from .intmat import IntMatrix
 
@@ -50,20 +51,229 @@ def gcd_profile(a: int, b: int) -> GcdProfile:
     return GcdProfile(a, b, g, a // g, b // g, a * (b // g))
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct positive primes of |n| in increasing order."""
+# -- factoring ---------------------------------------------------------
+#
+# Class counts need the distinct primes of a product, each one proven.
+# Trial division by the primes below 1000 comes first; what it leaves is
+# split by Pollard–Brent rho (Pollard 1975, Brent 1980), and each part is
+# proven prime by Miller–Rabin on the first thirteen primes, exact below
+# 3.317·10²⁴ (Sorenson–Webster 2015), or above that by Pocklington's
+# n − 1 test with n − 1 factored by this same code.
+#
+# The node budget prices work by the size of its modulus: 128 rho steps
+# modulo n cost 1 + L²/32 nodes for L the 64-bit limbs of n, which tracks
+# the time of a multiplication modulo n within a factor of two from one
+# limb to hundreds, and a modular power with an exponent of n's size
+# costs one such batch per 256 bits of n.
+
+_TRIAL_LIMIT = 1000
+_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if all(p % d for d in range(2, isqrt(p) + 1)))
+_MR_BASES = _TRIAL_PRIMES[:13]  # 2, 3, 5, ..., 41
+_MR_BOUND = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
+_RHO_BATCH = 128  # rho steps per gcd
+
+
+def factorize(n: int, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[tuple[int, int], ...]:
+    """The prime powers of |n| ≠ 0 as (p, e) pairs in increasing order of p.
+
+    Every p is proven prime.  Rho and the primality tests tick a node
+    counter by the size of what they work modulo; passing ``node_limit``
+    raises ``NodeLimitExceeded``.
+    """
     n = abs(n)
+    if n == 0:
+        raise HypothesisError("zero has no prime factorization")
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e, n = _valuation(n, p)
+            out.append((p, e))
+    else:
+        if n > 1:
+            for p in sorted(_proven_primes(n, NodeCounter(node_limit))):
+                e, n = _valuation(n, p)
+                out.append((p, e))
     if n > 1:
-        out.append(n)
-    return out
+        out.append((n, 1))  # no prime below √n divides it
+    return tuple(out)
+
+
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, n / p^e) for the largest e with p^e dividing n, dividing by p, p², p⁴, ..."""
+    e = 0
+    squarings = []
+    q, k = p, 1
+    while True:
+        quotient, rest = divmod(n, q)
+        if rest:
+            break
+        n, e = quotient, e + k
+        squarings.append((q, k))
+        q, k = q * q, k + k
+    # what is left of the exponent is below 2^len(squarings): take its bits
+    for q, k in reversed(squarings):
+        quotient, rest = divmod(n, q)
+        if not rest:
+            n, e = quotient, e + k
+    return e, n
+
+
+def _batch_cost(n: int) -> int:
+    """Nodes for one batch of rho steps modulo n."""
+    limbs = (n.bit_length() + 63) >> 6
+    return 1 + (limbs * limbs >> 5)
+
+
+def _pow_cost(n: int) -> int:
+    """Nodes for one modular power modulo n with an exponent of n's size."""
+    return _batch_cost(n) * max(1, n.bit_length() >> 8)
+
+
+def _proven_primes(n: int, counter: NodeCounter):
+    """The distinct primes of n > 1, which has none below _TRIAL_LIMIT.
+
+    Splits the smallest part first.  A prime is yielded once it is proven
+    and its powers are divided out of every part left, so a prime power
+    costs one split whatever its exponent.  A part is walked by a short
+    rho, about as costly as one Miller–Rabin base, before its primality
+    test, so a large part sheds its small primes without that test.
+    """
+    parts = [n]
+    while parts:
+        parts.sort(reverse=True)
+        m = parts.pop()
+        d = None
+        if m >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+            d = _rho(m, counter, m.bit_length() >> 2)
+            if d is None and not _is_prime(m, counter):
+                d = _rho(m, counter)
+        if d is None:
+            yield m
+            parts = [r for r in (_valuation(x, m)[1] for x in parts) if r > 1]
+        else:
+            parts += (d, m // d)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > a passes the Miller–Rabin test to base a."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime(n: int, counter: NodeCounter) -> bool:
+    """Proven primality of n, which has no prime factor below _TRIAL_LIMIT."""
+    cost = _pow_cost(n)
+    for a in _MR_BASES:
+        counter.tick(cost)
+        if not _strong_probable_prime(n, a):
+            return False
+    return n < _MR_BOUND or _n_minus_1_proof(n, counter)
+
+
+def _n_minus_1_proof(n: int, counter: NodeCounter) -> bool:
+    """Primality of a strong probable prime n by the n − 1 test.
+
+    Pocklington: if F divides n − 1 and each prime q of F has a base a
+    with a^(n−1) ≡ 1 (mod n) and gcd(a^((n−1)/q) − 1, n) = 1, then every
+    prime of n is 1 modulo F; so n is prime when F² > n.  When only
+    F³ ≥ n, Brillhart–Lehmer–Selfridge (1975, Theorem 5) decide it from
+    n = c₂F² + c₁F + 1: n is prime iff c₁² − 4c₂ is not a square.
+    Bases run 2, 3, 4, ... and each is also a Miller–Rabin witness, so a
+    composite fails fast.
+    """
+    f, open_qs = _factored_part(n, counter)
+    if f * f <= n:
+        c2, c1 = divmod((n - 1) // f, f)
+        t = c1 * c1 - 4 * c2
+        if t >= 0 and isqrt(t) ** 2 == t:
+            return False
+    cost = _pow_cost(n)
+    a = 1
+    while open_qs:
+        counter.tick(cost * (1 + len(open_qs)))
+        a += 1
+        if not _strong_probable_prime(n, a):
+            return False
+        left = []
+        for q in open_qs:
+            g = gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == n:
+                left.append(q)
+            elif g != 1:
+                return False
+        open_qs = left
+    return True
+
+
+def _factored_part(n: int, counter: NodeCounter) -> tuple[int, list[int]]:
+    """A divisor F of n − 1 with F³ ≥ n, and its primes, each proven.
+
+    F takes the full power of each prime it holds; splitting stops as soon
+    as F is large enough.
+    """
+    rest = n - 1
+    f, primes = 1, []
+    for p in _TRIAL_PRIMES:
+        if rest % p == 0:
+            e, rest = _valuation(rest, p)
+            f *= p**e
+            primes.append(p)
+    if rest > 1 and f * f * f < n:
+        for q in _proven_primes(rest, counter):
+            e, rest = _valuation(rest, q)
+            f *= q**e
+            primes.append(q)
+            if f * f * f >= n:
+                break
+    return f, primes
+
+
+def _rho(n: int, counter: NodeCounter, steps: int | None = None) -> int | None:
+    """A proper divisor of the composite n, by Brent's variant of Pollard's rho.
+
+    The walk is v → v² + c mod n from 2, for c = 1, 2, ... until one splits
+    n.  Given ``steps``, a walk whose cycle search passes that length gives
+    None instead, and n may be prime.
+    """
+    cost = _batch_cost(n)
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps is not None and r > steps:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                counter.tick(cost)
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r += r
+        if g == n:
+            # the batch overshot: step again from its start one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # -- the E_{a,b} family ------------------------------------------------
@@ -206,35 +416,27 @@ class SIReport:
     trace: tuple = ()
 
 
-def si_enumerate(a: int, b: int) -> SIReport:
+def si_enumerate(a: int, b: int, node_limit: int = DEFAULT_NODE_LIMIT) -> SIReport:
     """All classes stably isomorphic to E_{a,b}, as canonical (c, d) pairs.
 
     Every candidate has the same gcd and product; modulo the plane's
     automorphisms the classes correspond to divisor splittings of the
     reduced product, giving 2^{r-1} classes for r distinct primes.
+    ``node_limit`` bounds the factoring of that product.
     """
     p = gcd_profile(a, b)
     if a * b == 0 or abs(a) == abs(b):
         return SIReport(1, (orbit_canonical(a, b),))
-    n = abs(p.a_bar * p.b_bar)
-    primes = _prime_factors(n)
-    powers = []
-    for q in primes:
-        pk = 1
-        m = n
-        while m % q == 0:
-            pk *= q
-            m //= q
-        powers.append(pk)
-    reps = set()
-    for mask in range(1 << len(powers)):
-        c_bar = 1
-        for i, pk in enumerate(powers):
-            if mask >> i & 1:
-                c_bar *= pk
-        for eps in (1, -1):
-            c = eps * c_bar
-            reps.add(orbit_canonical(c * p.g, p.l // c))
+    # g times the product of each set of prime powers, indexed by bit mask.
+    # A set gives the pair (c, d) with cd = ab; its complement gives (d, c)
+    # up to sign, the same class, so the sets without the last power suffice.
+    products = [p.g]
+    for q, e in factorize(p.a_bar * p.b_bar, node_limit):
+        pk = q**e
+        products += [x * pk for x in products]
+    full = len(products) - 1
+    sign = 1 if p.l > 0 else -1
+    reps = {orbit_canonical(products[mask], sign * products[full ^ mask]) for mask in range(len(products) // 2)}
     reps_sorted = tuple(sorted(reps))
     return SIReport(len(reps_sorted), reps_sorted)
 
@@ -362,12 +564,15 @@ class StableClassCounts:
     classes: int
 
 
-def stable_class_report(rkq: int, a: int = 0, b: int = 0) -> StableClassCounts:
+def stable_class_report(
+    rkq: int, a: int = 0, b: int = 0, node_limit: int = DEFAULT_NODE_LIMIT
+) -> StableClassCounts:
     """Sizes of the stable smoothing set and the stable class.
 
     Pure arithmetic: 1 for coefficient rank 0 or 2; for rank 1 the pair
     (a, b) must be coprime and the answer is 1 when |ab| ≤ 1 and
-    2^{r−1} otherwise, r the number of primes dividing ab.
+    2^{r−1} otherwise, r the number of primes dividing ab, found within
+    ``node_limit``.
     """
     if rkq not in (0, 1, 2):
         raise HypothesisError("coefficient rank out of range", "counting theorem")
@@ -377,6 +582,5 @@ def stable_class_report(rkq: int, a: int = 0, b: int = 0) -> StableClassCounts:
         raise HypothesisError("pair is not coprime", "mu would not be surjective")
     if abs(a * b) <= 1:
         return StableClassCounts(1, 1)
-    r = len(_prime_factors(a * b))
-    n = 2 ** (r - 1)
+    n = 2 ** (len(factorize(a * b, node_limit)) - 1)
     return StableClassCounts(n, n)

@@ -6,10 +6,12 @@ constructors, explicit matrix identities, sequence replay, or the
 brute-force oracles.  Randomized suites run on fixed seeds.
 """
 
+import json
 import math
 import random
 import time
 
+from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import (
     is_hyperbolic_with_witness,
@@ -140,6 +142,40 @@ def test_stable_class_counts_on_grid():
     for rkq, x, y in points:
         expected = 1 if rkq in (0, 2) else expected_si_size(x, y)
         assert stable_class_report(rkq, x, y) == StableClassCounts(expected, expected), (rkq, x, y)
+
+
+def is_prime_by_trial(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def next_prime_by_trial(n):
+    while not is_prime_by_trial(n):
+        n += 1
+    return n
+
+
+def rung_8_pair(seed):
+    """A coprime pair whose second-largest prime is about 10^8, and its prime count."""
+    rng = random.Random(seed)
+    p = next_prime_by_trial(10**8 + rng.randrange(10**7))
+    top = next_prime_by_trial(10 * p + rng.randrange(10 * p))
+    small = rng.sample([2, 3, 5, 7, 11, 13, 17, 19], rng.randint(0, 4))
+    a = rng.choice((1, -1)) * math.prod(small) * p
+    return a, rng.choice((1, -1)) * top, len(small) + 2
+
+
+def test_si_and_stable_class_factor_past_trial_division_in_time(capsys):
+    pairs = [(1, 10000019 * 10000079, 2), rung_8_pair(8)]
+    for a, b, r in pairs:
+        for argv, key in ((["si"], "size"), (["stable-class", "--rkq", "1"], "classes")):
+            t0 = time.monotonic()
+            code = cli.run(argv + ["--a", str(a), "--b", str(b)])
+            elapsed = time.monotonic() - t0
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0 and doc[key] == 2 ** (r - 1), (a, b)
+            # trial division took 1.4 s on the first pair on a 2-core x86-64
+            # machine with CPython 3.11, and about ten times that on the second
+            assert elapsed < 0.5, (argv, a, b)
 
 
 # -- 3: the explicit plane-stabilized isomorphism on a 625-pair grid

@@ -7,6 +7,7 @@ JSON payload and the exit code without spawning interpreters.
 import copy
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,43 @@ def test_exit_3_when_budget_runs_out(tmp_path, capsys):
     code, doc, _ = invoke(capsys, "oracle-lagrangians", "--input", path, "--node-limit", "1")
     assert code == 3
     assert "node" in doc["error"]
+
+
+# two 20-digit primes: rho needs about 10^10 steps to split their product
+HARD_PRODUCT = str(10000000000000000051 * 30000000000000000041)
+
+
+@pytest.mark.parametrize("argv", [["si", "--a", "1"], ["stable-class", "--rkq", "1", "--a", "1"]])
+def test_factoring_exits_3_past_the_node_limit(capsys, monkeypatch, argv):
+    t0 = time.monotonic()
+    code, doc, _ = invoke(capsys, *argv, "--b", HARD_PRODUCT, "--node-limit", "10")
+    assert time.monotonic() - t0 < 0.5
+    assert code == 3 and "node" in doc["error"]
+    # without the flag the environment gives the limit; the flag beats it
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "1")
+    code, _, _ = invoke(capsys, *argv, "--b", str(10000019 * 10000079))
+    assert code == 3
+    code, doc, _ = invoke(capsys, *argv, "--b", str(10000019 * 10000079), "--node-limit", "1000")
+    assert code == 0
+    assert "budget" not in doc
+
+
+def test_si_on_a_high_power_of_a_prime_above_the_table(capsys):
+    # 4,200 digits, under the parser's limit; trial division below 1000 misses 1009
+    t0 = time.monotonic()
+    code, doc, _ = invoke(capsys, "si", "--a", "1", "--b", str(1009**1400))
+    assert time.monotonic() - t0 < 2.0
+    assert code == 0 and doc["size"] == 1
+
+
+def test_validate_recomputes_si_with_the_default_node_limit(tmp_path, capsys, monkeypatch):
+    code, _, text = invoke(capsys, "si", "--a", "1", "--b", str(10000019 * 10000079))
+    assert code == 0
+    path = tmp_path / "si.json"
+    path.write_text(text)
+    monkeypatch.setenv("QFORM_NODE_LIMIT", "1")
+    code, report, _ = invoke(capsys, "validate", "--input", str(path))
+    assert (code, report["ok"]) == (0, True)
 
 
 def test_exit_4_names_the_failing_hypothesis(capsys):

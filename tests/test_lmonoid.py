@@ -1,6 +1,7 @@
 """Tests for quasi-formations, moves, torsion reduction and witnesses."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -23,8 +24,6 @@ from qform.lmonoid import (
     is_elementary,
     jacobi_witness,
     l_group_trivialize,
-    mu_image_on_summand,
-    pairing_gcd_on_summand,
     qf_direct_sum,
     replay,
     standard_elementary,
@@ -175,6 +174,21 @@ def test_sum_of_elementary_is_elementary():
 def test_sum_refuses_mismatched_targets():
     with pytest.raises(QformError):
         qf_direct_sum(zero_formation(Z, VZ), standard_elementary(1))
+
+
+def mu_image_on_summand(q):
+    """μ(V) ≤ Q; additive under direct sum and zero on invertible classes."""
+    return q.summand.transport(q.form.mu)
+
+
+def pairing_gcd_on_summand(q):
+    """Non-negative generator of the image of λ restricted to the summand."""
+    g = 0
+    gens = q.summand.generators()
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            g = gcd(g, q.form.lam(x, y))
+    return g
 
 
 def test_invariants_add_over_sums():

@@ -1,17 +1,20 @@
 """Tests for the rank-2 family E_{a,b}, its kappa invariant and class counts."""
 
 import random
+import time
 from math import gcd
 
 import pytest
 
+from qform import stableclass
 from qform.abelian import AbGroup, GroupHom, Z2, ZERO_GROUP, free_group
-from qform.errors import HypothesisError
+from qform.errors import HypothesisError, NodeLimitExceeded
 from qform.forms import EQForm, FormIso, form_direct_sum, hyperbolic
 from qform.intmat import IntMatrix
 from qform.stableclass import (
     aut_action_check,
     e_ab,
+    factorize,
     gcd_profile,
     h2_aut_isos,
     kappa,
@@ -273,6 +276,161 @@ def test_si_enumerate_is_orbit_invariant():
         base = si_enumerate(a, b)
         for c, d in orbit(a, b):
             assert si_enumerate(c, d) == base
+
+
+def trial_division_si_pairs(a, b):
+    """The representatives as first written: trial division by every integer,
+    then (c·g, l / c) for each signed product c of prime powers."""
+    p = gcd_profile(a, b)
+    n = abs(p.a_bar * p.b_bar)
+    powers, d, m = [], 2, n
+    while d * d <= m:
+        if m % d == 0:
+            pk = 1
+            while m % d == 0:
+                pk *= d
+                m //= d
+            powers.append(pk)
+        d += 1
+    if m > 1:
+        powers.append(m)
+    reps = set()
+    for mask in range(1 << len(powers)):
+        c_bar = 1
+        for i, pk in enumerate(powers):
+            if mask >> i & 1:
+                c_bar *= pk
+        for c in (c_bar, -c_bar):
+            reps.add(orbit_canonical(c * p.g, p.l // c))
+    return tuple(sorted(reps))
+
+
+def test_si_enumerate_matches_the_trial_division_reference():
+    rng = random.Random(14)
+    for _ in range(300):
+        g = rng.choice([1, 1, 2, 6, 35])
+        a = g * rng.choice([1, -1]) * rng.randrange(1, 10 ** rng.randint(1, 6))
+        b = g * rng.choice([1, -1]) * rng.randrange(1, 10 ** rng.randint(1, 6))
+        if abs(a) == abs(b):
+            continue
+        assert si_enumerate(a, b).representatives == trial_division_si_pairs(a, b), (a, b)
+
+
+# -- factoring -------------------------------------------------------------
+
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2, 3, ..., 41
+
+
+def drawn_factoring_inputs(sympy, count, seed):
+    """Prime powers, and products of up to 40 digits whose second-largest prime is below 10^8."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 4 == 0:
+            q = sympy.prevprime(rng.randrange(3, 10 ** rng.randint(1, 13)))
+            out.append(q ** rng.randint(1, max(1, 39 // len(str(q)))))
+            continue
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            n *= sympy.prevprime(rng.randrange(3, 10 ** rng.randint(1, 8))) ** rng.randint(1, 3)
+        if 10**40 // n > 3:
+            n *= sympy.prevprime(rng.randrange(3, 10**40 // n))
+        out.append(n)
+    return out
+
+
+def test_factorize_matches_sympy_on_drawn_inputs():
+    sympy = pytest.importorskip("sympy")
+    exits = 0
+    for n in drawn_factoring_inputs(sympy, 40, 14):
+        expected = tuple(sorted(sympy.factorint(n).items()))
+        try:
+            found = factorize(n, node_limit=5000)
+        except NodeLimitExceeded:
+            # only a proof above the Miller–Rabin bound can run out of nodes
+            assert expected[-1][0] >= PSI_13, n
+            exits += 1
+            continue
+        assert found == expected, n
+        assert (found == ((n, 1),)) == sympy.isprime(n)
+    assert exits <= 4
+
+
+def test_factorize_takes_exponents_by_squaring():
+    n = 2**3000 * 3**500 * 97**20 * 1009**7
+    assert factorize(n) == ((2, 3000), (3, 500), (97, 20), (1009, 7))
+    assert factorize(1) == ()
+    assert factorize(997**2) == ((997, 2),)  # trial division ends with nothing left
+    assert factorize(1009**2 * 1013) == ((1009, 2), (1013, 1))
+    assert factorize(-12) == ((2, 2), (3, 1))
+    with pytest.raises(HypothesisError):
+        factorize(0)
+
+
+def test_factorize_splits_high_powers_of_primes_above_the_table_once():
+    # a proven prime leaves every part at once, and a short rho walk sheds it
+    # from a large part before any primality test of that part
+    for n, expected in (
+        (1009**1400, ((1009, 1400),)),
+        (10007**500, ((10007, 500),)),
+        (1009**1400 * 1013**1400, ((1009, 1400), (1013, 1400))),
+    ):
+        start = time.perf_counter()
+        assert factorize(n) == expected
+        assert time.perf_counter() - start < 1.5, expected
+    assert si_enumerate(1, 1009**1400).size == 1
+    assert stable_class_report(1, 1009**700, 1013**700) == stableclass.StableClassCounts(2, 2)
+
+
+@pytest.fixture
+def n_minus_1_proofs(monkeypatch):
+    """Records (n, verdict) for each n − 1 proof that factoring runs."""
+    calls = []
+    prove = stableclass._n_minus_1_proof
+
+    def spy(n, counter):
+        verdict = prove(n, counter)
+        calls.append((n, verdict))
+        return verdict
+
+    monkeypatch.setattr(stableclass, "_n_minus_1_proof", spy)
+    return calls
+
+
+def test_named_strong_pseudoprimes_are_composite(n_minus_1_proofs):
+    # strong pseudoprimes to the bases up to 23, up to 37, and up to 41
+    assert factorize(3825123056546413051) == ((149491, 1), (747451, 1), (34233211, 1))
+    assert factorize(318665857834031151167461) == ((399165290221, 1), (798330580441, 1))
+    assert n_minus_1_proofs == []  # Miller–Rabin decides both below the bound
+    assert factorize(PSI_13) == ((1287836182261, 1), (2575672364521, 1))
+    assert n_minus_1_proofs == [(PSI_13, False)]  # at the bound: the n − 1 path calls it composite
+
+
+def test_si_proves_mersenne_primes_by_n_minus_1(capsys, n_minus_1_proofs):
+    m89, m127 = 2**89 - 1, 2**127 - 1
+    assert si_enumerate(1, m89).size == 1
+    assert si_enumerate(1, 3 * m127).size == 2
+    assert (m89, True) in n_minus_1_proofs and (m127, True) in n_minus_1_proofs
+    assert all(verdict for _, verdict in n_minus_1_proofs)
+
+
+def test_factorize_runs_out_of_nodes_on_two_20_digit_primes():
+    with pytest.raises(NodeLimitExceeded):
+        factorize(10000000000000000051 * 30000000000000000041, node_limit=10)
+    with pytest.raises(NodeLimitExceeded):
+        si_enumerate(1, 10000000000000000051 * 30000000000000000041, node_limit=10)
+    with pytest.raises(NodeLimitExceeded):
+        stable_class_report(1, 1, 10000000000000000051 * 30000000000000000041, node_limit=10)
+
+
+def test_node_budget_bounds_time_whatever_the_size_of_n():
+    # a node costs more on a larger modulus, so a limit bounds the time
+    p, q = 10000000000000000051, 30000000000000000041
+    for k in (1, 50, 200):
+        start = time.perf_counter()
+        with pytest.raises(NodeLimitExceeded):
+            factorize(p**k * q, node_limit=1000)
+        assert time.perf_counter() - start < 1.0, k
 
 
 # -- the rank-2 hyperbolic classification --------------------------------
