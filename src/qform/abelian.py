@@ -24,7 +24,9 @@ used: quotients, the merged torsion of a direct sum, and solving.
 
 Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
 whose coordinates are free(A), free(B), then the merged torsion; its
-inclusions and projections are block-diagonal matrices.
+inclusions and projections are block-diagonal matrices.  Every sum of
+subgroups A′ ⊕ B′ ≤ A ⊕ B is ``DirectSum.subgroup``, the span of their
+images under those inclusions, so no caller lays coordinates out by hand.
 """
 
 from __future__ import annotations
@@ -482,6 +484,10 @@ class DirectSum:
     incl_b: GroupHom
     proj_a: GroupHom
     proj_b: GroupHom
+
+    def subgroup(self, a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
+        """A′ ⊕ B′ for A′ ≤ A and B′ ≤ B: the span of their images under the inclusions."""
+        return a.transport(self.incl_a).sum(b.transport(self.incl_b))
 
 
 def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:

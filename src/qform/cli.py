@@ -117,9 +117,9 @@ def _budget_from_doc(doc, path: str) -> oracle.SearchBudget:
 
 
 def _non_negative(text: str) -> int:
-    """The argparse type of the budget flags."""
+    """The argparse type of the budget flags: a non-negative integer of any size."""
     try:
-        value = int(text)
+        value = decimal_to_int(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -165,10 +165,15 @@ def _invariants_result(fdoc) -> dict:
     return {"command": "invariants", "form": form_to_doc(e), **_report_doc(e)}
 
 
+def _form_with_subgroups(doc, path: str, *names: str) -> tuple:
+    """The form under "form" of the object at ``path``, then its subgroups under ``names``."""
+    d = _as_dict(doc, path)
+    e = form_from_doc(_get(d, "form", path), path + ".form")
+    return (e, *(subgroup_from_doc(_get(d, name, path), e.group, path + "." + name) for name in names))
+
+
 def _perp_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    e = form_from_doc(_get(d, "form", "input"), "input.form")
-    s = subgroup_from_doc(_get(d, "subgroup", "input"), e.group, "input.subgroup")
+    e, s = _form_with_subgroups(doc, "input", "subgroup")
     return {
         "command": "perp",
         "form": form_to_doc(e),
@@ -178,9 +183,7 @@ def _perp_result(doc) -> dict:
 
 
 def _classify_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    e = form_from_doc(_get(d, "form", "input"), "input.form")
-    s = subgroup_from_doc(_get(d, "subgroup", "input"), e.group, "input.subgroup")
+    e, s = _form_with_subgroups(doc, "input", "subgroup")
     flags = subgroup_classify(e, s)
     return {
         "command": "classify",
@@ -195,9 +198,7 @@ def _classify_result(doc) -> dict:
 
 
 def _metabolic_basis_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    e = form_from_doc(_get(d, "form", "input"), "input.form")
-    l = subgroup_from_doc(_get(d, "lagrangian", "input"), e.group, "input.lagrangian")
+    e, l = _form_with_subgroups(doc, "input", "lagrangian")
     mb = metabolic_basis(e, l)
     return {
         "command": "metabolic-basis",
@@ -212,10 +213,8 @@ def _stable_iso_result(doc) -> dict:
     d = _as_dict(doc, "input")
     sd = _as_dict(_get(d, "source", "input"), "input.source")
     td = _as_dict(_get(d, "target", "input"), "input.target")
-    e = form_from_doc(_get(sd, "form", "input.source"), "input.source.form")
-    l = subgroup_from_doc(_get(sd, "lagrangian", "input.source"), e.group, "input.source.lagrangian")
-    e2 = form_from_doc(_get(td, "form", "input.target"), "input.target.form")
-    l2 = subgroup_from_doc(_get(td, "lagrangian", "input.target"), e2.group, "input.target.lagrangian")
+    e, l = _form_with_subgroups(sd, "input.source", "lagrangian")
+    e2, l2 = _form_with_subgroups(td, "input.target", "lagrangian")
     w = stable_lagrangian_iso(e, l, e2, l2)
     return {
         "command": "stable-iso",
@@ -230,10 +229,8 @@ def _stable_iso_result(doc) -> dict:
 
 
 def _ru_wall_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    e = form_from_doc(_get(d, "form", "input"), "input.form")
-    l = subgroup_from_doc(_get(d, "lagrangian", "input"), e.group, "input.lagrangian")
-    phi = iso_from_doc(_get(d, "iso", "input"), "input.iso")
+    e, l = _form_with_subgroups(doc, "input", "lagrangian")
+    phi = iso_from_doc(_get(doc, "iso", "input"), "input.iso")
     w = ru_wall_witness(e, l, phi)
     return {
         "command": "ru-wall",
@@ -297,11 +294,7 @@ def _ltriv_result(qdoc) -> dict:
 
 
 def _jacobi_result(doc) -> dict:
-    d = _as_dict(doc, "input")
-    e = form_from_doc(_get(d, "form", "input"), "input.form")
-    ks = subgroup_from_doc(_get(d, "K", "input"), e.group, "input.K")
-    ls = subgroup_from_doc(_get(d, "L", "input"), e.group, "input.L")
-    vs = subgroup_from_doc(_get(d, "V", "input"), e.group, "input.V")
+    e, ks, ls, vs = _form_with_subgroups(doc, "input", "K", "L", "V")
     w = jacobi_witness(e, ks, ls, vs)
     return {
         "command": "jacobi",

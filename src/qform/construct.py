@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import GroupHom, SubgroupRep, direct_complement, free_group, match_surjections
+from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, free_group, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
 from .forms import (
     EQForm,
@@ -35,6 +35,7 @@ from .forms import (
     iso_direct_sum,
     negate,
     dual,
+    permuted,
     pullback,
     split_pair,
     subgroup_classify,
@@ -214,14 +215,12 @@ def diagonal_lagrangians(i: FormIso) -> DiagonalLagrangians:
     """Δ_I in M ⊕ (-N) and Δ*_I in M ⊕ (-N*) for an isomorphism I: M → N."""
     if not i.source.is_free() or not i.target.is_free():
         raise HypothesisError("not free", "diagonal lagrangians need free forms")
-    plain = form_direct_sum(i.source, negate(i.target)).form
-    starred = form_direct_sum(i.source, negate(dual(i.target))).form
-    gens = i.source.group.gens()
-    diag = SubgroupRep.from_elements(plain.group, [tuple(g) + i.apply(g) for g in gens])
-    anti = SubgroupRep.from_elements(
-        starred.group, [tuple(g) + tuple(-c for c in i.apply(g)) for g in gens]
-    )
-    return DiagonalLagrangians(plain, diag, starred, anti)
+    plain = form_direct_sum(i.source, negate(i.target))
+    starred = form_direct_sum(i.source, negate(dual(i.target)))
+    # the images of g ↦ (g, ±I(g)) through each sum's inclusions
+    diag = plain.incl_a.add(plain.incl_b.compose(i.hom)).image()
+    anti = starred.incl_a.add(starred.incl_b.compose(i.hom).neg()).image()
+    return DiagonalLagrangians(plain.form, diag, starred.form, anti)
 
 
 # -- stable isomorphism of full geometric metabolic forms -------------
@@ -399,57 +398,41 @@ def ru_word_eval(word: RUWord) -> FormIso:
 # -- the Wall-type factorization --------------------------------------
 
 
-def _permuted(e: EQForm, perm: list[int]) -> FormIso:
-    """e onto the form whose new slot i holds old slot perm[i].
+def _flip(pre: FormIso, a: int, b: int, rest_lagrangian: SubgroupRep) -> Flip:
+    """The Flip letter whose witness is ``pre`` followed by moving coordinates a, b to the front.
 
-    That form is the pullback of e along the inverse permutation.
+    Every other coordinate of pre's target keeps its order.
     """
-    p = IntMatrix.permutation(perm)
-    target = pullback(GroupHom(e.group, e.group, p.transpose()), e)
-    return FormIso(e, target, GroupHom(e.group, target.group, p))
+    n = pre.target.group.num_gens
+    perm = [a, b] + [i for i in range(n) if i not in (a, b)]
+    return Flip(permuted(pre.target, perm).compose(pre), rest_lagrangian)
 
 
 def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pre: FormIso) -> list[Flip]:
     """Flip letters realizing id ⊕ Σ on base ⊕ H_{2·pairs}, conjugated by ``pre``.
 
     ``pre`` maps the ambient of the word onto base ⊕ H; each letter's
-    witness moves one hyperbolic pair (a_i, b_i) to the front.
+    witness moves one hyperbolic pair (a_i, b_i) to the front, leaving
+    base ⊕ H_{2(pairs-1)} with the lagrangian L ⊕ ({0} × Z^{pairs-1}).
     """
-    sum_form = form_direct_sum(base, hyperbolic(pairs, base.target, base.v)).form
+    if not pairs:
+        return []
+    h = free_group(2 * (pairs - 1))
+    lower = SubgroupRep.from_elements(h, h.gens()[pairs - 1 :])  # {0} × Z^{pairs-1}
+    rest_l = direct_sum_with_maps(base.group, h).subgroup(l, lower)
     n = base.group.num_gens
-    letters = []
-    l_gens = l.generators()
-    for i in range(pairs):
-        others_a = [n + j for j in range(pairs) if j != i]
-        others_b = [n + pairs + j for j in range(pairs) if j != i]
-        perm = [n + i, n + pairs + i] + list(range(n)) + others_a + others_b
-        witness = _permuted(sum_form, perm).compose(pre)
-        rest_total = n + 2 * (pairs - 1)
-        rest_gens = [g + (0,) * (2 * (pairs - 1)) for g in l_gens]
-        for j in range(pairs - 1):
-            rest_gens.append(tuple(1 if t == n + (pairs - 1) + j else 0 for t in range(rest_total)))
-        rest_l = SubgroupRep.from_elements(free_group(rest_total), rest_gens)
-        letters.append(Flip(witness, rest_l))
-    return letters
+    return [_flip(pre, n + i, n + pairs + i, rest_l) for i in range(pairs)]
 
 
 def _embed_letter_after_first(first: EQForm, first_l: SubgroupRep, letter):
     """Turn a generator of RU(B, K) into one of RU(first ⊕ B, first_l ⊕ K)."""
     if isinstance(letter, Keep):
         return Keep(iso_direct_sum(FormIso.identity(first), letter.iso))
-    w = letter.witness
+    inner = iso_direct_sum(FormIso.identity(first), letter.witness)
+    rest = letter.rest_lagrangian
     n = first.group.num_gens
-    inner = iso_direct_sum(FormIso.identity(first), w)
-    total = inner.target.group.num_gens
-    # rotate (first, h2, rest) into (h2, first, rest)
-    perm = [n, n + 1] + list(range(n)) + list(range(n + 2, total))
-    witness = _permuted(inner.target, perm).compose(inner)
-    rest_total = total - 2
-    rest_gens = [g + (0,) * (rest_total - n) for g in first_l.generators()]
-    for g in letter.rest_lagrangian.generators():
-        rest_gens.append((0,) * n + g)
-    rest_l = SubgroupRep.from_elements(free_group(rest_total), rest_gens)
-    return Flip(witness, rest_l)
+    rest_l = direct_sum_with_maps(first.group, rest.ambient).subgroup(first_l, rest)
+    return _flip(inner, n, n + 1, rest_l)
 
 
 @dataclass(frozen=True)
@@ -487,11 +470,9 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     k_iso = w_iso.compose(phi_phi).compose(w_iso)
     pair_word = w_letters + [Keep(k_iso)] + w_letters
 
-    ambient = form_direct_sum(e, dbl).form
-    l3_gens = [g + (0,) * (2 * n) for g in l.generators()]
-    l3_gens += [(0,) * n + g + (0,) * n for g in l.generators()]
-    l3_gens += [(0,) * (2 * n) + g for g in l.generators()]
-    l3 = SubgroupRep.from_elements(ambient.group, l3_gens)
+    outer = form_direct_sum(e, dbl)
+    ambient = outer.form
+    l3 = outer.subgroup(l, direct_sum_with_maps(e.group, e.group).subgroup(l, l))
 
     embedded = [_embed_letter_after_first(e, l, g) for g in pair_word]
 

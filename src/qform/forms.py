@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .abelian import (
     AbGroup,
+    DirectSum,
     GroupHom,
     SubgroupRep,
     Z2,
@@ -167,14 +168,10 @@ def pullback(h: GroupHom, e: EQForm) -> EQForm:
 
 
 @dataclass(frozen=True)
-class FormSum:
-    """Direct sum of two forms together with its coordinate maps."""
+class FormSum(DirectSum):
+    """Direct sum of two forms: the sum of their groups with its coordinate maps, and the form on it."""
 
     form: EQForm
-    incl_a: GroupHom
-    incl_b: GroupHom
-    proj_a: GroupHom
-    proj_b: GroupHom
 
 
 def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
@@ -196,7 +193,7 @@ def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
     lam = IntMatrix.block_diagonal([a.reduced_matrix(), b.reduced_matrix(), IntMatrix.zeros(t, t)])
     mu = a.mu.compose(ds.proj_a).add(b.mu.compose(ds.proj_b))
     total = EQForm(ds.group, lam, mu, a.v)
-    return FormSum(total, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b)
+    return FormSum(ds.group, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b, total)
 
 
 # -- isomorphisms ------------------------------------------------------
@@ -213,21 +210,22 @@ class FormIso:
     otherwise.  Every FormIso read from a document, and every one built
     from a raw matrix, comes through it.
 
-    Each fact is checked once.  ``identity``, ``inverse``, ``compose`` and
-    ``iso_direct_sum`` build their results through ``_unchecked``, because
-    those results are isomorphisms whenever their inputs are: the identity
-    pulls everything back to itself; the inverse of a bijection that pulls
-    λ and μ back pulls them forward, which is the same facts read the
-    other way; a composite pulls back along each factor in turn; and a
-    block sum pulls back blockwise on the direct sums of the forms.  Only
-    the composition's endpoints are compared.
+    Each fact is checked once.  ``identity``, ``inverse``, ``compose``,
+    ``iso_direct_sum`` and ``permuted`` build their results through
+    ``_unchecked``, because those results are isomorphisms whenever their
+    inputs are: the identity pulls everything back to itself; the inverse
+    of a bijection that pulls λ and μ back pulls them forward, which is the
+    same facts read the other way; a composite pulls back along each factor
+    in turn; a block sum pulls back blockwise on the direct sums of the
+    forms; and a permutation pulls back the form it permuted.  Only the
+    composition's endpoints are compared.
 
     The inverse is computed on first use and cached: by
     ``IntMatrix.inverse_unimodular`` between free groups, by ``invert_iso``
     otherwise.  The public constructor's bijectivity check already
     computes it between groups with torsion, ``identity`` is its own
-    inverse, and ``inverse()`` hands ``hom`` to its result as that
-    result's inverse.
+    inverse, ``permuted`` hands over the transpose, and ``inverse()`` hands
+    ``hom`` to its result as that result's inverse.
     """
 
     source: EQForm
@@ -309,17 +307,34 @@ def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
     return FormIso._unchecked(src.form, tgt.form, hom)
 
 
+def permuted(e: EQForm, perm: list[int]) -> FormIso:
+    """e onto the form whose new slot i holds old slot perm[i].
+
+    That form is the pullback of e along the inverse permutation Pᵀ, so the
+    permutation P is an isomorphism onto it by construction and nothing is
+    checked: Pᵀ(PλPᵀ)P = λ, μPᵀP = μ and det P = ±1.  Pᵀ is handed over as
+    the inverse.  Every permutation of coordinates in the package is one.
+    """
+    p = IntMatrix.permutation(perm)
+    back = GroupHom(e.group, e.group, p.transpose())
+    target = pullback(back, e)
+    return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
+
+
 def swap_blocks(e: EQForm, size: int) -> FormIso:
     """The automorphism of e exchanging its two leading blocks of ``size`` coordinates.
 
-    The map is the n-entry sparse permutation.  Not every form admits the
-    exchange, so the full ``FormIso`` check runs, at the cost of the
-    nonzero entries; exchanging blocks that are not interchangeable
-    raises ``NotWellDefined``.
+    It is ``permuted`` when the permuted form is e itself.  Not every form
+    admits the exchange: blocks that are not interchangeable raise
+    ``NotWellDefined``, for the pairing before μ.
     """
     n = e.group.num_gens
-    perm = list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n))
-    return FormIso(e, e, GroupHom(e.group, e.group, IntMatrix.permutation(perm)))
+    iso = permuted(e, list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n)))
+    if iso.target.matrix != e.matrix:
+        raise NotWellDefined("map does not pull the pairing back")
+    if iso.target.mu != e.mu:
+        raise NotWellDefined("map does not pull mu back")
+    return FormIso._unchecked(e, e, iso.hom, iso.inverse_hom)
 
 
 # -- the split hyperbolic pair -----------------------------------------

@@ -21,6 +21,7 @@ from .abelian import (
     Z2,
     ZERO_GROUP,
     direct_complement,
+    direct_sum_with_maps,
     free_group,
     free_section,
     torsion_subgroup,
@@ -109,8 +110,7 @@ def is_L_element(q: QuasiFormation) -> bool:
 
 def qf_direct_sum(a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
     s = form_direct_sum(a.form, b.form)
-    lagr = a.lagrangian.transport(s.incl_a).sum(b.lagrangian.transport(s.incl_b))
-    summ = a.summand.transport(s.incl_a).sum(b.summand.transport(s.incl_b))
+    lagr, summ = s.subgroup(a.lagrangian, b.lagrangian), s.subgroup(a.summand, b.summand)
     return QuasiFormation._unchecked(s.form, lagr, summ)
 
 
@@ -291,25 +291,28 @@ def unbar(qbar: QuasiFormation, r_group: AbGroup) -> QuasiFormation:
 def bar_round_trip(q: QuasiFormation) -> FormIso:
     """Isomorphism unbar(bar_reduce(q), Tor) → q fixing both subgroups.
 
-    Built from a section of the torsion quotient whose image contains the
-    summand; the identification of the appended torsion group with Tor is
-    coordinatewise.  The summand V is free, so its lattice meets the
-    torsion coordinates only in the relations: its canonical generators
-    are the Hermite rows that lead in a free column, and their free parts
-    are a basis of V̄.  The section sends each free part back to its
-    generator and a complement of V̄ to itself.
+    Unbar's group Z^r ⊕ Tor is q's group (Tor is in invariant-factor form
+    already), and the map goes through that sum's maps: on Z^r it is a
+    section of the torsion quotient whose image contains the summand, on
+    Tor the sum's inclusion.  The summand V is free, so its lattice meets
+    the torsion coordinates only in the relations: its canonical
+    generators are the Hermite rows that lead in a free column, and their
+    free parts are a basis of V̄.  The section sends each free part back to
+    its generator and a complement of V̄ to its ``free_section`` lift.
     """
     group = q.form.group
     reduced = bar_reduce(q)
-    rebuilt = unbar(reduced, AbGroup(0, group.torsion))
-    r, t = group.free_rank, len(group.torsion)
+    tors = AbGroup(0, group.torsion)
+    rebuilt = unbar(reduced, tors)
+    r = group.free_rank
+    lift = free_section(group)
     v_gens = q.summand.generators()
     comp = direct_complement(reduced.summand).generators()
     basis = IntMatrix.from_columns([g[:r] for g in v_gens] + comp, rows=r)
-    lifts = IntMatrix.from_columns(v_gens + [c + (0,) * t for c in comp], rows=group.num_gens)
-    torsion = IntMatrix.from_columns([group.gen(r + j) for j in range(t)], rows=group.num_gens)
-    full = lifts.mul(basis.inverse_unimodular()).hstack(torsion)
-    iso = FormIso(rebuilt.form, q.form, GroupHom(rebuilt.form.group, group, full))
+    lifts = IntMatrix.from_columns(v_gens + [lift.apply(c) for c in comp], rows=group.num_gens)
+    free_part = GroupHom(lift.source, group, lifts.mul(basis.inverse_unimodular()))
+    ds = direct_sum_with_maps(reduced.form.group, tors)
+    iso = FormIso(rebuilt.form, q.form, free_part.compose(ds.proj_a).add(ds.incl_b.compose(ds.proj_b)))
     if rebuilt.summand.transport(iso.hom) != q.summand:
         raise NotWellDefined("round trip does not restore the summand")
     if rebuilt.lagrangian.transport(iso.hom) != q.lagrangian:
@@ -435,18 +438,17 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     pairs = stab.k  # = stab.l: both lagrangians live in e, and stab's rank check matched them
     phi = stab.iso
     big = phi.source
-    n = e.rank
     l_tilde = stab.source_lagrangian
     k_tilde = stab.target_lagrangian
-    v_gens = [g + (0,) * (2 * pairs) for g in v_sub.generators()]
-    v_gens += [big.group.gen(n + i) for i in range(pairs)]
-    v_tilde = SubgroupRep.from_elements(big.group, v_gens)
+    # (big; L̃, Ṽ) = (e; L, V) ⊕ ℋ_2k; (e; L, V) holds: stab found e nonsingular, and L and V passed above
+    lv = QuasiFormation._unchecked(e, l_sub, v_sub)
+    lv_tilde = qf_direct_sum(lv, standard_elementary(pairs, e.target, e.v))
 
     wall = ru_wall_witness(big, k_tilde, phi)
     neg_big = negate(big)
     start_padding = QuasiFormation(neg_big, k_tilde, k_tilde)
     start = qf_direct_sum(
-        qf_direct_sum(QuasiFormation(big, k_tilde, l_tilde), QuasiFormation(big, l_tilde, v_tilde)),
+        qf_direct_sum(QuasiFormation(big, k_tilde, l_tilde), lv_tilde),
         start_padding,
     )
     # start's form is the word's ambient, and transporting its middle factor
@@ -460,7 +462,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
 
     end_paddings = (QuasiFormation(big, k_tilde, k_tilde), start_padding)
     end = qf_direct_sum(
-        qf_direct_sum(QuasiFormation(big, k_tilde, v_tilde), end_paddings[0]), end_paddings[1]
+        qf_direct_sum(QuasiFormation(big, k_tilde, lv_tilde.summand), end_paddings[0]), end_paddings[1]
     )
     seq = MoveSequence(start, end, tuple(moves))
     return JacobiWitness(seq, pairs, phi, start_padding, end_paddings)

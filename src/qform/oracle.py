@@ -31,6 +31,7 @@ from .errors import (
 from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, subgroup_classify
 from .intmat import IntMatrix
 from .lmonoid import ApplyIso, QuasiFormation, apply_move, qf_direct_sum, standard_elementary
+from .serialize import decimal_to_int
 from .stableclass import SIReport, gcd_profile, orbit_canonical
 
 Vec = Tuple[int, ...]
@@ -55,7 +56,7 @@ def default_budget(entry_bound: int = 3, max_stab: int = 2) -> SearchBudget:
     A value that is not a non-negative integer raises ``SchemaError``.
     """
     try:
-        limit = int(os.environ.get("QFORM_NODE_LIMIT", DEFAULT_NODE_LIMIT))
+        limit = decimal_to_int(os.environ.get("QFORM_NODE_LIMIT", str(DEFAULT_NODE_LIMIT)))
     except ValueError:
         raise SchemaError("QFORM_NODE_LIMIT", "expected an integer") from None
     if limit < 0:
@@ -354,14 +355,13 @@ def search_stable_form_isomorphism(
 # -- brute-force stable classes ------------------------------------------
 
 
-def brute_si(a: int, b: int, budget: Optional[SearchBudget] = None) -> SIReport:
+def brute_si(a: int, b: int) -> SIReport:
     """Stable classes of the rank-2 family by complete divisor scan.
 
     Lists every pair with the same gcd and the same product, then quotients
     by the four-element orbit (c,d) ~ (d,c) ~ (-c,-d).  The scan is finite
-    and complete, so no budget is consumed.
+    and complete, so it needs no budget.
     """
-    del budget
     p = gcd_profile(a, b)
     prod = a * b
     found = set()

@@ -471,6 +471,20 @@ def test_malformed_node_limit_env(tmp_path, capsys, monkeypatch):
     assert doc["budget"] == {"entry_bound": 3, "max_stab": 2, "node_limit": 100000}
 
 
+# a budget past the interpreter's 4300-digit int/str limit
+HUGE_LIMIT = "1" * 5000
+
+
+def test_a_5000_digit_node_limit_is_a_budget(tmp_path, capsys, monkeypatch):
+    code, doc, _ = invoke(capsys, "si", "--a", "6", "--b", "35", "--node-limit", HUGE_LIMIT)
+    assert (code, doc["reps"]) == (0, [[1, 210], [2, 105], [3, 70], [5, 42], [6, 35], [7, 30], [10, 21], [14, 15]])
+    # the environment's default, which oracle searches read without the flag
+    path = write_doc(tmp_path, "h2.json", form_to_doc(hyperbolic(1, ZERO_GROUP, V0)))
+    monkeypatch.setenv("QFORM_NODE_LIMIT", HUGE_LIMIT)
+    assert cli.run(["oracle-lagrangians", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["budget"]["node_limit"] == HUGE_LIMIT  # past the limit, as a string
+
+
 def test_missing_input_flag(capsys):
     code, doc, _ = invoke(capsys, "perp")
     assert code == 2

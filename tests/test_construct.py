@@ -12,7 +12,6 @@ from qform.construct import (
     _WALL_PATTERN,
     _dual_basis,
     _frame,
-    _permuted,
     _straighten_f_basis,
     diagonal_lagrangians,
     double_to_hyperbolic,
@@ -31,6 +30,7 @@ from qform.forms import (
     hyperbolic,
     iso_direct_sum,
     negate,
+    permuted,
     pullback,
     subgroup_classify,
     swap_blocks,
@@ -566,7 +566,7 @@ def random_h_automorphism(rng, k):
 @pytest.mark.parametrize("perm", [[0, 1, 2, 3], [2, 3, 0, 1], [1, 3, 0, 2], [3, 2, 1, 0]])
 def test_permuted_is_handed_the_transpose_as_its_inverse(perm):
     e = metabolic_form([[0, 1, 0, 0], [1, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, -2]], [0, 1, 2, 5], V0)
-    iso = _permuted(e, perm)
+    iso = permuted(e, perm)
     assert iso.inverse_hom == GroupHom(e.group, e.group, iso.hom.matrix.inverse_unimodular())
     assert iso.inverse_hom.matrix == iso.hom.matrix.transpose()
     # new slot i holds old slot perm[i]

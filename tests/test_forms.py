@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, direct_sum_with_maps, free_group, invert_iso
+from qform.construct import Flip, ru_wall_witness
 from qform.errors import HypothesisError, NotWellDefined, VMissing
 from qform.forms import (
     EQForm,
@@ -18,11 +19,13 @@ from qform.forms import (
     iso_direct_sum,
     negate,
     orthogonal_complement,
+    permuted,
     pullback,
     subgroup_classify,
     swap_blocks,
 )
 from qform.intmat import IntMatrix
+from qform.lmonoid import ApplyIso, FlipL, jacobi_witness
 
 
 Z = free_group(1)
@@ -450,9 +453,10 @@ def test_iso_direct_sum_leaves_an_unknown_inverse_to_first_use():
 
 # -- isomorphisms built from checked ones --------------------------------
 #
-# identity, inverse, compose and iso_direct_sum build their results without
-# re-running the checks; each such result must be one the public
-# constructor accepts.
+# identity, inverse, compose, iso_direct_sum and permuted build their
+# results without re-running the checks; each such result, and every
+# witness of a word or a certificate built from them, must be one the
+# public constructor accepts.
 
 
 def assert_passes_the_constructor(iso):
@@ -499,7 +503,24 @@ def test_isos_built_from_checked_ones_pass_the_constructor(g1, g2, rng):
         f.inverse().compose(g.inverse()),
         iso_direct_sum(f, k),
         iso_direct_sum(g.compose(f), k.inverse()),
+        # a shuffle of the free coordinates; torsion coordinates stay
+        permuted(f.target, rng.sample(range(g1.free_rank), g1.free_rank) + list(range(g1.free_rank, g1.num_gens))),
+        swap_blocks(form_direct_sum(f.target, f.target).form, g1.free_rank),
     ]
+    for iso in built:
+        assert_passes_the_constructor(iso)
+
+
+def test_flip_witnesses_of_a_word_and_a_certificate_pass_the_constructor():
+    e = form_direct_sum(e_form(0, 1), e_form(0, 0)).form
+    k, l, v = ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)], [(0, 1, 0, 0), (0, 0, 1, 0)])
+    cert = jacobi_witness(e, *(SubgroupRep.from_elements(e.group, gens) for gens in (k, l, v)))
+    # the word the certificate expands: its ambient lagrangian K̃ is the padding's
+    word = ru_wall_witness(cert.phi.source, cert.start_padding.lagrangian, cert.phi).word
+    built = [letter.witness for letter in word.letters if isinstance(letter, Flip)]
+    built += [move.witness for move in cert.sequence.moves if isinstance(move, FlipL)]
+    built += [move.iso for move in cert.sequence.moves if isinstance(move, ApplyIso)]
+    assert len(built) > 3
     for iso in built:
         assert_passes_the_constructor(iso)
 
