@@ -289,12 +289,17 @@ class SubgroupRep:
         return SubgroupRep(ambient, hermite_row_basis(rows, ambient.num_gens))
 
     @staticmethod
+    def of_units(ambient: AbGroup, indices: Iterable[int]) -> "SubgroupRep":
+        """The subgroup the generators at ``indices`` span, from sparse unit rows."""
+        return SubgroupRep.from_sparse(ambient, [((i, 1),) for i in indices])
+
+    @staticmethod
     def zero(ambient: AbGroup) -> "SubgroupRep":
         return SubgroupRep.from_elements(ambient, [])
 
     @staticmethod
     def full(ambient: AbGroup) -> "SubgroupRep":
-        return SubgroupRep.from_elements(ambient, ambient.gens())
+        return SubgroupRep.of_units(ambient, range(ambient.num_gens))
 
     # -- queries ------------------------------------------------------
 
@@ -313,6 +318,11 @@ class SubgroupRep:
         """Canonical generating set: ``generator_rows`` as dense elements."""
         n = self.ambient.num_gens
         return [dense_row(g, n) for g in self.generator_rows()]
+
+    def generator_matrix(self) -> IntMatrix:
+        """``generator_rows`` as the rows of a matrix."""
+        gens = self.generator_rows()
+        return IntMatrix(len(gens), self.ambient.num_gens, tuple(gens))
 
     @property
     def rank(self) -> int:
@@ -336,9 +346,8 @@ class SubgroupRep:
 
     def inclusion(self) -> GroupHom:
         """Z^k → ambient onto the canonical generators; a basis when the subgroup is free."""
-        gens = self.generator_rows()
-        matrix = IntMatrix(len(gens), self.ambient.num_gens, tuple(gens)).transpose()
-        return GroupHom(free_group(len(gens)), self.ambient, matrix)
+        gens = self.generator_matrix()
+        return GroupHom(free_group(gens.rows), self.ambient, gens.transpose())
 
     # -- lattice operations -------------------------------------------
 
@@ -355,16 +364,15 @@ class SubgroupRep:
         rows = [a + shifted_row(a, n) for a in self.lattice] + list(other.lattice)
         return _zero_head_tails(self.ambient, n, rows)
 
-    def transport(self, h: GroupHom) -> "SubgroupRep":
-        """Image of this subgroup under a hom out of the ambient group.
-
-        The images are the rows of one product: the generators times hᵀ.
-        """
+    def image_rows(self, h: GroupHom) -> tuple[Row, ...]:
+        """The images of the generators under a hom out of the ambient group: the rows of generators times hᵀ."""
         if h.source != self.ambient:
             raise DimensionMismatch("transport along hom with wrong source")
-        gens = self.generator_rows()
-        images = IntMatrix(len(gens), h.source.num_gens, tuple(gens)).mul(h.matrix.transpose())
-        return SubgroupRep.from_sparse(h.target, images.sparse)
+        return self.generator_matrix().mul(h.matrix.transpose()).sparse
+
+    def transport(self, h: GroupHom) -> "SubgroupRep":
+        """Image of this subgroup under a hom out of the ambient group: the span of ``image_rows``."""
+        return SubgroupRep.from_sparse(h.target, self.image_rows(h))
 
     def preimage(self, h: GroupHom) -> "SubgroupRep":
         """Preimage h^{-1}(self) as a subgroup of h.source: rows (h(e_j) | e_j), (s | 0) for s in self."""
@@ -395,8 +403,7 @@ def free_section(g: AbGroup) -> GroupHom:
 
 
 def torsion_subgroup(g: AbGroup) -> SubgroupRep:
-    r = g.free_rank
-    return SubgroupRep.from_elements(g, [g.gen(r + j) for j in range(len(g.torsion))])
+    return SubgroupRep.of_units(g, range(g.free_rank, g.num_gens))
 
 
 # -- quotients ---------------------------------------------------------
@@ -486,8 +493,8 @@ class DirectSum:
     proj_b: GroupHom
 
     def subgroup(self, a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
-        """A′ ⊕ B′ for A′ ≤ A and B′ ≤ B: the span of their images under the inclusions."""
-        return a.transport(self.incl_a).sum(b.transport(self.incl_b))
+        """A′ ⊕ B′ for A′ ≤ A and B′ ≤ B: one Hermite basis of their images under the inclusions."""
+        return SubgroupRep.from_sparse(self.group, a.image_rows(self.incl_a) + b.image_rows(self.incl_b))
 
 
 def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
@@ -551,18 +558,6 @@ class MatchedSurjections:
     iso: GroupHom
 
 
-def _free_cover_of_kernel(g: GroupHom) -> tuple[AbGroup, GroupHom]:
-    """Free cover of Ker g using the kernel's canonical generators."""
-    ker = g.kernel()
-    gens = ker.generators()
-    cover = free_group(len(gens))
-    if gens:
-        hom = GroupHom.from_gen_images(cover, g.source, gens)
-    else:
-        hom = GroupHom.zero(cover, g.source)
-    return cover, hom
-
-
 def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"] = "stable") -> MatchedSurjections:
     """Match two surjections from free groups onto a common target.
 
@@ -597,12 +592,12 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
         x = lift_through_g(f.apply(gen))
         assert x is not None  # g surjective
         lift_cols.append(x)
-    fbar = GroupHom.from_gen_images(f.source, g.source, lift_cols) if lift_cols else GroupHom.zero(f.source, g.source)
+    fbar = GroupHom.from_gen_images(f.source, g.source, lift_cols)
 
-    f0_group, f0 = _free_cover_of_kernel(g)
+    f0 = g.kernel().inclusion()  # a free cover of Ker g on its canonical generators
     # F1 = F ⊕ F0 with fbar1 = fbar + f0 surjective onto G
     rk_f = f.source.free_rank
-    rk_f0 = f0_group.free_rank
+    rk_f0 = f0.source.free_rank
     rk_g = g.source.free_rank
     f1_group = free_group(rk_f + rk_f0)
     fbar1_matrix = fbar.matrix.hstack(f0.matrix)
@@ -610,7 +605,7 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
     # right inverse c: G -> F1
     right_inverse = group_solver(fbar1)
     c_cols = [right_inverse(gen) for gen in g.source.gens()]
-    c = GroupHom.from_gen_images(g.source, f1_group, c_cols) if c_cols else GroupHom.zero(g.source, f1_group)
+    c = GroupHom.from_gen_images(g.source, f1_group, c_cols)
 
     f_extra = free_group(rk_f0 + rk_g)
     g_extra = f1_group  # = F ⊕ F0

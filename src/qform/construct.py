@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, free_group, match_surjections
+from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
 from .forms import (
     EQForm,
@@ -32,6 +32,7 @@ from .forms import (
     FormSum,
     form_direct_sum,
     hyperbolic,
+    hyperbolic_halves,
     iso_direct_sum,
     negate,
     dual,
@@ -130,10 +131,7 @@ class MetabolicBasis:
 def metabolic_basis(e: EQForm, l: SubgroupRep) -> MetabolicBasis:
     """Normal basis of a free metabolic form adapted to a lagrangian."""
     _require_free_metabolic(e, l, "metabolic basis")
-    n = e.group.num_gens
-    l_basis = IntMatrix.from_rows(l.generators(), n)
-    f_basis = IntMatrix.from_rows(direct_complement(l).generators(), n)
-    basis, diag = _normal_basis(e, l_basis, f_basis)
+    basis, diag = _normal_basis(e, l.generator_matrix(), direct_complement(l).generator_matrix())
     return MetabolicBasis(e, l, basis, diag)
 
 
@@ -263,7 +261,6 @@ def stable_lagrangian_iso(
             raise HypothesisError("not geometric")
 
     n_sub, n2_sub = direct_complement(l), direct_complement(l2)
-    n_basis, n2_basis = n_sub.generators(), n2_sub.generators()
     # μ on each complement: the form restricted to it, by pullback
     f = pullback(n_sub.inclusion(), e).mu
     g = pullback(n2_sub.inclusion(), e2).mu
@@ -274,17 +271,14 @@ def stable_lagrangian_iso(
     sum_s = form_direct_sum(e, hyperbolic(k, e.target, e.v))
     sum_t = form_direct_sum(e2, hyperbolic(kl, e.target, e.v))
 
-    def stabilized(sumform: FormSum, pairs: int, l_gens, n_gens) -> tuple[IntMatrix, IntMatrix]:
-        """Rows spanning the stabilized lagrangian and its complement."""
-        ia = sumform.incl_a
-        hyp = list(sumform.incl_b.matrix.transpose().entries)  # the images of a_1..a_k, b_1..b_k
-        width = sumform.form.group.num_gens
-        ls = IntMatrix.from_rows([ia.apply(v) for v in l_gens] + hyp[pairs:], width)
-        fs = IntMatrix.from_rows([ia.apply(v) for v in n_gens] + hyp[:pairs], width)
-        return ls, fs
+    def stabilized(sumform: FormSum, pairs: int, lagr: SubgroupRep, comp: SubgroupRep):
+        """L ⊕ ({0} × Z^k), and the generators of it and of its complement N ⊕ (Z^k × {0})."""
+        upper, lower = hyperbolic_halves(pairs)
+        ls = sumform.subgroup(lagr, lower)
+        return ls, ls.generator_matrix(), sumform.subgroup(comp, upper).generator_matrix()
 
-    ls, fs = stabilized(sum_s, k, l.generators(), n_basis)
-    ls2, fs2 = stabilized(sum_t, kl, l2.generators(), n2_basis)
+    src_l, ls, fs = stabilized(sum_s, k, l, n_sub)
+    tgt_l, ls2, fs2 = stabilized(sum_t, kl, l2, n2_sub)
     if fs2.rows != fs.rows:
         raise NotWellDefined("matched complements have different ranks")
 
@@ -294,9 +288,6 @@ def stable_lagrangian_iso(
     bt, _ = _normal_basis(sum_t.form, ls2, fs_prime)
     hom = bt.mul(bs.inverse_unimodular())
     iso = FormIso(sum_s.form, sum_t.form, GroupHom(sum_s.form.group, sum_t.form.group, hom))
-
-    src_l = SubgroupRep.from_sparse(sum_s.form.group, ls.sparse)
-    tgt_l = SubgroupRep.from_sparse(sum_t.form.group, ls2.sparse)
     if src_l.transport(iso.hom) != tgt_l:
         raise NotWellDefined("stable isomorphism does not match the lagrangians")
     return StableLagrangianIso(k, kl, iso, src_l, tgt_l)
@@ -377,9 +368,7 @@ def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> Form
         bad("rest lagrangian lives in the wrong group")
     if not subgroup_classify(rest_form, lp).free_lagrangian:
         bad("rest lagrangian fails the lagrangian check")
-    t_group = w.target.group
-    embedded = [t_group.gen(1)] + [embed.apply(g) for g in lp.generators()]
-    if lagr.transport(w.hom) != SubgroupRep.from_elements(t_group, embedded):
+    if lagr.transport(w.hom) != SubgroupRep.of_units(w.target.group, [1]).sum(lp.transport(embed)):
         bad("witness does not carry the lagrangian onto ({0}×Z) ⊕ L'")
     return _realize_letter_unchecked(letter)
 
@@ -417,9 +406,8 @@ def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pr
     """
     if not pairs:
         return []
-    h = free_group(2 * (pairs - 1))
-    lower = SubgroupRep.from_elements(h, h.gens()[pairs - 1 :])  # {0} × Z^{pairs-1}
-    rest_l = direct_sum_with_maps(base.group, h).subgroup(l, lower)
+    _, lower = hyperbolic_halves(pairs - 1)
+    rest_l = direct_sum_with_maps(base.group, lower.ambient).subgroup(l, lower)
     n = base.group.num_gens
     return [_flip(pre, n + i, n + pairs + i, rest_l) for i in range(pairs)]
 

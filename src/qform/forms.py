@@ -36,12 +36,24 @@ from .intmat import IntMatrix, Vec, int_nullspace
 
 @dataclass(frozen=True)
 class EQForm:
-    """An extended quadratic form (M, λ, μ) with optional parity map v."""
+    """An extended quadratic form (M, λ, μ) with optional parity map v.
+
+    The public constructor checks it.  ``hyperbolic``, ``negate``, ``dual``,
+    ``pullback`` and ``form_direct_sum`` skip that through ``_unchecked``:
+    each result is well formed whenever its inputs are.
+    """
 
     group: AbGroup
     matrix: IntMatrix
     mu: GroupHom
     v: GroupHom | None = None
+
+    @classmethod
+    def _unchecked(cls, group: AbGroup, matrix: IntMatrix, mu: GroupHom, v: GroupHom | None) -> "EQForm":
+        """A form well formed by construction from checked parts; nothing is re-checked."""
+        e = object.__new__(cls)
+        e.__dict__.update(group=group, matrix=matrix, mu=mu, v=v)
+        return e
 
     def __post_init__(self):
         n = self.group.num_gens
@@ -103,11 +115,8 @@ class EQForm:
         """
         if self.v is None:
             raise VMissing("the geometric predicate needs a parity map v")
-        vmu = self.v.compose(self.mu)
-        for i, g in enumerate(self.group.gens()):
-            if (self.matrix[i, i] % 2,) != vmu.apply(g):
-                return False
-        return True
+        parity = dict(self.v.compose(self.mu).matrix.sparse[0])  # v∘μ: one row into Z/2
+        return all(self.matrix[i, i] % 2 == parity.get(i, 0) for i in range(self.group.num_gens))
 
 
 @dataclass(frozen=True)
@@ -145,26 +154,37 @@ def hyperbolic(k: int, target: AbGroup = ZERO_GROUP, v: GroupHom | None = None) 
     """
     if k < 0:
         raise DimensionMismatch("hyperbolic rank parameter must be non-negative")
+    if v is not None and (v.source != target or v.target != Z2):
+        raise DimensionMismatch("parity map must go from the coefficient group to Z/2")
     lam = IntMatrix.block_pattern(("0 I", "I 0"), (0,) * k)
-    return EQForm(free_group(2 * k), lam, GroupHom.zero(free_group(2 * k), target), v)
+    return EQForm._unchecked(free_group(2 * k), lam, GroupHom.zero(free_group(2 * k), target), v)
+
+
+def hyperbolic_halves(k: int) -> tuple[SubgroupRep, SubgroupRep]:
+    """The upper and lower halves (Z^k × {0}, {0} × Z^k) of ``hyperbolic(k)``'s group."""
+    g = free_group(2 * k)
+    return SubgroupRep.of_units(g, range(k)), SubgroupRep.of_units(g, range(k, 2 * k))
 
 
 def negate(e: EQForm) -> EQForm:
-    """-(M, λ, μ) = (M, -λ, -μ)."""
-    return EQForm(e.group, e.matrix.neg(), e.mu.neg(), e.v)
+    """-(M, λ, μ) = (M, -λ, -μ); well formed whenever e is."""
+    return EQForm._unchecked(e.group, e.matrix.neg(), e.mu.neg(), e.v)
 
 
 def dual(e: EQForm) -> EQForm:
-    """(M, λ, μ)* = (M, λ, -μ)."""
-    return EQForm(e.group, e.matrix, e.mu.neg(), e.v)
+    """(M, λ, μ)* = (M, λ, -μ); well formed whenever e is."""
+    return EQForm._unchecked(e.group, e.matrix, e.mu.neg(), e.v)
 
 
 def pullback(h: GroupHom, e: EQForm) -> EQForm:
-    """The form induced on h's source: (N, h*λ, μ∘h)."""
+    """The form induced on h's source: (N, h*λ, μ∘h).
+
+    hᵀλh is symmetric, and vanishes on torsion because h maps it into torsion.
+    """
     if h.target != e.group:
         raise DimensionMismatch("pullback along a map into a different group")
     lam = h.matrix.transpose().mul(e.matrix).mul(h.matrix)
-    return EQForm(h.source, lam, e.mu.compose(h), e.v)
+    return EQForm._unchecked(h.source, lam, e.mu.compose(h), e.v)
 
 
 @dataclass(frozen=True)
@@ -182,7 +202,8 @@ def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
     block.  That equals pa^T·λ_A·pa + pb^T·λ_B·pb for the projections pa,
     pb: each projection is the identity on its own free coordinates, and
     λ_A, λ_B vanish on torsion (``EQForm`` requires it), so the torsion
-    blocks of the projections meet only zeros.  μ = μ_A∘pa + μ_B∘pb.
+    blocks of the projections meet only zeros.  μ = μ_A∘pa + μ_B∘pb.  The
+    sum is well formed because both summands are, and is not re-checked.
     """
     if a.target != b.target:
         raise HypothesisError("target mismatch", "direct sum needs a common coefficient group")
@@ -192,7 +213,7 @@ def form_direct_sum(a: EQForm, b: EQForm) -> FormSum:
     t = len(ds.group.torsion)
     lam = IntMatrix.block_diagonal([a.reduced_matrix(), b.reduced_matrix(), IntMatrix.zeros(t, t)])
     mu = a.mu.compose(ds.proj_a).add(b.mu.compose(ds.proj_b))
-    total = EQForm(ds.group, lam, mu, a.v)
+    total = EQForm._unchecked(ds.group, lam, mu, a.v)
     return FormSum(ds.group, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b, total)
 
 
@@ -355,9 +376,8 @@ def split_pair(t: EQForm) -> tuple[EQForm, GroupHom]:
         raise HypothesisError("split target does not start with a hyperbolic pair")
     if any(j >= 2 for j, _ in m.sparse[0] + m.sparse[1]):
         raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
-    for i in (0, 1):
-        if not t.target.is_zero_element(t.mu.apply(t.group.gen(i))):
-            raise HypothesisError("mu does not vanish on the hyperbolic pair")
+    if any(t.mu.matrix.column(0) + t.mu.matrix.column(1)):  # μ's matrix is stored reduced
+        raise HypothesisError("mu does not vanish on the hyperbolic pair")
     rest = AbGroup(r - 2, t.group.torsion)
     k = rest.num_gens
     embed = GroupHom(rest, t.group, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
@@ -373,10 +393,9 @@ def orthogonal_complement(e: EQForm, x: SubgroupRep) -> SubgroupRep:
         raise DimensionMismatch("subgroup lives in a different group")
     if not e.is_nonsingular():
         raise HypothesisError("not nonsingular", "orthogonal complement needs determinant ±1")
-    gens = x.generator_rows()
-    if not gens:
+    g = x.generator_matrix()
+    if not g.rows:
         return SubgroupRep.full(e.group)
-    g = IntMatrix(len(gens), e.group.num_gens, tuple(gens))
     return SubgroupRep.from_sparse(e.group, int_nullspace(g.mul(e.matrix)))
 
 
@@ -401,8 +420,7 @@ def subgroup_classify(e: EQForm, s: SubgroupRep) -> SubgroupFlags:
     """
     if s.ambient != e.group:
         raise DimensionMismatch("subgroup lives in a different group")
-    gens = s.generator_rows()
-    rows = IntMatrix(len(gens), e.group.num_gens, tuple(gens))
+    rows = s.generator_matrix()
     isotropic = rows.mul(e.matrix).mul(rows.transpose()).is_zero()
     mu_vanishes = not any(e.target.reduce_row(r) for r in rows.mul(e.mu.matrix.transpose()).sparse)
     half = 2 * s.rank == e.rank and is_direct_summand(s)

@@ -38,6 +38,7 @@ from .forms import (
     FormIso,
     form_direct_sum,
     hyperbolic,
+    hyperbolic_halves,
     iso_direct_sum,
     negate,
     orthogonal_complement,
@@ -54,10 +55,10 @@ class QuasiFormation:
     """A nonsingular form with a T-lagrangian and a free half-rank summand.
 
     The public constructor checks all three.  Formations read from a
-    document come through it, and so do ``standard_elementary``,
-    ``zero_formation`` and the result of a ``FlipL`` move.  Two
-    constructions skip it through ``_unchecked``, because there the facts
-    hold by construction from checked parts:
+    document come through it, and so do ``zero_formation`` and the result
+    of a ``FlipL`` move.  Three constructions skip it through
+    ``_unchecked``, because there the facts hold by construction:
+    * ``standard_elementary``: H_2k is nonsingular with free lagrangians as halves;
     * ``qf_direct_sum``: a block sum of nonsingular forms is nonsingular,
       and the sums of two T-lagrangians and of two free half-rank
       summands are again such;
@@ -116,10 +117,8 @@ def qf_direct_sum(a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
 
 def standard_elementary(k: int, target: AbGroup = ZERO_GROUP, v: GroupHom | None = None) -> QuasiFormation:
     """ℋ_2k: the hyperbolic form with lagrangian {0}×Z^k and summand Z^k×{0}."""
-    h = hyperbolic(k, target, v)
-    lagr = SubgroupRep.from_elements(h.group, [h.group.gen(k + i) for i in range(k)])
-    summ = SubgroupRep.from_elements(h.group, [h.group.gen(i) for i in range(k)])
-    return QuasiFormation(h, lagr, summ)
+    upper, lower = hyperbolic_halves(k)
+    return QuasiFormation._unchecked(hyperbolic(k, target, v), lower, upper)
 
 
 def zero_formation(q_group: AbGroup, v: GroupHom) -> QuasiFormation:
@@ -136,7 +135,7 @@ def zero_formation(q_group: AbGroup, v: GroupHom) -> QuasiFormation:
     lam = IntMatrix.block_pattern(("0 I", "I D"), [v.apply(g)[0] for g in q_group.gens()])
     mu = GroupHom.from_gen_images(m, q_group, [q_group.zero()] * k + list(q_group.gens()))
     form = EQForm(m, lam, mu, v)
-    lagr = SubgroupRep.from_elements(m, [m.gen(i) for i in range(k)])
+    lagr = SubgroupRep.of_units(m, range(k))
     return QuasiFormation(form, lagr, lagr)
 
 
@@ -218,12 +217,11 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
         if w.source != q.form:
             raise HypothesisError("flip witness does not start at the current form")
         _, embed = split_pair(w.target)
-        t_group = w.target.group
         transported = q.lagrangian.transport(w.hom)
         inner = transported.intersection(embed.image())
-        if inner.sum(SubgroupRep.from_elements(t_group, [t_group.gen(1)])) != transported:
+        if inner.sum(SubgroupRep.of_units(w.target.group, [1])) != transported:
             raise HypothesisError("lagrangian does not split as ({0} × Z) ⊕ L'")
-        flipped = inner.sum(SubgroupRep.from_elements(t_group, [t_group.gen(0)]))
+        flipped = inner.sum(SubgroupRep.of_units(w.target.group, [0]))
         new_lagr = flipped.preimage(w.hom)
         return QuasiFormation(q.form, new_lagr, q.summand)
     raise HypothesisError("unknown move kind")
@@ -268,10 +266,8 @@ def bar_reduce(q: QuasiFormation) -> QuasiFormation:
     group = q.form.group
     if group.is_free:
         return q
-    tors = torsion_subgroup(group)
-    for g in tors.generators():
-        if not q.target.is_zero_element(q.form.mu.apply(g)):
-            raise HypothesisError("mu does not vanish on torsion")
+    if not q.form.mu.compose(torsion_subgroup(group).inclusion()).is_zero():
+        raise HypothesisError("mu does not vanish on torsion")
     # the form on the free coordinates; projecting onto them is the quotient map
     section = free_section(group)
     pi = GroupHom(group, section.source, section.matrix.transpose())
@@ -340,11 +336,12 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
 
     Writes M = M' ⊕ H with J = K ∩ L a lagrangian in M' and L ∩ X, K ∩ X
     lagrangians in the hyperbolic part H, where X is a direct complement
-    of J and H = M'^⊥.  These hold by construction and are not re-checked
-    here; the change of basis is returned as a one-move sequence that
-    ``replay`` re-checks.  Each part's subgroups are preimages along its
+    of J and H = M'^⊥.  Each part's subgroups are preimages along its
     inclusion: the inclusion is injective and the subgroup lies in its
     image, so the preimage is the subgroup in the part's coordinates.
+    Both parts are checked by the ``QuasiFormation`` constructor, and the
+    split M → M' ⊕ H, the inverse of m_incl∘proj_a + h_incl∘proj_b, by
+    ``FormIso``'s; ``replay`` re-checks the returned one-move sequence.
     """
     e = q.form
     if not e.target.is_free:
@@ -377,8 +374,8 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
     zero_part = QuasiFormation(m_form, j_in, j_in)
     hyp_part = QuasiFormation(h_form, l_in, k_in)
     target = qf_direct_sum(zero_part, hyp_part)
-    basis = m_incl.matrix.hstack(h_incl.matrix)
-    split = FormIso(e, target.form, GroupHom(e.group, target.form.group, basis.inverse_unimodular()))
+    ds = direct_sum_with_maps(m_form.group, h_form.group)
+    split = FormIso(target.form, e, m_incl.compose(ds.proj_a).add(h_incl.compose(ds.proj_b))).inverse()
     seq = MoveSequence(q, target, (ApplyIso(split),))
     return LTrivialization(common, x, zero_part, hyp_part, witness, seq)
 
@@ -440,9 +437,10 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     big = phi.source
     l_tilde = stab.source_lagrangian
     k_tilde = stab.target_lagrangian
-    # (big; L̃, Ṽ) = (e; L, V) ⊕ ℋ_2k; (e; L, V) holds: stab found e nonsingular, and L and V passed above
-    lv = QuasiFormation._unchecked(e, l_sub, v_sub)
-    lv_tilde = qf_direct_sum(lv, standard_elementary(pairs, e.target, e.v))
+    # (big; L̃, Ṽ) = (e; L, V) ⊕ ℋ_2k holds (stab found e nonsingular, L and V passed above); only Ṽ is new
+    upper, _ = hyperbolic_halves(pairs)
+    v_tilde = direct_sum_with_maps(e.group, upper.ambient).subgroup(v_sub, upper)
+    lv_tilde = QuasiFormation._unchecked(big, l_tilde, v_tilde)
 
     wall = ru_wall_witness(big, k_tilde, phi)
     neg_big = negate(big)
@@ -462,7 +460,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
 
     end_paddings = (QuasiFormation(big, k_tilde, k_tilde), start_padding)
     end = qf_direct_sum(
-        qf_direct_sum(QuasiFormation(big, k_tilde, lv_tilde.summand), end_paddings[0]), end_paddings[1]
+        qf_direct_sum(QuasiFormation(big, k_tilde, v_tilde), end_paddings[0]), end_paddings[1]
     )
     seq = MoveSequence(start, end, tuple(moves))
     return JacobiWitness(seq, pairs, phi, start_padding, end_paddings)

@@ -25,7 +25,7 @@ from qform.forms import (
     swap_blocks,
 )
 from qform.intmat import IntMatrix
-from qform.lmonoid import ApplyIso, FlipL, jacobi_witness
+from qform.lmonoid import ApplyIso, FlipL, QuasiFormation, jacobi_witness, standard_elementary
 
 
 Z = free_group(1)
@@ -451,12 +451,14 @@ def test_iso_direct_sum_leaves_an_unknown_inverse_to_first_use():
     assert total.inverse().compose(total).hom == GroupHom.identity(total.source.group)
 
 
-# -- isomorphisms built from checked ones --------------------------------
+# -- isomorphisms and forms built from checked ones ----------------------
 #
 # identity, inverse, compose, iso_direct_sum and permuted build their
 # results without re-running the checks; each such result, and every
 # witness of a word or a certificate built from them, must be one the
-# public constructor accepts.
+# public constructor accepts.  So must every form that hyperbolic, negate,
+# dual, pullback and form_direct_sum build, and every ℋ_2k that
+# standard_elementary builds.
 
 
 def assert_passes_the_constructor(iso):
@@ -509,6 +511,23 @@ def test_isos_built_from_checked_ones_pass_the_constructor(g1, g2, rng):
     ]
     for iso in built:
         assert_passes_the_constructor(iso)
+    s = form_direct_sum(f.target, k.source)
+    forms = [
+        s.form,
+        negate(f.target),
+        dual(k.source),
+        pullback(s.incl_b, s.form),
+        pullback(s.proj_a, f.target),
+        built[6].target,
+    ]
+    for target in (Z, g2):
+        v = GroupHom.zero(target, Z2)
+        for pairs in range(5):
+            forms.append(hyperbolic(pairs, target, v))
+            q = standard_elementary(pairs, target, v)
+            assert QuasiFormation(q.form, q.lagrangian, q.summand) == q
+    for e in forms:
+        assert EQForm(e.group, e.matrix, e.mu, e.v) == e
 
 
 def test_flip_witnesses_of_a_word_and_a_certificate_pass_the_constructor():

@@ -1,10 +1,13 @@
 """Tests for quasi-formations, moves, torsion reduction and witnesses."""
 
+import json
 import random
+import time
 from math import gcd
 
 import pytest
 
+from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, QformError
@@ -30,6 +33,7 @@ from qform.lmonoid import (
     unbar,
     zero_formation,
 )
+from qform.serialize import sequence_to_doc
 
 Z = free_group(1)
 VZ = GroupHom.zero(Z, Z2)
@@ -226,6 +230,19 @@ def test_stab_then_destab_is_the_identity():
     seq = MoveSequence(q, q, (Stab(), Destab(q, 1, witness)))
     res = replay(seq)
     assert res and res.steps == 2
+
+
+def test_validate_of_a_wide_stabilization_is_fast(tmp_path, capsys):
+    # ℋ_8000 is built from sparse unit halves and not re-checked; from dense unit vectors it took seconds
+    q = zero_formation(ZERO_GROUP, V0)
+    path = tmp_path / "stab.json"
+    path.write_text(json.dumps(sequence_to_doc(MoveSequence(q, q, (Stab(4000),)))))
+    t0 = time.monotonic()
+    code = cli.run(["validate", "--input", str(path)])
+    assert time.monotonic() - t0 < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["ok"], doc["steps"]) == (2, False, 1)
+    assert doc["reason"] == "result differs from the declared end"
 
 
 def test_destab_with_wrong_witness_reports_the_index():
