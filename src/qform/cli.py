@@ -394,14 +394,15 @@ def _oracle_iso_result(doc, budget: oracle.SearchBudget) -> dict:
 # -- validate ----------------------------------------------------------
 
 
-def _validate_doc(doc, text):
+def _validate_doc(doc, text, node_limit: int):
     """Classify a document by shape and re-check it; returns (kind, ok, extra).
 
-    ``text`` is the input ``doc`` was parsed from.  A command result is
-    recomputed and encoded; when that encoding is the input text itself
-    the stored document encodes to the same bytes, so it is encoded only
-    when the two differ.  A stored result that differs is reported with
-    the first JSON path where it differs from the recomputed one.
+    ``text`` is the input ``doc`` was parsed from; ``node_limit`` bounds
+    ``replay``'s stabilizations.  A command result is recomputed and
+    encoded; when that encoding is the input text itself the stored
+    document encodes to the same bytes, so it is encoded only when the two
+    differ.  A stored result that differs is reported with the first JSON
+    path where it differs from the recomputed one.
     """
     d = _as_dict(doc, "input")
     if "command" in d:
@@ -430,7 +431,7 @@ def _validate_doc(doc, text):
         iso_from_doc(d, "input")
         return "iso", True, {}
     if "moves" in d:
-        res = replay(sequence_from_doc(d, "input"))
+        res = replay(sequence_from_doc(d, "input"), node_limit)
         extra = {"steps": res.steps}
         if not res.ok:
             extra["failed_index"] = res.failed_index
@@ -448,8 +449,8 @@ def _validate_doc(doc, text):
     raise SchemaError("input", "unrecognized document shape")
 
 
-def _validate_result(doc_and_text):
-    kind, ok, extra = _validate_doc(*doc_and_text)
+def _validate_result(doc_and_text, node_limit: int):
+    kind, ok, extra = _validate_doc(*doc_and_text, node_limit)
     payload = {"command": "validate", "kind": kind, "ok": ok}
     payload.update(extra)
     return payload, (EXIT_OK if ok else EXIT_INVALID)
@@ -478,10 +479,10 @@ class Command:
     ``build`` takes what ``read`` returns, the input document (``validate``
     reads the document and its text), plus, by ``budget``, the search
     budget ("search") or its node limit alone ("nodes") from the flags on
-    the command line.  Under ``validate`` a search budget comes from the
-    document's "budget" and a node limit is the default.  A result
-    document echoes its input under ``echo``, or at its top level when
-    ``echo`` is None.
+    the command line.  ``validate`` hands its node limit to ``replay``, and
+    recomputes with the document's "budget" or the default node limit.  A
+    result document echoes its input under ``echo``, or at its top level
+    when ``echo`` is None.
     """
 
     help: str
@@ -503,7 +504,7 @@ _PAIR = (("--a", {"type": _int_flag, "required": True}), ("--b", {"type": _int_f
 
 COMMANDS = {
     "validate": Command(
-        "re-check any document produced by this tool", _validate_result, read=_read_doc_and_text
+        "re-check any document produced by this tool", _validate_result, read=_read_doc_and_text, budget="nodes"
     ),
     "invariants": Command("evaluate all predicates of a form", _invariants_result, echo="form"),
     "perp": Command("orthogonal complement of a subgroup", _perp_result),

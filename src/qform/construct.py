@@ -10,14 +10,15 @@ Bases and frames are matrix products in the metabolic basis: the normal
 basis comes from the pairing matrices L·Λ·Fᵀ and F·Λ·Fᵀ, and each frame
 is the metabolic basis applied to a constant pattern of blocks 0, ±I, D.
 
-What is checked where: every ``FormIso`` checks on construction that it
-pulls λ and μ back and is bijective; a ``MetabolicBasis`` checks its
-shape, unimodularity, normal form and span on construction;
-``stable_lagrangian_iso`` checks that its isomorphism carries one
-lagrangian onto the other; ``ru_word_eval`` checks every letter against
-the word's lagrangian.  The lattice steps in between (complements,
-matched surjections) hold by construction in ``abelian`` and are not
-checked again.
+What is checked where: the frames, ``neg_isomorphism`` and
+``stable_lagrangian_iso`` pass their ``FormIso`` through the public
+constructor (λ and μ pulled back, bijective), and the last checks that it
+carries one lagrangian onto the other; a ``MetabolicBasis`` checks its
+shape, unimodularity, normal form and span; ``ru_word_eval`` checks every
+letter against the word's lagrangian.  What is composed from those, such
+as B⁻¹ for a checked basis B or ``ru_wall_witness``'s letters, is not
+checked again, nor are the lattice steps in between (complements, matched
+surjections), which hold by construction in ``abelian``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .forms import (
     form_direct_sum,
     hyperbolic,
     hyperbolic_halves,
-    iso_direct_sum,
+    iso_on_sums,
     negate,
     dual,
     permuted,
@@ -150,10 +151,9 @@ def is_hyperbolic_with_witness(e: EQForm, l: SubgroupRep) -> FormIso:
         raise HypothesisError("not even")
     mb = metabolic_basis(e, l)  # raises "not nonsingular" / "not a lagrangian"
     assert all(d == 0 for d in mb.diag)  # evenness forces D = 0
-    k = len(mb.diag)
-    target = hyperbolic(k, e.target, e.v)
-    hom = GroupHom(e.group, target.group, mb.basis.inverse_unimodular())
-    return FormIso(e, target, hom)
+    target = hyperbolic(len(mb.diag), e.target, e.v)
+    hom = GroupHom(e.group, target.group, mb.basis.inverse_unimodular())  # checked: Bᵀ·λ·B = [[0, I], [I, 0]]
+    return FormIso._unchecked(e, target, hom, GroupHom(target.group, e.group, mb.basis))
 
 
 # -- the explicit isomorphisms ----------------------------------------
@@ -178,10 +178,10 @@ _DOUBLE_PATTERN = ("I 0 0 0", "0 I 0 I", "0 0 0 -I", "I D -I 0")
 _WALL_PATTERN = ("0 0 I D", "0 I 0 -I", "0 -I 0 0", "-I 0 I 0")
 
 
-def _frame(e: EQForm, mb: MetabolicBasis, second: EQForm, pattern: tuple[str, ...]) -> FormIso:
-    """The frame e ⊕ second → e ⊕ H_2k with block pattern ``pattern``."""
+def _frame(e: EQForm, mb: MetabolicBasis, source_sum: FormSum, pattern: tuple[str, ...]) -> FormIso:
+    """The frame e ⊕ second → e ⊕ H_2k with block pattern ``pattern``; ``source_sum`` is e ⊕ second."""
     k = len(mb.diag)
-    source = form_direct_sum(e, second).form
+    source = source_sum.form
     target = form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
     b, b_inv = mb.basis, mb.basis.inverse_unimodular()
     hom = (
@@ -198,7 +198,7 @@ def double_to_hyperbolic(e: EQForm, l: SubgroupRep) -> FormIso:
     Images in a metabolic basis (a_i, b_i the hyperbolic basis):
     e_i ↦ e_i + b_i, f_i ↦ f_i + d_i b_i, ē_i ↦ -b_i, f̄_i ↦ f_i - a_i.
     """
-    return _frame(e, metabolic_basis(e, l), e, _DOUBLE_PATTERN)
+    return _frame(e, metabolic_basis(e, l), form_direct_sum(e, e), _DOUBLE_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def stable_lagrangian_iso(
     kl = matched.g_extra.free_rank
 
     sum_s = form_direct_sum(e, hyperbolic(k, e.target, e.v))
-    sum_t = form_direct_sum(e2, hyperbolic(kl, e.target, e.v))
+    sum_t = sum_s if (e2, kl) == (e, k) else form_direct_sum(e2, hyperbolic(kl, e.target, e.v))
 
     def stabilized(sumform: FormSum, pairs: int, lagr: SubgroupRep, comp: SubgroupRep):
         """L ⊕ ({0} × Z^k), and the generators of it and of its complement N ⊕ (Z^k × {0})."""
@@ -412,11 +412,12 @@ def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pr
     return [_flip(pre, n + i, n + pairs + i, rest_l) for i in range(pairs)]
 
 
-def _embed_letter_after_first(first: EQForm, first_l: SubgroupRep, letter):
-    """Turn a generator of RU(B, K) into one of RU(first ⊕ B, first_l ⊕ K)."""
+def _embed_letter_after_first(first: EQForm, outer: FormSum, first_l: SubgroupRep, letter):
+    """Turn a generator of RU(B, K) into one of RU(first ⊕ B, first_l ⊕ K); ``outer`` is first ⊕ B."""
+    one = FormIso.identity(first)
     if isinstance(letter, Keep):
-        return Keep(iso_direct_sum(FormIso.identity(first), letter.iso))
-    inner = iso_direct_sum(FormIso.identity(first), letter.witness)
+        return Keep(iso_on_sums(outer, outer, one, letter.iso))
+    inner = iso_on_sums(outer, form_direct_sum(first, letter.witness.target), one, letter.witness)
     rest = letter.rest_lagrangian
     n = first.group.num_gens
     rest_l = direct_sum_with_maps(first.group, rest.ambient).subgroup(first_l, rest)
@@ -442,33 +443,31 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
         raise HypothesisError("not geometric")
     mb = metabolic_basis(e, l)  # checks free, nonsingular, lagrangian
     s = len(mb.diag)
-    n = 2 * s
 
     # the frame F : M ⊕ (-M) → M ⊕ H with
     # F(e_i) = -b_i, F(f_i) = f_i - a_i, F(ē_i) = e_i + b_i, F(f̄_i) = d_i e_i - f_i
-    frame = _frame(e, mb, negate(e), _WALL_PATTERN)
-    dbl = frame.source
+    neg_e = negate(e)
+    dbl_sum = form_direct_sum(e, neg_e)
+    frame = _frame(e, mb, dbl_sum, _WALL_PATTERN)
 
     w_letters = _flip_letters_for_stabilization(e, l, s, frame)
-    w_iso = FormIso.identity(dbl)
+    w_iso = FormIso.identity(dbl_sum.form)
     for letter in w_letters:
         w_iso = w_iso.compose(_realize_letter_unchecked(letter))
-    phi_neg = FormIso(negate(e), negate(e), phi.hom)
-    phi_phi = iso_direct_sum(phi, phi_neg)
+    phi_neg = FormIso._unchecked(neg_e, neg_e, phi.hom, phi.inverse_hom)  # it pulls back -λ, -μ as well
+    phi_phi = iso_on_sums(dbl_sum, dbl_sum, phi, phi_neg)
     k_iso = w_iso.compose(phi_phi).compose(w_iso)
     pair_word = w_letters + [Keep(k_iso)] + w_letters
 
-    outer = form_direct_sum(e, dbl)
+    outer = form_direct_sum(e, dbl_sum.form)
     ambient = outer.form
-    l3 = outer.subgroup(l, direct_sum_with_maps(e.group, e.group).subgroup(l, l))
+    l3 = outer.subgroup(l, dbl_sum.subgroup(l, l))
 
-    embedded = [_embed_letter_after_first(e, l, g) for g in pair_word]
-
-    tau = Keep(swap_blocks(ambient, n))
-
+    embedded = [_embed_letter_after_first(e, outer, l, g) for g in pair_word]
+    tau = Keep(swap_blocks(ambient, 2 * s))
     letters = [tau] + embedded + [tau] + [g.inverse() for g in reversed(embedded)]
     word = RUWord(ambient, l3, tuple(letters))
 
-    expected = iso_direct_sum(phi, iso_direct_sum(phi.inverse(), FormIso.identity(negate(e))))
+    expected = iso_on_sums(outer, outer, phi, iso_on_sums(dbl_sum, dbl_sum, phi.inverse(), FormIso.identity(neg_e)))
     return RUWallWitness(ambient, l3, word, expected)
 

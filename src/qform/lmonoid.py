@@ -32,14 +32,15 @@ from .construct import (
     ru_wall_witness,
     stable_lagrangian_iso,
 )
-from .errors import DimensionMismatch, HypothesisError, NotWellDefined, QformError
+from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined, QformError
 from .forms import (
     EQForm,
     FormIso,
+    FormSum,
     form_direct_sum,
     hyperbolic,
     hyperbolic_halves,
-    iso_direct_sum,
+    iso_on_sums,
     negate,
     orthogonal_complement,
     pullback,
@@ -55,15 +56,15 @@ class QuasiFormation:
     """A nonsingular form with a T-lagrangian and a free half-rank summand.
 
     The public constructor checks all three.  Formations read from a
-    document come through it, and so do ``zero_formation`` and the result
-    of a ``FlipL`` move.  Three constructions skip it through
-    ``_unchecked``, because there the facts hold by construction:
+    document come through it, and so do ``zero_formation``, a ``FlipL``
+    move's result and ``l_group_trivialize``'s parts.  Where the facts hold
+    by construction, ``_unchecked`` skips it:
     * ``standard_elementary``: H_2k is nonsingular with free lagrangians as halves;
-    * ``qf_direct_sum``: a block sum of nonsingular forms is nonsingular,
-      and the sums of two T-lagrangians and of two free half-rank
-      summands are again such;
-    * the ``ApplyIso`` move: a checked isomorphism carries each fact from
-      its source form to its target form.
+    * ``qf_direct_sum`` and ``_qf_on_sum``: block sums of nonsingular forms,
+      of T-lagrangians and of free half-rank summands are again such;
+    * ``ApplyIso``: a checked isomorphism carries each fact to its target;
+    * ``jacobi_witness``'s factors: e is nonsingular, and K̃, L̃, Ṽ are
+      the checked K, L, V summed with halves of H_2k.
     """
 
     form: EQForm
@@ -110,7 +111,11 @@ def is_L_element(q: QuasiFormation) -> bool:
 
 
 def qf_direct_sum(a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
-    s = form_direct_sum(a.form, b.form)
+    return _qf_on_sum(form_direct_sum(a.form, b.form), a, b)
+
+
+def _qf_on_sum(s: FormSum, a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
+    """a ⊕ b on the sum s = a.form ⊕ b.form that the caller built."""
     lagr, summ = s.subgroup(a.lagrangian, b.lagrangian), s.subgroup(a.summand, b.summand)
     return QuasiFormation._unchecked(s.form, lagr, summ)
 
@@ -147,6 +152,7 @@ class Stab:
     """Append ℋ_{2·pairs} to the current quasi-formation."""
 
     pairs: int = 1
+    NODES_PER_PAIR = 5  # what ``replay`` charges per pair: 40,000 pairs fill the default node limit
 
 
 @dataclass(frozen=True)
@@ -201,9 +207,10 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
     if isinstance(move, Destab):
         if move.witness.source != q.form:
             raise HypothesisError("split witness does not start at the current form")
-        expected = qf_direct_sum(
-            move.rest, standard_elementary(move.pairs, move.rest.target, move.rest.form.v)
-        )
+        if move.witness.target.rank != move.rest.form.rank + 2 * move.pairs:  # before ℋ is built
+            raise HypothesisError("split witness does not end at rest ⊕ H")
+        h_pairs = standard_elementary(move.pairs, move.rest.target, move.rest.form.v)
+        expected = qf_direct_sum(move.rest, h_pairs)
         if move.witness.target != expected.form:
             raise HypothesisError("split witness does not end at rest ⊕ H")
         h = move.witness.hom
@@ -245,10 +252,13 @@ class ReplayResult:
         return self.ok
 
 
-def replay(seq: MoveSequence) -> ReplayResult:
-    """Re-run every move from the start; report the first failure."""
+def replay(seq: MoveSequence, node_limit: int = DEFAULT_NODE_LIMIT) -> ReplayResult:
+    """Re-run every move, charging stabilizations to ``node_limit`` first; report the first failure."""
+    counter = NodeCounter(node_limit)
     current = seq.start
     for i, move in enumerate(seq.moves):
+        if isinstance(move, Stab):
+            counter.tick(Stab.NODES_PER_PAIR * max(move.pairs, 0))
         try:
             current = apply_move(current, move)
         except QformError as err:
@@ -349,10 +359,9 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
     if not e.is_free():
         raise HypothesisError("form is not free")
     lagr, summ = q.lagrangian, q.summand
-    if not subgroup_classify(e, lagr).free_lagrangian:
-        raise HypothesisError("first subgroup is not a free lagrangian")
-    if not subgroup_classify(e, summ).free_lagrangian:
-        raise HypothesisError("second subgroup is not a free lagrangian")
+    for name, sub in (("first", lagr), ("second", summ)):
+        if not subgroup_classify(e, sub).free_lagrangian:
+            raise HypothesisError(f"{name} subgroup is not a free lagrangian")
 
     common = summ.intersection(lagr)
     x = direct_complement(common)
@@ -373,9 +382,9 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
 
     zero_part = QuasiFormation(m_form, j_in, j_in)
     hyp_part = QuasiFormation(h_form, l_in, k_in)
-    target = qf_direct_sum(zero_part, hyp_part)
-    ds = direct_sum_with_maps(m_form.group, h_form.group)
-    split = FormIso(target.form, e, m_incl.compose(ds.proj_a).add(h_incl.compose(ds.proj_b))).inverse()
+    parts = form_direct_sum(m_form, h_form)
+    target = _qf_on_sum(parts, zero_part, hyp_part)
+    split = FormIso(target.form, e, m_incl.compose(parts.proj_a).add(h_incl.compose(parts.proj_b))).inverse()
     seq = MoveSequence(q, target, (ApplyIso(split),))
     return LTrivialization(common, x, zero_part, hyp_part, witness, seq)
 
@@ -435,32 +444,27 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     pairs = stab.k  # = stab.l: both lagrangians live in e, and stab's rank check matched them
     phi = stab.iso
     big = phi.source
-    l_tilde = stab.source_lagrangian
-    k_tilde = stab.target_lagrangian
-    # (big; L̃, Ṽ) = (e; L, V) ⊕ ℋ_2k holds (stab found e nonsingular, L and V passed above); only Ṽ is new
+    l_tilde, k_tilde = stab.source_lagrangian, stab.target_lagrangian
     upper, _ = hyperbolic_halves(pairs)
     v_tilde = direct_sum_with_maps(e.group, upper.ambient).subgroup(v_sub, upper)
-    lv_tilde = QuasiFormation._unchecked(big, l_tilde, v_tilde)
 
     wall = ru_wall_witness(big, k_tilde, phi)
     neg_big = negate(big)
-    start_padding = QuasiFormation(neg_big, k_tilde, k_tilde)
-    start = qf_direct_sum(
-        qf_direct_sum(QuasiFormation(big, k_tilde, l_tilde), lv_tilde),
-        start_padding,
-    )
+    # each factor holds by construction: stab found e, hence big = e ⊕ H, nonsingular; K̃, L̃ = K, L ⊕ ({0} × Z^k)
+    # are free lagrangians of big and -big, and Ṽ = V ⊕ (Z^k × {0}) is a free half-rank summand of big
+    qf = QuasiFormation._unchecked
+    start_padding = qf(neg_big, k_tilde, k_tilde)
+    end_paddings = (qf(big, k_tilde, k_tilde), start_padding)
+    pair = form_direct_sum(big, big)
+    whole = form_direct_sum(pair.form, neg_big)
+    start = _qf_on_sum(whole, _qf_on_sum(pair, qf(big, k_tilde, l_tilde), qf(big, l_tilde, v_tilde)), start_padding)
+    end = _qf_on_sum(whole, _qf_on_sum(pair, qf(big, k_tilde, v_tilde), end_paddings[0]), start_padding)
     # start's form is the word's ambient, and transporting its middle factor
     # along φ (which carries L̃ onto K̃) turns its lagrangian into the word's
-    moves: list[Move] = [
-        ApplyIso(iso_direct_sum(iso_direct_sum(FormIso.identity(big), phi), FormIso.identity(neg_big)))
-    ]
+    middle = iso_on_sums(pair, pair, FormIso.identity(big), phi)
+    moves: list[Move] = [ApplyIso(iso_on_sums(whole, whole, middle, FormIso.identity(neg_big)))]
     for letter in reversed(wall.word.letters):
         moves.extend(_expand_ru_letter(letter))
     moves.append(ApplyIso(swap_blocks(wall.ambient, big.group.num_gens)))
-
-    end_paddings = (QuasiFormation(big, k_tilde, k_tilde), start_padding)
-    end = qf_direct_sum(
-        qf_direct_sum(QuasiFormation(big, k_tilde, v_tilde), end_paddings[0]), end_paddings[1]
-    )
     seq = MoveSequence(start, end, tuple(moves))
     return JacobiWitness(seq, pairs, phi, start_padding, end_paddings)

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Digests of the CLI's standard output on one pass of a benchmark workload.
 
-    python3 tests/pass_digests.py --workload form-batch --seed 1 > digests.txt
+    python3 tests/pass_digests.py --workload all --seed 1 7919 > digests.txt
 
-Builds the workload from ``perfbench/`` with the seed, then sends its
-warm-up requests and one pass of its request order through perfbench's
-``Runner``, so each request reaches ``qform.cli.run`` exactly as the
-benchmark sends it.  One line per request: the phase (``warmup`` or
-``pass``), the request index, its kind and the sha256 of its standard
-output, or the failure.  Run it in two checkouts and ``diff`` the two
-listings to show that a change leaves every output byte-identical.
+Builds each named workload (``all`` names every one) from ``perfbench/``
+with each seed, then sends its warm-up requests and one pass of its
+request order through perfbench's ``Runner``, so each request reaches
+``qform.cli.run`` exactly as the benchmark sends it.  One line per
+request: the workload, the seed, the phase (``warmup`` or ``pass``), the
+request index, its kind and the sha256 of its standard output, or the
+failure.  Run it in two checkouts and ``diff`` the two listings to show
+that a change leaves every output byte-identical.
 
 It only reads ``perfbench/`` and the ``src/`` next to it.  Its name does not
 start with ``test_``, so pytest does not collect it.
@@ -41,12 +42,15 @@ def pass_digests(name: str, seed: int, workdir: Path):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    p.add_argument("--seed", type=int, default=run.DEFAULT_SEED)
+    p.add_argument("--workload", required=True, choices=["all", *sorted(workloads.WORKLOADS)])
+    p.add_argument("--seed", type=int, nargs="+", default=[run.DEFAULT_SEED])
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        for phase, index, kind, digest in pass_digests(args.workload, args.seed, Path(tmp)):
-            print(phase, index, kind, digest)
+    names = sorted(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory() as tmp:
+                for line in pass_digests(name, seed, Path(tmp)):
+                    print(name, seed, *line)
 
 
 if __name__ == "__main__":

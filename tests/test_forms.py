@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, direct_sum_with_maps, free_group, invert_iso
-from qform.construct import Flip, ru_wall_witness
+from qform.construct import Flip, is_hyperbolic_with_witness, ru_wall_witness
 from qform.errors import HypothesisError, NotWellDefined, VMissing
 from qform.forms import (
     EQForm,
@@ -535,13 +535,20 @@ def test_flip_witnesses_of_a_word_and_a_certificate_pass_the_constructor():
     k, l, v = ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)], [(0, 1, 0, 0), (0, 0, 1, 0)])
     cert = jacobi_witness(e, *(SubgroupRep.from_elements(e.group, gens) for gens in (k, l, v)))
     # the word the certificate expands: its ambient lagrangian K̃ is the padding's
-    word = ru_wall_witness(cert.phi.source, cert.start_padding.lagrangian, cert.phi).word
-    built = [letter.witness for letter in word.letters if isinstance(letter, Flip)]
+    wall = ru_wall_witness(cert.phi.source, cert.start_padding.lagrangian, cert.phi)
+    built = [letter.witness for letter in wall.word.letters if isinstance(letter, Flip)]
     built += [move.witness for move in cert.sequence.moves if isinstance(move, FlipL)]
     built += [move.iso for move in cert.sequence.moves if isinstance(move, ApplyIso)]
     assert len(built) > 3
+    # an even form whose metabolic basis is not the identity
+    g = free_group(2)
+    odd_basis = EQForm(g, IntMatrix.from_rows([[2, 1], [1, 0]]), GroupHom.zero(g, Z), GroupHom.zero(Z, Z2))
+    built += [wall.expected, is_hyperbolic_with_witness(odd_basis, SubgroupRep.from_elements(g, [(0, 1)]))]
     for iso in built:
         assert_passes_the_constructor(iso)
+    seq = cert.sequence
+    for q in (seq.start, seq.end, cert.start_padding, *cert.end_paddings):
+        assert QuasiFormation(q.form, q.lagrangian, q.summand) == q
 
 
 # -- block sums against the former formula -------------------------------

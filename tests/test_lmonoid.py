@@ -3,14 +3,15 @@
 import json
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from qform import cli
+from qform import abelian, cli, construct, forms, lmonoid
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
-from qform.errors import HypothesisError, QformError
+from qform.errors import HypothesisError, NodeLimitExceeded, QformError
 from qform.forms import EQForm, FormIso, hyperbolic, subgroup_classify
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
@@ -243,6 +244,39 @@ def test_validate_of_a_wide_stabilization_is_fast(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (code, doc["ok"], doc["steps"]) == (2, False, 1)
     assert doc["reason"] == "result differs from the declared end"
+
+
+def validate_in_time(tmp_path, capsys, moves):
+    """(exit code, stdout, stderr) of ``validate`` on (0; 0, 0) → (0; 0, 0) by ``moves``, run in under 1 s."""
+    q = zero_formation(ZERO_GROUP, V0)
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps(sequence_to_doc(MoveSequence(q, q, moves))))
+    t0 = time.monotonic()
+    code = cli.run(["validate", "--input", str(path)])
+    assert time.monotonic() - t0 < 1.0
+    return (code, *capsys.readouterr())
+
+
+def test_validate_of_a_huge_stabilization_runs_out_of_nodes(tmp_path, capsys):
+    # 10^12 pairs are charged against the node limit before ℋ is built
+    code, out, _ = validate_in_time(tmp_path, capsys, (Stab(10**12),))
+    assert (code, json.loads(out)) == (3, {"error": "search passed 200000 nodes"})
+
+
+def test_validate_of_a_huge_destabilization_fails_on_the_rank(tmp_path, capsys):
+    q = zero_formation(ZERO_GROUP, V0)
+    code, out, _ = validate_in_time(tmp_path, capsys, (Destab(q, 10**12, FormIso.identity(q.form)),))
+    doc = json.loads(out)
+    assert (code, doc["ok"], doc["failed_index"]) == (2, False, 0)
+    assert doc["reason"] == "split witness does not end at rest ⊕ H"
+
+
+def test_replay_charges_stabilizations_to_the_node_limit():
+    q = zero_formation(ZERO_GROUP, V0)
+    end = apply_move(apply_move(q, Stab(1)), Stab(1))
+    assert replay(MoveSequence(q, end, (Stab(1), Stab(1))), node_limit=2 * Stab.NODES_PER_PAIR)
+    with pytest.raises(NodeLimitExceeded):
+        replay(MoveSequence(q, q, (Stab(1), Stab(1))), node_limit=2 * Stab.NODES_PER_PAIR - 1)
 
 
 def test_destab_with_wrong_witness_reports_the_index():
@@ -545,3 +579,36 @@ def test_jacobi_refuses_bad_hypotheses():
     bare = plain_h2(Z, [(0,), (1,)])  # no parity data
     with pytest.raises(QformError):
         jacobi_witness(bare, sub(bare, (1, 0)), sub(bare, (1, 0)), sub(bare, (0, 1)))
+
+
+def test_certificates_build_each_sum_once(monkeypatch):
+    """jacobi sums (big ⊕ big) ⊕ -big once and ru-wall e ⊕ -e and e ⊕ (e ⊕ -e) once; ltriv sums its parts once."""
+    counts = Counter()
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return counted
+
+    sums, maps = counting("sums", forms.form_direct_sum), counting("maps", abelian.direct_sum_with_maps)
+    for module in (forms, construct, lmonoid):
+        monkeypatch.setattr(module, "form_direct_sum", sums)
+    for module in (abelian, forms, construct, lmonoid):
+        monkeypatch.setattr(module, "direct_sum_with_maps", maps)
+    monkeypatch.setattr(QuasiFormation, "__post_init__", counting("checks", QuasiFormation.__post_init__))
+
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    zero = zero_formation(ZERO_GROUP, V0)
+    for (form, *subs), most in (((e, k, l, v), 26), ((zero.form, *[zero.lagrangian] * 3), 8)):
+        counts.clear()
+        jacobi_witness(form, *subs)
+        assert counts["sums"] <= most
+        assert counts["checks"] == 0
+    q = QuasiFormation(e, k, l)
+    counts.clear()
+    l_group_trivialize(q)
+    assert counts["maps"] == 1
