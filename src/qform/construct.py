@@ -34,7 +34,7 @@ from .forms import (
     form_direct_sum,
     hyperbolic,
     hyperbolic_halves,
-    iso_on_sums,
+    _iso_on_sums,
     negate,
     dual,
     permuted,
@@ -416,8 +416,8 @@ def _embed_letter_after_first(first: EQForm, outer: FormSum, first_l: SubgroupRe
     """Turn a generator of RU(B, K) into one of RU(first ⊕ B, first_l ⊕ K); ``outer`` is first ⊕ B."""
     one = FormIso.identity(first)
     if isinstance(letter, Keep):
-        return Keep(iso_on_sums(outer, outer, one, letter.iso))
-    inner = iso_on_sums(outer, form_direct_sum(first, letter.witness.target), one, letter.witness)
+        return Keep(_iso_on_sums(outer, outer, one, letter.iso))
+    inner = _iso_on_sums(outer, form_direct_sum(first, letter.witness.target), one, letter.witness)
     rest = letter.rest_lagrangian
     n = first.group.num_gens
     rest_l = direct_sum_with_maps(first.group, rest.ambient).subgroup(first_l, rest)
@@ -455,7 +455,7 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     for letter in w_letters:
         w_iso = w_iso.compose(_realize_letter_unchecked(letter))
     phi_neg = FormIso._unchecked(neg_e, neg_e, phi.hom, phi.inverse_hom)  # it pulls back -λ, -μ as well
-    phi_phi = iso_on_sums(dbl_sum, dbl_sum, phi, phi_neg)
+    phi_phi = _iso_on_sums(dbl_sum, dbl_sum, phi, phi_neg)
     k_iso = w_iso.compose(phi_phi).compose(w_iso)
     pair_word = w_letters + [Keep(k_iso)] + w_letters
 
@@ -468,6 +468,6 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     letters = [tau] + embedded + [tau] + [g.inverse() for g in reversed(embedded)]
     word = RUWord(ambient, l3, tuple(letters))
 
-    expected = iso_on_sums(outer, outer, phi, iso_on_sums(dbl_sum, dbl_sum, phi.inverse(), FormIso.identity(neg_e)))
+    expected = _iso_on_sums(outer, outer, phi, _iso_on_sums(dbl_sum, dbl_sum, phi.inverse(), FormIso.identity(neg_e)))
     return RUWallWitness(ambient, l3, word, expected)
 

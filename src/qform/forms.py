@@ -232,7 +232,7 @@ class FormIso:
     from a raw matrix, comes through it.
 
     Each fact is checked once.  ``identity``, ``inverse``, ``compose``,
-    ``iso_on_sums`` and ``permuted`` build their results through
+    ``_iso_on_sums`` and ``permuted`` build their results through
     ``_unchecked``, because those results are isomorphisms whenever their
     inputs are: the identity pulls everything back to itself; the inverse
     of a bijection that pulls λ and μ back pulls them forward, which is the
@@ -308,16 +308,15 @@ class FormIso:
 
 
 def iso_direct_sum(a: FormIso, b: FormIso) -> FormIso:
-    """The block sum a ⊕ b between the direct-sum forms; between automorphisms one sum is both ends."""
-    src = form_direct_sum(a.source, b.source)
-    same = (a.source, b.source) == (a.target, b.target)
-    return iso_on_sums(src, src if same else form_direct_sum(a.target, b.target), a, b)
+    """The block sum a ⊕ b between the corresponding direct-sum forms."""
+    return _iso_on_sums(form_direct_sum(a.source, b.source), form_direct_sum(a.target, b.target), a, b)
 
 
-def iso_on_sums(src: FormSum, tgt: FormSum, a: FormIso, b: FormIso) -> FormIso:
+def _iso_on_sums(src: FormSum, tgt: FormSum, a: FormIso, b: FormIso) -> FormIso:
     """a ⊕ b from the caller's sums src = a.source ⊕ b.source to tgt = a.target ⊕ b.target.
 
-    Between free groups the coordinates of a sum are those of the first
+    Private: a FormSum does not record its summands, so only the caller
+    that built src and tgt from those forms vouches for them.  Between free groups the coordinates of a sum are those of the first
     summand, then those of the second, so the map is the block diagonal
     diag(h_a, h_b).  With torsion the sums renormalize the merged torsion,
     and the map is incl_a·h_a·proj_a + incl_b·h_b·proj_b.

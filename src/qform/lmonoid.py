@@ -40,7 +40,7 @@ from .forms import (
     form_direct_sum,
     hyperbolic,
     hyperbolic_halves,
-    iso_on_sums,
+    _iso_on_sums,
     negate,
     orthogonal_complement,
     pullback,
@@ -152,7 +152,8 @@ class Stab:
     """Append ℋ_{2·pairs} to the current quasi-formation."""
 
     pairs: int = 1
-    NODES_PER_PAIR = 5  # what ``replay`` charges per pair: 40,000 pairs fill the default node limit
+    # ``replay``'s price of a move: a fixed part and one per pair, old and new, of the sum it builds
+    NODES_PER_MOVE, NODES_PER_PAIR = 60, 5
 
 
 @dataclass(frozen=True)
@@ -253,12 +254,12 @@ class ReplayResult:
 
 
 def replay(seq: MoveSequence, node_limit: int = DEFAULT_NODE_LIMIT) -> ReplayResult:
-    """Re-run every move, charging stabilizations to ``node_limit`` first; report the first failure."""
+    """Re-run every move, charging each stabilization's sum to ``node_limit`` first; report the first failure."""
     counter = NodeCounter(node_limit)
     current = seq.start
     for i, move in enumerate(seq.moves):
         if isinstance(move, Stab):
-            counter.tick(Stab.NODES_PER_PAIR * max(move.pairs, 0))
+            counter.tick(Stab.NODES_PER_MOVE + Stab.NODES_PER_PAIR * (current.form.group.num_gens // 2 + max(move.pairs, 0)))
         try:
             current = apply_move(current, move)
         except QformError as err:
@@ -461,8 +462,8 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     end = _qf_on_sum(whole, _qf_on_sum(pair, qf(big, k_tilde, v_tilde), end_paddings[0]), start_padding)
     # start's form is the word's ambient, and transporting its middle factor
     # along φ (which carries L̃ onto K̃) turns its lagrangian into the word's
-    middle = iso_on_sums(pair, pair, FormIso.identity(big), phi)
-    moves: list[Move] = [ApplyIso(iso_on_sums(whole, whole, middle, FormIso.identity(neg_big)))]
+    middle = _iso_on_sums(pair, pair, FormIso.identity(big), phi)
+    moves: list[Move] = [ApplyIso(_iso_on_sums(whole, whole, middle, FormIso.identity(neg_big)))]
     for letter in reversed(wall.word.letters):
         moves.extend(_expand_ru_letter(letter))
     moves.append(ApplyIso(swap_blocks(wall.ambient, big.group.num_gens)))

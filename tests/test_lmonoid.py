@@ -246,13 +246,13 @@ def test_validate_of_a_wide_stabilization_is_fast(tmp_path, capsys):
     assert doc["reason"] == "result differs from the declared end"
 
 
-def validate_in_time(tmp_path, capsys, moves):
+def validate_in_time(tmp_path, capsys, moves, *flags):
     """(exit code, stdout, stderr) of ``validate`` on (0; 0, 0) → (0; 0, 0) by ``moves``, run in under 1 s."""
     q = zero_formation(ZERO_GROUP, V0)
     path = tmp_path / "moves.json"
     path.write_text(json.dumps(sequence_to_doc(MoveSequence(q, q, moves))))
     t0 = time.monotonic()
-    code = cli.run(["validate", "--input", str(path)])
+    code = cli.run(["validate", "--input", str(path), *flags])
     assert time.monotonic() - t0 < 1.0
     return (code, *capsys.readouterr())
 
@@ -271,12 +271,21 @@ def test_validate_of_a_huge_destabilization_fails_on_the_rank(tmp_path, capsys):
     assert doc["reason"] == "split witness does not end at rest ⊕ H"
 
 
+def test_validate_of_many_stabilizations_runs_out_of_nodes(tmp_path, capsys):
+    # each move pays for the whole sum it rebuilds, so neither a wide start nor cheap moves run unbounded
+    for moves in ((Stab(2000),) + (Stab(0),) * 1000, (Stab(1),) * 20000, (Stab(0),) * 20000):
+        code, out, _ = validate_in_time(tmp_path, capsys, moves, "--node-limit", "20000")
+        assert (code, json.loads(out)) == (3, {"error": "search passed 20000 nodes"})
+
+
 def test_replay_charges_stabilizations_to_the_node_limit():
     q = zero_formation(ZERO_GROUP, V0)
     end = apply_move(apply_move(q, Stab(1)), Stab(1))
-    assert replay(MoveSequence(q, end, (Stab(1), Stab(1))), node_limit=2 * Stab.NODES_PER_PAIR)
+    # the second move rebuilds the first pair beside its own
+    price = 2 * Stab.NODES_PER_MOVE + 3 * Stab.NODES_PER_PAIR
+    assert replay(MoveSequence(q, end, (Stab(1), Stab(1))), node_limit=price)
     with pytest.raises(NodeLimitExceeded):
-        replay(MoveSequence(q, q, (Stab(1), Stab(1))), node_limit=2 * Stab.NODES_PER_PAIR - 1)
+        replay(MoveSequence(q, q, (Stab(1), Stab(1))), node_limit=price - 1)
 
 
 def test_destab_with_wrong_witness_reports_the_index():
@@ -603,7 +612,8 @@ def test_certificates_build_each_sum_once(monkeypatch):
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
                                             [(0, 1, 0, 0), (0, 0, 1, 0)]))
     zero = zero_formation(ZERO_GROUP, V0)
-    for (form, *subs), most in (((e, k, l, v), 26), ((zero.form, *[zero.lagrangian] * 3), 8)):
+    # 10 of the 16 on the rank-4 example are the target sums of the Flip embeddings, one per letter
+    for (form, *subs), most in (((e, k, l, v), 16), ((zero.form, *[zero.lagrangian] * 3), 6)):
         counts.clear()
         jacobi_witness(form, *subs)
         assert counts["sums"] <= most
