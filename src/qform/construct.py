@@ -16,9 +16,11 @@ constructor (λ and μ pulled back, bijective), and the last checks that it
 carries one lagrangian onto the other; a ``MetabolicBasis`` checks its
 shape, unimodularity, normal form and span; ``ru_word_eval`` checks every
 letter against the word's lagrangian.  What is composed from those, such
-as B⁻¹ for a checked basis B or ``ru_wall_witness``'s letters, is not
-checked again, nor are the lattice steps in between (complements, matched
-surjections), which hold by construction in ``abelian``.
+as B⁻¹ for a checked basis B, or ``ru_wall_witness``'s Flip letters
+(permutations after id ⊕ F for its checked frame F) and their product
+F⁻¹ ∘ (id ⊕ Σ) ∘ F, is not checked again, nor are the lattice steps in
+between (complements, matched surjections), which hold by construction in
+``abelian``.
 """
 
 from __future__ import annotations
@@ -178,18 +180,22 @@ _DOUBLE_PATTERN = ("I 0 0 0", "0 I 0 I", "0 0 0 -I", "I D -I 0")
 _WALL_PATTERN = ("0 0 I D", "0 I 0 -I", "0 -I 0 0", "-I 0 I 0")
 
 
-def _frame(e: EQForm, mb: MetabolicBasis, source_sum: FormSum, pattern: tuple[str, ...]) -> FormIso:
-    """The frame e ⊕ second → e ⊕ H_2k with block pattern ``pattern``; ``source_sum`` is e ⊕ second."""
+def _frame(e: EQForm, mb: MetabolicBasis, source_sum: FormSum, pattern: tuple[str, ...]) -> tuple[FormIso, FormSum]:
+    """The frame e ⊕ second → e ⊕ H_2k with block pattern ``pattern``, and its target sum e ⊕ H_2k.
+
+    ``source_sum`` is e ⊕ second.
+    """
     k = len(mb.diag)
     source = source_sum.form
-    target = form_direct_sum(e, hyperbolic(k, e.target, e.v)).form
+    target_sum = form_direct_sum(e, hyperbolic(k, e.target, e.v))
+    target = target_sum.form
     b, b_inv = mb.basis, mb.basis.inverse_unimodular()
     hom = (
         IntMatrix.block_diagonal([b, IntMatrix.identity(2 * k)])
         .mul(IntMatrix.block_pattern(pattern, mb.diag))
         .mul(IntMatrix.block_diagonal([b_inv, b_inv]))
     )
-    return FormIso(source, target, GroupHom(source.group, target.group, hom))
+    return FormIso(source, target, GroupHom(source.group, target.group, hom)), target_sum
 
 
 def double_to_hyperbolic(e: EQForm, l: SubgroupRep) -> FormIso:
@@ -198,7 +204,7 @@ def double_to_hyperbolic(e: EQForm, l: SubgroupRep) -> FormIso:
     Images in a metabolic basis (a_i, b_i the hyperbolic basis):
     e_i ↦ e_i + b_i, f_i ↦ f_i + d_i b_i, ē_i ↦ -b_i, f̄_i ↦ f_i - a_i.
     """
-    return _frame(e, metabolic_basis(e, l), form_direct_sum(e, e), _DOUBLE_PATTERN)
+    return _frame(e, metabolic_basis(e, l), form_direct_sum(e, e), _DOUBLE_PATTERN)[0]
 
 
 @dataclass(frozen=True)
@@ -335,14 +341,6 @@ class RUWord:
         return RUWord(self.form, self.lagrangian, tuple(g.inverse() for g in reversed(self.letters)))
 
 
-def _realize_letter_unchecked(letter) -> FormIso:
-    """Product form of a letter without the lagrangian-side checks."""
-    if isinstance(letter, Keep):
-        return letter.iso
-    w = letter.witness
-    return w.inverse().compose(swap_blocks(w.target, 1)).compose(w)
-
-
 def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> FormIso:
     def bad(reason: str):
         raise HypothesisError(f"generator {index}: {reason}")
@@ -370,7 +368,7 @@ def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> Form
         bad("rest lagrangian fails the lagrangian check")
     if lagr.transport(w.hom) != SubgroupRep.of_units(w.target.group, [1]).sum(lp.transport(embed)):
         bad("witness does not carry the lagrangian onto ({0}×Z) ⊕ L'")
-    return _realize_letter_unchecked(letter)
+    return w.inverse().compose(swap_blocks(w.target, 1)).compose(w)
 
 
 def ru_word_eval(word: RUWord) -> FormIso:
@@ -387,41 +385,25 @@ def ru_word_eval(word: RUWord) -> FormIso:
 # -- the Wall-type factorization --------------------------------------
 
 
-def _flip(pre: FormIso, a: int, b: int, rest_lagrangian: SubgroupRep) -> Flip:
-    """The Flip letter whose witness is ``pre`` followed by moving coordinates a, b to the front.
+def _flip_letters_for_stabilization(l: SubgroupRep, pairs: int, pre: FormIso) -> list[Flip]:
+    """Flip letters realizing id ⊕ Σ on base ⊕ H_{2·pairs}, conjugated by ``pre``; ``l`` is a lagrangian of base.
 
-    Every other coordinate of pre's target keeps its order.
+    ``pre`` maps the ambient of the word onto base ⊕ H, whose pair i,
+    (a_i, b_i), sits at coordinates n + i and n + pairs + i for n the rank
+    of base: in a free sum the second summand's coordinates follow the
+    first's.  Each letter's witness is ``pre`` followed by the permutation
+    moving pair i to the front, every other coordinate in order, which
+    leaves base ⊕ H_{2(pairs-1)} with the lagrangian L ⊕ ({0} × Z^{pairs-1}).
     """
-    n = pre.target.group.num_gens
-    perm = [a, b] + [i for i in range(n) if i not in (a, b)]
-    return Flip(permuted(pre.target, perm).compose(pre), rest_lagrangian)
-
-
-def _flip_letters_for_stabilization(base: EQForm, l: SubgroupRep, pairs: int, pre: FormIso) -> list[Flip]:
-    """Flip letters realizing id ⊕ Σ on base ⊕ H_{2·pairs}, conjugated by ``pre``.
-
-    ``pre`` maps the ambient of the word onto base ⊕ H; each letter's
-    witness moves one hyperbolic pair (a_i, b_i) to the front, leaving
-    base ⊕ H_{2(pairs-1)} with the lagrangian L ⊕ ({0} × Z^{pairs-1}).
-    """
-    if not pairs:
-        return []
     _, lower = hyperbolic_halves(pairs - 1)
-    rest_l = direct_sum_with_maps(base.group, lower.ambient).subgroup(l, lower)
-    n = base.group.num_gens
-    return [_flip(pre, n + i, n + pairs + i, rest_l) for i in range(pairs)]
-
-
-def _embed_letter_after_first(first: EQForm, outer: FormSum, first_l: SubgroupRep, letter):
-    """Turn a generator of RU(B, K) into one of RU(first ⊕ B, first_l ⊕ K); ``outer`` is first ⊕ B."""
-    one = FormIso.identity(first)
-    if isinstance(letter, Keep):
-        return Keep(_iso_on_sums(outer, outer, one, letter.iso))
-    inner = _iso_on_sums(outer, form_direct_sum(first, letter.witness.target), one, letter.witness)
-    rest = letter.rest_lagrangian
-    n = first.group.num_gens
-    rest_l = direct_sum_with_maps(first.group, rest.ambient).subgroup(first_l, rest)
-    return _flip(inner, n, n + 1, rest_l)
+    rest_l = direct_sum_with_maps(l.ambient, lower.ambient).subgroup(l, lower)
+    n, target = l.ambient.num_gens, pre.target
+    letters = []
+    for i in range(pairs):
+        a, b = n + i, n + pairs + i
+        perm = [a, b] + [j for j in range(target.group.num_gens) if j not in (a, b)]
+        letters.append(Flip(permuted(target, perm).compose(pre), rest_l))
+    return letters
 
 
 @dataclass(frozen=True)
@@ -435,6 +417,16 @@ class RUWallWitness:
 
 
 def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
+    """A word in RU(M ⊕ M ⊕ (-M), L ⊕ L ⊕ L) evaluating to Φ ⊕ Φ⁻¹ ⊕ id.
+
+    The word is τ·P·τ·P⁻¹ with τ exchanging the first two copies of M and P
+    the pair word W·K·W embedded after the first copy, where W = F⁻¹ ∘
+    (id ⊕ Σ) ∘ F on M ⊕ (-M) for the frame F onto M ⊕ H_2s and Σ the
+    exchange of H_2s's halves, and K = W ∘ (Φ ⊕ Φ) ∘ W.  W is read off
+    the frame; its Flip letters are built once, on the outer sum, as the
+    stabilization flips of (M ⊕ M) ⊕ H_2s conjugated by id ⊕ F, and serve
+    both halves of P.  ``ru_word_eval`` checks every letter.
+    """
     if phi.source != e or phi.target != e:
         raise HypothesisError("phi is not an automorphism of the form")
     if e.v is None:
@@ -443,31 +435,32 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
         raise HypothesisError("not geometric")
     mb = metabolic_basis(e, l)  # checks free, nonsingular, lagrangian
     s = len(mb.diag)
+    one = FormIso.identity(e)
 
     # the frame F : M ⊕ (-M) → M ⊕ H with
     # F(e_i) = -b_i, F(f_i) = f_i - a_i, F(ē_i) = e_i + b_i, F(f̄_i) = d_i e_i - f_i
     neg_e = negate(e)
     dbl_sum = form_direct_sum(e, neg_e)
-    frame = _frame(e, mb, dbl_sum, _WALL_PATTERN)
-
-    w_letters = _flip_letters_for_stabilization(e, l, s, frame)
-    w_iso = FormIso.identity(dbl_sum.form)
-    for letter in w_letters:
-        w_iso = w_iso.compose(_realize_letter_unchecked(letter))
+    frame, hyp_sum = _frame(e, mb, dbl_sum, _WALL_PATTERN)
+    sigma = _iso_on_sums(hyp_sum, hyp_sum, one, swap_blocks(hyperbolic(s, e.target, e.v), s))
+    w_iso = frame.inverse().compose(sigma).compose(frame)
     phi_neg = FormIso._unchecked(neg_e, neg_e, phi.hom, phi.inverse_hom)  # it pulls back -λ, -μ as well
     phi_phi = _iso_on_sums(dbl_sum, dbl_sum, phi, phi_neg)
     k_iso = w_iso.compose(phi_phi).compose(w_iso)
-    pair_word = w_letters + [Keep(k_iso)] + w_letters
 
     outer = form_direct_sum(e, dbl_sum.form)
     ambient = outer.form
-    l3 = outer.subgroup(l, dbl_sum.subgroup(l, l))
+    l_l = dbl_sum.subgroup(l, l)
+    l3 = outer.subgroup(l, l_l)
 
-    embedded = [_embed_letter_after_first(e, outer, l, g) for g in pair_word]
+    flips = []
+    if s:  # id ⊕ F needs one more sum, which a rank-0 form does without
+        pre = _iso_on_sums(outer, form_direct_sum(e, frame.target), one, frame)
+        flips = _flip_letters_for_stabilization(l_l, s, pre)
+    embedded = flips + [Keep(_iso_on_sums(outer, outer, one, k_iso))] + flips
     tau = Keep(swap_blocks(ambient, 2 * s))
     letters = [tau] + embedded + [tau] + [g.inverse() for g in reversed(embedded)]
     word = RUWord(ambient, l3, tuple(letters))
 
     expected = _iso_on_sums(outer, outer, phi, _iso_on_sums(dbl_sum, dbl_sum, phi.inverse(), FormIso.identity(neg_e)))
     return RUWallWitness(ambient, l3, word, expected)
-

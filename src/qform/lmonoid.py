@@ -287,12 +287,18 @@ def bar_reduce(q: QuasiFormation) -> QuasiFormation:
 
 def unbar(qbar: QuasiFormation, r_group: AbGroup) -> QuasiFormation:
     """qbar ⊕ ((R, 0, 0); R, 0): append the torsion group R, enlarging the lagrangian by R."""
+    return _unbar_with_sum(qbar, r_group)[1]
+
+
+def _unbar_with_sum(qbar: QuasiFormation, r_group: AbGroup) -> tuple[FormSum, QuasiFormation]:
+    """The sum qbar.form ⊕ (R, 0, 0), and ``unbar(qbar, R)`` on it."""
     if not qbar.form.is_free():
         raise HypothesisError("unbar starts from a free quasi-formation")
     if r_group.free_rank != 0:
         raise HypothesisError("appended group must be torsion")
     appended = pullback(GroupHom.zero(r_group, qbar.form.group), qbar.form)
-    return qf_direct_sum(qbar, QuasiFormation(appended, SubgroupRep.full(r_group), SubgroupRep.zero(r_group)))
+    s = form_direct_sum(qbar.form, appended)
+    return s, _qf_on_sum(s, qbar, QuasiFormation(appended, SubgroupRep.full(r_group), SubgroupRep.zero(r_group)))
 
 
 def bar_round_trip(q: QuasiFormation) -> FormIso:
@@ -309,8 +315,7 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
     """
     group = q.form.group
     reduced = bar_reduce(q)
-    tors = AbGroup(0, group.torsion)
-    rebuilt = unbar(reduced, tors)
+    ds, rebuilt = _unbar_with_sum(reduced, AbGroup(0, group.torsion))
     r = group.free_rank
     lift = free_section(group)
     v_gens = q.summand.generators()
@@ -318,7 +323,6 @@ def bar_round_trip(q: QuasiFormation) -> FormIso:
     basis = IntMatrix.from_columns([g[:r] for g in v_gens] + comp, rows=r)
     lifts = IntMatrix.from_columns(v_gens + [lift.apply(c) for c in comp], rows=group.num_gens)
     free_part = GroupHom(lift.source, group, lifts.mul(basis.inverse_unimodular()))
-    ds = direct_sum_with_maps(reduced.form.group, tors)
     iso = FormIso(rebuilt.form, q.form, free_part.compose(ds.proj_a).add(ds.incl_b.compose(ds.proj_b)))
     if rebuilt.summand.transport(iso.hom) != q.summand:
         raise NotWellDefined("round trip does not restore the summand")

@@ -335,7 +335,7 @@ def test_frames_match_their_image_formulas():
     for e, lagr in scrambled_forms(909, 25):
         mb = metabolic_basis(e, lagr)
         assert double_to_hyperbolic(e, lagr).hom.matrix == reference_frame(mb, double_images)
-        assert _frame(e, mb, form_direct_sum(e, negate(e)), _WALL_PATTERN).hom.matrix == reference_frame(mb, wall_images)
+        assert _frame(e, mb, form_direct_sum(e, negate(e)), _WALL_PATTERN)[0].hom.matrix == reference_frame(mb, wall_images)
 
 
 def test_wall_frame_is_doubling_after_negation_and_swap():
@@ -348,7 +348,7 @@ def test_wall_frame_is_doubling_after_negation_and_swap():
         composite = double_to_hyperbolic(e, lagr).compose(sigma).compose(
             iso_direct_sum(FormIso.identity(e), j_back)
         )
-        assert composite.hom == _frame(e, mb, form_direct_sum(e, negate(e)), _WALL_PATTERN).hom
+        assert composite.hom == _frame(e, mb, form_direct_sum(e, negate(e)), _WALL_PATTERN)[0].hom
 
 
 # -- diagonal lagrangians ---------------------------------------------

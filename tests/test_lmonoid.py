@@ -12,7 +12,7 @@ from qform import abelian, cli, construct, forms, lmonoid
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NodeLimitExceeded, QformError
-from qform.forms import EQForm, FormIso, hyperbolic, subgroup_classify
+from qform.forms import EQForm, FormIso, hyperbolic, hyperbolic_halves, subgroup_classify
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
     ApplyIso,
@@ -591,7 +591,11 @@ def test_jacobi_refuses_bad_hypotheses():
 
 
 def test_certificates_build_each_sum_once(monkeypatch):
-    """jacobi sums (big ⊕ big) ⊕ -big once and ru-wall e ⊕ -e and e ⊕ (e ⊕ -e) once; ltriv sums its parts once."""
+    """Certificates build each sum once.
+
+    jacobi sums (big ⊕ big) ⊕ -big once, ru-wall builds as many sums at rank 4 as at rank 16, and ltriv
+    and the bar round trip sum their parts once.
+    """
     counts = Counter()
 
     def counting(name, f):
@@ -612,13 +616,24 @@ def test_certificates_build_each_sum_once(monkeypatch):
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
                                             [(0, 1, 0, 0), (0, 0, 1, 0)]))
     zero = zero_formation(ZERO_GROUP, V0)
-    # 10 of the 16 on the rank-4 example are the target sums of the Flip embeddings, one per letter
-    for (form, *subs), most in (((e, k, l, v), 16), ((zero.form, *[zero.lagrangian] * 3), 6)):
+    # the Flip letters of the wall word are built on its outer sum, through one more sum for id ⊕ frame
+    for (form, *subs), most in (((e, k, l, v), 7), ((zero.form, *[zero.lagrangian] * 3), 6)):
         counts.clear()
         jacobi_witness(form, *subs)
         assert counts["sums"] <= most
         assert counts["checks"] == 0
+    wall_sums = []
+    for m in (2, 8):
+        h = hyperbolic(m, ZERO_GROUP, V0)
+        counts.clear()
+        ru_wall_witness(h, hyperbolic_halves(m)[1], FormIso.identity(h))
+        wall_sums.append(counts["sums"])
+    assert wall_sums[0] == wall_sums[1]
     q = QuasiFormation(e, k, l)
     counts.clear()
     l_group_trivialize(q)
+    assert counts["maps"] == 1
+    q = unbar(zero_formation(Z, VZ), AbGroup(0, (2, 6)))
+    counts.clear()
+    bar_round_trip(q)
     assert counts["maps"] == 1
