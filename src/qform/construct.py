@@ -265,7 +265,11 @@ def stable_lagrangian_iso(
             raise HypothesisError("not full")
         if not form.is_geometric():
             raise HypothesisError("not geometric")
+    return _stable_lagrangian_iso(e, l, e2, l2, mode)
 
+
+def _stable_lagrangian_iso(e: EQForm, l: SubgroupRep, e2: EQForm, l2: SubgroupRep, mode: str) -> StableLagrangianIso:
+    """``stable_lagrangian_iso`` on forms and lagrangians that meet its hypotheses."""
     n_sub, n2_sub = direct_complement(l), direct_complement(l2)
     # μ on each complement: the form restricted to it, by pullback
     f = pullback(n_sub.inclusion(), e).mu

@@ -30,7 +30,7 @@ from .construct import (
     Keep,
     is_hyperbolic_with_witness,
     ru_wall_witness,
-    stable_lagrangian_iso,
+    _stable_lagrangian_iso,
 )
 from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined, QformError
 from .forms import (
@@ -444,8 +444,11 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     flags = subgroup_classify(e, v_sub)
     if not flags.half_rank_summand or not v_sub.is_free():
         raise HypothesisError("third subgroup is not a free half-rank summand")
+    # the one hypothesis of the stable isomorphism not checked above
+    if not e.is_nonsingular():
+        raise HypothesisError("not nonsingular", "stable isomorphism")
 
-    stab = stable_lagrangian_iso(e, l_sub, e, k_sub, mode="stable")
+    stab = _stable_lagrangian_iso(e, l_sub, e, k_sub, "stable")
     pairs = stab.k  # = stab.l: both lagrangians live in e, and stab's rank check matched them
     phi = stab.iso
     big = phi.source

@@ -9,11 +9,15 @@ them; on input both plain integers and decimal strings are accepted.
 ``canonical_dumps`` writes that layout in one recursive pass.  Its bytes
 are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` on the
 document with every integer of magnitude 2**53 or more replaced by its
-decimal string; a list of 53-bit integers, the bulk of every matrix, is
-written with a single join.  Object keys must be strings, and a document
-nested more than ``MAX_DEPTH`` containers deep is refused with a
-SchemaError, as is one too deep to parse.  ``first_difference`` names
-the first JSON path, in that layout's order, where two documents differ.
+decimal string.  Lists of 53-bit integers are the bulk of every matrix,
+and a certificate repeats most of its rows (each move's target form is
+the next move's source), so each distinct such list is formatted once
+per document and depth, and its later copies reuse that text.  Object
+keys must be strings, and a document nested more than ``MAX_DEPTH``
+containers deep is refused with a SchemaError, as is one too deep to
+parse.  ``first_difference`` names the first JSON path, in that layout's
+order, where two documents differ; it compares lists of ints with ``==``
+and encodes only the values it cannot compare so.
 
 Integers have no size limit in either direction.  Python refuses int/str
 conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
@@ -34,7 +38,7 @@ from __future__ import annotations
 import json
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, List
+from typing import Any, Dict, List
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2
 from .construct import Flip, Keep, RUWord
@@ -101,7 +105,7 @@ def _parse_digits(body: str) -> int:
 def canonical_dumps(doc: Any) -> str:
     """Serialize to the canonical byte layout."""
     out: List[str] = []
-    _write(doc, "\n", 0, out)
+    _write(doc, "\n", 0, out, {})
     out.append("\n")
     return "".join(out)
 
@@ -123,6 +127,9 @@ def first_difference(a: Any, b: Any, path: str) -> str | None:
                 return found
         return None
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        # lists of exact ints encode alike exactly when they are equal
+        if set(map(type, a)) == _INT_ONLY == set(map(type, b)) and a == b:
+            return None
         for i, (x, y) in enumerate(zip(a, b)):
             found = first_difference(x, y, "%s[%d]" % (path, i))
             if found is not None:
@@ -131,8 +138,12 @@ def first_difference(a: Any, b: Any, path: str) -> str | None:
     return None if canonical_dumps(a) == canonical_dumps(b) else path
 
 
-def _write(value: Any, newline: str, depth: int, out: List[str]) -> None:
-    """Append ``value``; ``newline`` breaks a line and indents to ``value``'s level."""
+def _write(value: Any, newline: str, depth: int, out: List[str], rows: Dict[tuple, str]) -> None:
+    """Append ``value``; ``newline`` breaks a line and indents to ``value``'s level.
+
+    ``rows`` maps (depth, entries) to the text of a list of 53-bit ints
+    already written at that depth, so a repeated row is formatted once.
+    """
     if isinstance(value, (dict, list, tuple)):
         if depth >= MAX_DEPTH:
             raise SchemaError("", NESTED_TOO_DEEPLY)
@@ -148,16 +159,23 @@ def _write(value: Any, newline: str, depth: int, out: List[str]) -> None:
             out.append("{")
             for i, key in enumerate(sorted(value)):
                 out.append((sep if i else inner) + _quote(key) + ": ")
-                _write(value[key], inner, depth + 1, out)
+                _write(value[key], inner, depth + 1, out, rows)
             out.append(newline + "}")
-        elif set(map(type, value)) == _INT_ONLY and -_SAFE < min(value) and max(value) < _SAFE:
-            out.append("[" + inner + sep.join(map(str, value)) + newline + "]")
-        else:
-            out.append("[")
-            for i, item in enumerate(value):
-                out.append(sep if i else inner)
-                _write(item, inner, depth + 1, out)
-            out.append(newline + "]")
+            return
+        # the type test comes first: [True, False] must never find the text of [1, 0]
+        if set(map(type, value)) == _INT_ONLY:
+            key = (depth, tuple(value))
+            text = rows.get(key)
+            if text is None and -_SAFE < min(value) and max(value) < _SAFE:
+                text = rows[key] = "[" + inner + sep.join(map(str, value)) + newline + "]"
+            if text is not None:
+                out.append(text)
+                return
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(sep if i else inner)
+            _write(item, inner, depth + 1, out, rows)
+        out.append(newline + "]")
     elif isinstance(value, str):
         out.append(_quote(value))
     elif value is True:

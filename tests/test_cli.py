@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qform import cli
+from qform import cli, serialize
 from qform.abelian import GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.errors import QformError
 from qform.forms import EQForm, FormIso, hyperbolic
@@ -653,6 +653,30 @@ def test_validate_fast_path_reports_as_before(tmp_path, capsys, monkeypatch, jac
         }
     # the fresh result and the report are encoded; the stored document only when its text is not canonical
     assert fast_calls == (2 if variant == "canonical" else slow_calls)
+
+
+def test_validate_finds_a_tampered_last_entry_without_encoding_equal_rows(tmp_path, capsys, monkeypatch, jacobi_text):
+    doc = json.loads(jacobi_text)
+    moves = doc["sequence"]["moves"]
+    matrix = moves[-1]["iso"]["matrix"]
+    matrix[-1][-1] += 1
+    path = tmp_path / "stored.json"
+    path.write_text(canonical_dumps(doc))
+    calls = []
+
+    def counting(value):
+        calls.append(None)
+        return canonical_dumps(value)
+
+    monkeypatch.setattr(serialize, "canonical_dumps", counting)
+    code, report, _ = invoke(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert report["path"] == "input.sequence.moves[%d].iso.matrix[%d][%d]" % (
+        len(moves) - 1, len(matrix) - 1, len(matrix) - 1
+    )
+    # equal integer rows are compared, not encoded: what is encoded is about five scalar leaves
+    # per move, once on each side, against some 41,000 integers
+    assert len(calls) <= 12 * len(moves)
 
 
 @pytest.mark.parametrize("variant", ["canonical", "re-indented", "tampered"])

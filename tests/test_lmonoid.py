@@ -588,13 +588,18 @@ def test_jacobi_refuses_bad_hypotheses():
     bare = plain_h2(Z, [(0,), (1,)])  # no parity data
     with pytest.raises(QformError):
         jacobi_witness(bare, sub(bare, (1, 0)), sub(bare, (1, 0)), sub(bare, (0, 1)))
+    # free, full and geometric with free lagrangians, but singular
+    singular = EQForm(free_group(2), IntMatrix.from_rows([[0, 2], [2, 0]]),
+                      GroupHom.from_gen_images(free_group(2), Z, [(0,), (1,)]), VZ)
+    with pytest.raises(HypothesisError, match="^not nonsingular: stable isomorphism$"):
+        jacobi_witness(singular, sub(singular, (1, 0)), sub(singular, (1, 0)), sub(singular, (0, 1)))
 
 
 def test_certificates_build_each_sum_once(monkeypatch):
     """Certificates build each sum once.
 
-    jacobi sums (big ⊕ big) ⊕ -big once, ru-wall builds as many sums at rank 4 as at rank 16, and ltriv
-    and the bar round trip sum their parts once.
+    jacobi sums (big ⊕ big) ⊕ -big once and checks each of its hypotheses once, ru-wall builds as many sums
+    at rank 4 as at rank 16, and ltriv and the bar round trip sum their parts once.
     """
     counts = Counter()
 
@@ -611,6 +616,10 @@ def test_certificates_build_each_sum_once(monkeypatch):
     for module in (abelian, forms, construct, lmonoid):
         monkeypatch.setattr(module, "direct_sum_with_maps", maps)
     monkeypatch.setattr(QuasiFormation, "__post_init__", counting("checks", QuasiFormation.__post_init__))
+    classify = counting("classify", forms.subgroup_classify)
+    for module in (forms, construct, lmonoid):
+        monkeypatch.setattr(module, "subgroup_classify", classify)
+    monkeypatch.setattr(EQForm, "is_nonsingular", counting("nonsingular", EQForm.is_nonsingular))
 
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -622,6 +631,8 @@ def test_certificates_build_each_sum_once(monkeypatch):
         jacobi_witness(form, *subs)
         assert counts["sums"] <= most
         assert counts["checks"] == 0
+        # K, L, V and e's determinant once each, then the wall word's metabolic basis of e ⊕ H and K̃
+        assert (counts["classify"], counts["nonsingular"]) == (4, 2)
     wall_sums = []
     for m in (2, 8):
         h = hyperbolic(m, ZERO_GROUP, V0)

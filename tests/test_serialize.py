@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
@@ -16,6 +16,7 @@ from qform.serialize import (
     MAX_DEPTH,
     canonical_dumps,
     decimal_to_int,
+    first_difference,
     form_from_doc,
     form_to_doc,
     formation_from_doc,
@@ -386,6 +387,13 @@ documents = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(documents)
+# repeated rows: one int list at two depths, ints beside bools in both orders,
+# a row past 53 bits written twice, and a tuple beside an equal list
+@example({"a": [1, 2], "b": [[1, 2], {"c": [1, 2]}]})
+@example([[1, 0], [True, False], [1, 0]])
+@example([[True, False], [1, 0], [True, False]])
+@example([[1, SAFE], [1, SAFE], {"x": [1, SAFE]}])
+@example([(1, 2), [1, 2], (1, 2)])
 def test_encoder_matches_the_json_module(doc):
     assert canonical_dumps(doc) == reference_dumps(doc)
 
@@ -398,6 +406,22 @@ def test_encoder_matches_the_json_module(doc):
 def test_encoder_refuses_unsupported_values(doc):
     with pytest.raises(SchemaError, match="cannot serialize"):
         canonical_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "a, b, found",
+    [
+        ([1, 0], [True, False], "d[0]"),
+        ([[1, 2], [3, 4]], [[1, 2], [3, 5]], "d[1][1]"),
+        ([str(2**60), 1], [2**60, 1], None),
+        ([1, 2], (1, 2), None),
+        ([1, 2], [1, 2, 3], "d[2]"),
+    ],
+    ids=["ints-beside-bools", "one-entry", "decimal-string", "tuple", "longer"],
+)
+def test_first_difference_of_integer_lists(a, b, found):
+    assert first_difference(a, b, "d") == found
+    assert first_difference(b, a, "d") == found
 
 
 def nested(depth, inner=None):
