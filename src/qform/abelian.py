@@ -336,13 +336,21 @@ class SubgroupRep:
         return self == SubgroupRep.full(self.ambient)
 
     def is_free(self) -> bool:
-        """True iff the subgroup contains no nonzero torsion element."""
-        if self.ambient.is_free:
-            return True
-        return self.intersection(torsion_subgroup(self.ambient)).is_zero()
+        """True iff the subgroup contains no nonzero torsion element: its torsion part is the relations."""
+        return self._torsion_rows_are(self.ambient.torsion)
 
     def contains_torsion(self) -> bool:
-        return self.contains_subgroup(torsion_subgroup(self.ambient))
+        """True iff the subgroup contains the torsion subgroup: its torsion part is the unit rows."""
+        return self._torsion_rows_are([1] * len(self.ambient.torsion))
+
+    def _torsion_rows_are(self, pivots: Sequence[int]) -> bool:
+        """Whether the basis ends in the rows ((r + i, pivots[i]),).
+
+        The lattice holds the relations, so its last len(torsion) rows lead the torsion columns:
+        they are the Hermite basis of the preimage of the subgroup's torsion part.
+        """
+        r, tail = self.ambient.free_rank, self.lattice[len(self.lattice) - len(pivots):]
+        return all(row == ((r + i, d),) for i, (row, d) in enumerate(zip(tail, pivots)))
 
     def inclusion(self) -> GroupHom:
         """Z^k → ambient onto the canonical generators; a basis when the subgroup is free."""

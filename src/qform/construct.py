@@ -15,7 +15,8 @@ What is checked where: the frames, ``neg_isomorphism`` and
 constructor (λ and μ pulled back, bijective), and the last checks that it
 carries one lagrangian onto the other; a ``MetabolicBasis`` checks its
 shape, unimodularity, normal form and span; ``ru_word_eval`` checks every
-letter against the word's lagrangian.  What is composed from those, such
+letter against the word's lagrangian, a Flip letter by comparing Hermite
+bases with ``forms.split_lagrangian``.  What is composed from those, such
 as B⁻¹ for a checked basis B, or ``ru_wall_witness``'s Flip letters
 (permutations after id ⊕ F for its checked frame F) and their product
 F⁻¹ ∘ (id ⊕ Σ) ∘ F, is not checked again, nor are the lattice steps in
@@ -41,6 +42,7 @@ from .forms import (
     dual,
     permuted,
     pullback,
+    split_lagrangian,
     split_pair,
     subgroup_classify,
     swap_blocks,
@@ -253,7 +255,7 @@ def stable_lagrangian_iso(
     Both forms must be free, metabolic (witnessed by the supplied
     lagrangians), full, and geometric with respect to a shared parity
     map.  In strict mode (free coefficients, equal ranks) no
-    stabilization happens and k = l = 0.
+    stabilization happens and k = l = 0; other modes are refused.
     """
     if e.target != e2.target:
         raise HypothesisError("different coefficient groups")
@@ -274,7 +276,7 @@ def _stable_lagrangian_iso(e: EQForm, l: SubgroupRep, e2: EQForm, l2: SubgroupRe
     # μ on each complement: the form restricted to it, by pullback
     f = pullback(n_sub.inclusion(), e).mu
     g = pullback(n2_sub.inclusion(), e2).mu
-    matched = match_surjections(f, g, mode="strict" if mode == "strict" else "stable")
+    matched = match_surjections(f, g, mode=mode)
     k = matched.f_extra.free_rank
     kl = matched.g_extra.free_rank
 
@@ -362,15 +364,15 @@ def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> Form
     if w.source != form:
         bad("flip witness does not start at the ambient form")
     try:
-        rest_form, embed = split_pair(w.target)
+        embed = split_pair(w.target)
     except HypothesisError as exc:
         raise HypothesisError(f"generator {index}: {exc}") from None
     lp = letter.rest_lagrangian
-    if lp.ambient != rest_form.group:
+    if lp.ambient != embed.source:
         bad("rest lagrangian lives in the wrong group")
-    if not subgroup_classify(rest_form, lp).free_lagrangian:
+    if not subgroup_classify(pullback(embed, w.target), lp).free_lagrangian:
         bad("rest lagrangian fails the lagrangian check")
-    if lagr.transport(w.hom) != SubgroupRep.of_units(w.target.group, [1]).sum(lp.transport(embed)):
+    if lagr.transport(w.hom) != split_lagrangian(w.target.group, lp):
         bad("witness does not carry the lagrangian onto ({0}×Z) ⊕ L'")
     return w.inverse().compose(swap_blocks(w.target, 1)).compose(w)
 

@@ -31,7 +31,7 @@ from .errors import (
     NotWellDefined,
     VMissing,
 )
-from .intmat import IntMatrix, Vec, int_nullspace
+from .intmat import IntMatrix, Vec, int_nullspace, shifted_row
 
 
 @dataclass(frozen=True)
@@ -368,10 +368,13 @@ def swap_blocks(e: EQForm, size: int) -> FormIso:
 # are a hyperbolic pair (a, b) orthogonal to the rest and killed by μ, and
 # the rest keeps its order, torsion generators last.  Flip letters and
 # FlipL moves both use this layout; σ = swap_blocks(t, 1) exchanges a and b.
+# L = ({0} × Z) ⊕ L' exactly when L's Hermite basis starts with the unit row
+# at b: the echelon rows after it lead past b, so they are L''s basis.
+_A_ROW, _B_ROW = ((0, 1),), ((1, 1),)
 
 
-def split_pair(t: EQForm) -> tuple[EQForm, GroupHom]:
-    """Check the split-pair layout of t; return the rest form and its embedding."""
+def split_pair(t: EQForm) -> GroupHom:
+    """Check the split-pair layout of t; return the embedding of the rest group."""
     r = t.group.free_rank
     if r < 2:
         raise HypothesisError("split target has free rank < 2")
@@ -382,10 +385,18 @@ def split_pair(t: EQForm) -> tuple[EQForm, GroupHom]:
         raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
     if any(t.mu.matrix.column(0) + t.mu.matrix.column(1)):  # μ's matrix is stored reduced
         raise HypothesisError("mu does not vanish on the hyperbolic pair")
-    rest = AbGroup(r - 2, t.group.torsion)
-    k = rest.num_gens
-    embed = GroupHom(rest, t.group, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
-    return pullback(embed, t), embed
+    k = t.group.num_gens - 2
+    return GroupHom(AbGroup(r - 2, t.group.torsion), t.group, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
+
+
+def split_lagrangian(group: AbGroup, rest_lagrangian: SubgroupRep) -> SubgroupRep:
+    """({0} × Z) ⊕ L' in the split group ``group``, for L' in its rest group."""
+    return SubgroupRep(group, (_B_ROW,) + tuple(shifted_row(row, 2) for row in rest_lagrangian.lattice))
+
+
+def flip_split(l: SubgroupRep) -> SubgroupRep | None:
+    """σ(L) = (Z × {0}) ⊕ L', again a canonical basis, when L = ({0} × Z) ⊕ L' in a split group; else None."""
+    return SubgroupRep(l.ambient, (_A_ROW,) + l.lattice[1:]) if l.lattice[:1] == (_B_ROW,) else None
 
 
 # -- orthogonal complements and subgroup classification ---------------

@@ -37,6 +37,7 @@ from .forms import (
     EQForm,
     FormIso,
     FormSum,
+    flip_split,
     form_direct_sum,
     hyperbolic,
     hyperbolic_halves,
@@ -56,13 +57,15 @@ class QuasiFormation:
     """A nonsingular form with a T-lagrangian and a free half-rank summand.
 
     The public constructor checks all three.  Formations read from a
-    document come through it, and so do ``zero_formation``, a ``FlipL``
-    move's result and ``l_group_trivialize``'s parts.  Where the facts hold
-    by construction, ``_unchecked`` skips it:
+    document come through it, and so do ``zero_formation`` and
+    ``l_group_trivialize``'s parts.  Where the facts hold by construction,
+    ``_unchecked`` skips it:
     * ``standard_elementary``: H_2k is nonsingular with free lagrangians as halves;
     * ``qf_direct_sum`` and ``_qf_on_sum``: block sums of nonsingular forms,
       of T-lagrangians and of free half-rank summands are again such;
     * ``ApplyIso``: a checked isomorphism carries each fact to its target;
+    * ``FlipL``: the new lagrangian is the old one moved by the witness, by the swap
+      of the split pair (a form automorphism, by ``split_pair``'s checks) and back;
     * ``jacobi_witness``'s factors: e is nonsingular, and K̃, L̃, Ṽ are
       the checked K, L, V summed with halves of H_2k.
     """
@@ -178,7 +181,7 @@ class FlipL:
     ``forms.split_pair``: the hyperbolic pair in the first two free
     coordinates, the layout Flip letters share), with the lagrangian
     landing on ({0} × Z) ⊕ L'.  The move replaces the lagrangian by the
-    pullback of (Z × {0}) ⊕ L'; form and summand stay.
+    pullback of (Z × {0}) ⊕ L', read off a Hermite basis by ``forms.flip_split``; form and summand stay.
     """
 
     witness: FormIso
@@ -224,14 +227,10 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
         w = move.witness
         if w.source != q.form:
             raise HypothesisError("flip witness does not start at the current form")
-        _, embed = split_pair(w.target)
-        transported = q.lagrangian.transport(w.hom)
-        inner = transported.intersection(embed.image())
-        if inner.sum(SubgroupRep.of_units(w.target.group, [1])) != transported:
+        split_pair(w.target)  # so the swap of the pair is an automorphism of w.target
+        if (flipped := flip_split(q.lagrangian.transport(w.hom))) is None:
             raise HypothesisError("lagrangian does not split as ({0} × Z) ⊕ L'")
-        flipped = inner.sum(SubgroupRep.of_units(w.target.group, [0]))
-        new_lagr = flipped.preimage(w.hom)
-        return QuasiFormation(q.form, new_lagr, q.summand)
+        return QuasiFormation._unchecked(q.form, flipped.preimage(w.hom), q.summand)
     raise HypothesisError("unknown move kind")
 
 

@@ -449,14 +449,14 @@ def letter_from_doc(doc: Any, path: str = "letter") -> Any:
     if kind == "flip":
         witness = iso_from_doc(_get(d, "witness", path), path + ".witness")
         try:
-            rest, _ = split_pair(witness.target)
+            rest = split_pair(witness.target).source
         except HypothesisError as exc:
             located = HypothesisError(f"{path}.witness: {exc}")
             located.path = path + ".witness"
             raise located from None
         return Flip(
             witness,
-            subgroup_from_doc(_get(d, "rest_lagrangian", path), rest.group, path + ".rest_lagrangian"),
+            subgroup_from_doc(_get(d, "rest_lagrangian", path), rest, path + ".rest_lagrangian"),
         )
     raise SchemaError(path + ".letter", "unknown letter kind %r" % kind)
 

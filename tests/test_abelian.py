@@ -830,3 +830,16 @@ def test_direct_sum_maps_match_the_reference(g1, g2):
     ds = direct_sum_with_maps(g1, g2)
     assert (ds.group, ds.incl_a, ds.incl_b, ds.proj_a, ds.proj_b) == reference_direct_sum(g1, g2)
     assert_biproduct(ds, g1, g2)
+
+
+# -- torsion questions read off the basis ----------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(subgroups())
+@example(SubgroupRep.from_elements(AbGroup(1, (2, 4)), [(1, 0, 0), (0, 0, 2)]))  # torsion, but not all of it
+@example(SubgroupRep.from_elements(AbGroup(0, (2, 4)), [(1, 1)]))  # one element of order 4 off both axes
+def test_torsion_questions_match_the_meet_reference(s):
+    torsion = torsion_subgroup(s.ambient)
+    assert s.is_free() == s.intersection(torsion).is_zero()
+    assert s.contains_torsion() == s.contains_subgroup(torsion)

@@ -446,6 +446,14 @@ def test_stable_iso_strict_needs_free_coefficients():
     assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
 
 
+@pytest.mark.parametrize("mode", ["bogus", "Strict", ""])
+def test_stable_iso_refuses_an_unknown_mode(mode):
+    e = full_geometric(0, 1)
+    lagr = sub(e, (1, 0))
+    with pytest.raises(HypothesisError, match="^unknown mode"):
+        stable_lagrangian_iso(e, lagr, e, lagr, mode=mode)
+
+
 # -- RU words ----------------------------------------------------------
 
 
@@ -480,6 +488,19 @@ def test_keep_must_preserve_lagrangian():
     with pytest.raises(HypothesisError) as err:
         ru_word_eval(w)
     assert "generator 0" in str(err.value)
+
+
+def test_flip_with_a_wrong_rest_lagrangian_is_refused():
+    # H_4 with pair 0 moved to the front: the lagrangian ⟨b1, b2⟩ lands on ({0} × Z) ⊕ ⟨b2⟩
+    h = geo_hyperbolic(2)
+    lagr = sub(h, (0, 0, 1, 0), (0, 0, 0, 1))
+    witness = permuted(h, [0, 2, 1, 3])
+    rest = hyperbolic(1, ZERO_GROUP, h.v)
+    good, wrong = sub(rest, (0, 1)), sub(rest, (1, 0))  # both lagrangians of the rest
+    assert ru_word_eval(RUWord(h, lagr, (Flip(witness, good),))).hom.matrix == IntMatrix.permutation([2, 1, 0, 3])
+    with pytest.raises(HypothesisError) as err:
+        ru_word_eval(RUWord(h, lagr, (Keep(FormIso.identity(h)), Flip(witness, wrong))))
+    assert str(err.value) == "generator 1: witness does not carry the lagrangian onto ({0}×Z) ⊕ L'"
 
 
 def test_word_inverse_evaluates_to_inverse():

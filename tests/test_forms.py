@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from qform.forms import (
     EQForm,
     FormIso,
     dual,
+    flip_split,
     form_direct_sum,
     form_validate,
     hyperbolic,
@@ -21,6 +23,7 @@ from qform.forms import (
     orthogonal_complement,
     permuted,
     pullback,
+    split_lagrangian,
     subgroup_classify,
     swap_blocks,
 )
@@ -567,3 +570,38 @@ def test_iso_direct_sum_matches_the_product_formula(g1, g2, rng):
     a = random_iso(rng, random_form(rng, g1))
     b = random_iso(rng, random_form(rng, g2))
     assert iso_direct_sum(a, b).hom == product_iso_direct_sum(a, b)
+
+
+# -- split lagrangians against meets and sums ----------------------------
+
+
+def reference_flip(l):
+    """L' = L ∩ rest and (Z × {0}) ⊕ L' when L = ({0} × Z) ⊕ L', by meets and sums; (None, None) otherwise."""
+    g = l.ambient
+    inner = l.intersection(SubgroupRep.of_units(g, range(2, g.num_gens)))
+    if inner.sum(SubgroupRep.of_units(g, [1])) != l:
+        return None, None
+    return inner, inner.sum(SubgroupRep.of_units(g, [0]))
+
+
+def test_split_lagrangians_read_off_the_basis_match_meets_and_sums():
+    rng = random.Random(20)
+    outcomes = Counter()
+    for _ in range(2000):
+        g = AbGroup(rng.randint(2, 4), rng.choice([(), (2,), (3,), (2, 4)]))
+        k = g.num_gens - 2
+        embed = GroupHom(AbGroup(g.free_rank - 2, g.torsion), g, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
+        # a few elements, most of them in the rest, and often b, -b or 2·b
+        gens = [[rng.randint(-2, 2) if j >= 2 or rng.random() < 0.3 else 0 for j in range(g.num_gens)]
+                for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.6:
+            gens.append([0, rng.choice([1, -1, 2])] + [0] * k)
+        l = SubgroupRep.from_elements(g, gens)
+        inner, flipped = reference_flip(l)
+        assert flip_split(l) == flipped
+        rest = l.intersection(embed.image()).preimage(embed)
+        assert (split_lagrangian(g, rest) == l) == (flipped is not None)
+        if flipped is not None:
+            assert rest.transport(embed) == inner
+        outcomes[flipped is not None] += 1
+    assert min(outcomes.values()) > 500

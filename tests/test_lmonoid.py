@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from qform import abelian, cli, construct, forms, lmonoid
+from qform import abelian, cli, construct, forms, intmat, lmonoid
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NodeLimitExceeded, QformError
@@ -328,6 +328,28 @@ def test_flip_with_unsplit_lagrangian_fails_with_index():
     assert "split" in res.reason
 
 
+def test_flip_refuses_a_lagrangian_holding_twice_b_but_not_b():
+    # no T-lagrangian holds 2·b without b, a summand being pure, so the start is built unchecked:
+    # the move's own split test must refuse it, at its index
+    e = double_h2()
+    q = QuasiFormation._unchecked(e, sub(e, (0, 2, 0, 0), (0, 0, 0, 1)), sub(e, (1, 0, 0, 0), (0, 0, 1, 0)))
+    res = replay(MoveSequence(q, q, (ApplyIso(FormIso.identity(e)), FlipL(FormIso.identity(e)))))
+    assert not res
+    assert res.failed_index == 1
+    assert res.reason == "lagrangian does not split as ({0} × Z) ⊕ L'"
+
+
+def test_flip_refuses_a_lagrangian_with_a_row_leading_at_a():
+    # L = ⟨a1 + b2, a2 - b1⟩ holds b1 - a2 but not b1, and meets the rest in 0
+    e = double_h2()
+    q = QuasiFormation(e, sub(e, (1, 0, 0, 1), (0, -1, 1, 0)), sub(e, (1, 0, 0, 0), (0, 0, 1, 0)))
+    assert q.lagrangian.lattice[0][0] == (0, 1)
+    res = replay(MoveSequence(q, q, (FlipL(FormIso.identity(e)),)))
+    assert not res
+    assert res.failed_index == 0
+    assert res.reason == "lagrangian does not split as ({0} × Z) ⊕ L'"
+
+
 def test_flipl_moves_the_lagrangian_as_each_flip_letter_does():
     # Flip letters and FlipL moves share the split-pair layout, so a flip
     # letter's witness is itself a FlipL witness at every rank
@@ -595,6 +617,16 @@ def test_jacobi_refuses_bad_hypotheses():
         jacobi_witness(singular, sub(singular, (1, 0)), sub(singular, (1, 0)), sub(singular, (0, 1)))
 
 
+def counting(counts, name, f):
+    """f, adding one to ``counts[name]`` on each call."""
+
+    def counted(*args):
+        counts[name] += 1
+        return f(*args)
+
+    return counted
+
+
 def test_certificates_build_each_sum_once(monkeypatch):
     """Certificates build each sum once.
 
@@ -602,24 +634,17 @@ def test_certificates_build_each_sum_once(monkeypatch):
     at rank 4 as at rank 16, and ltriv and the bar round trip sum their parts once.
     """
     counts = Counter()
-
-    def counting(name, f):
-        def counted(*args):
-            counts[name] += 1
-            return f(*args)
-
-        return counted
-
-    sums, maps = counting("sums", forms.form_direct_sum), counting("maps", abelian.direct_sum_with_maps)
+    sums = counting(counts, "sums", forms.form_direct_sum)
+    maps = counting(counts, "maps", abelian.direct_sum_with_maps)
     for module in (forms, construct, lmonoid):
         monkeypatch.setattr(module, "form_direct_sum", sums)
     for module in (abelian, forms, construct, lmonoid):
         monkeypatch.setattr(module, "direct_sum_with_maps", maps)
-    monkeypatch.setattr(QuasiFormation, "__post_init__", counting("checks", QuasiFormation.__post_init__))
-    classify = counting("classify", forms.subgroup_classify)
+    monkeypatch.setattr(QuasiFormation, "__post_init__", counting(counts, "checks", QuasiFormation.__post_init__))
+    classify = counting(counts, "classify", forms.subgroup_classify)
     for module in (forms, construct, lmonoid):
         monkeypatch.setattr(module, "subgroup_classify", classify)
-    monkeypatch.setattr(EQForm, "is_nonsingular", counting("nonsingular", EQForm.is_nonsingular))
+    monkeypatch.setattr(EQForm, "is_nonsingular", counting(counts, "nonsingular", EQForm.is_nonsingular))
 
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -648,3 +673,26 @@ def test_certificates_build_each_sum_once(monkeypatch):
     counts.clear()
     bar_round_trip(q)
     assert counts["maps"] == 1
+
+
+def test_replay_reads_each_flip_off_the_hermite_basis(monkeypatch):
+    """replay of a jacobi certificate meets no subgroups, re-checks no formation and pins its Hermite bases.
+
+    A flip move reads its split and its result off the transported lagrangian's basis (``forms.flip_split``),
+    so every move costs two bases: an iso transports lagrangian and summand, a flip transports the lagrangian
+    and pulls the flipped one back.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    counts = Counter()
+    hermite = counting(counts, "hermite", intmat.hermite_row_basis)
+    for module in (intmat, abelian):
+        monkeypatch.setattr(module, "hermite_row_basis", hermite)
+    monkeypatch.setattr(SubgroupRep, "intersection", counting(counts, "meets", SubgroupRep.intersection))
+    monkeypatch.setattr(QuasiFormation, "__post_init__", counting(counts, "checks", QuasiFormation.__post_init__))
+    assert replay(seq)
+    assert {type(m) for m in seq.moves} == {ApplyIso, FlipL}
+    assert (counts["meets"], counts["checks"]) == (0, 0)
+    assert counts["hermite"] == 2 * len(seq.moves) == 132
