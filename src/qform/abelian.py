@@ -306,9 +306,6 @@ class SubgroupRep:
     def contains(self, x: Sequence[int]) -> bool:
         return lattice_contains(self.lattice, sparse_row(self.ambient.reduce(x)))
 
-    def contains_subgroup(self, other: "SubgroupRep") -> bool:
-        return all(lattice_contains(self.lattice, g) for g in other.generator_rows())
-
     def generator_rows(self) -> list[Row]:
         """Canonical generating set as sparse rows: the nonzero projections of the basis rows."""
         reduce_row = self.ambient.reduce_row

@@ -12,7 +12,9 @@ document with every integer of magnitude 2**53 or more replaced by its
 decimal string.  Lists of 53-bit integers are the bulk of every matrix,
 and a certificate repeats most of its rows (each move's target form is
 the next move's source), so each distinct such list is formatted once
-per document and depth, and its later copies reuse that text.  Object
+per document and depth, and its later copies reuse that text.  A dict
+the document holds in several places (a sequence or word document holds
+one dict per form object) is likewise written once per depth.  Object
 keys must be strings, and a document nested more than ``MAX_DEPTH``
 containers deep is refused with a SchemaError, as is one too deep to
 parse.  ``first_difference`` names the first JSON path, in that layout's
@@ -31,6 +33,11 @@ own error, carrying in ``path`` the JSON path of the form, subgroup,
 formation or isomorphism that failed — while purely structural problems
 raise SchemaError with the path of the offending field.  Matrix rows are
 read straight into sparse rows.
+
+A document written here may hold one dict in several places: every
+occurrence of one form object in a sequence, word or isomorphism refers
+to the same dict.  Copy such a document (say by a JSON round trip) before
+editing any part of it in place.
 """
 
 from __future__ import annotations
@@ -103,7 +110,14 @@ def _parse_digits(body: str) -> int:
 
 
 def canonical_dumps(doc: Any) -> str:
-    """Serialize to the canonical byte layout."""
+    """Serialize to the canonical byte layout.
+
+    One memo serves the whole call (see ``_write``): the text of a
+    subtree depends only on its value and its depth, and ``doc`` keeps
+    every container alive until the call returns, so a container's id
+    names it throughout.  The bytes are those of the document written out
+    as a tree, however much of it is shared.
+    """
     out: List[str] = []
     _write(doc, "\n", 0, out, {})
     out.append("\n")
@@ -138,11 +152,17 @@ def first_difference(a: Any, b: Any, path: str) -> str | None:
     return None if canonical_dumps(a) == canonical_dumps(b) else path
 
 
-def _write(value: Any, newline: str, depth: int, out: List[str], rows: Dict[tuple, str]) -> None:
+def _write(value: Any, newline: str, depth: int, out: List[str], memo: Dict[tuple, Any]) -> None:
     """Append ``value``; ``newline`` breaks a line and indents to ``value``'s level.
 
-    ``rows`` maps (depth, entries) to the text of a list of 53-bit ints
-    already written at that depth, so a repeated row is formatted once.
+    ``memo`` holds what was written before, keyed by depth, since a
+    subtree's text depends only on its value and its depth.  (depth,
+    entries) maps to the text of a list of 53-bit ints, so a repeated row
+    is formatted once.  (depth, id(d)) maps to the (start, end) span of a
+    dict d's text in ``out``, joined into one string when d is met again,
+    so a dict the document holds in several places is written once.
+    Within one ``canonical_dumps`` call the document keeps every dict
+    alive, so no id is reused.
     """
     if isinstance(value, (dict, list, tuple)):
         if depth >= MAX_DEPTH:
@@ -153,28 +173,37 @@ def _write(value: Any, newline: str, depth: int, out: List[str], rows: Dict[tupl
         inner = newline + "  "
         sep = "," + inner
         if isinstance(value, dict):
-            for key in value:
-                if not isinstance(key, str):
-                    raise SchemaError("", "cannot serialize a %r key" % type(key).__name__)
+            key = (depth, id(value))
+            seen = memo.get(key)
+            if seen is not None:
+                if type(seen) is tuple:
+                    seen = memo[key] = "".join(out[seen[0] : seen[1]])
+                out.append(seen)
+                return
+            for name in value:
+                if not isinstance(name, str):
+                    raise SchemaError("", "cannot serialize a %r key" % type(name).__name__)
+            start = len(out)
             out.append("{")
-            for i, key in enumerate(sorted(value)):
-                out.append((sep if i else inner) + _quote(key) + ": ")
-                _write(value[key], inner, depth + 1, out, rows)
+            for i, name in enumerate(sorted(value)):
+                out.append((sep if i else inner) + _quote(name) + ": ")
+                _write(value[name], inner, depth + 1, out, memo)
             out.append(newline + "}")
+            memo[key] = (start, len(out))
             return
         # the type test comes first: [True, False] must never find the text of [1, 0]
         if set(map(type, value)) == _INT_ONLY:
             key = (depth, tuple(value))
-            text = rows.get(key)
+            text = memo.get(key)
             if text is None and -_SAFE < min(value) and max(value) < _SAFE:
-                text = rows[key] = "[" + inner + sep.join(map(str, value)) + newline + "]"
+                text = memo[key] = "[" + inner + sep.join(map(str, value)) + newline + "]"
             if text is not None:
                 out.append(text)
                 return
         out.append("[")
         for i, item in enumerate(value):
             out.append(sep if i else inner)
-            _write(item, inner, depth + 1, out, rows)
+            _write(item, inner, depth + 1, out, memo)
         out.append(newline + "]")
     elif isinstance(value, str):
         out.append(_quote(value))
@@ -306,6 +335,17 @@ def form_to_doc(e: EQForm) -> dict:
     return doc
 
 
+def _form_doc(e: EQForm, forms: Dict[int, dict]) -> dict:
+    """``form_to_doc(e)``, made once per form object: ``forms`` maps id(e) to its dict.
+
+    The caller keeps every form it passes alive, so an id is not reused.
+    """
+    doc = forms.get(id(e))
+    if doc is None:
+        doc = forms[id(e)] = form_to_doc(e)
+    return doc
+
+
 def form_from_doc(doc: Any, path: str = "form") -> EQForm:
     d = _as_dict(doc, path)
     group = group_from_doc(_get(d, "group", path), path + ".group")
@@ -349,8 +389,12 @@ def subgroup_from_doc(doc: Any, ambient: AbGroup, path: str = "subgroup") -> Sub
 
 
 def formation_to_doc(q: QuasiFormation) -> dict:
+    return _formation_doc(q, {})
+
+
+def _formation_doc(q: QuasiFormation, forms: Dict[int, dict]) -> dict:
     return {
-        "form": form_to_doc(q.form),
+        "form": _form_doc(q.form, forms),
         "L": subgroup_to_doc(q.lagrangian),
         "V": subgroup_to_doc(q.summand),
     }
@@ -372,9 +416,13 @@ def formation_from_doc(doc: Any, path: str = "formation") -> QuasiFormation:
 
 
 def iso_to_doc(iso: FormIso) -> dict:
+    return _iso_doc(iso, {})
+
+
+def _iso_doc(iso: FormIso, forms: Dict[int, dict]) -> dict:
     return {
-        "source": form_to_doc(iso.source),
-        "target": form_to_doc(iso.target),
+        "source": _form_doc(iso.source, forms),
+        "target": _form_doc(iso.target, forms),
         "matrix": iso.hom.matrix.tolist(),
     }
 
@@ -395,19 +443,23 @@ def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
 
 
 def move_to_doc(move: Any) -> dict:
+    return _move_doc(move, {})
+
+
+def _move_doc(move: Any, forms: Dict[int, dict]) -> dict:
     if isinstance(move, Stab):
         return {"move": "stab", "pairs": move.pairs}
     if isinstance(move, Destab):
         return {
             "move": "destab",
             "pairs": move.pairs,
-            "rest": formation_to_doc(move.rest),
-            "witness": iso_to_doc(move.witness),
+            "rest": _formation_doc(move.rest, forms),
+            "witness": _iso_doc(move.witness, forms),
         }
     if isinstance(move, FlipL):
-        return {"move": "flip", "witness": iso_to_doc(move.witness)}
+        return {"move": "flip", "witness": _iso_doc(move.witness, forms)}
     if isinstance(move, ApplyIso):
-        return {"move": "iso", "iso": iso_to_doc(move.iso)}
+        return {"move": "iso", "iso": _iso_doc(move.iso, forms)}
     raise SchemaError("", "unknown move %r" % type(move).__name__)
 
 
@@ -430,12 +482,16 @@ def move_from_doc(doc: Any, path: str = "move") -> Any:
 
 
 def letter_to_doc(letter: Any) -> dict:
+    return _letter_doc(letter, {})
+
+
+def _letter_doc(letter: Any, forms: Dict[int, dict]) -> dict:
     if isinstance(letter, Keep):
-        return {"letter": "keep", "iso": iso_to_doc(letter.iso)}
+        return {"letter": "keep", "iso": _iso_doc(letter.iso, forms)}
     if isinstance(letter, Flip):
         return {
             "letter": "flip",
-            "witness": iso_to_doc(letter.witness),
+            "witness": _iso_doc(letter.witness, forms),
             "rest_lagrangian": subgroup_to_doc(letter.rest_lagrangian),
         }
     raise SchemaError("", "unknown word letter %r" % type(letter).__name__)
@@ -462,10 +518,17 @@ def letter_from_doc(doc: Any, path: str = "letter") -> Any:
 
 
 def word_to_doc(word: RUWord) -> dict:
+    """The word's document, each form object in it written by ``form_to_doc`` once.
+
+    Every occurrence of one ``EQForm`` object refers to the same dict, as
+    in ``sequence_to_doc``: copy the document (say by a JSON round trip)
+    before editing any part of it in place.
+    """
+    forms: Dict[int, dict] = {}
     return {
-        "form": form_to_doc(word.form),
+        "form": _form_doc(word.form, forms),
         "lagrangian": subgroup_to_doc(word.lagrangian),
-        "letters": [letter_to_doc(g) for g in word.letters],
+        "letters": [_letter_doc(g, forms) for g in word.letters],
     }
 
 
@@ -483,10 +546,19 @@ def word_from_doc(doc: Any, path: str = "word") -> RUWord:
 
 
 def sequence_to_doc(seq: MoveSequence) -> dict:
+    """The sequence's document, each form object in it written by ``form_to_doc`` once.
+
+    Every move acts on the same few forms (each move's target is the
+    next one's source), so every occurrence of one ``EQForm`` object
+    refers to the same dict, which ``canonical_dumps`` then encodes once.
+    The document is thus not a tree: copy it (say by a JSON round trip)
+    before editing any part of it in place.
+    """
+    forms: Dict[int, dict] = {}
     return {
-        "start": formation_to_doc(seq.start),
-        "end": formation_to_doc(seq.end),
-        "moves": [move_to_doc(m) for m in seq.moves],
+        "start": _formation_doc(seq.start, forms),
+        "end": _formation_doc(seq.end, forms),
+        "moves": [_move_doc(m, forms) for m in seq.moves],
     }
 
 

@@ -30,6 +30,7 @@ from qform.intmat import (
     hermite_row_basis,
     int_nullspace,
     int_solve,
+    lattice_contains,
     smith_normal_form,
     sparse_row,
 )
@@ -45,6 +46,11 @@ def enumerate_elements(g: AbGroup, free_bound: int = 2):
 def smul(g: AbGroup, k: int, x):
     """k·x in g."""
     return g.reduce([k * a for a in x])
+
+
+def contains_subgroup(s: SubgroupRep, other: SubgroupRep) -> bool:
+    """Whether every generator of ``other`` lies in ``s``."""
+    return all(lattice_contains(s.lattice, g) for g in other.generator_rows())
 
 
 # -- group basics ------------------------------------------------------
@@ -98,7 +104,7 @@ def test_subgroup_rank_mixed():
     g = AbGroup(2, (2,))
     s = SubgroupRep.from_elements(g, [(1, 0, 0), (0, 0, 1)])
     assert s.rank == 1
-    assert s.contains_subgroup(torsion_subgroup(g))
+    assert contains_subgroup(s, torsion_subgroup(g))
     t = SubgroupRep.from_elements(g, [(1, 1, 0)])
     assert t.rank == 1
     assert t.is_free()
@@ -133,7 +139,7 @@ def test_transport_and_preimage():
     for x in itertools.product(range(-3, 4), repeat=2):
         assert pre.contains(x) == s.contains(h.apply(x))
     # image of the preimage lands back inside s
-    assert s.contains_subgroup(pre.transport(h))
+    assert contains_subgroup(s, pre.transport(h))
 
 
 def test_preimage_of_zero_is_kernel():
@@ -842,4 +848,4 @@ def test_direct_sum_maps_match_the_reference(g1, g2):
 def test_torsion_questions_match_the_meet_reference(s):
     torsion = torsion_subgroup(s.ambient)
     assert s.is_free() == s.intersection(torsion).is_zero()
-    assert s.contains_torsion() == s.contains_subgroup(torsion)
+    assert s.contains_torsion() == contains_subgroup(s, torsion)

@@ -679,6 +679,32 @@ def test_validate_finds_a_tampered_last_entry_without_encoding_equal_rows(tmp_pa
     assert len(calls) <= 12 * len(moves)
 
 
+def reach(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "at, also, path",
+    [
+        (("end", "form"), ("moves", 0, "iso", "source"), "input.sequence.end.form"),
+        (("moves", 3, "iso", "source"), ("moves", 2, "witness", "target"), "input.sequence.moves[3].iso.source"),
+    ],
+    ids=["first-occurrence", "later-occurrence"],
+)
+def test_validate_names_a_tampered_copy_of_a_shared_form(tmp_path, capsys, jacobi_text, at, also, path):
+    """The recomputed result holds one form dict in several places; a tampered copy is named where it is."""
+    fresh = cli.COMMANDS["jacobi"].build(json.loads(jacobi_text))["sequence"]
+    assert reach(fresh, at) is reach(fresh, also)
+    doc = json.loads(jacobi_text)
+    reach(doc["sequence"], at)["lambda"][0][0] += 1
+    stored = tmp_path / "stored.json"
+    stored.write_text(canonical_dumps(doc))
+    code, report, _ = invoke(capsys, "validate", "--input", str(stored))
+    assert (code, report["ok"], report["path"]) == (2, False, path + ".lambda[0][0]")
+
+
 @pytest.mark.parametrize("variant", ["canonical", "re-indented", "tampered"])
 def test_validate_strict_behaves_as_before(tmp_path, capsys, monkeypatch, jacobi_text, variant):
     path = tmp_path / "stored.json"

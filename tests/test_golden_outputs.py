@@ -124,6 +124,24 @@ def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == DIGESTS[name]
 
 
+def test_certificate_results_encode_like_their_unshared_copies():
+    """jacobi, ltriv and ru-wall results hold one dict per form object in several places.
+
+    The encoder writes such a dict once and repeats its text, so each result must encode
+    exactly as its copy with every container written out anew.
+    """
+    from qform import cli
+    from qform.serialize import canonical_dumps
+
+    built = 0
+    for name, req, source in golden_requests():
+        if source is None and req.kind in ("jacobi", "ltriv", "ru-wall"):
+            result = cli.COMMANDS[req.kind].build(json.loads(json.dumps(req.doc)))
+            assert canonical_dumps(result) == canonical_dumps(json.loads(json.dumps(result))), name
+            built += 1
+    assert built == 8
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from qform import abelian, cli, construct, forms, intmat, lmonoid
+from qform import abelian, cli, construct, forms, intmat, lmonoid, serialize
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NodeLimitExceeded, QformError
@@ -696,3 +696,23 @@ def test_replay_reads_each_flip_off_the_hermite_basis(monkeypatch):
     assert {type(m) for m in seq.moves} == {ApplyIso, FlipL}
     assert (counts["meets"], counts["checks"]) == (0, 0)
     assert counts["hermite"] == 2 * len(seq.moves) == 132
+
+
+def test_sequence_documents_write_each_form_object_once(monkeypatch):
+    """sequence_to_doc turns each form object of a certificate into a dict once.
+
+    The 66 moves of the rank-4 geometric_double certificate name 132 forms, start and end two more, but
+    only 7 form objects: every later occurrence of one reuses its dict, and each move's target is the
+    next move's source at all but one boundary.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    counts = Counter()
+    monkeypatch.setattr(serialize, "form_to_doc", counting(counts, "forms", serialize.form_to_doc))
+    doc = sequence_to_doc(seq)
+    assert len(seq.moves) == 66
+    assert counts["forms"] <= 7
+    isos = [m["iso"] if m["move"] == "iso" else m["witness"] for m in doc["moves"]]
+    assert sum(a["target"] is b["source"] for a, b in zip(isos, isos[1:])) == 64

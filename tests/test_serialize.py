@@ -141,8 +141,8 @@ def test_flip_word_with_torsion_round_trips_and_validates(tmp_path, capsys):
 )
 def test_flip_letter_with_a_non_split_target_names_the_letter(group, rows, reason):
     e = EQForm(group, IntMatrix.from_rows(rows), GroupHom.zero(group, ZERO_GROUP))
-    doc = word_to_doc(RUWord(e, SubgroupRep.zero(group), ()))
-    doc["letters"] = [{"letter": "flip", "witness": iso_to_doc(FormIso.identity(e)), "rest_lagrangian": {"generators": []}}]
+    letter = {"letter": "flip", "witness": iso_to_doc(FormIso.identity(e)), "rest_lagrangian": {"generators": []}}
+    doc = {**word_to_doc(RUWord(e, SubgroupRep.zero(group), ())), "letters": [letter]}
     with pytest.raises(HypothesisError, match=r"^word\.letters\[0\]\.witness: %s$" % reason):
         word_from_doc(reload(canonical_dumps(doc)))
 
@@ -422,6 +422,15 @@ def test_encoder_refuses_unsupported_values(doc):
 def test_first_difference_of_integer_lists(a, b, found):
     assert first_difference(a, b, "d") == found
     assert first_difference(b, a, "d") == found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(strings, documents, max_size=3))
+@example({"x": [1, 2], "big": [1, SAFE], "inner": {"y": []}})
+def test_a_dict_held_in_several_places_encodes_like_its_copies(part):
+    # part twice at depth 1, once at depth 2 and once at depth 3; its own dicts are shared with it
+    doc = {"a": part, "b": [part, {"c": part}], "d": part}
+    assert canonical_dumps(doc) == canonical_dumps(json.loads(json.dumps(doc))) == reference_dumps(doc)
 
 
 def nested(depth, inner=None):
