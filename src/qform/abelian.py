@@ -32,7 +32,7 @@ images under those inclusions, so no caller lays coordinates out by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, HypothesisError, NotASummand, NotWellDefined
 from .intmat import (
@@ -563,14 +563,11 @@ class MatchedSurjections:
     iso: GroupHom
 
 
-def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"] = "stable") -> MatchedSurjections:
+def match_surjections(f: GroupHom, g: GroupHom) -> MatchedSurjections:
     """Match two surjections from free groups onto a common target.
 
-    stable: always applicable; returns free F', G' and an isomorphism
-    h: F ⊕ F' → G ⊕ G' with (f + 0) = (g + 0) ∘ h.
-
-    strict: requires a free target and equal source ranks; returns
-    h: F → G with f = g ∘ h (F' = G' = 0).
+    Returns free F', G' and an isomorphism h: F ⊕ F' → G ⊕ G' with
+    (f + 0) = (g + 0) ∘ h.
     """
     if f.target != g.target:
         raise HypothesisError("different targets", "surjections must share a target")
@@ -580,15 +577,6 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
         raise HypothesisError("f not surjective")
     if not g.is_surjective():
         raise HypothesisError("g not surjective")
-
-    if mode == "strict":
-        if not f.target.is_free:
-            raise HypothesisError("target not free", "strict matching needs a free target")
-        if f.source.free_rank != g.source.free_rank:
-            raise HypothesisError("rank mismatch", "strict matching needs equal source ranks")
-        return _match_strict(f, g)
-    if mode != "stable":
-        raise HypothesisError("unknown mode", mode)
 
     # lift f through g, generator by generator
     lift_through_g = group_solver(g)
@@ -620,22 +608,3 @@ def match_surjections(f: GroupHom, g: GroupHom, mode: Literal["stable", "strict"
     h_matrix = top.vstack(bottom)
     iso = GroupHom(free_group(rk_f + rk_f0 + rk_g), free_group(rk_g + rk_f + rk_f0), h_matrix)
     return MatchedSurjections(f_extra, g_extra, iso)
-
-
-def _match_strict(f: GroupHom, g: GroupHom) -> MatchedSurjections:
-    a = f.target
-    solve_f, solve_g = group_solver(f), group_solver(g)
-    c_cols = [solve_f(gen) for gen in a.gens()]
-    d_cols = [solve_g(gen) for gen in a.gens()]
-    kf = f.kernel().generators()
-    kg = g.kernel().generators()
-    if len(kf) != len(kg):
-        raise NotWellDefined("kernel ranks differ despite equal source ranks")
-    n = f.source.free_rank
-    p_f = IntMatrix.from_columns([list(v) for v in kf] + [list(v) for v in c_cols], rows=n)
-    p_g = IntMatrix.from_columns([list(v) for v in kg] + [list(v) for v in d_cols], rows=n)
-    h_matrix = p_g.mul(p_f.inverse_unimodular())
-    iso = GroupHom(f.source, g.source, h_matrix)
-    trivial = free_group(0)
-    return MatchedSurjections(trivial, trivial, iso)
-

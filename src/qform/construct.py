@@ -248,14 +248,12 @@ def stable_lagrangian_iso(
     l: SubgroupRep,
     e2: EQForm,
     l2: SubgroupRep,
-    mode: str = "stable",
 ) -> StableLagrangianIso:
     """Stable isomorphism between metabolic forms matching lagrangians.
 
     Both forms must be free, metabolic (witnessed by the supplied
     lagrangians), full, and geometric with respect to a shared parity
-    map.  In strict mode (free coefficients, equal ranks) no
-    stabilization happens and k = l = 0; other modes are refused.
+    map.
     """
     if e.target != e2.target:
         raise HypothesisError("different coefficient groups")
@@ -267,16 +265,16 @@ def stable_lagrangian_iso(
             raise HypothesisError("not full")
         if not form.is_geometric():
             raise HypothesisError("not geometric")
-    return _stable_lagrangian_iso(e, l, e2, l2, mode)
+    return _stable_lagrangian_iso(e, l, e2, l2)
 
 
-def _stable_lagrangian_iso(e: EQForm, l: SubgroupRep, e2: EQForm, l2: SubgroupRep, mode: str) -> StableLagrangianIso:
+def _stable_lagrangian_iso(e: EQForm, l: SubgroupRep, e2: EQForm, l2: SubgroupRep) -> StableLagrangianIso:
     """``stable_lagrangian_iso`` on forms and lagrangians that meet its hypotheses."""
     n_sub, n2_sub = direct_complement(l), direct_complement(l2)
     # μ on each complement: the form restricted to it, by pullback
     f = pullback(n_sub.inclusion(), e).mu
     g = pullback(n2_sub.inclusion(), e2).mu
-    matched = match_surjections(f, g, mode=mode)
+    matched = match_surjections(f, g)
     k = matched.f_extra.free_rank
     kl = matched.g_extra.free_rank
 

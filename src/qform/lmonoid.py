@@ -104,15 +104,6 @@ def is_elementary(q: QuasiFormation) -> bool:
     return q.lagrangian.sum(q.summand).is_full()
 
 
-def is_L_element(q: QuasiFormation) -> bool:
-    """Whether the summand is itself a free lagrangian.
-
-    Such quasi-formations represent invertible classes; an inverse
-    representative is obtained by swapping the two subgroups.
-    """
-    return subgroup_classify(q.form, q.summand).free_lagrangian
-
-
 def qf_direct_sum(a: QuasiFormation, b: QuasiFormation) -> QuasiFormation:
     return _qf_on_sum(form_direct_sum(a.form, b.form), a, b)
 
@@ -447,7 +438,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     if not e.is_nonsingular():
         raise HypothesisError("not nonsingular", "stable isomorphism")
 
-    stab = _stable_lagrangian_iso(e, l_sub, e, k_sub, "stable")
+    stab = _stable_lagrangian_iso(e, l_sub, e, k_sub)
     pairs = stab.k  # = stab.l: both lagrangians live in e, and stab's rank check matched them
     phi = stab.iso
     big = phi.source

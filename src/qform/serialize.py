@@ -442,10 +442,6 @@ def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
         raise
 
 
-def move_to_doc(move: Any) -> dict:
-    return _move_doc(move, {})
-
-
 def _move_doc(move: Any, forms: Dict[int, dict]) -> dict:
     if isinstance(move, Stab):
         return {"move": "stab", "pairs": move.pairs}
@@ -479,10 +475,6 @@ def move_from_doc(doc: Any, path: str = "move") -> Any:
     if kind == "iso":
         return ApplyIso(iso_from_doc(_get(d, "iso", path), path + ".iso"))
     raise SchemaError(path + ".move", "unknown move kind %r" % kind)
-
-
-def letter_to_doc(letter: Any) -> dict:
-    return _letter_doc(letter, {})
 
 
 def _letter_doc(letter: Any, forms: Dict[int, dict]) -> dict:

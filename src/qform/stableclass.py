@@ -369,31 +369,6 @@ def si1_witness(a: int, b: int) -> FormIso:
     return FormIso(source, target, hom)
 
 
-def si1_stable_iso(a: int, b: int, c: int, d: int) -> FormIso:
-    """Stable isomorphism E_{a,b} ⊕ H_2 → E_{c,d} ⊕ H_2 through (lcm, gcd)."""
-    if not si1_decide(a, b, c, d):
-        raise HypothesisError("criterion fails", "pairs are not stably isomorphic")
-    return si1_witness(c, d).compose(si1_witness(a, b).inverse())
-
-
-_H2_AUT_MATRICES = (
-    ((1, 0), (0, 1)),
-    ((0, 1), (1, 0)),
-    ((-1, 0), (0, -1)),
-    ((0, -1), (-1, 0)),
-)
-
-
-def h2_aut_isos() -> list[FormIso]:
-    """The four automorphisms of (Z², [[0,1],[1,0]], 0) over the zero group."""
-    h = hyperbolic(1)
-    out = []
-    for rows in _H2_AUT_MATRICES:
-        hom = GroupHom(h.group, h.group, IntMatrix.from_rows([list(r) for r in rows]))
-        out.append(FormIso(h, h, hom))
-    return out
-
-
 def orbit(a: int, b: int) -> list[tuple[int, int]]:
     """The images of (a, b) under the four automorphisms of the plane."""
     return [(a, b), (b, a), (-a, -b), (-b, -a)]

@@ -19,7 +19,16 @@ from qform.construct import (
     ru_word_eval,
     stable_lagrangian_iso,
 )
-from qform.forms import EQForm, FormIso, form_direct_sum, hyperbolic, hyperbolic_halves, pullback, swap_blocks
+from qform.forms import (
+    EQForm,
+    FormIso,
+    form_direct_sum,
+    hyperbolic,
+    hyperbolic_halves,
+    pullback,
+    subgroup_classify,
+    swap_blocks,
+)
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
     ApplyIso,
@@ -28,7 +37,6 @@ from qform.lmonoid import (
     apply_move,
     bar_reduce,
     bar_round_trip,
-    is_L_element,
     is_elementary,
     jacobi_witness,
     l_group_trivialize,
@@ -384,14 +392,15 @@ def test_invertible_classes_trivialize():
             base = worked_double()
         u = random_unimodular(rng, base.form.group.num_gens, ops=6)
         q = apply_move(base, ApplyIso(scramble_iso(base.form, u)))
-        assert is_L_element(q), trial
+        assert subgroup_classify(q.form, q.summand).free_lagrangian, trial
         dec = l_group_trivialize(q)
         assert replay(dec.sequence).ok, trial
         assert encodes_like_its_unshared_copy(sequence_to_doc(dec.sequence)), trial
         # the complement splits both subgroups off the common part
         for sub in (q.lagrangian, q.summand):
             assert dec.common.sum(sub.intersection(dec.complement)) == sub, trial
-        assert is_L_element(dec.zero_part) and is_L_element(dec.hyperbolic_part), trial
+        for part in (dec.zero_part, dec.hyperbolic_part):
+            assert subgroup_classify(part.form, part.summand).free_lagrangian, trial
         witness = is_hyperbolic_with_witness(dec.hyperbolic_part.form, dec.hyperbolic_part.lagrangian)
         assert isinstance(witness, FormIso), trial
         if dec.hyperbolic_part.form.rank:

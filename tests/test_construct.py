@@ -378,20 +378,14 @@ def full_geometric(a, b):
     return metabolic_form([[0, 1], [1, 0]], mu_images=[a, b], v=V0)
 
 
-def test_stable_iso_strict_identity_case():
-    e = full_geometric(0, 1)
-    lagr = sub(e, (1, 0))
-    res = stable_lagrangian_iso(e, lagr, e, lagr, mode="strict")
-    assert (res.k, res.l) == (0, 0)
-    assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
-
-
-def test_stable_iso_strict_sign_flip():
+def test_stable_iso_sign_flip():
     e = full_geometric(0, 1)
     e2 = full_geometric(0, -1)
     lagr = sub(e, (1, 0))
-    res = stable_lagrangian_iso(e, lagr, e2, lagr, mode="strict")
-    assert res.iso.source == e and res.iso.target == e2
+    res = stable_lagrangian_iso(e, lagr, e2, lagr)
+    assert res.iso.source.rank == e.rank + 2 * res.k
+    assert res.iso.target.rank == e2.rank + 2 * res.l
+    assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
 
 
 def test_stable_iso_stable_mode_uneven_ranks():
@@ -400,24 +394,24 @@ def test_stable_iso_stable_mode_uneven_ranks():
     pad = form_direct_sum(e, full_geometric(0, 1))
     big = pad.form
     big_l = SubgroupRep.from_elements(big.group, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    res = stable_lagrangian_iso(e, lagr, big, big_l, mode="stable")
+    res = stable_lagrangian_iso(e, lagr, big, big_l)
     assert res.iso.source.rank == e.rank + 2 * res.k
     assert res.iso.target.rank == big.rank + 2 * res.l
     assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
 
 
-def test_stable_iso_strict_randomized_twists():
+def test_stable_iso_randomized_twists():
     rng = random.Random(55)
     base = full_geometric(0, 1)
     base_l = sub(base, (1, 0))
-    for _ in range(15):
-        u1 = random_unimodular(rng, 2)
-        u2 = random_unimodular(rng, 2)
+    twists = [(IntMatrix.identity(2), IntMatrix.identity(2))]
+    twists += [(random_unimodular(rng, 2), random_unimodular(rng, 2)) for _ in range(15)]
+    for u1, u2 in twists:
         f1 = pullback(GroupHom(base.group, base.group, u1), base)
         f2 = pullback(GroupHom(base.group, base.group, u2), base)
         l1 = base_l.preimage(GroupHom(base.group, base.group, u1))
         l2 = base_l.preimage(GroupHom(base.group, base.group, u2))
-        res = stable_lagrangian_iso(f1, l1, f2, l2, mode="strict")
+        res = stable_lagrangian_iso(f1, l1, f2, l2)
         assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
 
 
@@ -433,25 +427,15 @@ def test_stable_iso_hypothesis_errors():
     assert "full" in str(err.value)
 
 
-def test_stable_iso_strict_needs_free_coefficients():
+def test_stable_iso_over_torsion_coefficients():
     q = AbGroup(0, (2,))
     g = free_group(2)
     v = GroupHom.from_gen_images(q, Z2, [(0,)])
     e = EQForm(g, IntMatrix.from_rows([[0, 1], [1, 0]]),
                GroupHom.from_gen_images(g, q, [(0,), (1,)]), v)
     lagr = sub(e, (1, 0))
-    with pytest.raises(HypothesisError):
-        stable_lagrangian_iso(e, lagr, e, lagr, mode="strict")
-    res = stable_lagrangian_iso(e, lagr, e, lagr, mode="stable")
+    res = stable_lagrangian_iso(e, lagr, e, lagr)
     assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
-
-
-@pytest.mark.parametrize("mode", ["bogus", "Strict", ""])
-def test_stable_iso_refuses_an_unknown_mode(mode):
-    e = full_geometric(0, 1)
-    lagr = sub(e, (1, 0))
-    with pytest.raises(HypothesisError, match="^unknown mode"):
-        stable_lagrangian_iso(e, lagr, e, lagr, mode=mode)
 
 
 # -- RU words ----------------------------------------------------------

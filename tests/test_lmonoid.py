@@ -24,7 +24,6 @@ from qform.lmonoid import (
     apply_move,
     bar_reduce,
     bar_round_trip,
-    is_L_element,
     is_elementary,
     jacobi_witness,
     l_group_trivialize,
@@ -117,7 +116,7 @@ def test_zero_formation_membership(group, images):
     e = q.form
     assert e.is_free() and e.is_full() and e.is_geometric()
     assert subgroup_classify(e, q.lagrangian).t_lagrangian
-    assert is_L_element(q)
+    assert subgroup_classify(e, q.summand).free_lagrangian
     assert not is_elementary(q) or group.num_gens == 0
 
 
@@ -380,10 +379,15 @@ def test_apply_iso_from_elsewhere_fails():
 
 
 def test_is_L_element_examples():
+    """An L-element's summand is itself a free lagrangian."""
     e = plain_h2()
-    assert is_L_element(QuasiFormation(e, sub(e, (0, 1)), sub(e, (1, 0))))
-    assert is_L_element(zero_formation(Z, VZ))
-    assert not is_L_element(QuasiFormation(e, sub(e, (0, 1)), sub(e, (1, 1))))
+    examples = [
+        (QuasiFormation(e, sub(e, (0, 1)), sub(e, (1, 0))), True),
+        (zero_formation(Z, VZ), True),
+        (QuasiFormation(e, sub(e, (0, 1)), sub(e, (1, 1))), False),
+    ]
+    for q, l_element in examples:
+        assert subgroup_classify(q.form, q.summand).free_lagrangian == l_element
 
 
 # -- torsion reduction -------------------------------------------------

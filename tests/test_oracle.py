@@ -209,7 +209,6 @@ def test_stable_form_scan_agrees_with_the_constructive_route():
         SubgroupRep.from_elements(g2, [(0, 1)]),
         h2,
         SubgroupRep.from_elements(h2.group, [(0, 1)]),
-        "stable",
     )
     assert constructive.iso.hom.matrix.is_unimodular()
     scanned = search_stable_form_isomorphism(b, h2, SearchBudget(2, 2, 500_000))

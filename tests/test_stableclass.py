@@ -11,18 +11,17 @@ from qform.abelian import AbGroup, GroupHom, Z2, ZERO_GROUP, free_group
 from qform.errors import HypothesisError, NodeLimitExceeded
 from qform.forms import EQForm, FormIso, form_direct_sum, hyperbolic
 from qform.intmat import IntMatrix
+from qform.oracle import enumerate_automorphisms
 from qform.stableclass import (
     aut_action_check,
     e_ab,
     factorize,
     gcd_profile,
-    h2_aut_isos,
     kappa,
     kappa_ab,
     orbit,
     orbit_canonical,
     si1_decide,
-    si1_stable_iso,
     si1_witness,
     si_enumerate,
     si_hyp,
@@ -186,7 +185,8 @@ def test_si1_witness_small_grid():
 
 
 def test_si1_stable_iso_between_equivalent_pairs():
-    iso = si1_stable_iso(1, 6, 2, 3)
+    assert si1_decide(1, 6, 2, 3)
+    iso = si1_witness(2, 3).compose(si1_witness(1, 6).inverse())
     assert iso.source == form_direct_sum(e_ab(1, 6), hyperbolic(1, Z, V0)).form
     assert iso.target == form_direct_sum(e_ab(2, 3), hyperbolic(1, Z, V0)).form
     assert iso.hom.matrix.tolist() == [
@@ -198,8 +198,7 @@ def test_si1_stable_iso_between_equivalent_pairs():
 
 
 def test_si1_stable_iso_refuses_inequivalent_pairs():
-    with pytest.raises(HypothesisError):
-        si1_stable_iso(1, 6, 2, 5)
+    assert not si1_decide(1, 6, 2, 5)
 
 
 # -- the four-element orbit ----------------------------------------------
@@ -213,18 +212,14 @@ def test_orbit_members():
 
 
 def test_h2_automorphism_group():
-    mats = sorted(iso.hom.matrix.tolist() for iso in h2_aut_isos())
-    assert mats == [
-        [[-1, 0], [0, -1]],
-        [[0, -1], [-1, 0]],
-        [[0, 1], [1, 0]],
-        [[1, 0], [0, 1]],
-    ]
+    """The plane's automorphisms, found by search, move (a, b) through its orbit."""
+    auts = enumerate_automorphisms(hyperbolic(1))
+    assert sorted(aut.hom.matrix.apply((2, 3)) for aut in auts) == sorted(orbit(2, 3))
 
 
 def si2_isomorphic(a, b, c, d):
     """An isomorphism E_{a,b} → E_{c,d} by one of the plane's four automorphisms, or None."""
-    for aut in h2_aut_isos():
+    for aut in enumerate_automorphisms(hyperbolic(1)):
         m = aut.hom.matrix
         if m.apply((a, b)) == (c, d):
             return FormIso(e_ab(a, b), e_ab(c, d), GroupHom(free_group(2), free_group(2), m))
