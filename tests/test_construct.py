@@ -400,13 +400,22 @@ def test_stable_iso_stable_mode_uneven_ranks():
     assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
 
 
+def test_stable_iso_identity_case():
+    e = full_geometric(0, 1)
+    lagr = sub(e, (1, 0))
+    res = stable_lagrangian_iso(e, lagr, e, lagr)
+    assert res.iso.source.rank == e.rank + 2 * res.k
+    assert res.iso.target.rank == e.rank + 2 * res.l
+    assert res.source_lagrangian.transport(res.iso.hom) == res.target_lagrangian
+
+
 def test_stable_iso_randomized_twists():
     rng = random.Random(55)
     base = full_geometric(0, 1)
     base_l = sub(base, (1, 0))
-    twists = [(IntMatrix.identity(2), IntMatrix.identity(2))]
-    twists += [(random_unimodular(rng, 2), random_unimodular(rng, 2)) for _ in range(15)]
-    for u1, u2 in twists:
+    for _ in range(15):
+        u1 = random_unimodular(rng, 2)
+        u2 = random_unimodular(rng, 2)
         f1 = pullback(GroupHom(base.group, base.group, u1), base)
         f2 = pullback(GroupHom(base.group, base.group, u2), base)
         l1 = base_l.preimage(GroupHom(base.group, base.group, u1))
