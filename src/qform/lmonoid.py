@@ -65,7 +65,8 @@ class QuasiFormation:
       of T-lagrangians and of free half-rank summands are again such;
     * ``ApplyIso``: a checked isomorphism carries each fact to its target;
     * ``FlipL``: the new lagrangian is the old one moved by the witness, by the swap
-      of the split pair (a form automorphism, by ``split_pair``'s checks) and back;
+      of the split pair (a form automorphism, by ``split_pair``'s checks) and back
+      along the witness's inverse;
     * ``jacobi_witness``'s factors: e is nonsingular, and K̃, L̃, Ṽ are
       the checked K, L, V summed with halves of H_2k.
     """
@@ -171,8 +172,9 @@ class FlipL:
     ``witness`` maps the current form onto a split form (see
     ``forms.split_pair``: the hyperbolic pair in the first two free
     coordinates, the layout Flip letters share), with the lagrangian
-    landing on ({0} × Z) ⊕ L'.  The move replaces the lagrangian by the
-    pullback of (Z × {0}) ⊕ L', read off a Hermite basis by ``forms.flip_split``; form and summand stay.
+    landing on ({0} × Z) ⊕ L'.  The move replaces the lagrangian by
+    (Z × {0}) ⊕ L', read off a Hermite basis by ``forms.flip_split``, carried back along
+    the witness's inverse; form and summand stay.
     """
 
     witness: FormIso
@@ -195,9 +197,7 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
             raise HypothesisError("negative stabilization")
         return qf_direct_sum(q, standard_elementary(move.pairs, q.target, q.form.v))
     if isinstance(move, ApplyIso):
-        if move.iso.source != q.form:
-            raise HypothesisError("isomorphism does not start at the current form")
-        h = move.iso.hom
+        h = _start_iso(move.iso, q.form)
         return QuasiFormation._unchecked(move.iso.target, q.lagrangian.transport(h), q.summand.transport(h))
     if isinstance(move, Destab):
         if move.witness.source != q.form:
@@ -216,13 +216,39 @@ def apply_move(q: QuasiFormation, move: Move) -> QuasiFormation:
         return move.rest
     if isinstance(move, FlipL):
         w = move.witness
-        if w.source != q.form:
-            raise HypothesisError("flip witness does not start at the current form")
-        split_pair(w.target)  # so the swap of the pair is an automorphism of w.target
-        if (flipped := flip_split(q.lagrangian.transport(w.hom))) is None:
-            raise HypothesisError("lagrangian does not split as ({0} × Z) ⊕ L'")
-        return QuasiFormation._unchecked(q.form, flipped.preimage(w.hom), q.summand)
+        return QuasiFormation._unchecked(q.form, _flip(q.form, q.lagrangian, w).transport(w.inverse_hom), q.summand)
     raise HypothesisError("unknown move kind")
+
+
+def _start_iso(iso: FormIso, form: EQForm) -> GroupHom:
+    """The hom of an ``ApplyIso`` move's isomorphism, once it is checked to start at ``form``."""
+    if iso.source != form:
+        raise HypothesisError("isomorphism does not start at the current form")
+    return iso.hom
+
+
+def _flip(form: EQForm, lagrangian: SubgroupRep, w: FormIso, pending: GroupHom | None = None) -> SubgroupRep:
+    """A ``FlipL`` move's checks, and (Z × {0}) ⊕ L' in w's target, where w carries the lagrangian to ({0} × Z) ⊕ L'.
+
+    The lagrangian in ``form``'s group is ``lagrangian`` carried along ``pending`` (None for the
+    identity); it is carried on along w and put on its Hermite basis once.
+    """
+    if w.source != form:
+        raise HypothesisError("flip witness does not start at the current form")
+    split_pair(w.target)  # so the swap of the pair is an automorphism of w.target
+    if (flipped := flip_split(lagrangian.transport(_then(pending, w.hom)))) is None:
+        raise HypothesisError("lagrangian does not split as ({0} × Z) ⊕ L'")
+    return flipped
+
+
+def _then(g: GroupHom | None, h: GroupHom) -> GroupHom:
+    """h ∘ g, where None stands for the identity."""
+    return h if g is None else h.compose(g)
+
+
+def _moved(s: SubgroupRep, g: GroupHom | None) -> SubgroupRep:
+    """s carried along g, or s itself when g is None."""
+    return s if g is None else s.transport(g)
 
 
 @dataclass(frozen=True)
@@ -244,17 +270,39 @@ class ReplayResult:
 
 
 def replay(seq: MoveSequence, node_limit: int = DEFAULT_NODE_LIMIT) -> ReplayResult:
-    """Re-run every move, charging each stabilization's sum to ``node_limit`` first; report the first failure."""
+    """Re-run every move, charging each stabilization's sum to ``node_limit`` first; report the first failure.
+
+    The result is that of folding ``apply_move`` over the moves and comparing
+    with ``seq.end``, but a subgroup is carried to its canonical basis only
+    where a move decides on it.  Between decisions each of L and V is held
+    as a canonical basis and the hom still to be applied to it: the product
+    of the ``iso`` moves' homs since.  An ``iso`` move checks its source and
+    composes.  A flip carries L along that hom and its witness once, reads
+    the split off the Hermite basis and keeps the flipped basis with the
+    witness's inverse as its hom.  A stabilization, a destabilization and
+    the final comparison with ``seq.end`` first materialise both subgroups.
+    An ``iso`` move can fail only on its source form, so the failing move
+    is the one ``apply_move`` names.
+    """
     counter = NodeCounter(node_limit)
-    current = seq.start
+    form, lagr, summ = seq.start.form, seq.start.lagrangian, seq.start.summand
+    to_lagr = to_summ = None  # the homs still to apply to lagr and summ; None is the identity
     for i, move in enumerate(seq.moves):
         if isinstance(move, Stab):
-            counter.tick(Stab.NODES_PER_MOVE + Stab.NODES_PER_PAIR * (current.form.group.num_gens // 2 + max(move.pairs, 0)))
+            counter.tick(Stab.NODES_PER_MOVE + Stab.NODES_PER_PAIR * (form.group.num_gens // 2 + max(move.pairs, 0)))
         try:
-            current = apply_move(current, move)
+            if isinstance(move, ApplyIso):
+                h = _start_iso(move.iso, form)
+                to_lagr, to_summ, form = _then(to_lagr, h), _then(to_summ, h), move.iso.target
+            elif isinstance(move, FlipL):
+                lagr, to_lagr = _flip(form, lagr, move.witness, to_lagr), move.witness.inverse_hom
+            else:
+                current = QuasiFormation._unchecked(form, _moved(lagr, to_lagr), _moved(summ, to_summ))
+                current = apply_move(current, move)
+                form, lagr, summ, to_lagr, to_summ = current.form, current.lagrangian, current.summand, None, None
         except QformError as err:
             return ReplayResult(False, i, failed_index=i, reason=str(err))
-    if current != seq.end:
+    if QuasiFormation._unchecked(form, _moved(lagr, to_lagr), _moved(summ, to_summ)) != seq.end:
         return ReplayResult(False, len(seq.moves), reason="result differs from the declared end")
     return ReplayResult(True, len(seq.moves))
 

@@ -34,6 +34,17 @@ formation or isomorphism that failed — while purely structural problems
 raise SchemaError with the path of the offending field.  Matrix rows are
 read straight into sparse rows.
 
+A sequence or word document repeats a few form values many times (each
+move's target is the next move's source), so ``sequence_from_doc`` and
+``word_from_doc`` decode each form value once per call, by value.  One
+memo per call holds the last ``_SEEN_FORMS`` distinct form dicts decoded,
+with their forms; the first is the start's (or the word's) form.  A form
+dict that equals one of them with ``==``, and holds nothing but lists,
+dicts, ints and strings (``True == 1``, but ``true`` is no integer),
+reuses that ``EQForm``; any other is decoded by ``form_from_doc`` at its
+own path.  The first occurrence of each value is thus still decoded and
+checked where it stands, and every error keeps its JSON path.
+
 A document written here may hold one dict in several places: every
 occurrence of one form object in a sequence, word or isomorphism refers
 to the same dict.  Copy such a document (say by a JSON round trip) before
@@ -56,6 +67,11 @@ from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
 _INT_ONLY = {int}
+_PLAIN_LEAVES = {int, str}
+# the form values a reader keeps: a certificate's moves go back and forth
+# between a few forms (a Flip letter's three moves leave the outer form for
+# its witness's split form and return)
+_SEEN_FORMS = 4
 # The deepest documents any command writes (jacobi, ru-wall and ltriv
 # results) are 8 containers deep; the limit leaves ample room above that
 # and keeps the encoder's one stack frame per level far below Python's
@@ -372,6 +388,35 @@ def form_from_doc(doc: Any, path: str = "form") -> EQForm:
         raise
 
 
+def _plain(value: Any) -> bool:
+    """Whether ``value`` is built from dicts and lists alone, with only exact ints and strings as leaves."""
+    kind = type(value)
+    if kind is list:
+        return set(map(type, value)) <= _PLAIN_LEAVES or all(map(_plain, value))
+    if kind is dict:
+        return all(map(_plain, value.values()))
+    return kind in _PLAIN_LEAVES
+
+
+def _read_form(doc: Any, path: str, seen: List[tuple]) -> EQForm:
+    """``form_from_doc(doc, path)``, or the form of an equal dict in ``seen``.
+
+    ``seen`` holds (dict, form) pairs, most recently used first, at most
+    ``_SEEN_FORMS`` of them; a decoded dict joins it.  ``form_from_doc``
+    is a function of the value it reads, and a dict of ints, strings,
+    lists and dicts that equals one it read without error reads the same.
+    """
+    for i, (known, form) in enumerate(seen):
+        if doc is known or (doc == known and _plain(doc)):
+            if i:
+                seen.insert(0, seen.pop(i))
+            return form
+    form = form_from_doc(doc, path)
+    seen.insert(0, (doc, form))
+    del seen[_SEEN_FORMS:]
+    return form
+
+
 # -- subgroups -----------------------------------------------------------
 
 
@@ -401,8 +446,12 @@ def _formation_doc(q: QuasiFormation, forms: Dict[int, dict]) -> dict:
 
 
 def formation_from_doc(doc: Any, path: str = "formation") -> QuasiFormation:
+    return _read_formation(doc, path, [])
+
+
+def _read_formation(doc: Any, path: str, seen: List[tuple]) -> QuasiFormation:
     d = _as_dict(doc, path)
-    form = form_from_doc(_get(d, "form", path), path + ".form")
+    form = _read_form(_get(d, "form", path), path + ".form", seen)
     lagr = subgroup_from_doc(_get(d, "L", path), form.group, path + ".L")
     summ = subgroup_from_doc(_get(d, "V", path), form.group, path + ".V")
     try:
@@ -428,9 +477,13 @@ def _iso_doc(iso: FormIso, forms: Dict[int, dict]) -> dict:
 
 
 def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
+    return _read_iso(doc, path, [])
+
+
+def _read_iso(doc: Any, path: str, seen: List[tuple]) -> FormIso:
     d = _as_dict(doc, path)
-    source = form_from_doc(_get(d, "source", path), path + ".source")
-    target = form_from_doc(_get(d, "target", path), path + ".target")
+    source = _read_form(_get(d, "source", path), path + ".source", seen)
+    target = _read_form(_get(d, "target", path), path + ".target", seen)
     m, n = target.group.num_gens, source.group.num_gens
     rows = _as_int_rows(_get(d, "matrix", path), path + ".matrix", n)
     if len(rows) != m:
@@ -459,21 +512,21 @@ def _move_doc(move: Any, forms: Dict[int, dict]) -> dict:
     raise SchemaError("", "unknown move %r" % type(move).__name__)
 
 
-def move_from_doc(doc: Any, path: str = "move") -> Any:
+def _read_move(doc: Any, path: str, seen: List[tuple]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "move", path)
     if kind == "stab":
         return Stab(_as_int(_get(d, "pairs", path), path + ".pairs"))
     if kind == "destab":
         return Destab(
-            formation_from_doc(_get(d, "rest", path), path + ".rest"),
+            _read_formation(_get(d, "rest", path), path + ".rest", seen),
             _as_int(_get(d, "pairs", path), path + ".pairs"),
-            iso_from_doc(_get(d, "witness", path), path + ".witness"),
+            _read_iso(_get(d, "witness", path), path + ".witness", seen),
         )
     if kind == "flip":
-        return FlipL(iso_from_doc(_get(d, "witness", path), path + ".witness"))
+        return FlipL(_read_iso(_get(d, "witness", path), path + ".witness", seen))
     if kind == "iso":
-        return ApplyIso(iso_from_doc(_get(d, "iso", path), path + ".iso"))
+        return ApplyIso(_read_iso(_get(d, "iso", path), path + ".iso", seen))
     raise SchemaError(path + ".move", "unknown move kind %r" % kind)
 
 
@@ -489,13 +542,13 @@ def _letter_doc(letter: Any, forms: Dict[int, dict]) -> dict:
     raise SchemaError("", "unknown word letter %r" % type(letter).__name__)
 
 
-def letter_from_doc(doc: Any, path: str = "letter") -> Any:
+def _read_letter(doc: Any, path: str, seen: List[tuple]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "letter", path)
     if kind == "keep":
-        return Keep(iso_from_doc(_get(d, "iso", path), path + ".iso"))
+        return Keep(_read_iso(_get(d, "iso", path), path + ".iso", seen))
     if kind == "flip":
-        witness = iso_from_doc(_get(d, "witness", path), path + ".witness")
+        witness = _read_iso(_get(d, "witness", path), path + ".witness", seen)
         try:
             rest = split_pair(witness.target).source
         except HypothesisError as exc:
@@ -525,14 +578,16 @@ def word_to_doc(word: RUWord) -> dict:
 
 
 def word_from_doc(doc: Any, path: str = "word") -> RUWord:
+    """The word of a document, each form value in it decoded once (see the module docstring)."""
+    seen: List[tuple] = []
     d = _as_dict(doc, path)
-    form = form_from_doc(_get(d, "form", path), path + ".form")
+    form = _read_form(_get(d, "form", path), path + ".form", seen)
     lagr = subgroup_from_doc(_get(d, "lagrangian", path), form.group, path + ".lagrangian")
     letters_doc = _get(d, "letters", path)
     if not isinstance(letters_doc, list):
         raise SchemaError(path + ".letters", "expected a list")
     letters = tuple(
-        letter_from_doc(l, "%s.letters[%d]" % (path, i)) for i, l in enumerate(letters_doc)
+        _read_letter(l, "%s.letters[%d]" % (path, i), seen) for i, l in enumerate(letters_doc)
     )
     return RUWord(form, lagr, letters)
 
@@ -555,12 +610,14 @@ def sequence_to_doc(seq: MoveSequence) -> dict:
 
 
 def sequence_from_doc(doc: Any, path: str = "sequence") -> MoveSequence:
+    """The sequence of a document, each form value in it decoded once (see the module docstring)."""
+    seen: List[tuple] = []
     d = _as_dict(doc, path)
     moves_doc = _get(d, "moves", path)
     if not isinstance(moves_doc, list):
         raise SchemaError(path + ".moves", "expected a list")
     return MoveSequence(
-        formation_from_doc(_get(d, "start", path), path + ".start"),
-        formation_from_doc(_get(d, "end", path), path + ".end"),
-        tuple(move_from_doc(m, "%s.moves[%d]" % (path, i)) for i, m in enumerate(moves_doc)),
+        _read_formation(_get(d, "start", path), path + ".start", seen),
+        _read_formation(_get(d, "end", path), path + ".end", seen),
+        tuple(_read_move(m, "%s.moves[%d]" % (path, i), seen) for i, m in enumerate(moves_doc)),
     )

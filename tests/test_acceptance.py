@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from functools import reduce
 
 from qform import cli
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
@@ -395,6 +396,7 @@ def test_invertible_classes_trivialize():
         assert subgroup_classify(q.form, q.summand).free_lagrangian, trial
         dec = l_group_trivialize(q)
         assert replay(dec.sequence).ok, trial
+        assert reduce(apply_move, dec.sequence.moves, dec.sequence.start) == dec.sequence.end, trial
         assert encodes_like_its_unshared_copy(sequence_to_doc(dec.sequence)), trial
         # the complement splits both subgroups off the common part
         for sub in (q.lagrangian, q.summand):
@@ -539,6 +541,20 @@ def test_rank_sixteen_jacobi_certificate_replays_in_time():
     # measured at 6.6 s with dense rows and 0.9 s with sparse rows on a
     # 2-core x86-64 machine with CPython 3.11
     assert elapsed < 4.0
+
+
+def test_rank_forty_eight_jacobi_certificate_replays_in_time():
+    e, ks, ls, vs = hyperbolic_triple(24)
+    w = jacobi_witness(e, ks, ls, vs)
+    t0 = time.monotonic()
+    res = replay(w.sequence)
+    elapsed = time.monotonic() - t0
+    assert res.ok, res.reason
+    assert res.steps == 858
+    assert w.sequence.start.form.group.num_gens == 426
+    # measured at 0.33 s on a 2-core x86-64 machine with CPython 3.11; 1.15 s when every
+    # move carried both subgroups to their Hermite bases
+    assert elapsed < 0.7
 
 
 def best_of_three(f):

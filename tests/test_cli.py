@@ -24,7 +24,7 @@ from qform.serialize import (
     formation_to_doc,
     group_to_doc,
     iso_to_doc,
-    move_from_doc,
+    sequence_from_doc,
     subgroup_to_doc,
 )
 
@@ -360,9 +360,9 @@ def test_validate_refuses_a_changed_matrix_entry(tmp_path, capsys, sequences, na
     if "failed_index" in report:
         assert report["failed_index"] == i, report
         return
-    # refused while reading: the move alone raises the reported error
+    # refused while reading: the moves up to this one raise the reported error
     with pytest.raises(QformError) as err:
-        move_from_doc(doc["moves"][i], "input.moves[%d]" % i)
+        sequence_from_doc(dict(doc, moves=doc["moves"][: i + 1]), "input")
     assert report["error"] in (str(err.value), getattr(err.value, "condition", None)), report
     assert report.get("path", "input.moves[%d]" % i).startswith("input.moves[%d]" % i), report
 
@@ -373,8 +373,14 @@ def test_validate_refuses_a_changed_matrix_entry(tmp_path, capsys, sequences, na
         ("triple-A", ("moves", 1, "iso", "matrix", 0, 1), 7, 2, "input.moves[1].iso"),
         ("coverage", ("moves", 1, "rest", "L", "generators"), [[1, 1]], 4, "input.moves[1].rest"),
         ("coverage", ("start", "L", "generators"), [[1, 1]], 4, "input.start"),
+        # one copy of a form value the reader has seen before, and the first copy, which it reads first;
+        # true == 1 in Python, so a copy holding true where the others hold 1 still equals them
+        ("triple-A", ("moves", 3, "iso", "source", "lambda", 0, 0), 2, 2, "input.moves[3].iso"),
+        ("triple-A", ("start", "form", "lambda", 0, 0), 2, 4, "input.start"),
+        ("triple-A", ("moves", 3, "iso", "source", "lambda", 0, 1), True, 2, "input.moves[3].iso.source.lambda[0][1]"),
+        ("triple-A", ("start", "form", "lambda", 0, 1), True, 2, "input.start.form.lambda[0][1]"),
     ],
-    ids=["iso-entry", "destab-rest", "start"],
+    ids=["iso-entry", "destab-rest", "start", "later-form-copy", "first-form-copy", "later-form-bool", "first-form-bool"],
 )
 def test_a_semantic_read_error_names_the_object_that_failed(tmp_path, capsys, sequences, name, keys, value, code, path):
     doc = json.loads(json.dumps(sequences[name]))  # a deep copy would keep the generator's shared objects

@@ -4,6 +4,8 @@ import json
 import random
 import time
 from collections import Counter
+from functools import reduce
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from qform import abelian, cli, construct, forms, intmat, lmonoid, serialize
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
-from qform.errors import HypothesisError, NodeLimitExceeded, QformError
+from qform.errors import DEFAULT_NODE_LIMIT, HypothesisError, NodeLimitExceeded, QformError
 from qform.forms import EQForm, FormIso, hyperbolic, hyperbolic_halves, subgroup_classify
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
@@ -20,6 +22,7 @@ from qform.lmonoid import (
     FlipL,
     MoveSequence,
     QuasiFormation,
+    ReplayResult,
     Stab,
     apply_move,
     bar_reduce,
@@ -33,7 +36,7 @@ from qform.lmonoid import (
     unbar,
     zero_formation,
 )
-from qform.serialize import sequence_to_doc
+from qform.serialize import sequence_from_doc, sequence_to_doc
 
 Z = free_group(1)
 VZ = GroupHom.zero(Z, Z2)
@@ -214,11 +217,31 @@ def test_invariants_add_over_sums():
 # -- moves and replay --------------------------------------------------
 
 
+def replay_by_folding(seq):
+    """replay's reference: fold ``apply_move`` over the moves, then compare with the declared end."""
+    current = seq.start
+    for i, move in enumerate(seq.moves):
+        try:
+            current = apply_move(current, move)
+        except QformError as err:
+            return ReplayResult(False, i, failed_index=i, reason=str(err))
+    if current != seq.end:
+        return ReplayResult(False, len(seq.moves), reason="result differs from the declared end")
+    return ReplayResult(True, len(seq.moves))
+
+
+def replays_alike(seq, node_limit=DEFAULT_NODE_LIMIT):
+    """``replay(seq, node_limit)``, checked to agree with ``replay_by_folding``: ok, failed index and reason."""
+    res = replay(seq, node_limit)
+    assert res == replay_by_folding(seq)
+    return res
+
+
 def test_replay_empty_sequence():
     q = standard_elementary(1)
-    assert replay(MoveSequence(q, q, ()))
+    assert replays_alike(MoveSequence(q, q, ()))
     other = zero_formation(ZERO_GROUP, V0)
-    res = replay(MoveSequence(q, other, ()))
+    res = replays_alike(MoveSequence(q, other, ()))
     assert not res
     assert res.reason == "result differs from the declared end"
 
@@ -228,7 +251,7 @@ def test_stab_then_destab_is_the_identity():
     stabbed = apply_move(q, Stab())
     witness = FormIso.identity(stabbed.form)
     seq = MoveSequence(q, q, (Stab(), Destab(q, 1, witness)))
-    res = replay(seq)
+    res = replays_alike(seq)
     assert res and res.steps == 2
 
 
@@ -282,7 +305,7 @@ def test_replay_charges_stabilizations_to_the_node_limit():
     end = apply_move(apply_move(q, Stab(1)), Stab(1))
     # the second move rebuilds the first pair beside its own
     price = 2 * Stab.NODES_PER_MOVE + 3 * Stab.NODES_PER_PAIR
-    assert replay(MoveSequence(q, end, (Stab(1), Stab(1))), node_limit=price)
+    assert replays_alike(MoveSequence(q, end, (Stab(1), Stab(1))), node_limit=price)
     with pytest.raises(NodeLimitExceeded):
         replay(MoveSequence(q, q, (Stab(1), Stab(1))), node_limit=price - 1)
 
@@ -296,7 +319,7 @@ def test_destab_with_wrong_witness_reports_the_index():
         [IntMatrix.identity(n - 2), IntMatrix.from_rows([[0, 1], [1, 0]])]
     )
     bad = FormIso(stabbed.form, stabbed.form, GroupHom(stabbed.form.group, stabbed.form.group, swap))
-    res = replay(MoveSequence(q, q, (Stab(), Destab(q, 1, bad))))
+    res = replays_alike(MoveSequence(q, q, (Stab(), Destab(q, 1, bad))))
     assert not res
     assert res.failed_index == 1
     assert "lagrangian" in res.reason
@@ -315,13 +338,13 @@ def test_flip_exchanges_the_split_plane_halves():
     assert flipped.summand == q.summand
     assert flipped.lagrangian == sub(e, (0, 1, 0, 0), (0, 0, 1, 0))
     expected = QuasiFormation(e, flipped.lagrangian, q.summand)
-    assert replay(MoveSequence(q, expected, (FlipL(plane_swap(e)),)))
+    assert replays_alike(MoveSequence(q, expected, (FlipL(plane_swap(e)),)))
 
 
 def test_flip_with_unsplit_lagrangian_fails_with_index():
     e = double_h2()
     q = QuasiFormation(e, sub(e, (0, 1, 0, 0), (0, 0, 1, 0)), sub(e, (1, 0, 0, 0), (0, 0, 0, 1)))
-    res = replay(MoveSequence(q, q, (FlipL(plane_swap(e)),)))
+    res = replays_alike(MoveSequence(q, q, (FlipL(plane_swap(e)),)))
     assert not res
     assert res.failed_index == 0
     assert "split" in res.reason
@@ -332,7 +355,7 @@ def test_flip_refuses_a_lagrangian_holding_twice_b_but_not_b():
     # the move's own split test must refuse it, at its index
     e = double_h2()
     q = QuasiFormation._unchecked(e, sub(e, (0, 2, 0, 0), (0, 0, 0, 1)), sub(e, (1, 0, 0, 0), (0, 0, 1, 0)))
-    res = replay(MoveSequence(q, q, (ApplyIso(FormIso.identity(e)), FlipL(FormIso.identity(e)))))
+    res = replays_alike(MoveSequence(q, q, (ApplyIso(FormIso.identity(e)), FlipL(FormIso.identity(e)))))
     assert not res
     assert res.failed_index == 1
     assert res.reason == "lagrangian does not split as ({0} × Z) ⊕ L'"
@@ -343,7 +366,7 @@ def test_flip_refuses_a_lagrangian_with_a_row_leading_at_a():
     e = double_h2()
     q = QuasiFormation(e, sub(e, (1, 0, 0, 1), (0, -1, 1, 0)), sub(e, (1, 0, 0, 0), (0, 0, 1, 0)))
     assert q.lagrangian.lattice[0][0] == (0, 1)
-    res = replay(MoveSequence(q, q, (FlipL(FormIso.identity(e)),)))
+    res = replays_alike(MoveSequence(q, q, (FlipL(FormIso.identity(e)),)))
     assert not res
     assert res.failed_index == 0
     assert res.reason == "lagrangian does not split as ({0} × Z) ⊕ L'"
@@ -371,7 +394,7 @@ def test_flipl_moves_the_lagrangian_as_each_flip_letter_does():
 def test_apply_iso_from_elsewhere_fails():
     q = standard_elementary(1)
     foreign = FormIso.identity(double_h2())
-    res = replay(MoveSequence(q, q, (ApplyIso(foreign),)))
+    res = replays_alike(MoveSequence(q, q, (ApplyIso(foreign),)))
     assert not res and res.failed_index == 0
 
 
@@ -518,7 +541,7 @@ def test_trivialize_splits_the_worked_instance():
     assert dec.common.generators() == [(1, 0, 0, 0)]
     assert dec.zero_part.form.rank == 2
     assert dec.hyperbolic_part.form.rank == 2
-    assert replay(dec.sequence)
+    assert replays_alike(dec.sequence)
 
 
 def test_trivialize_with_equal_subgroups_has_no_hyperbolic_part():
@@ -526,7 +549,7 @@ def test_trivialize_with_equal_subgroups_has_no_hyperbolic_part():
     dec = l_group_trivialize(q)
     assert dec.hyperbolic_part.form.rank == 0
     assert dec.common == q.lagrangian
-    assert replay(dec.sequence)
+    assert replays_alike(dec.sequence)
 
 
 def test_trivialize_over_the_trivial_group():
@@ -537,7 +560,7 @@ def test_trivialize_over_the_trivial_group():
     assert dec.zero_part.form.rank == 0
     assert dec.hyperbolic_part.form.rank == 2
     assert dec.hyperbolic_witness.source == dec.hyperbolic_part.form
-    assert replay(dec.sequence)
+    assert replays_alike(dec.sequence)
 
 
 def test_trivialize_refusals():
@@ -557,7 +580,7 @@ def test_trivialize_randomized_hyperbolic_parts():
         for _ in range(2):
             q = qf_direct_sum(q, zero_formation(Z, VZ)) if rng.random() < 0.5 else q
         dec = l_group_trivialize(q)
-        assert replay(dec.sequence)
+        assert replays_alike(dec.sequence)
         assert dec.hyperbolic_part.form.rank % 2 == 0
 
 
@@ -575,7 +598,7 @@ def test_jacobi_on_the_zero_formation():
     q = zero_formation(Z, VZ)
     e = q.form
     w = jacobi_witness(e, q.lagrangian, q.lagrangian, sub(e, (3, 1)))
-    res = replay(w.sequence)
+    res = replays_alike(w.sequence)
     assert res
     assert w.sequence.start.form == w.sequence.end.form
 
@@ -586,7 +609,7 @@ def test_jacobi_with_distinct_lagrangians():
     l = sub(e, (1, 0, 0, 0), (0, 0, 0, 1))
     v = sub(e, (0, 1, 0, 0), (0, 0, 1, 0))
     w = jacobi_witness(e, k, l, v)
-    assert replay(w.sequence)
+    assert replays_alike(w.sequence)
     for move in w.sequence.moves:
         assert isinstance(move, (ApplyIso, FlipL))
     # paddings are zero classes: each repeats its lagrangian as the summand
@@ -603,7 +626,7 @@ def test_jacobi_over_the_trivial_group():
         SubgroupRep.from_elements(h2.group, [(1, 0)]),
         SubgroupRep.from_elements(h2.group, [(1, 1)]),
     )
-    assert replay(w.sequence)
+    assert replays_alike(w.sequence)
 
 
 def test_jacobi_refuses_bad_hypotheses():
@@ -682,9 +705,10 @@ def test_certificates_build_each_sum_once(monkeypatch):
 def test_replay_reads_each_flip_off_the_hermite_basis(monkeypatch):
     """replay of a jacobi certificate meets no subgroups, re-checks no formation and pins its Hermite bases.
 
-    A flip move reads its split and its result off the transported lagrangian's basis (``forms.flip_split``),
-    so every move costs two bases: an iso transports lagrangian and summand, a flip transports the lagrangian
-    and pulls the flipped one back.
+    An iso move only composes the homs still to be applied to the lagrangian and the summand, so only a
+    decision costs a basis.  Each of the certificate's 20 flips reads its split and its result off one basis
+    of the transported lagrangian (``forms.flip_split``) and keeps the flipped basis with the witness's
+    inverse; the final comparison carries the lagrangian and the summand once more.
     """
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -699,7 +723,65 @@ def test_replay_reads_each_flip_off_the_hermite_basis(monkeypatch):
     assert replay(seq)
     assert {type(m) for m in seq.moves} == {ApplyIso, FlipL}
     assert (counts["meets"], counts["checks"]) == (0, 0)
-    assert counts["hermite"] == 2 * len(seq.moves) == 132
+    flips = sum(isinstance(m, FlipL) for m in seq.moves)
+    assert (len(seq.moves), flips) == (66, 20)
+    assert counts["hermite"] == flips + 2 == 22
+
+
+def test_replay_agrees_with_folding_apply_move_on_single_entry_mutations():
+    """replay defers its transports, yet judges every one-move change of a certificate as the fold does.
+
+    The base is the rank-4 geometric_double certificate with ℋ_2 stabilized on and split off again
+    after move 30, so that stab and destab moves are among those changed.  At each index tried one move is
+    dropped, repeated, replaced by a stabilization, by a trivial destabilization or by an iso move along
+    its inverse (a stab or destab by a larger stabilization), turned from a flip into an iso move or back,
+    or a stabilization or a trivial destabilization is inserted before it.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    q = reduce(apply_move, seq.moves[:30], seq.start)
+    stabbed = apply_move(q, Stab(1))
+    moves = seq.moves[:30] + (Stab(1), Destab(q, 1, FormIso.identity(stabbed.form))) + seq.moves[30:]
+    states = list(accumulate(moves, apply_move, initial=seq.start))  # states[i] is the start of move i
+    assert replays_alike(MoveSequence(seq.start, seq.end, moves))
+    assert not replays_alike(MoveSequence(seq.start, seq.start, moves))
+
+    def trivial_destab(q):
+        return Destab(q, 0, FormIso.identity(q.form))
+
+    def other_kind(move):
+        if isinstance(move, FlipL):
+            return ApplyIso(move.witness)
+        if isinstance(move, ApplyIso):
+            return FlipL(move.iso)
+        return trivial_destab(states[0])
+
+    def inverted(move):
+        if isinstance(move, (ApplyIso, FlipL)):
+            iso = move.iso if isinstance(move, ApplyIso) else move.witness
+            return ApplyIso(iso.inverse())
+        return Stab(move.pairs + 1)
+
+    outcomes = Counter()
+    # every fourth move, and each move from the one before the stabilization to the one after the destabilization
+    for i in sorted(set(range(0, len(moves), 4)) | set(range(29, 33))):
+        move, head, tail = moves[i], moves[:i], moves[i + 1 :]
+        for changed in (
+            head + tail,
+            head + (move, move) + tail,
+            head + (Stab(1),) + tail,
+            head + (Stab(1), move) + tail,
+            head + (trivial_destab(states[i]), move) + tail,
+            head + (trivial_destab(states[i + 1]),) + tail,
+            head + (inverted(move),) + tail,
+            head + (other_kind(move),) + tail,
+        ):
+            res = replays_alike(MoveSequence(seq.start, seq.end, changed))
+            outcomes[res.ok, res.failed_index is None] += 1
+    # accepted changes, refusals at a move and refusals at the end all occur
+    assert set(outcomes) == {(True, True), (False, False), (False, True)}, outcomes
 
 
 def test_sequence_documents_write_each_form_object_once(monkeypatch):
@@ -720,3 +802,27 @@ def test_sequence_documents_write_each_form_object_once(monkeypatch):
     assert counts["forms"] <= 7
     isos = [m["iso"] if m["move"] == "iso" else m["witness"] for m in doc["moves"]]
     assert sum(a["target"] is b["source"] for a, b in zip(isos, isos[1:])) == 64
+
+
+def test_sequence_documents_read_each_form_value_once(monkeypatch):
+    """sequence_from_doc decodes each distinct form value of a certificate once, however often it repeats.
+
+    After a JSON round trip no dict is shared any more: the 134 form dicts of the rank-4 geometric_double
+    certificate are copies of two values, and each later copy reuses the form its first copy was read to.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    doc = json.loads(json.dumps(sequence_to_doc(seq)))
+    counts = Counter()
+    monkeypatch.setattr(serialize, "form_from_doc", counting(counts, "forms", serialize.form_from_doc))
+    forms = [doc["start"]["form"], doc["end"]["form"]]
+    forms += [m["iso" if m["move"] == "iso" else "witness"][end] for m in doc["moves"] for end in ("source", "target")]
+    distinct = []
+    for f in forms:
+        if f not in distinct:
+            distinct.append(f)
+    assert (len(forms), len(distinct)) == (134, 2)
+    assert sequence_from_doc(doc) == seq
+    assert counts["forms"] == len(distinct)
