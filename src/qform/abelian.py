@@ -498,7 +498,15 @@ class DirectSum:
     proj_b: GroupHom
 
     def subgroup(self, a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
-        """A′ ⊕ B′ for A′ ≤ A and B′ ≤ B: one Hermite basis of their images under the inclusions."""
+        """A′ ⊕ B′ for A′ ≤ A and B′ ≤ B: one Hermite basis of their images under the inclusions.
+
+        Between free groups A's coordinates come first and B's follow, so
+        A′'s Hermite basis, then B′'s shifted past A, already is that basis:
+        its pivots increase, and no row of A′ reaches a column of B.
+        """
+        if self.group.is_free and a.ambient == self.incl_a.source and b.ambient == self.incl_b.source:
+            shift = a.ambient.free_rank
+            return SubgroupRep(self.group, a.lattice + tuple(shifted_row(row, shift) for row in b.lattice))
         return SubgroupRep.from_sparse(self.group, a.image_rows(self.incl_a) + b.image_rows(self.incl_b))
 
 

@@ -41,18 +41,24 @@ class EQForm:
     The public constructor checks it.  ``hyperbolic``, ``negate``, ``dual``,
     ``pullback`` and ``form_direct_sum`` skip that through ``_unchecked``:
     each result is well formed whenever its inputs are.
+
+    ``is_nonsingular`` is computed on first use and cached on the form
+    object, as ``FormIso`` caches its inverse; the cache takes no part in
+    ``==``, hashing or ``repr``, and ``dataclasses.replace`` starts a new
+    form without it.
     """
 
     group: AbGroup
     matrix: IntMatrix
     mu: GroupHom
     v: GroupHom | None = None
+    _nonsingular: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def _unchecked(cls, group: AbGroup, matrix: IntMatrix, mu: GroupHom, v: GroupHom | None) -> "EQForm":
         """A form well formed by construction from checked parts; nothing is re-checked."""
         e = object.__new__(cls)
-        e.__dict__.update(group=group, matrix=matrix, mu=mu, v=v)
+        e.__dict__.update(group=group, matrix=matrix, mu=mu, v=v, _nonsingular=None)
         return e
 
     def __post_init__(self):
@@ -99,7 +105,9 @@ class EQForm:
         return self.group.is_free
 
     def is_nonsingular(self) -> bool:
-        return abs(self.reduced_matrix().det()) == 1
+        if self._nonsingular is None:
+            object.__setattr__(self, "_nonsingular", abs(self.reduced_matrix().det()) == 1)
+        return self._nonsingular
 
     def is_even(self) -> bool:
         return all(self.matrix[i, i] % 2 == 0 for i in range(self.group.num_gens))
@@ -229,7 +237,11 @@ class FormIso:
     μ back, and that it is bijective (determinant ±1 between free groups;
     between groups with torsion, an explicit two-sided inverse), and fails
     otherwise.  Every FormIso read from a document, and every one built
-    from a raw matrix, comes through it.
+    from a raw matrix, comes through it.  Between free groups a square h
+    out of a nonsingular source needs no determinant of its own: the
+    pullback gives det(h)²·det λ′ = det λ = ±1, so det h = ±1.  The
+    source's nonsingularity is cached on the form, so a document whose
+    isomorphisms share their forms computes one determinant per form.
 
     Each fact is checked once.  ``identity``, ``inverse``, ``compose``,
     ``_iso_on_sums`` and ``permuted`` build their results through
@@ -267,7 +279,8 @@ class FormIso:
         if self.target.mu.compose(self.hom) != self.source.mu:
             raise NotWellDefined("map does not pull mu back")
         if self.hom.source.is_free and self.hom.target.is_free:
-            require_free_bijective(self.hom)
+            if not (h.is_square and self.source.is_nonsingular()):
+                require_free_bijective(self.hom)
         else:
             object.__setattr__(self, "_inverse", invert_iso(self.hom))
 

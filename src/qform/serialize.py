@@ -32,7 +32,10 @@ not pull the pairing back, and so on) still fails — with the library's
 own error, carrying in ``path`` the JSON path of the form, subgroup,
 formation or isomorphism that failed — while purely structural problems
 raise SchemaError with the path of the offending field.  Matrix rows are
-read straight into sparse rows.
+read straight into sparse rows.  A matrix whose rows are all lists of
+exact ints of the expected length is type-checked by one scan over all
+its entries; any other is read row by row, so every error names its row
+or entry, and decimal strings are accepted there.
 
 A sequence or word document repeats a few form values many times (each
 move's target is the next move's source), so ``sequence_from_doc`` and
@@ -43,7 +46,11 @@ dict that equals one of them with ``==``, and holds nothing but lists,
 dicts, ints and strings (``True == 1``, but ``true`` is no integer),
 reuses that ``EQForm``; any other is decoded by ``form_from_doc`` at its
 own path.  The first occurrence of each value is thus still decoded and
-checked where it stands, and every error keeps its JSON path.
+checked where it stands, and every error keeps its JSON path.  Each
+isomorphism is still built by ``FormIso``'s public constructor, and one
+out of a nonsingular form reads its bijectivity off that form's cached
+nonsingularity, so a certificate's isomorphisms cost one determinant per
+form value, not one each.
 
 A document written here may hold one dict in several places: every
 occurrence of one form object in a sequence, word or isomorphism refers
@@ -54,7 +61,7 @@ editing any part of it in place.
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List
 
@@ -67,6 +74,7 @@ from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
 _INT_ONLY = {int}
+_LIST_ONLY = {list}
 _PLAIN_LEAVES = {int, str}
 # the form values a reader keeps: a certificate's moves go back and forth
 # between a few forms (a Flip letter's three moves leave the outer form for
@@ -295,9 +303,20 @@ def _as_int_list(value: Any, path: str) -> List[int]:
 
 
 def _as_int_rows(value: Any, path: str, cols: int) -> List[Row]:
-    """The rows of a matrix, each read into its sparse (column, value) pairs."""
+    """The rows of a matrix, each read into its sparse (column, value) pairs.
+
+    A nonempty matrix of ``cols``-long lists of exact ints (no ``bool``),
+    the bulk of every document, passes three C-level scans; any other goes
+    row by row, so each error names its row or entry.
+    """
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of rows")
+    if (
+        set(map(type, value)) == _LIST_ONLY
+        and set(map(len, value)) == {cols}
+        and set(map(type, chain.from_iterable(value))) <= _INT_ONLY
+    ):
+        return [tuple(compress(enumerate(row), row)) for row in value]
     rows = []
     for i, row in enumerate(value):
         parsed = _as_int_list(row, "%s[%d]" % (path, i))
@@ -392,7 +411,10 @@ def _plain(value: Any) -> bool:
     """Whether ``value`` is built from dicts and lists alone, with only exact ints and strings as leaves."""
     kind = type(value)
     if kind is list:
-        return set(map(type, value)) <= _PLAIN_LEAVES or all(map(_plain, value))
+        kinds = set(map(type, value))
+        if kinds == _LIST_ONLY:  # a matrix: one scan over all its entries
+            kinds = set(map(type, chain.from_iterable(value)))
+        return kinds <= _PLAIN_LEAVES or all(map(_plain, value))
     if kind is dict:
         return all(map(_plain, value.values()))
     return kind in _PLAIN_LEAVES

@@ -806,6 +806,29 @@ def test_direct_sum_maps_match_the_reference(g1, g2):
     assert_biproduct(ds, g1, g2)
 
 
+@st.composite
+def free_subgroups(draw):
+    """A subgroup of Z^r, r at most 4: drawn from a few elements, zero, or the whole group."""
+    g = free_group(draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(["drawn", "zero", "full"]))
+    if kind == "zero":
+        return SubgroupRep.zero(g)
+    return SubgroupRep.full(g) if kind == "full" else draw(subgroups(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_subgroups(), free_subgroups())
+@example(SubgroupRep.zero(free_group(2)), SubgroupRep.full(free_group(3)))
+@example(SubgroupRep.full(free_group(2)), SubgroupRep.zero(free_group(0)))
+@example(SubgroupRep.from_elements(free_group(2), [(2, 3)]), SubgroupRep.from_elements(free_group(2), [(4, 6), (0, 5)]))
+def test_free_direct_sums_of_subgroups_are_their_hermite_basis(a, b):
+    """Between free groups A′ ⊕ B′ concatenates the two bases; the span of the images is the same basis."""
+    ds = direct_sum_with_maps(a.ambient, b.ambient)
+    got = ds.subgroup(a, b)
+    assert got == SubgroupRep.from_sparse(ds.group, a.image_rows(ds.incl_a) + b.image_rows(ds.incl_b))
+    assert got.lattice == hermite_row_basis(got.lattice, ds.group.num_gens)
+
+
 # -- torsion questions read off the basis ----------------------------------
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +349,54 @@ def test_non_bijective_free_map_is_rejected_at_construction():
     double = GroupHom.from_gen_images(g, g, [(2, 0), (0, 1)])
     with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$"):
         FormIso(flat, flat, double)
+
+
+def test_a_square_map_out_of_a_singular_form_still_needs_a_unit_determinant():
+    """The zero form on Z² pulls back to itself along 2·I, which is not bijective."""
+    g = free_group(2)
+    flat = EQForm(g, IntMatrix.zeros(2, 2), GroupHom.zero(g, Z))
+    assert not flat.is_nonsingular()
+    with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$"):
+        FormIso(flat, flat, GroupHom(g, g, IntMatrix.from_rows([[2, 0], [0, 2]])))
+
+
+def test_a_map_that_is_not_square_is_not_bijective_whatever_its_source():
+    """H₂ → H₂ ⊕ H₂ onto the first summand pulls the form back, from a nonsingular source."""
+    h2, h4 = hyperbolic(1), form_direct_sum(hyperbolic(1), hyperbolic(1)).form
+    assert h2.is_nonsingular()
+    into = GroupHom(h2.group, h4.group, IntMatrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]]))
+    with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$"):
+        FormIso(h2, h4, into)
+
+
+def test_square_isos_out_of_a_nonsingular_form_read_its_cached_determinant(monkeypatch):
+    """det h = ±1 follows from hᵀλ′h = λ and det λ = ±1, so only the source's determinant is computed, once."""
+    e = e_form(1, 1)
+    u = GroupHom.from_gen_images(e.group, e.group, [(1, 0), (-3, 1)])
+    target = pullback(u, e)
+    calls = Counter()
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: calls.update([m]) or det(m))
+    for _ in range(3):
+        FormIso(target, e, u)
+    assert calls == Counter({target.matrix: 1})
+
+
+def test_the_cached_nonsingularity_stays_with_its_form_object(monkeypatch):
+    """Neither an equal form nor ``dataclasses.replace`` takes over a form's cached nonsingularity."""
+    g = free_group(2)
+    e = EQForm(g, IntMatrix.from_rows([[0, 1], [1, 0]]), GroupHom.zero(g, Z))
+    same = EQForm(g, IntMatrix.from_rows([[0, 1], [1, 0]]), GroupHom.zero(g, Z))
+    assert e.is_nonsingular()
+    assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+    calls = Counter()
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: calls.update(["det"]) or det(m))
+    assert same.is_nonsingular() and calls["det"] == 1
+    assert replace(e).is_nonsingular() and calls["det"] == 2
+    flat = replace(e, matrix=IntMatrix.zeros(2, 2))
+    assert not flat.is_nonsingular() and calls["det"] == 3
+    assert e.is_nonsingular() and calls["det"] == 3
 
 
 def automorphism_pairs():

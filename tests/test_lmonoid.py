@@ -671,20 +671,23 @@ def test_certificates_build_each_sum_once(monkeypatch):
     classify = counting(counts, "classify", forms.subgroup_classify)
     for module in (forms, construct, lmonoid):
         monkeypatch.setattr(module, "subgroup_classify", classify)
-    monkeypatch.setattr(EQForm, "is_nonsingular", counting(counts, "nonsingular", EQForm.is_nonsingular))
+    monkeypatch.setattr(IntMatrix, "det", counting(counts, "det", IntMatrix.det))
 
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
                                             [(0, 1, 0, 0), (0, 0, 1, 0)]))
     zero = zero_formation(ZERO_GROUP, V0)
     # the Flip letters of the wall word are built on its outer sum, through one more sum for id ⊕ frame
-    for (form, *subs), most in (((e, k, l, v), 7), ((zero.form, *[zero.lagrangian] * 3), 6)):
+    for (form, *subs), most, dets in (((e, k, l, v), 7, 4), ((zero.form, *[zero.lagrangian] * 3), 6, 3)):
         counts.clear()
         jacobi_witness(form, *subs)
         assert counts["sums"] <= most
         assert counts["checks"] == 0
-        # K, L, V and e's determinant once each, then the wall word's metabolic basis of e ⊕ H and K̃
-        assert (counts["classify"], counts["nonsingular"]) == (4, 2)
+        # K, L, V once each, then the wall word's metabolic basis of e ⊕ H and K̃.  Determinants: e's
+        # nonsingularity (cached on the zero formation's form when it was built), that of the stable
+        # iso's source, which the metabolic basis reads again from the cache, the metabolic basis's own
+        # unimodularity, and the frame's source; each iso's bijectivity follows from its source's.
+        assert (counts["classify"], counts["det"]) == (4, dets)
     wall_sums = []
     for m in (2, 8):
         h = hyperbolic(m, ZERO_GROUP, V0)
@@ -826,3 +829,22 @@ def test_sequence_documents_read_each_form_value_once(monkeypatch):
     assert (len(forms), len(distinct)) == (134, 2)
     assert sequence_from_doc(doc) == seq
     assert counts["forms"] == len(distinct)
+
+
+def test_sequence_documents_compute_one_determinant_per_form_value(monkeypatch):
+    """Decoding a certificate computes each form value's determinant once and no iso's.
+
+    Every iso of the rank-4 geometric_double certificate is square out of a nonsingular form, so the
+    pullback check makes det h = ±1; each of the two form objects the reader hands out caches whether it
+    is nonsingular (68 determinants without the cache: the start's and the end's checks, and one per iso).
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    doc = json.loads(json.dumps(sequence_to_doc(seq)))
+    counts = Counter()
+    monkeypatch.setattr(IntMatrix, "det", counting(counts, "det", IntMatrix.det))
+    assert sequence_from_doc(doc) == seq
+    assert len(seq.moves) == 66
+    assert counts["det"] == 2

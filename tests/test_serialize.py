@@ -300,6 +300,71 @@ def test_bad_matrix_entries_report_the_first_bad_index(row, message):
     assert str(err.value) == message
 
 
+def h2_doc(one=1):
+    """The document of H_2 over the zero group, with ``one`` in place of its upper off-diagonal 1."""
+    return plane_doc([[0, one], [1, 0]])
+
+
+def rank_zero_doc(mu):
+    """A form on the zero group over Z, with μ's rows ``mu``."""
+    return {"group": group_to_doc(ZERO_GROUP), "lambda": [], "target": group_to_doc(Z), "mu": mu}
+
+
+def read_or_error(read):
+    """What a reader gives: the matrices of the form, iso or subgroup it read, or its error's text and path."""
+    try:
+        got = read()
+    except SchemaError as exc:
+        return str(exc), exc.path
+    if isinstance(got, EQForm):
+        return [list(r) for r in got.matrix.entries], [list(r) for r in got.mu.matrix.entries]
+    if isinstance(got, SubgroupRep):
+        return [list(g) for g in got.generators()]
+    return [list(r) for r in got.hom.matrix.entries]
+
+
+def error_at(path, message):
+    return "%s: %s" % (path, message), path
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [
+        (lambda: form_from_doc(plane_doc([[True, 1], [1, 0]])), error_at("form.lambda[0][0]", "expected an integer")),
+        (lambda: form_from_doc(plane_doc([[0, "1"], ["1", "-0"]])), ([[0, 1], [1, 0]], [])),
+        (lambda: form_from_doc(plane_doc([[0, 1], [1]])), error_at("form.lambda[1]", "expected 2 entries")),
+        (lambda: form_from_doc(plane_doc([[0, 1, 0], [1, 0]])), error_at("form.lambda[0]", "expected 2 entries")),
+        (lambda: form_from_doc(plane_doc([[0, 1], 5])), error_at("form.lambda[1]", "expected a list")),
+        (lambda: form_from_doc(plane_doc([{"0": 0}, [1, 0]])), error_at("form.lambda[0]", "expected a list")),
+        (lambda: form_from_doc(plane_doc({"rows": []})), error_at("form.lambda", "expected a list of rows")),
+        (lambda: form_from_doc(plane_doc([])), error_at("form.lambda", "expected 2 rows")),
+        (lambda: form_from_doc(rank_zero_doc([[]])), ([], [[]])),
+        (lambda: iso_from_doc({"source": rank_zero_doc([[]]), "target": rank_zero_doc([[]]), "matrix": []}), []),
+        (lambda: form_from_doc(plane_doc([[], []])), error_at("form.lambda[0]", "expected 2 entries")),
+        (lambda: form_from_doc(rank_zero_doc([[], []])), error_at("form.mu", "expected 1 rows")),
+        (lambda: form_from_doc(rank_zero_doc([[0]])), error_at("form.mu[0]", "expected 0 entries")),
+        (lambda: subgroup_from_doc({"generators": [[1, 0], [0, 2]]}, free_group(2)), [[1, 0], [0, 2]]),
+        (lambda: subgroup_from_doc({"generators": [[1, 0], [0, False]]}, free_group(2)),
+         error_at("subgroup.generators[1][1]", "expected an integer")),
+        # equal to the source dict, which the reader has just decoded, but true is no integer
+        (lambda: iso_from_doc({"source": h2_doc(), "target": h2_doc(True), "matrix": [[1, 0], [0, 1]]}),
+         error_at("iso.target.lambda[0][1]", "expected an integer")),
+        (lambda: iso_from_doc({"source": h2_doc(), "target": h2_doc("1"), "matrix": [[0, 1], [1, 0]]}),
+         [[0, 1], [1, 0]]),
+        (lambda: iso_from_doc({"source": h2_doc(), "target": h2_doc(), "matrix": [[1, 0], [0, True]]}),
+         error_at("iso.matrix[1][1]", "expected an integer")),
+    ],
+    ids=[
+        "true", "decimal-strings", "short-row", "long-row", "row-not-a-list", "row-a-dict", "rows-not-a-list",
+        "empty", "width-zero", "empty-iso", "empty-rows", "width-zero-extra-row", "width-zero-long-row",
+        "subgroup", "subgroup-false", "true-copy-of-a-read-form", "string-copy-of-a-read-form", "iso-true",
+    ],
+)
+def test_matrix_readers_give_each_result_and_error_of_the_row_by_row_reader(read, expected):
+    """Matrices read by one flat scan or row by row give the same rows, and the same error at the same path."""
+    assert read_or_error(read) == expected
+
+
 @pytest.mark.parametrize(
     "text", ["²", "-²", "١٢", "１"], ids=["superscript", "negative-superscript", "arabic-indic", "fullwidth"]
 )
