@@ -22,6 +22,9 @@ Whether a subgroup is a direct summand is read off Hermite bases too (see
 for a section.  A Smith form is computed only where its transforms are
 used: quotients, the merged torsion of a direct sum, and solving.
 
+Homs are lifted through ``lift_through`` (x with h ∘ x = f, one
+factorization of h) and inverted only by ``invert_iso``.
+
 Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
 whose coordinates are free(A), free(B), then the merged torsion; its
 inclusions and projections are block-diagonal matrices.  Every sum of
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatch, HypothesisError, NotASummand, NotWellDefined
+from .errors import DimensionMismatch, HypothesisError, NoSolution, NotASummand, NotWellDefined
 from .intmat import (
     IntMatrix,
     Row,
@@ -237,25 +240,32 @@ def solve_in_group(h: GroupHom, y: Sequence[int]) -> Vec | None:
     return group_solver(h)(y)
 
 
-def require_free_bijective(h: GroupHom) -> None:
-    """Raise unless h, a hom between free groups, has a unimodular matrix."""
-    if h.source.num_gens != h.target.num_gens or not h.matrix.is_unimodular():
-        raise HypothesisError("not bijective", "free-group hom with non-unimodular matrix")
+def lift_through(h: GroupHom, f: GroupHom) -> GroupHom | None:
+    """A hom x with h ∘ x = f, or None when some f(g) has no preimage under h.
+
+    Each generator g of f's source lifts to ``group_solver(h)(f(g))``; out of
+    a group with torsion those lifts may define no hom (NotWellDefined).
+    """
+    solve = group_solver(h)
+    cols = []
+    for g in f.source.gens():
+        x = solve(f.apply(g))
+        if x is None:
+            return None
+        cols.append(x)
+    return GroupHom.from_gen_images(f.source, h.source, cols)
 
 
 def invert_iso(h: GroupHom) -> GroupHom:
-    """Two-sided inverse of a bijective hom (raises if not bijective)."""
+    """Two-sided inverse of a bijective hom (raises if not bijective): between free groups the matrix's."""
     if h.source.is_free and h.target.is_free:
-        require_free_bijective(h)
-        return GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
-    solve = group_solver(h)
-    cols = []
-    for g in h.target.gens():
-        x = solve(g)
-        if x is None:
-            raise HypothesisError("not surjective", "hom has no preimage for a target generator")
-        cols.append(x)
-    inv = GroupHom.from_gen_images(h.target, h.source, cols)
+        try:
+            return GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
+        except NoSolution:
+            raise HypothesisError("not bijective", "free-group hom with non-unimodular matrix") from None
+    inv = lift_through(h, GroupHom.identity(h.target))
+    if inv is None:
+        raise HypothesisError("not surjective", "hom has no preimage for a target generator")
     if inv.compose(h) != GroupHom.identity(h.source) or h.compose(inv) != GroupHom.identity(h.target):
         raise HypothesisError("not bijective", "hom has a right inverse but is not invertible")
     return inv
@@ -468,22 +478,20 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     """
     amb = b.ambient
     quot, proj = quotient_with_projection(b)
-    solve_free = group_solver(proj) if quot.free_rank else None
+    lifts = []
+    if quot.free_rank:  # the projection is onto, so every free generator lifts
+        lifts += lift_through(proj, free_section(quot)).matrix.transpose().sparse
     relations = [list(r) + [0] * amb.num_gens for r in quot.relation_rows()]
     relations += [[0] * quot.num_gens + list(r) for r in amb.relation_rows()]
-    lifts = []
-    for i, g in enumerate(quot.gens()):
-        if i < quot.free_rank:
-            lifts.append(solve_free(g))  # the projection is onto, so a free generator always lifts
-            continue
-        # proj(x) = g and k*x = 0 for g's order k, modulo both groups' relations
-        stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(quot.torsion[i - quot.free_rank]))
+    for i, d in enumerate(quot.torsion, quot.free_rank):
+        # proj(x) = g and d*x = 0 for the generator g of order d, modulo both groups' relations
+        stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(d))
         block = stacked.hstack(IntMatrix.from_columns(relations, rows=stacked.rows))
-        sol = int_solve(block, list(g) + list(amb.zero()))
+        sol = int_solve(block, list(quot.gen(i)) + list(amb.zero()))
         if sol is None:
             raise NotASummand("no section: subgroup is not a direct summand")
-        lifts.append(amb.reduce(sol[: amb.num_gens]))
-    return SubgroupRep.from_elements(amb, lifts)
+        lifts.append(sparse_row(sol[: amb.num_gens]))
+    return SubgroupRep.from_sparse(amb, lifts)
 
 
 # -- direct sums with coordinate maps ----------------------------------
@@ -586,14 +594,7 @@ def match_surjections(f: GroupHom, g: GroupHom) -> MatchedSurjections:
     if not g.is_surjective():
         raise HypothesisError("g not surjective")
 
-    # lift f through g, generator by generator
-    lift_through_g = group_solver(g)
-    lift_cols = []
-    for gen in f.source.gens():
-        x = lift_through_g(f.apply(gen))
-        assert x is not None  # g surjective
-        lift_cols.append(x)
-    fbar = GroupHom.from_gen_images(f.source, g.source, lift_cols)
+    fbar = lift_through(g, f)  # g is onto, so f lifts
 
     f0 = g.kernel().inclusion()  # a free cover of Ker g on its canonical generators
     # F1 = F ⊕ F0 with fbar1 = fbar + f0 surjective onto G
@@ -603,10 +604,7 @@ def match_surjections(f: GroupHom, g: GroupHom) -> MatchedSurjections:
     f1_group = free_group(rk_f + rk_f0)
     fbar1_matrix = fbar.matrix.hstack(f0.matrix)
     fbar1 = GroupHom(f1_group, g.source, fbar1_matrix)
-    # right inverse c: G -> F1
-    right_inverse = group_solver(fbar1)
-    c_cols = [right_inverse(gen) for gen in g.source.gens()]
-    c = GroupHom.from_gen_images(g.source, f1_group, c_cols)
+    c = lift_through(fbar1, GroupHom.identity(g.source))  # a right inverse G -> F1
 
     f_extra = free_group(rk_f0 + rk_g)
     g_extra = f1_group  # = F ⊕ F0

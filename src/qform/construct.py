@@ -14,21 +14,21 @@ What is checked where: the frames, ``neg_isomorphism`` and
 ``stable_lagrangian_iso`` pass their ``FormIso`` through the public
 constructor (λ and μ pulled back, bijective), and the last checks that it
 carries one lagrangian onto the other; a ``MetabolicBasis`` checks its
-shape, unimodularity, normal form and span; ``ru_word_eval`` checks every
-letter against the word's lagrangian, a Flip letter by comparing Hermite
-bases with ``forms.split_lagrangian``.  What is composed from those, such
-as B⁻¹ for a checked basis B, or ``ru_wall_witness``'s Flip letters
-(permutations after id ⊕ F for its checked frame F) and their product
-F⁻¹ ∘ (id ⊕ Σ) ∘ F, is not checked again, nor are the lattice steps in
-between (complements, matched surjections), which hold by construction in
-``abelian``.
+shape, normal form (which makes it unimodular) and span; ``ru_word_eval``
+checks every letter against the word's lagrangian, a Flip letter by
+comparing Hermite bases with ``forms.split_lagrangian``.  What is composed
+from those, such as B⁻¹ for a checked basis B, or ``ru_wall_witness``'s
+Flip letters (permutations after id ⊕ F for its checked frame F) and their
+product F⁻¹ ∘ (id ⊕ Σ) ∘ F, is not checked again, nor are the lattice
+steps in between (complements, matched surjections), which hold by
+construction in ``abelian``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, match_surjections
+from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, invert_iso, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
 from .forms import (
     EQForm,
@@ -123,10 +123,11 @@ class MetabolicBasis:
         b = self.basis
         if b.rows != 2 * k or b.cols != 2 * k:
             raise NotWellDefined("metabolic basis has wrong shape")
-        if not b.is_unimodular():
-            raise NotWellDefined("metabolic basis is not unimodular")
+        # bᵀλb = [[0, I], [I, D]] has determinant ±1, so det(b)²·det λ = ±1 and b is unimodular
         expected = IntMatrix.block_pattern(("0 I", "I D"), self.diag)
         if b.transpose().mul(self.form.matrix).mul(b) != expected:
+            if not b.is_unimodular():
+                raise NotWellDefined("metabolic basis is not unimodular")
             raise NotWellDefined("metabolic basis does not normalize the pairing")
         span = SubgroupRep.from_sparse(self.form.group, b.transpose().sparse[:k])
         if span != self.lagrangian:
@@ -156,8 +157,8 @@ def is_hyperbolic_with_witness(e: EQForm, l: SubgroupRep) -> FormIso:
     mb = metabolic_basis(e, l)  # raises "not nonsingular" / "not a lagrangian"
     assert all(d == 0 for d in mb.diag)  # evenness forces D = 0
     target = hyperbolic(len(mb.diag), e.target, e.v)
-    hom = GroupHom(e.group, target.group, mb.basis.inverse_unimodular())  # checked: Bᵀ·λ·B = [[0, I], [I, 0]]
-    return FormIso._unchecked(e, target, hom, GroupHom(target.group, e.group, mb.basis))
+    basis = GroupHom(target.group, e.group, mb.basis)  # checked: Bᵀ·λ·B = [[0, I], [I, 0]]
+    return FormIso._unchecked(e, target, invert_iso(basis), basis)
 
 
 # -- the explicit isomorphisms ----------------------------------------

@@ -23,7 +23,6 @@ from .abelian import (
     free_group,
     invert_iso,
     is_direct_summand,
-    require_free_bijective,
 )
 from .errors import (
     DimensionMismatch,
@@ -234,14 +233,14 @@ class FormIso:
 
     The public constructor is the certificate: it checks, in this order,
     that the map pulls the target's λ back to the source's, that it pulls
-    μ back, and that it is bijective (determinant ±1 between free groups;
-    between groups with torsion, an explicit two-sided inverse), and fails
-    otherwise.  Every FormIso read from a document, and every one built
-    from a raw matrix, comes through it.  Between free groups a square h
-    out of a nonsingular source needs no determinant of its own: the
-    pullback gives det(h)²·det λ′ = det λ = ±1, so det h = ±1.  The
-    source's nonsingularity is cached on the form, so a document whose
-    isomorphisms share their forms computes one determinant per form.
+    μ back, and that it is bijective, and fails otherwise.  Every FormIso
+    read from a document, and every one built from a raw matrix, comes
+    through it.  Between free groups a square h out of a nonsingular source
+    is bijective by the pullback: det(h)²·det λ′ = det λ = ±1, so
+    det h = ±1.  The source's nonsingularity is cached on the form, so a
+    document whose isomorphisms share their forms computes one determinant
+    per form.  Any other h is bijective exactly when ``invert_iso`` finds
+    its two-sided inverse, which is then kept.
 
     Each fact is checked once.  ``identity``, ``inverse``, ``compose``,
     ``_iso_on_sums`` and ``permuted`` build their results through
@@ -253,12 +252,11 @@ class FormIso:
     forms; and a permutation pulls back the form it permuted.  Only the
     composition's endpoints are compared.
 
-    The inverse is computed on first use and cached: by
-    ``IntMatrix.inverse_unimodular`` between free groups, by ``invert_iso``
-    otherwise.  The public constructor's bijectivity check already
-    computes it between groups with torsion, ``identity`` is its own
-    inverse, ``permuted`` hands over the transpose, and ``inverse()`` hands
-    ``hom`` to its result as that result's inverse.
+    Every inverse comes from one path, ``invert_iso``, on first use, and is
+    cached.  The public constructor's bijectivity check already computes
+    it unless the pullback decided, ``identity`` is its own inverse,
+    ``permuted`` hands over the transpose, and ``inverse()`` hands ``hom``
+    to its result as that result's inverse.
     """
 
     source: EQForm
@@ -278,10 +276,8 @@ class FormIso:
             raise NotWellDefined("map does not pull the pairing back")
         if self.target.mu.compose(self.hom) != self.source.mu:
             raise NotWellDefined("map does not pull mu back")
-        if self.hom.source.is_free and self.hom.target.is_free:
-            if not (h.is_square and self.source.is_nonsingular()):
-                require_free_bijective(self.hom)
-        else:
+        free = self.hom.source.is_free and self.hom.target.is_free
+        if not (free and h.is_square and self.source.is_nonsingular()):
             object.__setattr__(self, "_inverse", invert_iso(self.hom))
 
     @classmethod
@@ -294,12 +290,7 @@ class FormIso:
     @property
     def inverse_hom(self) -> GroupHom:
         if self._inverse is None:
-            h = self.hom
-            if h.source.is_free and h.target.is_free:
-                inv = GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
-            else:
-                inv = invert_iso(h)
-            object.__setattr__(self, "_inverse", inv)
+            object.__setattr__(self, "_inverse", invert_iso(self.hom))
         return self._inverse
 
     @staticmethod

@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2, free_group, free_section
-from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined
+from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NoSolution, NodeCounter, NotWellDefined
 from .forms import EQForm, FormIso, form_direct_sum, hyperbolic, orthogonal_complement, pullback
 from .intmat import IntMatrix
 
@@ -514,11 +514,13 @@ def aut_action_check(e: EQForm, n: EQForm, h: GroupHom) -> FormIso:
         if r != 2:
             raise HypothesisError("free rank is not 2", "the carrier must reduce to a rank-2 lattice")
         mu_bar = IntMatrix.from_rows([row[:r] for row in n.mu.matrix.entries], r)
-        if not mu_bar.is_unimodular():
-            raise HypothesisError("mu is not surjective", "the reduced coefficient map must be invertible")
+        try:
+            mu_bar_inv = mu_bar.inverse_unimodular()
+        except NoSolution:
+            raise HypothesisError("mu is not surjective", "the reduced coefficient map must be invertible") from None
         # an isomorphism must induce exactly this map on the free quotient,
         # so if it breaks the pairing the twisted form is not in the class
-        conj = mu_bar.inverse_unimodular().mul(h.matrix).mul(mu_bar)
+        conj = mu_bar_inv.mul(h.matrix).mul(mu_bar)
         hom_mat = IntMatrix.block_diagonal([conj, IntMatrix.identity(t)])
         try:
             return FormIso(twisted, n, GroupHom(n.group, n.group, hom_mat))

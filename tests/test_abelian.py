@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,12 +19,13 @@ from qform.abelian import (
     group_solver,
     invert_iso,
     is_direct_summand,
+    lift_through,
     match_surjections,
     quotient_with_projection,
     solve_in_group,
     torsion_subgroup,
 )
-from qform.errors import HypothesisError, NotASummand
+from qform.errors import HypothesisError, NotASummand, NotWellDefined
 from qform.intmat import (
     IntMatrix,
     dense_row,
@@ -438,7 +440,7 @@ def invert_one_solve_at_a_time(h):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (HypothesisError, NotASummand) as exc:
+    except (HypothesisError, NotASummand, NotWellDefined) as exc:
         return type(exc), str(exc)
 
 
@@ -471,6 +473,59 @@ def test_invert_iso_matches_one_solve_per_generator():
                 assert got == outcome(invert_one_solve_at_a_time, h)
             inverted += isinstance(got, GroupHom)
     assert 20 < inverted < 75  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("cols", [[(1, 0)], [(2, 0), (0, 1)]], ids=["non-square", "det-2"])
+def test_invert_iso_refuses_a_free_hom_that_is_not_unimodular(cols):
+    h = GroupHom.from_gen_images(free_group(len(cols)), free_group(2), cols)
+    with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$") as info:
+        invert_iso(h)
+    assert info.value.condition == "not bijective"
+
+
+def random_hom(rng, source, target):
+    """A well-defined hom: a generator of order d maps into the d-torsion of the target."""
+    images = []
+    for i in range(source.num_gens):
+        d = 0 if i < source.free_rank else source.torsion[i - source.free_rank]
+        free = [0 if d else rng.randint(-3, 3) for _ in range(target.free_rank)]
+        tors = [rng.randint(-3, 3) * (e // math.gcd(d, e)) for e in target.torsion]
+        images.append(free + tors)
+    return GroupHom.from_gen_images(source, target, images)
+
+
+def lift_one_solve_at_a_time(h, f):
+    """lift_through with a per-generator group_solver loop."""
+    solve = group_solver(h)
+    cols = [solve(f.apply(g)) for g in f.source.gens()]
+    if any(x is None for x in cols):
+        return None
+    return GroupHom.from_gen_images(f.source, h.source, cols)
+
+
+def test_lift_through_matches_one_solve_per_generator():
+    rng = random.Random(47)
+    outcomes = Counter()
+    for target in GROUPS:
+        for _ in range(20):
+            h = random_hom(rng, rng.choice(GROUPS), target)
+            f = random_hom(rng, rng.choice(GROUPS), target)
+            x = outcome(lift_through, h, f)
+            assert x == outcome(lift_one_solve_at_a_time, h, f)
+            if isinstance(x, GroupHom):
+                assert h.compose(x) == f
+            one = outcome(lift_through, h, GroupHom.identity(target))
+            assert (one is not None) == h.is_surjective()
+            outcomes[type(x).__name__] += 1
+            outcomes["onto" if one is not None else "not onto"] += 1
+    # lifts, misses, lifts that define no hom, and both kinds of h are all exercised
+    assert set(outcomes) == {"GroupHom", "NoneType", "tuple", "onto", "not onto"}
+
+
+def test_lift_through_a_hom_that_is_not_onto_is_none():
+    double = GroupHom.from_gen_images(free_group(1), free_group(1), [(2,)])
+    assert lift_through(double, GroupHom.identity(free_group(1))) is None
+    assert lift_through(double, double) == GroupHom.identity(free_group(1))
 
 
 def complement_one_solve_at_a_time(b):

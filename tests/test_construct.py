@@ -8,6 +8,7 @@ from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, direct
 from qform.construct import (
     Flip,
     Keep,
+    MetabolicBasis,
     RUWord,
     _WALL_PATTERN,
     _dual_basis,
@@ -22,7 +23,7 @@ from qform.construct import (
     ru_word_eval,
     stable_lagrangian_iso,
 )
-from qform.errors import HypothesisError
+from qform.errors import HypothesisError, NotWellDefined
 from qform.forms import (
     EQForm,
     FormIso,
@@ -112,8 +113,37 @@ def test_metabolic_basis_randomized():
         lagr = SubgroupRep.from_elements(twisted.group, [uinv.column(i) for i in range(k)])
         mb = metabolic_basis(twisted, lagr)
         assert set(mb.diag) <= {0, 1}
-        # the MetabolicBasis constructor re-checks the block identity, the
-        # unimodularity and the span; reaching here is the assertion
+        # the MetabolicBasis constructor re-checks the block identity, which
+        # makes the basis unimodular, and the span; reaching here is the assertion
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [([[2, 0], [0, 1]], "is not unimodular"), ([[1, 1], [0, 1]], "does not normalize the pairing")],
+    ids=["neither", "unimodular"],
+)
+def test_a_basis_that_does_not_normalize_reports_why(rows, reason):
+    h2 = hyperbolic(1)
+    with pytest.raises(NotWellDefined, match="^metabolic basis %s$" % reason):
+        MetabolicBasis(h2, sub(h2, (1, 0)), IntMatrix.from_rows(rows), (0,))
+
+
+def test_a_metabolic_basis_computes_no_determinant(monkeypatch):
+    """bᵀλb = [[0, I], [I, D]] has determinant ±1, so b is unimodular without a determinant of its own."""
+    rng = random.Random(103)
+    bases = []
+    for k in (1, 3):
+        base = metabolic_form(_block(k, [rng.randrange(2) for _ in range(k)]))
+        u = random_unimodular(rng, 2 * k)
+        twisted = pullback(GroupHom(base.group, base.group, u), base)
+        uinv = u.inverse_unimodular()
+        bases.append(metabolic_basis(twisted, sub(twisted, *[uinv.column(i) for i in range(k)])))
+    calls = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: calls.append(m) or det(m))
+    for mb in bases:
+        MetabolicBasis(mb.form, mb.lagrangian, mb.basis, mb.diag)
+    assert calls == []
 
 
 def _block(k, d):

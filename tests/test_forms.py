@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qform import intmat
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, direct_sum_with_maps, free_group, invert_iso
 from qform.construct import Flip, is_hyperbolic_with_witness, ru_wall_witness
 from qform.errors import HypothesisError, NotWellDefined, VMissing
@@ -358,6 +359,19 @@ def test_a_square_map_out_of_a_singular_form_still_needs_a_unit_determinant():
     assert not flat.is_nonsingular()
     with pytest.raises(HypothesisError, match="^not bijective: free-group hom with non-unimodular matrix$"):
         FormIso(flat, flat, GroupHom(g, g, IntMatrix.from_rows([[2, 0], [0, 2]])))
+
+
+def test_an_iso_out_of_a_singular_form_keeps_the_inverse_its_check_computed(monkeypatch):
+    """Out of a singular source bijectivity is decided by inverting h, and inverse_hom reuses that inverse."""
+    g = free_group(2)
+    flat = EQForm(g, IntMatrix.zeros(2, 2), GroupHom.zero(g, Z))
+    shear = GroupHom.from_gen_images(g, g, [(1, 0), (-3, 1)])
+    iso = FormIso(flat, flat, shear)
+    calls = Counter()
+    hermite = intmat.hermite_row_basis
+    monkeypatch.setattr(intmat, "hermite_row_basis", lambda *args: calls.update(["hnf"]) or hermite(*args))
+    assert iso.inverse_hom == GroupHom.from_gen_images(g, g, [(1, 0), (3, 1)])
+    assert calls["hnf"] == 0
 
 
 def test_a_map_that_is_not_square_is_not_bijective_whatever_its_source():

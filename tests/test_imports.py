@@ -11,6 +11,8 @@ A public name counts the same way, except that ``__init__.py`` does not
 read it; one that no module reads needs a row, with its reason, in the
 README's table of public names kept without a library reader.  A row whose
 name is gone or has gained a reader fails too, so the table only shrinks.
+Outside ``intmat``, ``.det(`` and ``.is_unimodular(`` are called only in
+the few places listed in ``DECIDING_PLACES``: bijectivity has one owner.
 """
 
 import ast
@@ -172,3 +174,57 @@ def test_a_readme_row_must_keep_an_existing_orphan():
         "README: a.gone does not exist",
         "README: a.read has a reader in the package",
     ]
+
+
+# Bijectivity is decided by ``abelian.invert_iso`` (through ``IntMatrix.inverse_unimodular``) or
+# read off a checked pullback; a determinant is computed only where no such owner applies.
+DECIDERS = {"det", "is_unimodular"}
+DECIDING_PLACES = {
+    "forms.EQForm.is_nonsingular",  # the nonsingularity every free pullback reads
+    "stableclass._hyperbolic_basis",  # the 2 × 2 plane's determinant −1
+    "construct.MetabolicBasis.__post_init__",  # which error a basis that fails its normal form reports
+}
+
+
+def decider_calls(module, source):
+    """'module.Class.function' and line of each ``.det(`` or ``.is_unimodular(`` call, by its enclosing definition."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in DECIDERS:
+                found.append((".".join([module] + scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def stray_deciders(sources):
+    """'place (line n)' for each determinant call outside ``intmat`` and the places allowed one."""
+    return [
+        "%s (line %d)" % (place, line)
+        for module, source in sources.items()
+        if module != "intmat.py"
+        for place, line in decider_calls(module[:-3], source)
+        if place not in DECIDING_PLACES
+    ]
+
+
+def test_bijectivity_is_decided_in_one_place():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert stray_deciders(sources) == []
+
+
+def test_a_stray_determinant_is_found():
+    sources = {
+        "forms.py": "class EQForm:\n    def is_nonsingular(self):\n        return abs(self.m.det()) == 1\n",
+        "abelian.py": "def require(h):\n    if not h.matrix.is_unimodular():\n        raise ValueError\n",
+        "construct.py": "class MetabolicBasis:\n    def __post_init__(self):\n        f = lambda b: b.det()\n"
+        "\n\nclass Frame:\n    def __post_init__(self):\n        self.d = self.b.det()\n",
+        "intmat.py": "def is_unimodular(m):\n    return abs(m.det()) == 1\n",
+    }
+    assert stray_deciders(sources) == ["abelian.require (line 2)", "construct.Frame.__post_init__ (line 8)"]

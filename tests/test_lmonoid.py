@@ -678,15 +678,15 @@ def test_certificates_build_each_sum_once(monkeypatch):
                                             [(0, 1, 0, 0), (0, 0, 1, 0)]))
     zero = zero_formation(ZERO_GROUP, V0)
     # the Flip letters of the wall word are built on its outer sum, through one more sum for id ⊕ frame
-    for (form, *subs), most, dets in (((e, k, l, v), 7, 4), ((zero.form, *[zero.lagrangian] * 3), 6, 3)):
+    for (form, *subs), most, dets in (((e, k, l, v), 7, 3), ((zero.form, *[zero.lagrangian] * 3), 6, 2)):
         counts.clear()
         jacobi_witness(form, *subs)
         assert counts["sums"] <= most
         assert counts["checks"] == 0
         # K, L, V once each, then the wall word's metabolic basis of e ⊕ H and K̃.  Determinants: e's
         # nonsingularity (cached on the zero formation's form when it was built), that of the stable
-        # iso's source, which the metabolic basis reads again from the cache, the metabolic basis's own
-        # unimodularity, and the frame's source; each iso's bijectivity follows from its source's.
+        # iso's source, which the metabolic basis reads again from the cache, and the frame's source.
+        # Each iso's bijectivity follows from its source's, and the metabolic basis's from its normal form.
         assert (counts["classify"], counts["det"]) == (4, dets)
     wall_sums = []
     for m in (2, 8):

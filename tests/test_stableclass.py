@@ -562,6 +562,21 @@ def test_aut_action_rejects_twists_that_leave_the_class():
         aut_action_check(e, e, swap)
 
 
+@pytest.mark.parametrize(
+    "coefficients, mu_rows",
+    [(free_group(2), [[1, 0], [0, 2]]), (AbGroup(2, (2,)), [[1, 0], [0, 1], [0, 0]])],
+    ids=["singular", "not-square"],
+)
+def test_aut_action_rejects_a_reduced_coefficient_map_that_is_not_invertible(coefficients, mu_rows):
+    g2 = free_group(2)
+    mu = GroupHom(g2, coefficients, IntMatrix.from_rows(mu_rows))
+    e = EQForm(g2, IntMatrix.from_rows([[0, 1], [1, 0]]), mu, None)
+    images = [coefficients.gen(1), coefficients.gen(0)] + coefficients.gens()[2:]
+    swap = GroupHom.from_gen_images(coefficients, coefficients, images)
+    with pytest.raises(HypothesisError, match="^mu is not surjective: the reduced coefficient map must be invertible$"):
+        aut_action_check(e, e, swap)
+
+
 # -- the count table -----------------------------------------------------
 
 
