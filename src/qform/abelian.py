@@ -257,13 +257,21 @@ def lift_through(h: GroupHom, f: GroupHom) -> GroupHom | None:
 
 
 def invert_iso(h: GroupHom) -> GroupHom:
-    """Two-sided inverse of a bijective hom (raises if not bijective): between free groups the matrix's."""
+    """Two-sided inverse of a bijective hom: between free groups the matrix's.
+
+    Any other hom fails as a ``HypothesisError``: "not surjective" when a
+    target generator has no preimage, and otherwise "not bijective".
+    """
     if h.source.is_free and h.target.is_free:
         try:
             return GroupHom(h.target, h.source, h.matrix.inverse_unimodular())
         except NoSolution:
             raise HypothesisError("not bijective", "free-group hom with non-unimodular matrix") from None
-    inv = lift_through(h, GroupHom.identity(h.target))
+    try:
+        inv = lift_through(h, GroupHom.identity(h.target))
+    except NotWellDefined:
+        # every generator has a preimage, but the preimages define no hom: h is onto and not injective
+        raise HypothesisError("not bijective", "hom is onto but not injective") from None
     if inv is None:
         raise HypothesisError("not surjective", "hom has no preimage for a target generator")
     if inv.compose(h) != GroupHom.identity(h.source) or h.compose(inv) != GroupHom.identity(h.target):

@@ -26,7 +26,7 @@ construction in ``abelian``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, invert_iso, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined
@@ -41,6 +41,7 @@ from .forms import (
     negate,
     dual,
     permuted,
+    _permuted_onto,
     pullback,
     split_lagrangian,
     split_pair,
@@ -325,10 +326,18 @@ class Flip:
     ``forms.split_pair``: the hyperbolic pair in the first two
     coordinates, the layout FlipL shares).  ``rest_lagrangian`` is the
     lagrangian L' of M' with I(L) = ({0} × Z) ⊕ L'.
+
+    ``pre`` and ``perm``, when given, factor the witness as P ∘ pre, for P
+    the permutation ``permuted(pre.target, perm)`` onto the witness's
+    target.  Letters that share ``pre`` then differ by a permutation, which
+    ``lmonoid.jacobi_witness`` reads off without multiplying.  They take no
+    part in ``==``.
     """
 
     witness: FormIso
     rest_lagrangian: SubgroupRep
+    pre: FormIso | None = field(default=None, compare=False, repr=False)
+    perm: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def inverse(self) -> "Flip":
         return self  # a flip is an involution
@@ -396,18 +405,25 @@ def _flip_letters_for_stabilization(l: SubgroupRep, pairs: int, pre: FormIso) ->
     ``pre`` maps the ambient of the word onto base ⊕ H, whose pair i,
     (a_i, b_i), sits at coordinates n + i and n + pairs + i for n the rank
     of base: in a free sum the second summand's coordinates follow the
-    first's.  Each letter's witness is ``pre`` followed by the permutation
-    moving pair i to the front, every other coordinate in order, which
-    leaves base ⊕ H_{2(pairs-1)} with the lagrangian L ⊕ ({0} × Z^{pairs-1}).
+    first's.  Letter i's witness is P_i ∘ ``pre``, for P_i the permutation
+    ``perm`` moving pair i to the front, every other coordinate in order,
+    which leaves base ⊕ H_{2(pairs-1)} with the lagrangian
+    L ⊕ ({0} × Z^{pairs-1}).  Every P_i therefore ends at the same form
+    value, and the letters share one object of it; each letter keeps
+    ``pre`` and ``perm``, so that w_j ∘ w_i⁻¹ = P_j ∘ P_i⁻¹ is read off as a
+    permutation.
     """
     _, lower = hyperbolic_halves(pairs - 1)
     rest_l = direct_sum_with_maps(l.ambient, lower.ambient).subgroup(l, lower)
     n, target = l.ambient.num_gens, pre.target
+    split = None
     letters = []
     for i in range(pairs):
         a, b = n + i, n + pairs + i
-        perm = [a, b] + [j for j in range(target.group.num_gens) if j not in (a, b)]
-        letters.append(Flip(permuted(target, perm).compose(pre), rest_l))
+        perm = (a, b) + tuple(j for j in range(target.group.num_gens) if j not in (a, b))
+        p = permuted(target, perm) if split is None else _permuted_onto(target, perm, split)
+        split = p.target
+        letters.append(Flip(p.compose(pre), rest_l, pre, perm))
     return letters
 
 

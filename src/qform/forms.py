@@ -11,6 +11,7 @@ parity constraint used by the geometric predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .abelian import (
     AbGroup,
@@ -243,20 +244,20 @@ class FormIso:
     its two-sided inverse, which is then kept.
 
     Each fact is checked once.  ``identity``, ``inverse``, ``compose``,
-    ``_iso_on_sums`` and ``permuted`` build their results through
-    ``_unchecked``, because those results are isomorphisms whenever their
-    inputs are: the identity pulls everything back to itself; the inverse
-    of a bijection that pulls λ and μ back pulls them forward, which is the
-    same facts read the other way; a composite pulls back along each factor
-    in turn; a block sum pulls back blockwise on the direct sums of the
-    forms; and a permutation pulls back the form it permuted.  Only the
-    composition's endpoints are compared.
+    ``_iso_on_sums``, ``permuted`` and ``_permuted_onto`` build their
+    results through ``_unchecked``, because those results are isomorphisms
+    whenever their inputs are: the identity pulls everything back to
+    itself; the inverse of a bijection that pulls λ and μ back pulls them
+    forward, which is the same facts read the other way; a composite pulls
+    back along each factor in turn; a block sum pulls back blockwise on the
+    direct sums of the forms; and a permutation pulls back the form it
+    permuted.  Only the composition's endpoints are compared.
 
     Every inverse comes from one path, ``invert_iso``, on first use, and is
     cached.  The public constructor's bijectivity check already computes
     it unless the pullback decided, ``identity`` is its own inverse,
-    ``permuted`` hands over the transpose, and ``inverse()`` hands ``hom``
-    to its result as that result's inverse.
+    ``permuted`` and ``_permuted_onto`` hand over the transpose, and
+    ``inverse()`` hands ``hom`` to its result as that result's inverse.
     """
 
     source: EQForm
@@ -336,7 +337,7 @@ def _iso_on_sums(src: FormSum, tgt: FormSum, a: FormIso, b: FormIso) -> FormIso:
     return FormIso._unchecked(src.form, tgt.form, hom)
 
 
-def permuted(e: EQForm, perm: list[int]) -> FormIso:
+def permuted(e: EQForm, perm: Sequence[int]) -> FormIso:
     """e onto the form whose new slot i holds old slot perm[i].
 
     That form is the pullback of e along the inverse permutation Pᵀ, so the
@@ -347,6 +348,18 @@ def permuted(e: EQForm, perm: list[int]) -> FormIso:
     p = IntMatrix.permutation(perm)
     back = GroupHom(e.group, e.group, p.transpose())
     target = pullback(back, e)
+    return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
+
+
+def _permuted_onto(e: EQForm, perm: Sequence[int], target: EQForm) -> FormIso:
+    """``permuted(e, perm)`` onto ``target``, which the caller holds as a form equal to that one's target.
+
+    Private, as ``_iso_on_sums`` is: only the caller knows that the permuted
+    form is ``target`` again (a form it already built, or e itself), so no
+    form is computed and ``target``'s object is kept.
+    """
+    p = IntMatrix.permutation(perm)
+    back = GroupHom(target.group, e.group, p.transpose())
     return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
 
 

@@ -27,6 +27,7 @@ from .abelian import (
     torsion_subgroup,
 )
 from .construct import (
+    Flip,
     Keep,
     is_hyperbolic_with_witness,
     ru_wall_witness,
@@ -44,6 +45,7 @@ from .forms import (
     _iso_on_sums,
     negate,
     orthogonal_complement,
+    _permuted_onto,
     pullback,
     split_pair,
     subgroup_classify,
@@ -435,20 +437,66 @@ def l_group_trivialize(q: QuasiFormation) -> LTrivialization:
 # -- the sum identity --------------------------------------------------
 
 
-def _expand_ru_letter(letter) -> list[Move]:
-    """Moves realizing V ↦ Ψ(V) for one word letter, keeping L fixed.
+@dataclass(frozen=True)
+class _Unflipped:
+    """The inverse of a Flip letter's witness, owed after the letter's move FlipL(``sigma``) and not built yet."""
 
-    A Flip letter Ψ = w⁻¹∘σ∘w becomes [ApplyIso(w∘Ψ), FlipL(σ), ApplyIso(w⁻¹)]:
-    w∘Ψ = σ∘w carries L onto (Z × {0}) ⊕ L', the flip with witness σ on
-    w's target turns that into ({0} × Z) ⊕ L' = w(L), and w⁻¹ brings the
-    lagrangian back to L while the summand ends at Ψ(V).  Flip and FlipL
-    share the split-pair layout, so no coordinates are moved in between.
+    letter: Flip
+    sigma: FormIso
+
+
+def _owed_iso(owed: FormIso | _Unflipped) -> FormIso:
+    """The isomorphism ``owed`` stands for: a letter's w⁻¹ = pre⁻¹ ∘ Pᵀ for its witness w = P ∘ pre.
+
+    w is handed over as the inverse, and ``pre`` is inverted once for all the letters that share it.
+    """
+    if isinstance(owed, FormIso):
+        return owed
+    w, pre = owed.letter.witness, owed.letter.pre
+    back = GroupHom(w.target.group, pre.target.group, IntMatrix.permutation(owed.letter.perm).transpose())
+    return FormIso._unchecked(w.target, w.source, pre.inverse_hom.compose(back), w.hom)
+
+
+def _permutation_between(sigma: FormIso, before: Flip, after: Flip) -> FormIso:
+    """σ ∘ w_after ∘ w_before⁻¹ = σ ∘ P_after ∘ P_before⁻¹, for witnesses P ∘ pre with one pre.
+
+    It permutes σ's form: new slot k holds old slot r[k], where r is q with
+    its first two entries exchanged (σ) and q[k] is the slot that
+    P_before gives the coordinate P_after puts at k.  Both P's end at
+    σ's form and σ is an automorphism of it, so the permuted form is
+    that form again, and the iso stays on its object.
+    """
+    slot = {j: k for k, j in enumerate(before.perm)}
+    q = [slot[j] for j in after.perm]
+    return _permuted_onto(sigma.source, [q[1], q[0]] + q[2:], sigma.source)
+
+
+def _expand_ru_letter(letter, owed: FormIso | _Unflipped) -> tuple[list[Move], FormIso | _Unflipped]:
+    """Moves realizing V ↦ Ψ(V) for one word letter after the isomorphism ``owed``, keeping L fixed; and what they owe.
+
+    An isomorphism is owed rather than moved along, and goes into the next
+    iso move, so no two iso moves are adjacent.  A Keep letter adds its iso
+    to what is owed, and no move.  A Flip letter Ψ = w⁻¹∘σ∘w becomes
+    [ApplyIso(σ∘w∘owed), FlipL(σ)] and owes w⁻¹: σ∘w carries L onto
+    (Z × {0}) ⊕ L', the flip with witness σ on w's target turns that into
+    ({0} × Z) ⊕ L' = w(L), and w⁻¹ brings the lagrangian back to L while
+    the summand ends at Ψ(V).  Flip and FlipL share the split-pair layout,
+    so no coordinates are moved in between.  The word's Flip letters factor
+    their witnesses as P ∘ pre (``construct._flip_letters_for_stabilization``),
+    so after a Flip letter with the same pre the iso move is the
+    permutation ``_permutation_between`` and σ is the same; only after a
+    Keep letter or at the start is it a product.
     """
     if isinstance(letter, Keep):
-        return [ApplyIso(letter.iso)]
+        return [], letter.iso.compose(_owed_iso(owed))
     w = letter.witness
-    sigma = swap_blocks(w.target, 1)
-    return [ApplyIso(sigma.compose(w)), FlipL(sigma), ApplyIso(w.inverse())]
+    if isinstance(owed, _Unflipped) and owed.letter.pre is letter.pre:
+        sigma = owed.sigma
+        step = _permutation_between(sigma, owed.letter, letter)
+    else:
+        sigma = swap_blocks(w.target, 1)
+        step = sigma.compose(w).compose(_owed_iso(owed))
+    return [ApplyIso(step), FlipL(sigma)], _Unflipped(letter, sigma)
 
 
 @dataclass(frozen=True)
@@ -468,6 +516,19 @@ class JacobiWitness:
 
 
 def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: SubgroupRep) -> JacobiWitness:
+    """The move certificate for [M; K, L] ⊕ [M; L, V] = [M; K, V].
+
+    e must be free, full, geometric and nonsingular, K and L free
+    lagrangians and V a free half-rank summand.  The stable isomorphism φ
+    of big = e ⊕ H_2k carries L̃ onto K̃, and ``ru_wall_witness`` writes
+    Φ ⊕ Φ⁻¹ ⊕ id on big ⊕ big ⊕ (-big) as a word.  The moves carry the
+    middle factor along φ, realize the word's letters from the last to the
+    first (``_expand_ru_letter``) and exchange the first two factors.  Each
+    isomorphism goes into the next iso move, so iso and flip moves alternate
+    from the first move to the last, and inside a run of Flip letters each
+    iso move is a permutation.  The moves name two form objects: the
+    ambient of start and end, and the split form of every flip.
+    """
     if e.v is None:
         raise HypothesisError("v missing")
     if not e.is_free():
@@ -505,12 +566,14 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     whole = form_direct_sum(pair.form, neg_big)
     start = _qf_on_sum(whole, _qf_on_sum(pair, qf(big, k_tilde, l_tilde), qf(big, l_tilde, v_tilde)), start_padding)
     end = _qf_on_sum(whole, _qf_on_sum(pair, qf(big, k_tilde, v_tilde), end_paddings[0]), start_padding)
-    # start's form is the word's ambient, and transporting its middle factor
+    # start's form equals the word's ambient, and transporting its middle factor
     # along φ (which carries L̃ onto K̃) turns its lagrangian into the word's
     middle = _iso_on_sums(pair, pair, FormIso.identity(big), phi)
-    moves: list[Move] = [ApplyIso(_iso_on_sums(whole, whole, middle, FormIso.identity(neg_big)))]
+    owed: FormIso | _Unflipped = _iso_on_sums(whole, whole, middle, FormIso.identity(neg_big))
+    moves: list[Move] = []
     for letter in reversed(wall.word.letters):
-        moves.extend(_expand_ru_letter(letter))
-    moves.append(ApplyIso(swap_blocks(wall.ambient, big.group.num_gens)))
+        letter_moves, owed = _expand_ru_letter(letter, owed)
+        moves.extend(letter_moves)
+    moves.append(ApplyIso(swap_blocks(whole.form, big.group.num_gens).compose(_owed_iso(owed))))
     seq = MoveSequence(start, end, tuple(moves))
     return JacobiWitness(seq, pairs, phi, start_padding, end_paddings)

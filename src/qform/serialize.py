@@ -77,8 +77,8 @@ _INT_ONLY = {int}
 _LIST_ONLY = {list}
 _PLAIN_LEAVES = {int, str}
 # the form values a reader keeps: a certificate's moves go back and forth
-# between a few forms (a Flip letter's three moves leave the outer form for
-# its witness's split form and return)
+# between a few forms (a jacobi certificate's leave the outer form for the
+# split form of its flips, and return at the end)
 _SEEN_FORMS = 4
 # The deepest documents any command writes (jacobi, ru-wall and ltriv
 # results) are 8 containers deep; the limit leaves ample room above that

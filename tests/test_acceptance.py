@@ -509,9 +509,10 @@ def test_rank_eight_jacobi_certificate_replays_in_time():
     res = replay(w.sequence)
     elapsed = time.monotonic() - t0
     assert res.ok, res.reason
-    assert res.steps == 138
+    assert res.steps == 89
     assert w.sequence.start.form.group.num_gens == 66
-    # measured at 1.8 s on a 2-core x86-64 machine with CPython 3.11
+    # measured at 0.03 s on a 2-core x86-64 machine with CPython 3.11, 0.06 s with
+    # three moves per Flip letter and 1.8 s with dense rows
     assert elapsed < 6.0
 
 
@@ -522,10 +523,10 @@ def test_rank_twelve_jacobi_certificate_replays_in_time():
     res = replay(w.sequence)
     elapsed = time.monotonic() - t0
     assert res.ok, res.reason
-    assert res.steps == 210
+    assert res.steps == 137
     assert w.sequence.start.form.group.num_gens == 102
-    # measured at 2.0 s alone and 2.7 s inside the whole suite on a 2-core
-    # x86-64 machine with CPython 3.11; 0.6 s on sparse rows
+    # measured at 0.06 s on a 2-core x86-64 machine with CPython 3.11, 0.12 s with
+    # three moves per Flip letter and 2.0 s with dense rows
     assert elapsed < 7.0
 
 
@@ -536,10 +537,10 @@ def test_rank_sixteen_jacobi_certificate_replays_in_time():
     res = replay(w.sequence)
     elapsed = time.monotonic() - t0
     assert res.ok, res.reason
-    assert res.steps == 282
+    assert res.steps == 185
     assert w.sequence.start.form.group.num_gens == 138
-    # measured at 6.6 s with dense rows and 0.9 s with sparse rows on a
-    # 2-core x86-64 machine with CPython 3.11
+    # measured at 0.11 s on a 2-core x86-64 machine with CPython 3.11, 0.21 s with
+    # three moves per Flip letter and 6.6 s with dense rows
     assert elapsed < 4.0
 
 
@@ -550,10 +551,11 @@ def test_rank_forty_eight_jacobi_certificate_replays_in_time():
     res = replay(w.sequence)
     elapsed = time.monotonic() - t0
     assert res.ok, res.reason
-    assert res.steps == 858
+    assert res.steps == 569
     assert w.sequence.start.form.group.num_gens == 426
-    # measured at 0.33 s on a 2-core x86-64 machine with CPython 3.11; 1.15 s when every
-    # move carried both subgroups to their Hermite bases
+    # measured at 0.39-0.45 s on a 2-core x86-64 machine with CPython 3.11, 0.68-0.96 s
+    # with three moves per Flip letter, and 1.15 s when every move carried both
+    # subgroups to their Hermite bases
     assert elapsed < 0.7
 
 

@@ -93,12 +93,12 @@ DIGESTS = {
     "ltriv-1": (0, "911a939a5ed1e76dce263a619b0c6c53849aed5b7ac665e59bd9050c32d39107"),
     "ltriv-2": (0, "32468f3fbd247ddb1097cf8f8d9f367d6a618e9d6c1a44a2c2f869c310ebf96c"),
     "ltriv-3": (0, "7d569216ce492447e06f500e31b5a7b664cd8b34de4fde2e091e5959e7a6cf5b"),
-    "jacobi-rank0": (0, "e882922a8d811880730f6f0feb018e25b65ea1f2a83a443684465256f3f325c4"),
+    "jacobi-rank0": (0, "2436461c0a544bd2761acc3209d1f1b1aeaaf5e8a66f62bf35a34b506c2e2f65"),
     "jacobi-rank0-validate": (0, "b5b989d7bb1bbcbe1d9da376384bd95324b2ed39f20cb3fc5e11b6d67726fd5a"),
-    "jacobi-rank0-replay": (0, "57a5416f904163bf82c77673e672884462fa9f1b21a7d788374d61a3754c7464"),
-    "jacobi-A": (0, "5a6beecc0ba638de142ab8daf47a3b39c87f1aee5803c3badc229088b3f6ce50"),
+    "jacobi-rank0-replay": (0, "39616c8f44bce16df19027912b3a430970c31c8c386f90dc6d5607ecf395d091"),
+    "jacobi-A": (0, "27d4fc6e4fe85716f7454ca59eba8b301d59786d684047d7907490170f74bc38"),
     "jacobi-A-validate": (0, "b5b989d7bb1bbcbe1d9da376384bd95324b2ed39f20cb3fc5e11b6d67726fd5a"),
-    "jacobi-A-replay": (0, "f9a092c795cfeb1b14bda430fc79077f49012aa2916453a556cec4050b830800"),
+    "jacobi-A-replay": (0, "28f8baa4cb740344d32606784fba0a475a057d9c88423c21ab1cd98fd5bda6fe"),
     "si": (0, "aed7802d8b7c9f85dc71553a0050f474fe99c257b0b325c274f8236eca5e8c61"),
     "stable-class": (0, "af3ceff728644649d20c40286850f75d447d0db535ea142c19bcdc0b6f50f79b"),
     "kappa": (0, "a48bcb0650c1d7a411e72b5a867d6ac87e86d3cbf671ed12073e28842687f949"),

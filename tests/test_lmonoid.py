@@ -727,8 +727,37 @@ def test_replay_reads_each_flip_off_the_hermite_basis(monkeypatch):
     assert {type(m) for m in seq.moves} == {ApplyIso, FlipL}
     assert (counts["meets"], counts["checks"]) == (0, 0)
     flips = sum(isinstance(m, FlipL) for m in seq.moves)
-    assert (len(seq.moves), flips) == (66, 20)
+    assert (len(seq.moves), flips) == (41, 20)
     assert counts["hermite"] == flips + 2 == 22
+
+
+def is_signed_permutation(m):
+    return all(len(row) == 1 and abs(row[0][1]) == 1 for row in m.sparse) and sorted(
+        row[0][0] for row in m.sparse
+    ) == list(range(m.cols))
+
+
+def test_jacobi_certificates_merge_their_iso_moves():
+    """A certificate never holds two adjacent iso moves, and inside a run of flips each is a signed permutation.
+
+    The rank-4 geometric_double certificate's word has four runs of five Flip letters.  Between two flips
+    of a run the witnesses' shared conjugation cancels, so the iso move is σ∘P_j∘P_i⁻¹; only the first
+    and the last move and the three crossings of Keep letters are products.  On the rank-0 zero
+    formation the word has no Flip letter, and the certificate is one iso move.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    assert replay(seq)
+    isos = [i for i, m in enumerate(seq.moves) if isinstance(m, ApplyIso)]
+    assert (len(seq.moves), len(isos)) == (41, 21)
+    assert isos == list(range(0, 41, 2))
+    assert [i for i in isos if not is_signed_permutation(seq.moves[i].iso.hom.matrix)] == [0, 10, 20, 30, 40]
+    q = zero_formation(ZERO_GROUP, V0)
+    seq = jacobi_witness(q.form, q.lagrangian, q.lagrangian, q.lagrangian).sequence
+    assert replay(seq)
+    assert [type(m) for m in seq.moves] == [ApplyIso]
 
 
 def test_replay_agrees_with_folding_apply_move_on_single_entry_mutations():
@@ -790,9 +819,9 @@ def test_replay_agrees_with_folding_apply_move_on_single_entry_mutations():
 def test_sequence_documents_write_each_form_object_once(monkeypatch):
     """sequence_to_doc turns each form object of a certificate into a dict once.
 
-    The 66 moves of the rank-4 geometric_double certificate name 132 forms, start and end two more, but
-    only 7 form objects: every later occurrence of one reuses its dict, and each move's target is the
-    next move's source at all but one boundary.
+    The 41 moves of the rank-4 geometric_double certificate name 82 forms, start and end two more, but
+    only 2 form objects: the ambient of start and end, and the split form every flip works in.  Every
+    later occurrence of one reuses its dict, and each move's target is the next move's source.
     """
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -801,16 +830,16 @@ def test_sequence_documents_write_each_form_object_once(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(serialize, "form_to_doc", counting(counts, "forms", serialize.form_to_doc))
     doc = sequence_to_doc(seq)
-    assert len(seq.moves) == 66
-    assert counts["forms"] <= 7
+    assert len(seq.moves) == 41
+    assert counts["forms"] == 2
     isos = [m["iso"] if m["move"] == "iso" else m["witness"] for m in doc["moves"]]
-    assert sum(a["target"] is b["source"] for a, b in zip(isos, isos[1:])) == 64
+    assert sum(a["target"] is b["source"] for a, b in zip(isos, isos[1:])) == 40
 
 
 def test_sequence_documents_read_each_form_value_once(monkeypatch):
     """sequence_from_doc decodes each distinct form value of a certificate once, however often it repeats.
 
-    After a JSON round trip no dict is shared any more: the 134 form dicts of the rank-4 geometric_double
+    After a JSON round trip no dict is shared any more: the 84 form dicts of the rank-4 geometric_double
     certificate are copies of two values, and each later copy reuses the form its first copy was read to.
     """
     e = geometric_double()
@@ -826,7 +855,7 @@ def test_sequence_documents_read_each_form_value_once(monkeypatch):
     for f in forms:
         if f not in distinct:
             distinct.append(f)
-    assert (len(forms), len(distinct)) == (134, 2)
+    assert (len(forms), len(distinct)) == (84, 2)
     assert sequence_from_doc(doc) == seq
     assert counts["forms"] == len(distinct)
 
@@ -836,7 +865,7 @@ def test_sequence_documents_compute_one_determinant_per_form_value(monkeypatch):
 
     Every iso of the rank-4 geometric_double certificate is square out of a nonsingular form, so the
     pullback check makes det h = ±1; each of the two form objects the reader hands out caches whether it
-    is nonsingular (68 determinants without the cache: the start's and the end's checks, and one per iso).
+    is nonsingular (43 determinants without the cache: the start's and the end's checks, and one per iso).
     """
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -846,5 +875,5 @@ def test_sequence_documents_compute_one_determinant_per_form_value(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(IntMatrix, "det", counting(counts, "det", IntMatrix.det))
     assert sequence_from_doc(doc) == seq
-    assert len(seq.moves) == 66
+    assert len(seq.moves) == 41
     assert counts["det"] == 2
