@@ -22,8 +22,12 @@ Whether a subgroup is a direct summand is read off Hermite bases too (see
 for a section.  A Smith form is computed only where its transforms are
 used: quotients, the merged torsion of a direct sum, and solving.
 
-Homs are lifted through ``lift_through`` (x with h ∘ x = f, one
-factorization of h) and inverted only by ``invert_iso``.
+Every lift is one solve.  ``lift_through`` (x with h ∘ x = f), its
+one-column case ``solve_in_group`` and ``direct_complement``'s sections
+all go through ``_solve_modulo``, which appends the target's relation
+columns and hands every right-hand side to one ``intmat.int_solve``, so
+one Smith form serves all the columns of f.  Homs are inverted only by
+``invert_iso``.
 
 Every direct sum A ⊕ B in the package comes from ``direct_sum_with_maps``,
 whose coordinates are free(A), free(B), then the merged torsion; its
@@ -35,7 +39,7 @@ images under those inclusions, so no caller lays coordinates out by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, HypothesisError, NoSolution, NotASummand, NotWellDefined
 from .intmat import (
@@ -45,8 +49,6 @@ from .intmat import (
     dense_row,
     hermite_row_basis,
     int_solve,
-    int_solver,
-    lattice_contains,
     shifted_row,
     smith_normal_form,
     sparse_row,
@@ -109,12 +111,6 @@ class AbGroup:
 
     def is_zero_element(self, x: Sequence[int]) -> bool:
         return self.reduce(x) == self.zero()
-
-    def relation_rows(self) -> list[Vec]:
-        """Generators of the relation lattice in Z^{r+m}."""
-        r = self.free_rank
-        n = self.num_gens
-        return [tuple(self.torsion[j] if i == r + j else 0 for i in range(n)) for j in range(len(self.torsion))]
 
 
 ZERO_GROUP = AbGroup(0, ())
@@ -214,46 +210,36 @@ class GroupHom:
         return self.image() == SubgroupRep.full(self.target)
 
 
-def group_solver(h: GroupHom) -> Callable[[Sequence[int]], Vec | None]:
-    """Factor h once; the result maps y to a source element x with h(x) = y, or None.
+def _solve_modulo(a: IntMatrix, groups: Sequence[AbGroup], b: IntMatrix) -> IntMatrix | None:
+    """X with A*X = B modulo the relations of ``groups``, or None when some column has no solution.
 
-    The solution is the canonical one produced by the Smith decomposition
-    of the matrix [H | relations(target)].
+    The rows of A and B are the coordinates of ``groups``, laid one after
+    another.  This is the one solve behind every lift: ``int_solve`` of
+    [A | relations], with the column d·e_i for each coordinate i of order
+    d, and X the first ``a.cols`` rows of its canonical solution.
     """
-    rel = h.target.relation_rows()
-    block = h.matrix
-    if rel:
-        block = block.hstack(IntMatrix.from_columns([list(r) for r in rel], rows=h.target.num_gens))
-    solve = int_solver(block)
-
-    def solve_for(y: Sequence[int]) -> Vec | None:
-        sol = solve(h.target.reduce(y))
-        if sol is None:
-            return None
-        return h.source.reduce(sol[: h.source.num_gens])
-
-    return solve_for
-
-
-def solve_in_group(h: GroupHom, y: Sequence[int]) -> Vec | None:
-    """A source element x with h(x) = y, or None (see ``group_solver``)."""
-    return group_solver(h)(y)
+    n = a.cols
+    moduli = [d for g in groups for d in (0,) * g.free_rank + g.torsion]
+    rel = tuple(((i, d),) for i, d in enumerate(moduli) if d)
+    x = int_solve(a.hstack(IntMatrix(len(rel), a.rows, rel).transpose()) if rel else a, b)
+    return None if x is None else IntMatrix(n, b.cols, x.sparse[:n])
 
 
 def lift_through(h: GroupHom, f: GroupHom) -> GroupHom | None:
     """A hom x with h ∘ x = f, or None when some f(g) has no preimage under h.
 
-    Each generator g of f's source lifts to ``group_solver(h)(f(g))``; out of
-    a group with torsion those lifts may define no hom (NotWellDefined).
+    The images f(g), the columns of f's matrix, are solved for together
+    by one ``_solve_modulo`` over h's target; out of a group with torsion
+    their lifts may define no hom (NotWellDefined).
     """
-    solve = group_solver(h)
-    cols = []
-    for g in f.source.gens():
-        x = solve(f.apply(g))
-        if x is None:
-            return None
-        cols.append(x)
-    return GroupHom.from_gen_images(f.source, h.source, cols)
+    x = _solve_modulo(h.matrix, [h.target], f.matrix)
+    return None if x is None else GroupHom(f.source, h.source, x)
+
+
+def solve_in_group(h: GroupHom, y: Sequence[int]) -> Vec | None:
+    """A source element x with h(x) = y, or None: ``lift_through`` of the one column y."""
+    x = lift_through(h, GroupHom(free_group(1), h.target, IntMatrix.from_columns([h.target.reduce(y)])))
+    return None if x is None else x.matrix.column(0)
 
 
 def invert_iso(h: GroupHom) -> GroupHom:
@@ -320,9 +306,6 @@ class SubgroupRep:
         return SubgroupRep.of_units(ambient, range(ambient.num_gens))
 
     # -- queries ------------------------------------------------------
-
-    def contains(self, x: Sequence[int]) -> bool:
-        return lattice_contains(self.lattice, sparse_row(self.ambient.reduce(x)))
 
     def generator_rows(self) -> list[Row]:
         """Canonical generating set as sparse rows: the nonzero projections of the basis rows."""
@@ -488,17 +471,14 @@ def direct_complement(b: SubgroupRep) -> SubgroupRep:
     quot, proj = quotient_with_projection(b)
     lifts = []
     if quot.free_rank:  # the projection is onto, so every free generator lifts
-        lifts += lift_through(proj, free_section(quot)).matrix.transpose().sparse
-    relations = [list(r) + [0] * amb.num_gens for r in quot.relation_rows()]
-    relations += [[0] * quot.num_gens + list(r) for r in amb.relation_rows()]
+        lifts += _solve_modulo(proj.matrix, [quot], free_section(quot).matrix).transpose().sparse
     for i, d in enumerate(quot.torsion, quot.free_rank):
         # proj(x) = g and d*x = 0 for the generator g of order d, modulo both groups' relations
         stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(d))
-        block = stacked.hstack(IntMatrix.from_columns(relations, rows=stacked.rows))
-        sol = int_solve(block, list(quot.gen(i)) + list(amb.zero()))
-        if sol is None:
+        x = _solve_modulo(stacked, [quot, amb], IntMatrix.from_columns([quot.gen(i) + amb.zero()]))
+        if x is None:
             raise NotASummand("no section: subgroup is not a direct summand")
-        lifts.append(sparse_row(sol[: amb.num_gens]))
+        lifts += x.transpose().sparse
     return SubgroupRep.from_sparse(amb, lifts)
 
 

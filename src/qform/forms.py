@@ -86,12 +86,6 @@ class EQForm:
     def rank(self) -> int:
         return self.group.free_rank
 
-    def lam(self, x, y) -> int:
-        """Value of the pairing λ(x, y)."""
-        xr = self.group.reduce(x)
-        yr = self.group.reduce(y)
-        return sum(a * b for a, b in zip(xr, self.matrix.apply(yr)))
-
     def reduced_matrix(self) -> IntMatrix:
         """The pairing restricted to the free generators."""
         r = self.group.free_rank

@@ -38,9 +38,8 @@ on a dense copy, and a few small readers index them.
 ``smith_normal_form`` returns a full decomposition U*A*V = D with pivots
 chosen as the minimal absolute nonzero entry of the working block, ties
 broken lexicographically, which makes U and V reproducible.  Solving
-factors once: ``int_solver`` computes one Smith decomposition and returns
-a function that solves A*x = y for any number of right-hand sides;
-``int_solve`` is that solver used once.
+is ``int_solve`` alone: it takes every right-hand side at once, as the
+columns of one matrix, and solves them all from one Smith decomposition.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
 
@@ -685,34 +684,22 @@ def int_nullspace(a: IntMatrix) -> list[Row]:
     return [shifted_row(r, -m) for r in hermite_row_basis(rows, m + a.cols) if r[0][0] >= m]
 
 
-def int_solver(a: IntMatrix) -> Callable[[Sequence[int]], Vec | None]:
-    """Factor A once; the result maps y to one integer solution of A*x = y, or None.
+def int_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """X with A*X = B, or None when some column of B has no integer solution.
 
-    The particular solution is the canonical one coming from the Smith
-    decomposition, so it is the same for every right-hand side as a fresh
-    ``int_solve`` would give.
+    One Smith decomposition U*A*V = D serves every column y of B: y is
+    solvable exactly when each entry of U*y is a multiple of its diagonal
+    entry of D (zero past the rank), and its solution is the canonical
+    V*D⁻¹*U*y, the same whether y comes alone or beside other columns.
     """
+    if b.rows != a.rows:
+        raise DimensionMismatch("right-hand side row count mismatch")
     dec = smith_normal_form(a)
-    diag = dec.diagonal + (0,) * (a.rows - min(a.rows, a.cols))
-
-    def solve(y: Sequence[int]) -> Vec | None:
-        if len(y) != a.rows:
-            raise DimensionMismatch("right-hand side length mismatch")
-        uy = dec.u.apply(y)
-        w = [0] * a.cols
-        for i, d in enumerate(diag):
-            if d == 0:
-                if uy[i] != 0:
-                    return None
-            else:
-                if uy[i] % d != 0:
-                    return None
-                w[i] = uy[i] // d
-        return dec.v.apply(w)
-
-    return solve
-
-
-def int_solve(a: IntMatrix, y: Sequence[int]) -> Vec | None:
-    """One integer solution of A*x = y, or None (see ``int_solver``)."""
-    return int_solver(a)(y)
+    diag = dec.diagonal + (0,) * (a.rows - a.cols)
+    w: list[Row] = []  # the rows of D⁻¹*U*B
+    for d, row in zip(diag, dec.u.mul(b).sparse):
+        if row and (not d or any(x % d for _, x in row)):
+            return None
+        w.append(tuple([(j, x // d) for j, x in row]))
+    w = w[: a.cols] + [()] * (a.cols - a.rows)
+    return dec.v.mul(IntMatrix._of(a.cols, b.cols, tuple(w)))

@@ -16,7 +16,6 @@ from qform.abelian import (
     direct_complement,
     direct_sum_with_maps,
     free_group,
-    group_solver,
     invert_iso,
     is_direct_summand,
     lift_through,
@@ -25,7 +24,7 @@ from qform.abelian import (
     solve_in_group,
     torsion_subgroup,
 )
-from qform.errors import HypothesisError, NotASummand, NotWellDefined
+from qform.errors import DimensionMismatch, HypothesisError, NotASummand, NotWellDefined
 from qform.intmat import (
     IntMatrix,
     dense_row,
@@ -48,6 +47,16 @@ def enumerate_elements(g: AbGroup, free_bound: int = 2):
 def smul(g: AbGroup, k: int, x):
     """k·x in g."""
     return g.reduce([k * a for a in x])
+
+
+def relation_rows(g: AbGroup):
+    """The rows d_i·e_{r+i} that span g's relation lattice in Z^{r+m}."""
+    return [tuple(d if k == g.free_rank + i else 0 for k in range(g.num_gens)) for i, d in enumerate(g.torsion)]
+
+
+def contains(s: SubgroupRep, x) -> bool:
+    """Whether the element x lies in s."""
+    return lattice_contains(s.lattice, sparse_row(s.ambient.reduce(x)))
 
 
 def contains_subgroup(s: SubgroupRep, other: SubgroupRep) -> bool:
@@ -96,7 +105,7 @@ def test_subgroup_canonical_under_shuffle():
 def test_subgroup_membership_small_group():
     g = AbGroup(0, (2, 4))
     s = SubgroupRep.from_elements(g, [(1, 2)])
-    inside = {x for x in enumerate_elements(g) if s.contains(x)}
+    inside = {x for x in enumerate_elements(g) if contains(s, x)}
     assert inside == {(0, 0), (1, 2)}
     assert s.rank == 0
     assert not s.is_free()  # contains the order-2 element (1, 2)
@@ -121,15 +130,15 @@ def test_intersection_and_sum_by_enumeration():
         s2 = SubgroupRep.from_elements(g, rng.sample(elems, 2))
         meet = s1.intersection(s2)
         for x in elems:
-            assert meet.contains(x) == (s1.contains(x) and s2.contains(x))
+            assert contains(meet, x) == (contains(s1, x) and contains(s2, x))
         join = s1.sum(s2)
         spanned = set()
         for x in elems:
             for y in elems:
-                if s1.contains(x) and s2.contains(y):
+                if contains(s1, x) and contains(s2, y):
                     spanned.add(g.add(x, y))
         for x in elems:
-            assert join.contains(x) == (x in spanned)
+            assert contains(join, x) == (x in spanned)
 
 
 def test_transport_and_preimage():
@@ -139,7 +148,7 @@ def test_transport_and_preimage():
     s = SubgroupRep.from_elements(tgt, [(2, 0)])
     pre = s.preimage(h)
     for x in itertools.product(range(-3, 4), repeat=2):
-        assert pre.contains(x) == s.contains(h.apply(x))
+        assert contains(pre, x) == contains(s, h.apply(x))
     # image of the preimage lands back inside s
     assert contains_subgroup(s, pre.transport(h))
 
@@ -150,7 +159,7 @@ def test_preimage_of_zero_is_kernel():
     h = GroupHom.from_gen_images(src, tgt, [(1,)])
     pre = SubgroupRep.zero(tgt).preimage(h)
     assert pre == h.kernel()
-    assert pre.contains((2,)) and not pre.contains((1,))
+    assert contains(pre, (2,)) and not contains(pre, (1,))
 
 
 # -- quotients ---------------------------------------------------------
@@ -218,7 +227,7 @@ def test_kernel_and_surjectivity():
     assert h.is_surjective()
     ker = h.kernel()
     for x in itertools.product(range(-2, 3), repeat=2):
-        assert ker.contains(x) == (h.apply(x) == (0, 0))
+        assert contains(ker, x) == (h.apply(x) == (0, 0))
 
 
 def test_invert_iso_roundtrip():
@@ -444,17 +453,30 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_group_solver_matches_fresh_solves():
+def test_a_many_column_lift_matches_one_column_solves():
+    """``lift_through`` of k right-hand sides is their k ``solve_in_group`` lifts, or None when one of them is."""
     rng = random.Random(41)
+    outcomes = Counter()
     for g in GROUPS:
         for _ in range(10):
             h = random_endomorphism(rng, g)
-            solve = group_solver(h)
-            for _ in range(6):
-                y = [rng.randint(-4, 4) for _ in range(g.num_gens)]
-                x = solve(y)
-                assert x == solve_in_group(h, y)
-                assert x is None or h.apply(x) == g.reduce(y)
+            for _ in range(3):
+                ys = [g.reduce([rng.randint(-4, 4) for _ in range(g.num_gens)]) for _ in range(rng.randint(1, 4))]
+                ones = [solve_in_group(h, y) for y in ys]
+                for x, y in zip(ones, ys):
+                    assert x is None or h.apply(x) == y
+                f = GroupHom(free_group(len(ys)), g, IntMatrix.from_columns(ys))
+                got = lift_through(h, f)
+                if None in ones:
+                    assert got is None
+                    outcomes["one fails" if ones.count(None) == 1 else "several fail"] += 1
+                else:
+                    assert [got.matrix.column(j) for j in range(len(ys))] == ones
+                    outcomes["lifted"] += 1
+    assert set(outcomes) == {"one fails", "several fail", "lifted"}
+    # the right-hand sides must have the target's coordinates
+    with pytest.raises(DimensionMismatch):
+        lift_through(GroupHom.identity(free_group(2)), GroupHom.identity(free_group(3)))
 
 
 def test_invert_iso_matches_one_solve_per_generator():
@@ -495,9 +517,8 @@ def random_hom(rng, source, target):
 
 
 def lift_one_solve_at_a_time(h, f):
-    """lift_through with a per-generator group_solver loop."""
-    solve = group_solver(h)
-    cols = [solve(f.apply(g)) for g in f.source.gens()]
+    """lift_through with one ``solve_in_group`` per generator of f's source."""
+    cols = [solve_in_group(h, f.apply(g)) for g in f.source.gens()]
     if any(x is None for x in cols):
         return None
     return GroupHom.from_gen_images(f.source, h.source, cols)
@@ -528,6 +549,31 @@ def test_lift_through_a_hom_that_is_not_onto_is_none():
     assert lift_through(double, double) == GroupHom.identity(free_group(1))
 
 
+def test_each_lift_computes_one_smith_form(monkeypatch):
+    """One Smith form per ``lift_through``, whatever f's generator count; two per free summand's complement."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    g = AbGroup(1, (2, 4))
+    h = GroupHom.from_gen_images(free_group(4), g, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 1, 2)])
+    for k in (1, 3, 8):
+        f = GroupHom(free_group(k), g, IntMatrix.from_columns([g.gen(j % 3) for j in range(k)]))
+        calls.clear()
+        assert h.compose(lift_through(h, f)) == f
+        assert len(calls) == 1
+    # the quotient's Smith form, and one solve for the quotient's free generators
+    b = SubgroupRep.from_elements(free_group(4), [(1, 2, 0, 0), (0, 0, 1, 0)])
+    calls.clear()
+    comp = direct_complement(b)
+    assert b.sum(comp).is_full() and b.intersection(comp).is_zero()
+    assert len(calls) == 2
+
+
 def complement_one_solve_at_a_time(b):
     """direct_complement with one fresh factorization per quotient generator."""
     amb = b.ambient
@@ -539,13 +585,13 @@ def complement_one_solve_at_a_time(b):
             x = solve_in_group(proj, g)
         else:
             stacked = proj.matrix.vstack(IntMatrix.identity(amb.num_gens).scale(order))
-            cols = [list(r) + [0] * amb.num_gens for r in quot.relation_rows()]
-            cols += [[0] * quot.num_gens + list(r) for r in amb.relation_rows()]
+            cols = [list(r) + [0] * amb.num_gens for r in relation_rows(quot)]
+            cols += [[0] * quot.num_gens + list(r) for r in relation_rows(amb)]
             block = stacked.hstack(IntMatrix.from_columns(cols, rows=stacked.rows)) if cols else stacked
-            sol = int_solve(block, list(g) + list(amb.zero()))
+            sol = int_solve(block, IntMatrix.from_columns([g + amb.zero()]))
             if sol is None:
                 raise NotASummand("no section: subgroup is not a direct summand")
-            x = amb.reduce(sol[: amb.num_gens])
+            x = amb.reduce(sol.column(0)[: amb.num_gens])
         lifts.append(x)
     comp = SubgroupRep.from_elements(amb, lifts)
     if not b.intersection(comp).is_zero() or not b.sum(comp).is_full():
@@ -656,7 +702,7 @@ def miyata_is_summand(b):
     n = amb.num_gens
     basis = [dense_row(r, n) for r in b.lattice]
     quot = cokernel(basis, n)
-    sub = cokernel([echelon_coordinates(basis, rel) for rel in amb.relation_rows()], len(basis))
+    sub = cokernel([echelon_coordinates(basis, rel) for rel in relation_rows(amb)], len(basis))
     t = quot.torsion + sub.torsion
     torsion = cokernel([[d if i == j else 0 for j in range(len(t))] for i, d in enumerate(t)], len(t)).torsion
     return AbGroup(quot.free_rank + sub.free_rank, torsion) == amb
@@ -724,11 +770,11 @@ def smith_nullspace(a):
 
 def reference_kernel(h):
     block = h.matrix
-    rel = h.target.relation_rows()
+    rel = relation_rows(h.target)
     if rel:
         block = block.hstack(IntMatrix.from_columns([list(r) for r in rel], rows=h.target.num_gens))
     n = h.source.num_gens
-    vecs = [col[:n] for col in smith_nullspace(block)] + h.source.relation_rows()
+    vecs = [col[:n] for col in smith_nullspace(block)] + relation_rows(h.source)
     return SubgroupRep.from_elements(h.source, vecs)
 
 
@@ -750,7 +796,7 @@ def reference_preimage(s, h):
     lat = IntMatrix(len(s.lattice), s.ambient.num_gens, s.lattice)
     n = h.source.num_gens
     vecs = [col[:n] for col in smith_nullspace(h.matrix.hstack(lat.transpose().neg()))]
-    return SubgroupRep.from_elements(h.source, vecs + h.source.relation_rows())
+    return SubgroupRep.from_elements(h.source, vecs + relation_rows(h.source))
 
 
 @st.composite

@@ -6,8 +6,12 @@ JSON payload and the exit code without spawning interpreters.
 
 import copy
 import dataclasses
+import itertools
 import json
+import math
+import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -474,6 +478,104 @@ def test_exit_4_for_an_iso_document_whose_map_is_not_bijective(tmp_path, capsys,
     }
     code, report, _ = invoke(capsys, "validate", "--input", write_doc(tmp_path, "iso.json", doc))
     assert (code, report["error"], report["detail"]) == (4, "not bijective", detail)
+
+
+# -- exit codes of iso documents against a brute-force reference -----------
+
+# (free rank, torsion) of small groups Z^r ⊕ Z/d_1 ⊕ ...; free rank at most 1
+SMALL_GROUPS = [(0, (2,)), (0, (4,)), (0, (2, 2)), (0, (2, 4)), (0, (6,)), (1, ()), (1, (2,)), (1, (4,))]
+COEFFICIENT_GROUPS = [(0, ()), (0, (2,)), (0, (4,)), (1, ())]
+
+
+def orders(group):
+    """The order of each generator, 0 for a free one."""
+    r, torsion = group
+    return [0] * r + list(torsion)
+
+
+def brute_iso_exit(source, target, matrix):
+    """The exit code an iso document along ``matrix`` must give, decided on plain lists.
+
+    The matrix defines a hom when d times the image of each generator of
+    order d is zero in the target; otherwise the document is invalid (2).
+    A hom is bijective exactly when it is on the free quotients (a 1 × 1
+    block ±1, or both free ranks 0) and on the finite torsion parts, which
+    are scanned element by element: bijective is 0, any other hom is 4.
+    """
+    (r, ts), (s, tt) = source, target
+    for j, d in enumerate(orders(source)):
+        if d and any(d * matrix[i][j] % e if e else matrix[i][j] for i, e in enumerate(orders(target))):
+            return 2
+    free_bijective = r == s and (r == 0 or abs(matrix[0][0]) == 1)
+    elements = list(itertools.product(*[range(d) for d in ts]))
+    images = {
+        tuple(sum(matrix[s + k][r + j] * x[j] for j in range(len(ts))) % e for k, e in enumerate(tt)) for x in elements
+    }
+    torsion_bijective = len(images) == len(elements) == math.prod(tt)
+    return 0 if free_bijective and torsion_bijective else 4
+
+
+def random_image(rng, d, e):
+    """A coordinate of order e (0: free) of the image of a generator of order d (0: free) under a hom."""
+    if not e:
+        return 0 if d else rng.randint(-1, 1)
+    return rng.randint(-2, 2) * (e // math.gcd(d, e))
+
+
+def group_doc(group):
+    return {"free_rank": group[0], "torsion": list(group[1])}
+
+
+def random_iso_document(rng, source, target, matrix=None):
+    """An iso document along ``matrix`` whose source form is the pullback of a random target form.
+
+    Without a matrix, a random one: three in five are homs by
+    construction, and the rest have free entries, so most of them define
+    no hom.
+    """
+    src, tgt = orders(source), orders(target)
+    if matrix is None:
+        hom = rng.random() < 0.6
+        matrix = [[random_image(rng, d, e) if hom else rng.randint(-2, 2) for d in src] for e in tgt]
+    coefficients = rng.choice(COEFFICIENT_GROUPS)
+    mu_t = [[random_image(rng, e, q) for e in tgt] for q in orders(coefficients)]
+    s = target[0]
+    lam_t = [[0] * len(tgt) for _ in tgt]
+    for i in range(s):
+        for j in range(i, s):
+            lam_t[i][j] = lam_t[j][i] = rng.randint(-2, 2)
+    # the source form is the pullback: λ = Mᵀ λ′ M and μ = μ′ M
+    n = len(src)
+    lam_s = [
+        [sum(matrix[a][i] * lam_t[a][b] * matrix[b][j] for a in range(s) for b in range(s)) for j in range(n)]
+        for i in range(n)
+    ]
+    mu_s = [[sum(row[k] * matrix[k][j] for k in range(len(tgt))) for j in range(n)] for row in mu_t]
+
+    def form(group, lam, mu):
+        return {"group": group_doc(group), "lambda": lam, "target": group_doc(coefficients), "mu": mu}
+
+    return {"source": form(source, lam_s, mu_s), "target": form(target, lam_t, mu_t), "matrix": matrix}
+
+
+def test_iso_document_exit_codes_match_a_brute_force_scan(tmp_path, capsys):
+    """Every document's map pulls the form back: exit 0 exactly for a bijection, 4 for any other hom, 2 for no hom."""
+    rng = random.Random(61)
+    # the onto map Z → Z/2 that is not injective, pinned among them
+    cases = [((1, ()), (0, (2,)), [[1]])]
+    for _ in range(300):
+        source = rng.choice(SMALL_GROUPS)
+        cases.append((source, source if rng.random() < 0.6 else rng.choice(SMALL_GROUPS), None))
+    path = tmp_path / "iso.json"
+    codes = Counter()
+    for source, target, matrix in cases:
+        doc = random_iso_document(rng, source, target, matrix)
+        path.write_text(canonical_dumps(doc))
+        code, report, _ = invoke(capsys, "validate", "--input", str(path))
+        assert code == brute_iso_exit(source, target, doc["matrix"]), doc
+        assert (code == 0) == report.get("ok", False)
+        codes[code] += 1
+    assert all(codes[c] >= 30 for c in (0, 2, 4)), codes
 
 
 def test_node_limit_env_default(tmp_path, capsys, monkeypatch):

@@ -29,11 +29,16 @@ from qform.forms import (
     subgroup_classify,
     swap_blocks,
 )
-from qform.intmat import IntMatrix
+from qform.intmat import IntMatrix, lattice_contains, sparse_row
 from qform.lmonoid import ApplyIso, FlipL, QuasiFormation, jacobi_witness, standard_elementary
 
 
 Z = free_group(1)
+
+
+def pairing(e, x, y):
+    """λ(x, y) on the form e."""
+    return sum(a * b for a, b in zip(e.group.reduce(x), e.matrix.apply(e.group.reduce(y))))
 
 
 def e_form(a, b):
@@ -110,7 +115,7 @@ def test_geometric_generator_check_extends():
     assert e.is_geometric()
     for _ in range(50):
         x = tuple(rng.randrange(-5, 6) for _ in range(2))
-        assert (e.lam(x, x) % 2,) == vmu.apply(x)
+        assert (pairing(e, x, x) % 2,) == vmu.apply(x)
 
 
 # -- dual / negate / pullback ------------------------------------------
@@ -159,9 +164,9 @@ def test_direct_sum_maps_respect_pairing():
     s = form_direct_sum(a, b)
     for x in [(1, 0), (0, 1), (2, -1)]:
         for y in [(1, 0), (1, 1)]:
-            assert s.form.lam(s.incl_a.apply(x), s.incl_a.apply(y)) == a.lam(x, y)
-            assert s.form.lam(s.incl_b.apply(x), s.incl_b.apply(y)) == b.lam(x, y)
-            assert s.form.lam(s.incl_a.apply(x), s.incl_b.apply(y)) == 0
+            assert pairing(s.form, s.incl_a.apply(x), s.incl_a.apply(y)) == pairing(a, x, y)
+            assert pairing(s.form, s.incl_b.apply(x), s.incl_b.apply(y)) == pairing(b, x, y)
+            assert pairing(s.form, s.incl_a.apply(x), s.incl_b.apply(y)) == 0
     assert s.form.mu.apply(s.incl_a.apply((1, 0))) == (1,)
     assert s.form.mu.apply(s.incl_b.apply((1, 0))) == (3,)
 
@@ -253,13 +258,13 @@ def test_perp_in_rank_four():
     perp = orthogonal_complement(h4, x)
     assert perp.rank == 3
     for vec in [(1, 0, -1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]:
-        assert perp.contains(vec)
+        assert lattice_contains(perp.lattice, sparse_row(vec))
     # the interleaved flavour arises as H_2 ⊕ H_2: pairs e1↔e2 and e3↔e4
     inter = form_direct_sum(hyperbolic(1), hyperbolic(1)).form
     perp2 = orthogonal_complement(inter, SubgroupRep.from_elements(inter.group, [(1, 0, 1, 0)]))
     assert perp2.rank == 3
     for vec in [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, -1)]:
-        assert perp2.contains(vec)
+        assert lattice_contains(perp2.lattice, sparse_row(vec))
 
 
 def test_perp_rank_formula_randomized():
@@ -272,7 +277,7 @@ def test_perp_rank_formula_randomized():
         assert x.rank + perp.rank == h.rank
         for a in x.generators():
             for b in perp.generators():
-                assert h.lam(a, b) == 0
+                assert pairing(h, a, b) == 0
 
 
 def test_perp_contains_torsion():
@@ -281,7 +286,7 @@ def test_perp_contains_torsion():
     e = EQForm(g, lam, GroupHom.zero(g, AbGroup(0, ())))
     x = SubgroupRep.from_elements(g, [(1, 0, 0)])
     perp = orthogonal_complement(e, x)
-    assert perp.contains((0, 0, 1))
+    assert lattice_contains(perp.lattice, sparse_row((0, 0, 1)))
 
 
 def test_perp_needs_nonsingular():

@@ -9,13 +9,18 @@ as used when another top-level statement of any module names it, reads it
 as an attribute or imports it, so helpers left without callers show up.
 A public name counts the same way, except that ``__init__.py`` does not
 read it; one that no module reads needs a row, with its reason, in the
-README's table of public names kept without a library reader.  A row whose
-name is gone or has gained a reader fails too, so the table only shrinks.
-Outside ``intmat``, ``.det(`` and ``.is_unimodular(`` are called only in
-the few places listed in ``DECIDING_PLACES``: bijectivity has one owner.
+README's table of public names kept without a library reader.  A public
+method of a module-level class counts as read when any module reads
+``.name`` outside the method itself, and is kept by a row for
+``module.Class.name``.  A row whose name is gone or has gained a reader
+fails too, so the table only shrinks.  Outside ``intmat``, ``.det(`` and
+``.is_unimodular(`` are called only in the few places listed in
+``DECIDING_PLACES``: bijectivity has one owner.  ``smith_normal_form(`` is
+called in exactly the places of ``SMITH_PLACES``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,8 +134,33 @@ def kept_names(readme):
     return [row.split("`")[1] for row in section.splitlines() if row.startswith("| `")]
 
 
+def public_methods(sources):
+    """(module, 'Class.name', line, function node) for each public method of a public module-level class."""
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                        yield module, "%s.%s" % (cls.name, node.name), node.lineno, node
+
+
+def attribute_reads(tree):
+    """How many times each name is read as ``.name`` in the tree."""
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+
+def unread_methods(sources):
+    """(module, 'Class.name', line) for each public method whose ``.name`` no module reads outside the method itself."""
+    reads = sum((attribute_reads(ast.parse(source)) for source in sources.values()), Counter())
+    return [
+        (module, name, line)
+        for module, name, line, node in public_methods(sources)
+        if reads[node.name] == attribute_reads(node)[node.name]
+    ]
+
+
 def public_surface_findings(sources, readme):
-    """Public names with no reader and no README row, and README rows naming no such orphan.
+    """Public names and methods with no reader and no README row, and README rows naming no such orphan.
 
     A row whose name is missing or has gained a reader is reported too, so
     the README's list only shrinks.
@@ -141,8 +171,11 @@ def public_surface_findings(sources, readme):
         if module != "__init__.py"
         for node in ast.parse(source).body
         for name in definitions(node)
+    } | {"%s.%s" % (module[:-3], name) for module, name, _, _ in public_methods(sources)}
+    unread = {
+        "%s.%s" % (module[:-3], name): (module, name, line)
+        for module, name, line in orphans(sources, public=True) + unread_methods(sources)
     }
-    unread = {"%s.%s" % (module[:-3], name): (module, name, line) for module, name, line in orphans(sources, public=True)}
     kept = kept_names(readme)
     return (
         ["%s: %s (line %d): no reader and no README row" % unread[name] for name in unread if name not in kept]
@@ -163,6 +196,24 @@ def test_an_unreferenced_public_name_is_found():
         "__init__.py": "from .b import Gone, TABLE\n__all__ = ['Gone', 'TABLE']\n",
     }
     assert unreferenced_names(sources, public=True) == ["a.py: orphan (line 6)", "b.py: TABLE (line 2)", "b.py: Gone (line 4)"]
+
+
+def test_an_unread_public_method_is_found():
+    sources = {
+        "a.py": "class Group:\n    def order(self):\n        return self.order()\n\n    def size(self):\n        return 1\n\n"
+        "    @property\n    def rank(self):\n        return 0\n\n    def _hidden(self):\n        return 2\n",
+        "b.py": "from .a import Group\n\nclass Form:\n    def lam(self):\n        return Group().size()\n\n"
+        "    def pairing(self):\n        return self.lam()\n\n\nclass _Parser:\n    def error(self):\n        return 3\n",
+        "c.py": "from .b import Form\n",
+    }
+    assert unread_methods(sources) == [("a.py", "Group.order", 2), ("a.py", "Group.rank", 9), ("b.py", "Form.pairing", 7)]
+    readme = "%s\n\n| `a.Group.order` | r |\n| `a.Group.size` | r |\n| `b.Form.gone` | r |\n" % KEPT_HEADING
+    assert public_surface_findings(sources, readme) == [
+        "a.py: Group.rank (line 9): no reader and no README row",
+        "b.py: Form.pairing (line 7): no reader and no README row",
+        "README: b.Form.gone does not exist",
+        "README: a.Group.size has a reader in the package",
+    ]
 
 
 def test_a_readme_row_must_keep_an_existing_orphan():
@@ -186,8 +237,16 @@ DECIDING_PLACES = {
 }
 
 
-def decider_calls(module, source):
-    """'module.Class.function' and line of each ``.det(`` or ``.is_unimodular(`` call, by its enclosing definition."""
+# The Smith form is computed only where its transforms or invariant factors are read: solving,
+# quotients and the merged torsion of a direct sum.  A Hermite-based solve would rework each.
+SMITH_PLACES = {"intmat.int_solve", "abelian.quotient_with_projection", "abelian.direct_sum_with_maps"}
+
+
+def calls_to(names, module, source):
+    """'module.Class.function' and line of each call ``f(`` or ``x.f(`` with f in ``names``.
+
+    A call is placed by its enclosing definition.
+    """
     found = []
 
     def visit(node, scope):
@@ -195,8 +254,10 @@ def decider_calls(module, source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in DECIDERS:
-                found.append((".".join([module] + scope), child.lineno))
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
+                    found.append((".".join([module] + scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), [])
@@ -206,11 +267,11 @@ def decider_calls(module, source):
 def stray_deciders(sources):
     """'place (line n)' for each determinant call outside ``intmat`` and the places allowed one."""
     return [
-        "%s (line %d)" % (place, line)
+        "%s (line %d)" % call
         for module, source in sources.items()
         if module != "intmat.py"
-        for place, line in decider_calls(module[:-3], source)
-        if place not in DECIDING_PLACES
+        for call in calls_to(DECIDERS, module[:-3], source)
+        if call[0] not in DECIDING_PLACES
     ]
 
 
@@ -228,3 +289,28 @@ def test_a_stray_determinant_is_found():
         "intmat.py": "def is_unimodular(m):\n    return abs(m.det()) == 1\n",
     }
     assert stray_deciders(sources) == ["abelian.require (line 2)", "construct.Frame.__post_init__ (line 8)"]
+
+
+def smith_findings(sources):
+    """'place (line n)' for each ``smith_normal_form`` call outside ``SMITH_PLACES``, and each place that makes none."""
+    calls = [call for module, source in sources.items() for call in calls_to({"smith_normal_form"}, module[:-3], source)]
+    return ["%s (line %d)" % call for call in calls if call[0] not in SMITH_PLACES] + [
+        "%s calls no smith_normal_form" % place for place in sorted(SMITH_PLACES - {place for place, _ in calls})
+    ]
+
+
+def test_smith_forms_are_computed_in_the_listed_places():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert smith_findings(sources) == []
+
+
+def test_a_stray_smith_form_is_found():
+    sources = {
+        "intmat.py": "def smith_normal_form(a):\n    return a\n\n\ndef int_solve(a, b):\n    return smith_normal_form(a)\n",
+        "abelian.py": "from . import intmat\n\n\ndef quotient_with_projection(b):\n    return intmat.smith_normal_form(b)\n\n\n"
+        "class SubgroupRep:\n    def rank(self):\n        return len(smith_normal_form(self.m).diagonal)\n",
+    }
+    assert smith_findings(sources) == [
+        "abelian.SubgroupRep.rank (line 10)",
+        "abelian.direct_sum_with_maps calls no smith_normal_form",
+    ]

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,6 @@ from qform.intmat import (
     hermite_row_basis,
     int_nullspace,
     int_solve,
-    int_solver,
     lattice_contains,
     smith_normal_form,
     sparse_row,
@@ -25,6 +25,12 @@ from qform.intmat import (
 def dense_hermite(rows, width):
     """``hermite_row_basis`` on dense rows, its basis returned as dense rows."""
     return tuple(dense_row(r, width) for r in hermite_row_basis([sparse_row(r) for r in rows], width))
+
+
+def solve_one(a, y):
+    """``int_solve`` of the one right-hand side y, its solution as a vector."""
+    x = int_solve(a, IntMatrix.from_columns([y]))
+    return None if x is None else x.column(0)
 
 
 def random_matrix(rng, rows, cols, bound=50):
@@ -142,15 +148,18 @@ def test_nullspace_and_solve():
         # solvable instance: pick x, solve for A x
         x = tuple(rng.randint(-5, 5) for _ in range(cols))
         y = a.apply(x)
-        sol = int_solve(a, y)
+        sol = solve_one(a, y)
         assert sol is not None
         assert a.apply(sol) == y
 
 
 def test_solve_detects_unsolvable():
     a = IntMatrix.from_rows([[2, 0], [0, 2]])
-    assert int_solve(a, (1, 0)) is None
-    assert int_solve(a, (2, -4)) == (1, -2)
+    assert solve_one(a, (1, 0)) is None
+    assert solve_one(a, (2, -4)) == (1, -2)
+    # one column without a solution leaves the whole system without one
+    assert int_solve(a, IntMatrix.from_rows([[2, 1], [-4, 0]])) is None
+    assert int_solve(a, IntMatrix.from_rows([[2, 4], [-4, 0]])) == IntMatrix.from_rows([[1, 2], [-2, 0]])
 
 
 # -- the product kernel against the textbook triple loop ---------------
@@ -250,32 +259,44 @@ def test_mul_and_apply_check_dimensions():
         IntMatrix.zeros(2, 3).apply((1, 2))
 
 
-# -- factor once, solve many -------------------------------------------
+# -- one Smith form, every right-hand side --------------------------------
 
 
 def test_solver_matches_fresh_solves_and_detects_unsolvable():
+    """A k-column ``int_solve`` is its k one-column solves side by side, or None when one of them is."""
     rng = random.Random(17)
+    outcomes = Counter()
     for _ in range(60):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         a = random_matrix(rng, rows, cols, bound=6)
         column_lattice = hermite_row_basis(a.transpose().sparse, rows)
-        solve = int_solver(a)
-        for _ in range(8):
-            if rng.random() < 0.5:
-                y = a.apply([rng.randint(-5, 5) for _ in range(cols)])
+        for _ in range(4):
+            ys = []
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.7:
+                    ys.append(a.apply([rng.randint(-5, 5) for _ in range(cols)]))
+                else:
+                    ys.append(tuple(rng.randint(-9, 9) for _ in range(rows)))
+            ones = [solve_one(a, y) for y in ys]
+            for x, y in zip(ones, ys):
+                # solvability decided independently by lattice membership
+                assert (x is not None) == lattice_contains(column_lattice, sparse_row(y))
+                assert x is None or a.apply(x) == y
+            got = int_solve(a, IntMatrix.from_columns(ys, rows=rows))
+            if None in ones:
+                assert got is None
+                outcomes["one fails" if ones.count(None) == 1 else "several fail"] += 1
             else:
-                y = tuple(rng.randint(-9, 9) for _ in range(rows))
-            x = solve(y)
-            assert x == int_solve(a, y)
-            # solvability decided independently by lattice membership
-            assert (x is not None) == lattice_contains(column_lattice, sparse_row(y))
-            if x is not None:
-                assert a.apply(x) == y
+                assert (got.rows, got.cols) == (cols, len(ys))
+                assert [got.column(j) for j in range(len(ys))] == ones
+                outcomes["solved, %s" % ("no columns" if not ys else "columns")] += 1
+    assert set(outcomes) == {"one fails", "several fail", "solved, no columns", "solved, columns"}
 
 
 def test_solver_checks_the_right_hand_side_length():
-    with pytest.raises(DimensionMismatch):
-        int_solver(IntMatrix.identity(2))((1, 2, 3))
+    for rows in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            int_solve(IntMatrix.identity(2), IntMatrix.zeros(rows, 1))
 
 
 # -- det against references that share no code with it ------------------

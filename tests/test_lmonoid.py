@@ -43,6 +43,11 @@ VZ = GroupHom.zero(Z, Z2)
 V0 = GroupHom.zero(ZERO_GROUP, Z2)
 
 
+def pairing(e, x, y):
+    """λ(x, y) on the form e."""
+    return sum(a * b for a, b in zip(e.group.reduce(x), e.matrix.apply(e.group.reduce(y))))
+
+
 def sub(q, *gens):
     group = q.group if isinstance(q, EQForm) else q.form.group
     return SubgroupRep.from_elements(group, gens)
@@ -194,7 +199,7 @@ def pairing_gcd_on_summand(q):
     gens = q.summand.generators()
     for i, x in enumerate(gens):
         for y in gens[i:]:
-            g = gcd(g, q.form.lam(x, y))
+            g = gcd(g, pairing(q.form, x, y))
     return g
 
 
