@@ -2,24 +2,26 @@
 
 The wire format is plain JSON with a fixed canonical layout: object keys
 sorted, two-space indent, a trailing newline, and no floating point
-anywhere.  Integers that do not fit into 53 bits are written as decimal
-strings so that readers which parse numbers as doubles cannot corrupt
-them; on input both plain integers and decimal strings are accepted.
+anywhere.  A nonempty list of integers (a matrix row, a vector, a list of
+invariant factors) is a row, written on one line as ``[a, b, c]``; every
+other nonempty list or object puts each item on a line of its own,
+indented two spaces deeper than the container.  Integers that do not fit
+into 53 bits are written as decimal strings, inside a row as anywhere
+else, so that readers which parse numbers as doubles cannot corrupt
+them; on input both plain integers and decimal strings are accepted, in
+any layout.
 
-``canonical_dumps`` writes that layout in one recursive pass.  Its bytes
-are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` on the
-document with every integer of magnitude 2**53 or more replaced by its
-decimal string.  Lists of 53-bit integers are the bulk of every matrix,
-and a certificate repeats most of its rows (each move's target form is
-the next move's source), so each distinct such list is formatted once
-per document and depth, and its later copies reuse that text.  A dict
-the document holds in several places (a sequence or word document holds
-one dict per form object) is likewise written once per depth.  Object
-keys must be strings, and a document nested more than ``MAX_DEPTH``
-containers deep is refused with a SchemaError, as is one too deep to
-parse.  ``first_difference`` names the first JSON path, in that layout's
-order, where two documents differ; it compares lists of ints with ``==``
-and encodes only the values it cannot compare so.
+``canonical_dumps`` writes that layout in one recursive pass.  Rows are
+the bulk of every matrix, and a certificate repeats most of its rows
+(each move's target form is the next move's source), so each distinct
+row is formatted once per document, and its later copies reuse that
+text.  A dict the document holds in several places (a sequence or word
+document holds one dict per form object) is likewise written once per
+depth.  Object keys must be strings, and a document nested more than
+``MAX_DEPTH`` containers deep is refused with a SchemaError, as is one
+too deep to parse.  ``first_difference`` names the first JSON path, in
+that layout's order, where two documents differ; it compares lists of
+ints with ``==`` and encodes only the values it cannot compare so.
 
 Integers have no size limit in either direction.  Python refuses int/str
 conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
@@ -73,6 +75,7 @@ from .intmat import IntMatrix, Row
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
+_SAFE_DIGITS = (len(str(_SAFE)), str(_SAFE))  # compared with (len(s), s) for a digit string s
 _INT_ONLY = {int}
 _LIST_ONLY = {list}
 _PLAIN_LEAVES = {int, str}
@@ -134,13 +137,15 @@ def _parse_digits(body: str) -> int:
 
 
 def canonical_dumps(doc: Any) -> str:
-    """Serialize to the canonical byte layout.
+    """Serialize to the canonical byte layout (see the module docstring).
 
-    One memo serves the whole call (see ``_write``): the text of a
-    subtree depends only on its value and its depth, and ``doc`` keeps
-    every container alive until the call returns, so a container's id
-    names it throughout.  The bytes are those of the document written out
-    as a tree, however much of it is shared.
+    Booleans are not integers here: ``[true, 1]`` is no row, and puts
+    each item on a line of its own.  One memo serves the whole call (see
+    ``_write``): a row's text depends only on its entries, a dict's only
+    on its value and its depth, and ``doc`` keeps every container alive
+    until the call returns, so a container's id names it throughout.  The
+    bytes are those of the document written out as a tree, however much
+    of it is shared.
     """
     out: List[str] = []
     _write(doc, "\n", 0, out, {})
@@ -179,14 +184,13 @@ def first_difference(a: Any, b: Any, path: str) -> str | None:
 def _write(value: Any, newline: str, depth: int, out: List[str], memo: Dict[tuple, Any]) -> None:
     """Append ``value``; ``newline`` breaks a line and indents to ``value``'s level.
 
-    ``memo`` holds what was written before, keyed by depth, since a
-    subtree's text depends only on its value and its depth.  (depth,
-    entries) maps to the text of a list of 53-bit ints, so a repeated row
-    is formatted once.  (depth, id(d)) maps to the (start, end) span of a
-    dict d's text in ``out``, joined into one string when d is met again,
-    so a dict the document holds in several places is written once.
-    Within one ``canonical_dumps`` call the document keeps every dict
-    alive, so no id is reused.
+    ``memo`` holds what was written before.  The tuple of a row's
+    entries maps to the row's one-line text, so a repeated row is
+    formatted once.  (None, depth, id(d)) maps to the (start, end) span
+    of a dict d's text in ``out``, joined into one string when d is met
+    again at that depth, so a dict the document holds in several places
+    is written once per depth.  Within one ``canonical_dumps`` call the
+    document keeps every dict alive, so no id is reused.
     """
     if isinstance(value, (dict, list, tuple)):
         if depth >= MAX_DEPTH:
@@ -197,7 +201,7 @@ def _write(value: Any, newline: str, depth: int, out: List[str], memo: Dict[tupl
         inner = newline + "  "
         sep = "," + inner
         if isinstance(value, dict):
-            key = (depth, id(value))
+            key = (None, depth, id(value))  # None keeps it apart from every row's key
             seen = memo.get(key)
             if seen is not None:
                 if type(seen) is tuple:
@@ -216,14 +220,15 @@ def _write(value: Any, newline: str, depth: int, out: List[str], memo: Dict[tupl
             memo[key] = (start, len(out))
             return
         # the type test comes first: [True, False] must never find the text of [1, 0]
-        if set(map(type, value)) == _INT_ONLY:
-            key = (depth, tuple(value))
+        kinds = set(map(type, value))
+        if kinds == _INT_ONLY or (kinds <= _PLAIN_LEAVES and all(map(_row_entry, value))):
+            key = tuple(value)
             text = memo.get(key)
-            if text is None and -_SAFE < min(value) and max(value) < _SAFE:
-                text = memo[key] = "[" + inner + sep.join(map(str, value)) + newline + "]"
-            if text is not None:
-                out.append(text)
-                return
+            if text is None:
+                safe = kinds == _INT_ONLY and -_SAFE < min(value) and max(value) < _SAFE
+                text = memo[key] = "[" + ", ".join(map(str if safe else _int_text, value)) + "]"
+            out.append(text)
+            return
         out.append("[")
         for i, item in enumerate(value):
             out.append(sep if i else inner)
@@ -236,11 +241,31 @@ def _write(value: Any, newline: str, depth: int, out: List[str], memo: Dict[tupl
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(str(value) if -_SAFE < value < _SAFE else '"%s"' % int_to_decimal(value))
+        out.append(_int_text(value))
     elif value is None:
         out.append("null")
     else:
         raise SchemaError("", "cannot serialize %r" % type(value).__name__)
+
+
+def _int_text(n: Any) -> str:
+    """An int's text, or a big integer's decimal string written as it was read."""
+    if type(n) is str:
+        return '"%s"' % n
+    return str(n) if -_SAFE < n < _SAFE else '"%s"' % int_to_decimal(n)
+
+
+def _row_entry(x: Any) -> bool:
+    """Whether x is an int or a decimal string this module writes for one.
+
+    A row read back holds such a string where the written row held a big
+    integer; it must stay a row, so that canonical text reads back to
+    itself.
+    """
+    if type(x) is int:
+        return True
+    digits = x[1:] if x[:1] == "-" else x
+    return (len(digits), digits) >= _SAFE_DIGITS and digits.isascii() and digits.isdigit() and digits[0] != "0"
 
 
 def _reject_float(text: str) -> None:

@@ -785,6 +785,18 @@ def test_validate_fast_path_reports_as_before(tmp_path, capsys, monkeypatch, jac
     assert fast_calls == (2 if variant == "canonical" else slow_calls)
 
 
+def test_a_result_in_the_one_integer_per_line_layout_validates_but_is_not_strict(tmp_path, capsys, jacobi_text):
+    # the canonical layout before integer rows went on one line: json.dumps(indent=2) throughout
+    old = json.dumps(json.loads(jacobi_text), sort_keys=True, indent=2) + "\n"
+    assert "[0, 1]" in jacobi_text and "[0, 1]" not in old and "[\n" in old
+    path = tmp_path / "stored.json"
+    path.write_text(old)
+    code, report, _ = invoke(capsys, "validate", "--input", str(path))
+    assert (code, report) == (0, {"command": "validate", "kind": "jacobi result", "ok": True})
+    code, report, _ = invoke(capsys, "validate", "--strict", "--input", str(path))
+    assert (code, report) == (2, {"error": ": input is not in canonical form", "path": ""})
+
+
 def test_validate_finds_a_tampered_last_entry_without_encoding_equal_rows(tmp_path, capsys, monkeypatch, jacobi_text):
     doc = json.loads(jacobi_text)
     moves = doc["sequence"]["moves"]

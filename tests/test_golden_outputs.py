@@ -80,33 +80,33 @@ def run_golden(workdir):
 
 
 DIGESTS = {
-    "stable-iso-0": (0, "9575e09dedd534a177dde0ffecc0c2138beb4aca8eb8c7a71eb255ad7539be79"),
-    "stable-iso-1": (0, "c04240f2fe278baab08cba9f2e5bbb40dfc18e8f883a2450a27b07760ed07128"),
-    "stable-iso-2": (0, "79674e62ffdffe4f4ff78e87381c487475605ad9eaaf311a1d9d1be2ccf55cbb"),
-    "stable-iso-3": (0, "b6030e92473686dd6eb33411a55bc1f06c21bd7ba13fe6e52fb4a47b367c461c"),
-    "ru-wall-h2": (0, "291423aeed8e0a939503b1538f7952d89ef1409ed6d7e9320c34526046395852"),
-    "ru-wall-rank4": (0, "d293d51e2e890115e1905ccc5fcfcf09a60a41612ea3701bcd3ef8fda7e0b638"),
-    "classify": (0, "ce5963b25f86f54c0af04385eb67032709d8f42e4bfc92def8aa620c183b51fb"),
-    "perp": (0, "df43cbc1e3b094c5cfa476d4691115acff67d7d6ffb4e153ace75c7fcda88bd3"),
-    "metabolic-basis": (0, "ed4dcc3c12c86f00c4a94db290d5324759887f93d75f748faa186403efef48d6"),
-    "ltriv-0": (0, "aee611ad9fbf1e9d275149056c868ab37487d5a1c60d023b51933a9f169c80ec"),
-    "ltriv-1": (0, "911a939a5ed1e76dce263a619b0c6c53849aed5b7ac665e59bd9050c32d39107"),
-    "ltriv-2": (0, "32468f3fbd247ddb1097cf8f8d9f367d6a618e9d6c1a44a2c2f869c310ebf96c"),
-    "ltriv-3": (0, "7d569216ce492447e06f500e31b5a7b664cd8b34de4fde2e091e5959e7a6cf5b"),
+    "stable-iso-0": (0, "cb615ab107999962098ee0a33c7ed0dd7b5b817ea80e7425ef20eda31e01cbba"),
+    "stable-iso-1": (0, "55248c4d36401d6d95f408346b21125c911a09c407fb41f74d83de7b096e1c12"),
+    "stable-iso-2": (0, "c79ebbc1642e205d05ff70467f8ed05bcd836d03c36f40c8329d323359f06bec"),
+    "stable-iso-3": (0, "c98c4067e829de9a9dd408e832946e1944fb828bd427dd28532bd18cb0d7d7d6"),
+    "ru-wall-h2": (0, "4fa8543242f950114a067ef77dfdf73e43d927b0b6c780c3982f6bbbbd0851fc"),
+    "ru-wall-rank4": (0, "8665f14cef134e43d29ff2f895b48447e16af2bf7fe96b25bab320cb45eaaf83"),
+    "classify": (0, "9ddf97cade98958accf6599df6ab123209b721acf741c53b85e74f2a57bce7d0"),
+    "perp": (0, "01bdce3caa9a49f24285d16332387ce2082efd0e2e95236db65d0eb40226f75d"),
+    "metabolic-basis": (0, "b133e4b5594da83b56d8c6de623f8b8f4a3b0873a580ff25b2bdc091a063f7d9"),
+    "ltriv-0": (0, "e68cb6ef43cb50146fa89b6be3e2562d84f544d0e08be7b3c2fed5b72ef42229"),
+    "ltriv-1": (0, "fa8f96fa9a5d990a8d55c610a6e347cc9fc8911d6ee0f93a5fc90be7106d32d3"),
+    "ltriv-2": (0, "605766a1121b574fafb906aa264910a08dad1790de00a49f0642311e1bcd9c8b"),
+    "ltriv-3": (0, "2252323c1aaf64886578cb767a0181affc632fb23e668447b77837dad139f990"),
     "jacobi-rank0": (0, "2436461c0a544bd2761acc3209d1f1b1aeaaf5e8a66f62bf35a34b506c2e2f65"),
     "jacobi-rank0-validate": (0, "b5b989d7bb1bbcbe1d9da376384bd95324b2ed39f20cb3fc5e11b6d67726fd5a"),
     "jacobi-rank0-replay": (0, "39616c8f44bce16df19027912b3a430970c31c8c386f90dc6d5607ecf395d091"),
-    "jacobi-A": (0, "27d4fc6e4fe85716f7454ca59eba8b301d59786d684047d7907490170f74bc38"),
+    "jacobi-A": (0, "db08e58e11ebeddcf6b1284d620f38f42c1ff9b45a5bab53c5ae01e0b185a8b1"),
     "jacobi-A-validate": (0, "b5b989d7bb1bbcbe1d9da376384bd95324b2ed39f20cb3fc5e11b6d67726fd5a"),
     "jacobi-A-replay": (0, "28f8baa4cb740344d32606784fba0a475a057d9c88423c21ab1cd98fd5bda6fe"),
-    "si": (0, "aed7802d8b7c9f85dc71553a0050f474fe99c257b0b325c274f8236eca5e8c61"),
+    "si": (0, "0047b33d0819a9167790cb1fecd33c44cf6bdcaee3f3206b953bf23c0f0127a3"),
     "stable-class": (0, "af3ceff728644649d20c40286850f75d447d0db535ea142c19bcdc0b6f50f79b"),
-    "kappa": (0, "a48bcb0650c1d7a411e72b5a867d6ac87e86d3cbf671ed12073e28842687f949"),
-    "oracle-si": (0, "0351258b6cb93ed08df46f9efa53a0a2d5ad872ef85164ed093a65c75bed798f"),
+    "kappa": (0, "2cfbdea3d54b00bd4ae386545ac2e36cdfeb13f8e7387372c695336b49fb3c48"),
+    "oracle-si": (0, "bb7c1095207190269743eaaf88df4ddc9970bd17ba55e5ce7d333fcd3a68b8a8"),
     "coverage-moves": (0, "470b5288cc1a3a2ac315727af7ad710fa417bbc995cfa69116eb87befced261f"),
     "coverage-word": (0, "8864f5706ce6c5091faa5a8ff369368c0f294aff6890cb29a51e4ca1b24b2a9d"),
-    "coverage-bar": (0, "12974aadb7fc13cb697a72fd5c1db5c834e35bd365673655dbdc4c6845c4f385"),
-    "coverage-torsion-classify": (0, "cad4939b4746acef22a1192f065133710ddd91d189ee35e4489013af43fcd78c"),
+    "coverage-bar": (0, "624616c7f15cfd7e465b95dd83ae1d99598154e5d9fa1878668aaeb944cca214"),
+    "coverage-torsion-classify": (0, "8c5b4a921a7b3aa446bc4011a23d0996d560547a470a24879a51e2618514d23b"),
 }
 
 

@@ -1,6 +1,7 @@
 """Round-trip and schema tests for the JSON document layer."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -151,10 +152,10 @@ def test_flip_letter_with_a_non_split_target_names_the_letter(group, rows, reaso
 
 H2_OVER_Z = (
     '{\n  "group": {\n    "free_rank": 2,\n    "torsion": []\n  },\n'
-    '  "lambda": [\n    [\n      0,\n      1\n    ],\n    [\n      1,\n      0\n    ]\n  ],\n'
-    '  "mu": [\n    [\n      0,\n      0\n    ]\n  ],\n'
+    '  "lambda": [\n    [0, 1],\n    [1, 0]\n  ],\n'
+    '  "mu": [\n    [0, 0]\n  ],\n'
     '  "target": {\n    "free_rank": 1,\n    "torsion": []\n  },\n'
-    '  "v": [\n    0\n  ]\n}\n'
+    '  "v": [0]\n}\n'
 )
 
 
@@ -419,8 +420,25 @@ def test_validate_rejects_a_non_string_command_with_exit_2(tmp_path, capsys):
 SAFE = 2**53
 
 
+def is_row_entry(value):
+    """A JSON integer, or the decimal string that stands for one of 2**53 or more."""
+    if isinstance(value, str):
+        return re.fullmatch("-?[1-9][0-9]*", value, re.ASCII) is not None and abs(int(value)) >= SAFE
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def reference_dumps(doc):
-    """The canonical bytes by the json module's own encoder."""
+    """The canonical bytes by the json module's own encoder.
+
+    Every row (a nonempty list of integers) is swapped for a placeholder
+    string, the document is written by ``json.dumps(indent=2)``, and each
+    quoted placeholder is then replaced by its row on one line.
+    """
+    rows = []
+    plain = json.dumps(doc)
+    tag = "@"
+    while tag in plain:  # no string of the document holds the tag
+        tag += "@"
 
     def encode(value):
         if isinstance(value, bool) or value is None or isinstance(value, str):
@@ -429,15 +447,22 @@ def reference_dumps(doc):
             return str(value) if abs(value) >= SAFE else value
         if isinstance(value, dict):
             return {k: encode(v) for k, v in value.items()}
-        return [encode(v) for v in value]
+        items = [encode(v) for v in value]
+        if items and all(map(is_row_entry, items)):
+            rows.append("[" + ", ".join(json.dumps(v) for v in items) + "]")
+            return "%s%d" % (tag, len(rows) - 1)
+        return items
 
-    return json.dumps(encode(doc), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(encode(doc), sort_keys=True, indent=2) + "\n"
+    return re.sub('"%s([0-9]+)"' % tag, lambda m: rows[int(m.group(1))], text)
 
 
 boundary = st.sampled_from([SAFE - 1, SAFE, SAFE + 1, -(SAFE - 1), -SAFE, -(SAFE + 1), 0, 2**64])
 integers = st.one_of(st.integers(-9, 9), st.integers(), boundary)
 strings = st.one_of(st.text(), st.text(alphabet="\x00\x1f\x7f\"\\/é\u2028☃\U0001f600 a"))
-scalars = st.one_of(st.none(), st.booleans(), integers, strings)
+# strings that spell integers: those of 2**53 or more read back into a row, the others do not
+decimals = st.one_of(boundary.map(str), st.sampled_from(["0" + str(SAFE), "+" + str(SAFE), "-0", "１" * 17]))
+scalars = st.one_of(st.none(), st.booleans(), integers, strings, decimals)
 documents = st.recursive(
     scalars,
     lambda inner: st.one_of(
@@ -452,15 +477,21 @@ documents = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(documents)
-# repeated rows: one int list at two depths, ints beside bools in both orders,
-# a row past 53 bits written twice, and a tuple beside an equal list
+# repeated rows: one row at two depths, ints beside bools in both orders (no row),
+# a row past 53 bits written twice and read back, and a tuple beside an equal list
 @example({"a": [1, 2], "b": [[1, 2], {"c": [1, 2]}]})
 @example([[1, 0], [True, False], [1, 0]])
 @example([[True, False], [1, 0], [True, False]])
+@example([1, True, 0])
 @example([[1, SAFE], [1, SAFE], {"x": [1, SAFE]}])
+@example([[1, SAFE], [1, str(SAFE)], [str(-SAFE)], [1, str(SAFE - 1)], [1, "0" + str(SAFE)], ["+" + str(SAFE)]])
 @example([(1, 2), [1, 2], (1, 2)])
+@example({"row": (3, -4), "empty": [], "list": [[]]})
 def test_encoder_matches_the_json_module(doc):
-    assert canonical_dumps(doc) == reference_dumps(doc)
+    text = canonical_dumps(doc)
+    assert text == reference_dumps(doc)
+    # canonical text reads back to a document that encodes to itself
+    assert canonical_dumps(loads_document(text)) == text
 
 
 @pytest.mark.parametrize(
