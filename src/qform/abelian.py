@@ -20,7 +20,7 @@ nonzero entries of the lattices and maps involved.
 Whether a subgroup is a direct summand is read off Hermite bases too (see
 ``is_direct_summand``); only a torsion ambient asks ``direct_complement``
 for a section.  A Smith form is computed only where its transforms are
-used: quotients, the merged torsion of a direct sum, and solving.
+used: quotients and solving.
 
 Every lift is one solve.  ``lift_through`` (x with h ∘ x = f), its
 one-column case ``solve_in_group`` and ``direct_complement``'s sections
@@ -102,12 +102,6 @@ class AbGroup:
 
     def gens(self) -> list[Vec]:
         return [self.gen(i) for i in range(self.num_gens)]
-
-    def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        return self.reduce([a + b for a, b in zip(x, y)])
-
-    def neg(self, x: Sequence[int]) -> Vec:
-        return self.reduce([-a for a in x])
 
     def is_zero_element(self, x: Sequence[int]) -> bool:
         return self.reduce(x) == self.zero()
@@ -510,44 +504,45 @@ def direct_sum_with_maps(a: AbGroup, b: AbGroup) -> DirectSum:
     """A ⊕ B renormalized to invariant-factor form, with its four maps.
 
     Coordinates are laid out as free(A), free(B), then the merged torsion.
-    The merged torsion is the cokernel of diag(torsion(A), torsion(B)); its
-    Smith decomposition U·diag·V = D gives the new torsion generators, the
-    kept rows of D (entries ≥ 2).  So each map is one block diagonal:
+    The merged torsion is the quotient of Z^t, t the number of torsion
+    coordinates of A and B, by the lattice of the rows ((i, d_i),) of
+    their orders, which already is its Hermite basis.  Its projection P
+    and a section S, one ``_solve_modulo`` of P·S = I, make each map one
+    block diagonal:
 
-        incl_a = diag(I, 0_{rb×0}, U_a)    proj_a = diag(I, 0_{0×rb}, W_a)
-        incl_b = diag(0_{ra×0}, I, U_b)    proj_b = diag(0_{0×ra}, I, W_b)
+        incl_a = diag(I, 0_{rb×0}, P_a)    proj_a = diag(I, 0_{0×rb}, S_a)
+        incl_b = diag(0_{ra×0}, I, P_b)    proj_b = diag(0_{0×ra}, I, S_b)
 
-    with U_a, U_b the kept rows of U at A's and B's torsion columns and
-    W_a, W_b the matching rows of U⁻¹ at the kept columns.  The biproduct
-    identities hold by construction and are not checked on each call.
-    When neither group has torsion no Smith form is computed.
+    with P_a, P_b the columns of P at A's and B's torsion coordinates and
+    S_a, S_b the matching rows of S.  The biproduct identities hold by
+    construction and are not checked on each call.  When neither group
+    has torsion no quotient is taken.
     """
     ra, rb, ta = a.free_rank, b.free_rank, len(a.torsion)
     mixed = a.torsion + b.torsion
     t = len(mixed)
     if t:
-        dec = smith_normal_form(IntMatrix.diagonal(mixed))
-        invariants, u_rows = dec.diagonal, dec.u.entries
-        keep = [i for i in range(t) if invariants[i] >= 2]
-        torsion = tuple(invariants[i] for i in keep)
-        u = [u_rows[i] for i in keep]
-        w = [tuple(row[i] for i in keep) for row in dec.u.inverse_unimodular().entries]
+        orders = SubgroupRep(free_group(t), tuple(((i, d),) for i, d in enumerate(mixed)))
+        merged, proj = quotient_with_projection(orders)
+        torsion = merged.torsion
+        p = proj.matrix.transpose().sparse
+        s = _solve_modulo(proj.matrix, [merged], IntMatrix.identity(len(torsion))).sparse
     else:  # both groups free: no torsion to renormalize
-        torsion, u, w = (), [], []
+        torsion, p, s = (), (), ()
     total = AbGroup(ra + rb, torsion)
     k = len(torsion)
-    u_a = IntMatrix.from_rows([row[:ta] for row in u], ta)
-    u_b = IntMatrix.from_rows([row[ta:] for row in u], t - ta)
-    w_a = IntMatrix.from_rows(w[:ta], k)
-    w_b = IntMatrix.from_rows(w[ta:], k)
+    p_a = IntMatrix(ta, k, p[:ta]).transpose()
+    p_b = IntMatrix(t - ta, k, p[ta:]).transpose()
+    s_a = IntMatrix(ta, k, s[:ta])
+    s_b = IntMatrix(t - ta, k, s[ta:])
     diag, zeros = IntMatrix.block_diagonal, IntMatrix.zeros
     eye_a, eye_b = IntMatrix.identity(ra), IntMatrix.identity(rb)
     return DirectSum(
         total,
-        GroupHom(a, total, diag([eye_a, zeros(rb, 0), u_a])),
-        GroupHom(b, total, diag([zeros(ra, 0), eye_b, u_b])),
-        GroupHom(total, a, diag([eye_a, zeros(0, rb), w_a])),
-        GroupHom(total, b, diag([zeros(0, ra), eye_b, w_b])),
+        GroupHom(a, total, diag([eye_a, zeros(rb, 0), p_a])),
+        GroupHom(b, total, diag([zeros(ra, 0), eye_b, p_b])),
+        GroupHom(total, a, diag([eye_a, zeros(0, rb), s_a])),
+        GroupHom(total, b, diag([zeros(0, ra), eye_b, s_b])),
     )
 
 

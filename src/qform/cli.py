@@ -49,6 +49,7 @@ from .serialize import (
     _as_int,
     _as_int_list,
     _get,
+    _locate,
     canonical_dumps,
     decimal_to_int,
     first_difference,
@@ -250,7 +251,11 @@ def _zero_form_result(doc) -> dict:
     row = _as_int_list(_get(d, "v", "input"), "input.v")
     if len(row) != g.num_gens:
         raise SchemaError("input.v", "expected %d entries" % g.num_gens)
-    v = GroupHom(g, Z2, IntMatrix.from_rows([row], g.num_gens))
+    try:
+        v = GroupHom(g, Z2, IntMatrix.from_rows([row], g.num_gens))
+    except QformError as exc:
+        _locate(exc, "input.v")
+        raise
     q = zero_formation(g, v)
     return {
         "command": "zero-form",

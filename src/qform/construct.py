@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, invert_iso, match_surjections
-from .errors import HypothesisError, NoSolution, NotWellDefined
+from .errors import HypothesisError, NoSolution, NotWellDefined, VMissing
 from .forms import (
     EQForm,
     FormIso,
@@ -127,8 +127,10 @@ class MetabolicBasis:
         # bᵀλb = [[0, I], [I, D]] has determinant ±1, so det(b)²·det λ = ±1 and b is unimodular
         expected = IntMatrix.block_pattern(("0 I", "I D"), self.diag)
         if b.transpose().mul(self.form.matrix).mul(b) != expected:
-            if not b.is_unimodular():
-                raise NotWellDefined("metabolic basis is not unimodular")
+            try:
+                b.inverse_unimodular()
+            except NoSolution:
+                raise NotWellDefined("metabolic basis is not unimodular") from None
             raise NotWellDefined("metabolic basis does not normalize the pairing")
         span = SubgroupRep.from_sparse(self.form.group, b.transpose().sparse[:k])
         if span != self.lagrangian:
@@ -259,8 +261,10 @@ def stable_lagrangian_iso(
     """
     if e.target != e2.target:
         raise HypothesisError("different coefficient groups")
-    if e.v is None or e.v != e2.v:
-        raise HypothesisError("v missing" if e.v is None or e2.v is None else "different parity maps")
+    if e.v is None or e2.v is None:
+        raise VMissing()
+    if e.v != e2.v:
+        raise HypothesisError("different parity maps")
     for form, lagr in ((e, l), (e2, l2)):
         _require_free_metabolic(form, lagr, "stable isomorphism")
         if not form.is_full():
@@ -350,9 +354,6 @@ class RUWord:
     form: EQForm
     lagrangian: SubgroupRep
     letters: tuple
-
-    def inverse(self) -> "RUWord":
-        return RUWord(self.form, self.lagrangian, tuple(g.inverse() for g in reversed(self.letters)))
 
 
 def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> FormIso:
@@ -451,7 +452,7 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     if phi.source != e or phi.target != e:
         raise HypothesisError("phi is not an automorphism of the form")
     if e.v is None:
-        raise HypothesisError("v missing")
+        raise VMissing()
     if not e.is_geometric():
         raise HypothesisError("not geometric")
     mb = metabolic_basis(e, l)  # checks free, nonsingular, lagrangian

@@ -31,7 +31,7 @@ from .errors import (
     NotWellDefined,
     VMissing,
 )
-from .intmat import IntMatrix, Vec, int_nullspace, shifted_row
+from .intmat import IntMatrix, int_nullspace, shifted_row
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,6 @@ class FormIso:
     def identity(e: EQForm) -> "FormIso":
         one = GroupHom.identity(e.group)
         return FormIso._unchecked(e, e, one, one)
-
-    def apply(self, x) -> Vec:
-        return self.hom.apply(x)
 
     def inverse(self) -> "FormIso":
         return FormIso._unchecked(self.target, self.source, self.inverse_hom, self.hom)

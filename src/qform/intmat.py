@@ -333,9 +333,6 @@ class IntMatrix:
             live.clear()
         return _permutation_sign(order) * det
 
-    def is_unimodular(self) -> bool:
-        return self.is_square and abs(self.det()) == 1
-
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a unimodular matrix; NoSolution for any other matrix.
 
@@ -426,10 +423,6 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.d.rows, self.d.cols)
         return tuple(r[0][1] if r else 0 for r in self.d.sparse[:n])
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:

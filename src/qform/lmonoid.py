@@ -33,7 +33,7 @@ from .construct import (
     ru_wall_witness,
     _stable_lagrangian_iso,
 )
-from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined, QformError
+from .errors import DEFAULT_NODE_LIMIT, DimensionMismatch, HypothesisError, NodeCounter, NotWellDefined, QformError, VMissing
 from .forms import (
     EQForm,
     FormIso,
@@ -530,7 +530,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     ambient of start and end, and the split form of every flip.
     """
     if e.v is None:
-        raise HypothesisError("v missing")
+        raise VMissing()
     if not e.is_free():
         raise HypothesisError("form is not free")
     if not e.is_full():

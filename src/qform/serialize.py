@@ -377,7 +377,11 @@ def group_from_doc(doc: Any, path: str = "group") -> AbGroup:
     for i, t in enumerate(torsion):
         if t < 2:
             raise SchemaError("%s.torsion[%d]" % (path, i), "orders must be at least 2")
-    return AbGroup(rank, tuple(torsion))
+    try:
+        return AbGroup(rank, tuple(torsion))
+    except QformError as exc:
+        _locate(exc, path)
+        raise
 
 
 # -- forms ---------------------------------------------------------------

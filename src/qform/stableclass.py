@@ -425,7 +425,7 @@ def _hyperbolic_basis(matrix: IntMatrix) -> tuple[tuple[int, int], tuple[int, in
     p, q, s = matrix[0, 0], matrix[0, 1], matrix[1, 1]
     if p % 2 != 0 or s % 2 != 0:
         raise HypothesisError("not even", "no hyperbolic basis exists")
-    if matrix.det() != -1:
+    if p * s - q * q != -1:
         raise HypothesisError("wrong determinant", "bilinear function is not the plane")
     if p == 0:
         x = (1, 0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from qform import cli, serialize
-from qform.abelian import GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
+from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.errors import QformError
 from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
@@ -31,6 +31,7 @@ from qform.serialize import (
     sequence_from_doc,
     subgroup_to_doc,
 )
+from qform.stableclass import e_ab, kappa
 
 Z = free_group(1)
 VZ = GroupHom.zero(Z, Z2)
@@ -76,6 +77,23 @@ def test_kappa_flags_agree(capsys):
     assert code == 0
     assert doc["agree"] is True
     assert doc["kappa"]["mu"] == [[6]]
+
+
+def form_with_torsion():
+    """E_{2,3} ⊕ Z/2 with coefficients Z ⊕ Z/2, the torsion generator mapping onto Z/2."""
+    g, q = AbGroup(2, (2,)), AbGroup(1, (2,))
+    lam = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    mu = GroupHom.from_gen_images(g, q, [(2, 0), (3, 1), (0, 1)])
+    return EQForm(g, lam, mu, GroupHom.from_gen_images(q, Z2, [(0,), (1,)]))
+
+
+@pytest.mark.parametrize("form", [e_ab(2, 3), form_with_torsion()], ids=["free", "torsion"])
+def test_kappa_of_a_bare_form_document(tmp_path, capsys, form):
+    code, doc, _ = invoke(capsys, "kappa", "--input", write_doc(tmp_path, "form.json", form_to_doc(form)))
+    assert code == 0
+    assert doc == {"command": "kappa", "form": form_to_doc(form), "kappa": form_to_doc(kappa(form))}
+    code, report, _ = invoke(capsys, "validate", "--input", write_doc(tmp_path, "result.json", doc))
+    assert (code, report) == (0, {"command": "validate", "kind": "kappa result", "ok": True})
 
 
 def test_oracle_si_matches_si(capsys):
@@ -408,6 +426,39 @@ def test_exit_2_on_schema_error(tmp_path, capsys):
     code, doc, _ = invoke(capsys, "invariants", "--input", str(path))
     assert code == 2
     assert doc["path"] == "input.group"
+
+
+FORM_WITH_TARGET_6_4 = {
+    "group": {"free_rank": 2, "torsion": []},
+    "lambda": [[0, 1], [1, 0]],
+    "target": {"free_rank": 0, "torsion": [6, 4]},
+    "mu": [[0, 0], [0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "command,doc,error,path",
+    [
+        ("validate", {"free_rank": 1, "torsion": [4, 2]}, "invariant factors 4, 2 violate divisibility", "input"),
+        (
+            "zero-form",
+            {"group": {"free_rank": 0, "torsion": [4, 2]}, "v": [0, 0]},
+            "invariant factors 4, 2 violate divisibility",
+            "input.group",
+        ),
+        ("invariants", FORM_WITH_TARGET_6_4, "invariant factors 6, 4 violate divisibility", "input.target"),
+        (
+            "zero-form",
+            {"group": {"free_rank": 0, "torsion": [3]}, "v": [1]},
+            "source generator 0 of order 3 maps to an element not killed by 3",
+            "input.v",
+        ),
+    ],
+    ids=["bare-group", "zero-form-group", "form-target", "zero-form-v"],
+)
+def test_a_group_or_parity_map_that_fails_its_constructor_names_its_path(tmp_path, capsys, command, doc, error, path):
+    code, report, _ = invoke(capsys, command, "--input", write_doc(tmp_path, "in.json", doc))
+    assert (code, report) == (2, {"error": error, "path": path})
 
 
 def test_exit_3_when_budget_runs_out(tmp_path, capsys):

@@ -4,7 +4,8 @@ Two kinds of input: arbitrary small JSON sent to every command that reads
 ``--input``, and the benchmark's own request documents (and the results
 they produce, sent to ``validate``) with one field replaced or removed.
 Every run must return 0, 2, 3 or 4 and print one JSON document; a raised
-exception is a library bug, not invalid input.
+exception is a library bug, not invalid input.  A run that exits 2 with
+an "error" also carries the JSON "path" of what failed.
 """
 
 import contextlib
@@ -110,9 +111,12 @@ def mutated_documents(draw):
 
 
 def assert_defined_exit(argv, doc):
+    """A defined exit code and one JSON document, which names a path when it reports an invalid input."""
     code, out = run_on(argv, doc)
     assert code in EXIT_CODES, out
-    json.loads(out)
+    report = json.loads(out)
+    if code == 2 and "error" in report:
+        assert "path" in report, out
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

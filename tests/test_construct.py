@@ -213,7 +213,7 @@ def test_neg_isomorphism_fixes_lagrangian():
         lagr = SubgroupRep.from_elements(twisted.group, [uinv.column(i) for i in range(k)])
         j = neg_isomorphism(twisted, lagr)
         for g in lagr.generators():
-            assert j.apply(g) == g
+            assert j.hom.apply(g) == g
 
 
 # -- doubling ----------------------------------------------------------
@@ -539,7 +539,7 @@ def test_word_inverse_evaluates_to_inverse():
     flip = Flip(FormIso.identity(h), SubgroupRep.zero(free_group(0)))
     w = RUWord(h, lagr, (Keep(minus), flip))
     fwd = ru_word_eval(w)
-    back = ru_word_eval(w.inverse())
+    back = ru_word_eval(RUWord(h, lagr, tuple(g.inverse() for g in reversed(w.letters))))
     assert fwd.hom.compose(back.hom) == GroupHom.identity(h.group)
 
 
@@ -621,7 +621,7 @@ def test_permuted_is_handed_the_transpose_as_its_inverse(perm):
     assert iso.inverse_hom.matrix == iso.hom.matrix.transpose()
     # new slot i holds old slot perm[i]
     for i, p in enumerate(perm):
-        assert iso.apply(e.group.gen(p)) == e.group.gen(i)
+        assert iso.hom.apply(e.group.gen(p)) == e.group.gen(i)
     assert iso.compose(iso.inverse()).hom == GroupHom.identity(e.group)
 
 

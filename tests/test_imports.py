@@ -12,10 +12,13 @@ read it; one that no module reads needs a row, with its reason, in the
 README's table of public names kept without a library reader.  A public
 method of a module-level class counts as read when any module reads
 ``.name`` outside the method itself, and is kept by a row for
-``module.Class.name``.  A row whose name is gone or has gained a reader
-fails too, so the table only shrinks.  Outside ``intmat``, ``.det(`` and
-``.is_unimodular(`` are called only in the few places listed in
-``DECIDING_PLACES``: bijectivity has one owner.  ``smith_normal_form(`` is
+``module.Class.name``.  Reads are matched by name alone, with no type
+behind them: ``s.add(x)`` on a set reads every public method called
+``add``, so a method that shares its name with one the package does call
+is never reported.  A row whose name is gone or has gained a reader
+fails too, so the table only shrinks.  Outside ``intmat``, ``.det(`` is
+called in exactly the places of ``DECIDING_PLACES``: bijectivity has one
+owner, and a determinant decides nothing else.  ``smith_normal_form(`` is
 called in exactly the places of ``SMITH_PLACES``.
 """
 
@@ -228,18 +231,16 @@ def test_a_readme_row_must_keep_an_existing_orphan():
 
 
 # Bijectivity is decided by ``abelian.invert_iso`` (through ``IntMatrix.inverse_unimodular``) or
-# read off a checked pullback; a determinant is computed only where no such owner applies.
-DECIDERS = {"det", "is_unimodular"}
-DECIDING_PLACES = {
-    "forms.EQForm.is_nonsingular",  # the nonsingularity every free pullback reads
-    "stableclass._hyperbolic_basis",  # the 2 × 2 plane's determinant −1
-    "construct.MetabolicBasis.__post_init__",  # which error a basis that fails its normal form reports
-}
+# read off a checked pullback.  A determinant is computed for one fact: the nonsingularity that
+# every free pullback reads.
+DECIDERS = {"det"}
+DECIDING_PLACES = {"forms.EQForm.is_nonsingular"}
 
 
-# The Smith form is computed only where its transforms or invariant factors are read: solving,
-# quotients and the merged torsion of a direct sum.  A Hermite-based solve would rework each.
-SMITH_PLACES = {"intmat.int_solve", "abelian.quotient_with_projection", "abelian.direct_sum_with_maps"}
+# The Smith form is computed only where its transforms or invariant factors are read: solving, and
+# a quotient in invariant-factor form (the merged torsion of a direct sum is one such quotient).
+# A Hermite-based solve would rework the first.
+SMITH_PLACES = {"intmat.int_solve", "abelian.quotient_with_projection"}
 
 
 def calls_to(names, module, source):
@@ -265,13 +266,18 @@ def calls_to(names, module, source):
 
 
 def stray_deciders(sources):
-    """'place (line n)' for each determinant call outside ``intmat`` and the places allowed one."""
-    return [
-        "%s (line %d)" % call
+    """'place (line n)' for each determinant call outside ``intmat`` and ``DECIDING_PLACES``.
+
+    Each listed place that makes no call is reported too, so the list only shrinks.
+    """
+    calls = [
+        call
         for module, source in sources.items()
         if module != "intmat.py"
         for call in calls_to(DECIDERS, module[:-3], source)
-        if call[0] not in DECIDING_PLACES
+    ]
+    return ["%s (line %d)" % call for call in calls if call[0] not in DECIDING_PLACES] + [
+        "%s calls no det" % place for place in sorted(DECIDING_PLACES - {place for place, _ in calls})
     ]
 
 
@@ -282,13 +288,14 @@ def test_bijectivity_is_decided_in_one_place():
 
 def test_a_stray_determinant_is_found():
     sources = {
-        "forms.py": "class EQForm:\n    def is_nonsingular(self):\n        return abs(self.m.det()) == 1\n",
-        "abelian.py": "def require(h):\n    if not h.matrix.is_unimodular():\n        raise ValueError\n",
-        "construct.py": "class MetabolicBasis:\n    def __post_init__(self):\n        f = lambda b: b.det()\n"
-        "\n\nclass Frame:\n    def __post_init__(self):\n        self.d = self.b.det()\n",
-        "intmat.py": "def is_unimodular(m):\n    return abs(m.det()) == 1\n",
+        "forms.py": "class EQForm:\n    def is_nonsingular(self):\n        return self.nonsingular\n",
+        "stableclass.py": "def _hyperbolic_basis(m):\n    f = lambda b: b.det()\n    return f(m) == -1\n",
+        "intmat.py": "def is_singular(m):\n    return m.det() == 0\n",
     }
-    assert stray_deciders(sources) == ["abelian.require (line 2)", "construct.Frame.__post_init__ (line 8)"]
+    assert stray_deciders(sources) == [
+        "stableclass._hyperbolic_basis (line 2)",
+        "forms.EQForm.is_nonsingular calls no det",
+    ]
 
 
 def smith_findings(sources):
@@ -307,10 +314,10 @@ def test_smith_forms_are_computed_in_the_listed_places():
 def test_a_stray_smith_form_is_found():
     sources = {
         "intmat.py": "def smith_normal_form(a):\n    return a\n\n\ndef int_solve(a, b):\n    return smith_normal_form(a)\n",
-        "abelian.py": "from . import intmat\n\n\ndef quotient_with_projection(b):\n    return intmat.smith_normal_form(b)\n\n\n"
-        "class SubgroupRep:\n    def rank(self):\n        return len(smith_normal_form(self.m).diagonal)\n",
+        "abelian.py": "from . import intmat\n\n\ndef quotient_with_projection(b):\n    return b\n\n\n"
+        "def direct_sum_with_maps(a, b):\n    return intmat.smith_normal_form(a.diagonal(b))\n",
     }
     assert smith_findings(sources) == [
-        "abelian.SubgroupRep.rank (line 10)",
-        "abelian.direct_sum_with_maps calls no smith_normal_form",
+        "abelian.direct_sum_with_maps (line 9)",
+        "abelian.quotient_with_projection calls no smith_normal_form",
     ]

@@ -13,7 +13,7 @@ import pytest
 from qform import abelian, cli, construct, forms, intmat, lmonoid, serialize
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
-from qform.errors import DEFAULT_NODE_LIMIT, HypothesisError, NodeLimitExceeded, QformError
+from qform.errors import DEFAULT_NODE_LIMIT, HypothesisError, NodeLimitExceeded, QformError, VMissing
 from qform.forms import EQForm, FormIso, hyperbolic, hyperbolic_halves, subgroup_classify
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
@@ -647,6 +647,21 @@ def test_jacobi_refuses_bad_hypotheses():
                       GroupHom.from_gen_images(free_group(2), Z, [(0,), (1,)]), VZ)
     with pytest.raises(HypothesisError, match="^not nonsingular: stable isomorphism$"):
         jacobi_witness(singular, sub(singular, (1, 0)), sub(singular, (1, 0)), sub(singular, (0, 1)))
+
+
+def test_a_form_without_a_parity_map_is_refused_as_v_missing():
+    bare = plain_h2()
+    lagr, other = sub(bare, (1, 0)), sub(bare, (0, 1))
+    with_v = hyperbolic(1, ZERO_GROUP, GroupHom.zero(ZERO_GROUP, Z2))
+    refusals = [
+        lambda: construct.stable_lagrangian_iso(bare, lagr, bare, lagr),
+        lambda: construct.stable_lagrangian_iso(with_v, lagr, bare, lagr),
+        lambda: ru_wall_witness(bare, lagr, FormIso.identity(bare)),
+        lambda: jacobi_witness(bare, lagr, lagr, other),
+    ]
+    for refuse in refusals:
+        with pytest.raises(VMissing, match="^v missing$"):
+            refuse()
 
 
 def counting(counts, name, f):
