@@ -63,10 +63,14 @@ def sparse_row(vec: Sequence[int]) -> Row:
 
 def dense_row(row: Row, width: int) -> Vec:
     """The dense vector of ``width`` entries with the given nonzero entries."""
+    return tuple(_dense_list(row, width))
+
+
+def _dense_list(row: Row, width: int) -> list[int]:
     out = [0] * width
     for j, x in row:
         out[j] = x
-    return tuple(out)
+    return out
 
 
 def shifted_row(row: Row, by: int) -> Row:
@@ -174,7 +178,7 @@ class IntMatrix:
         return tuple(dict(r).get(j, 0) for r in self.sparse)
 
     def tolist(self) -> list[list[int]]:
-        return [list(dense_row(r, self.cols)) for r in self.sparse]
+        return [_dense_list(r, self.cols) for r in self.sparse]
 
     @property
     def is_square(self) -> bool:

@@ -16,12 +16,13 @@ the bulk of every matrix, and a certificate repeats most of its rows
 (each move's target form is the next move's source), so each distinct
 row is formatted once per document, and its later copies reuse that
 text.  A dict the document holds in several places (a sequence or word
-document holds one dict per form object) is likewise written once per
-depth.  Object keys must be strings, and a document nested more than
-``MAX_DEPTH`` containers deep is refused with a SchemaError, as is one
-too deep to parse.  ``first_difference`` names the first JSON path, in
-that layout's order, where two documents differ; it compares lists of
-ints with ``==`` and encodes only the values it cannot compare so.
+document holds one dict per form value and one per isomorphism value)
+is likewise written once per depth.  Object keys must be strings, and a
+document nested more than ``MAX_DEPTH`` containers deep is refused with
+a SchemaError, as is one too deep to parse.  ``first_difference`` names
+the first JSON path, in that layout's order, where two documents differ;
+it compares lists of ints with ``==`` and encodes only the values it
+cannot compare so.
 
 Integers have no size limit in either direction.  Python refuses int/str
 conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
@@ -40,24 +41,30 @@ its entries; any other is read row by row, so every error names its row
 or entry, and decimal strings are accepted there.
 
 A sequence or word document repeats a few form values many times (each
-move's target is the next move's source), so ``sequence_from_doc`` and
-``word_from_doc`` decode each form value once per call, by value.  One
-memo per call holds the last ``_SEEN_FORMS`` distinct form dicts decoded,
-with their forms; the first is the start's (or the word's) form.  A form
-dict that equals one of them with ``==``, and holds nothing but lists,
-dicts, ints and strings (``True == 1``, but ``true`` is no integer),
-reuses that ``EQForm``; any other is decoded by ``form_from_doc`` at its
-own path.  The first occurrence of each value is thus still decoded and
-checked where it stands, and every error keeps its JSON path.  Each
-isomorphism is still built by ``FormIso``'s public constructor, and one
-out of a nonsingular form reads its bijectivity off that form's cached
-nonsingularity, so a certificate's isomorphisms cost one determinant per
-form value, not one each.
+move's target is the next move's source) and a few isomorphism values (a
+certificate's flips between the same two forms, a word's letters that
+share a witness), so ``sequence_from_doc`` and ``word_from_doc`` decode
+each form and isomorphism value once per call, by value.  One memo per
+call holds the last ``_SEEN_FORMS`` distinct form dicts decoded, with
+their forms; the first is the start's (or the word's) form.  A form dict
+that equals one of them with ``==``, and holds nothing but lists, dicts,
+ints and strings (``True == 1``, but ``true`` is no integer), reuses that
+``EQForm``.  A second memo per call, one dict lookup per isomorphism,
+maps the source and target forms so read, with the rows of the matrix,
+to the ``FormIso`` decoded from them; a hit counts under the same guard,
+a matrix of lists of ints and strings alone.  Any other form or matrix
+is decoded at its own path, so the first occurrence of each value is
+still decoded and checked where it stands, and every error keeps its
+JSON path.  Each distinct isomorphism is built once by ``FormIso``'s
+public constructor, and its later copies share that object and its
+cached inverse.  One out of a nonsingular form reads its bijectivity off
+that form's cached nonsingularity, so a certificate's isomorphisms cost
+one determinant per form value, not one each.
 
 A document written here may hold one dict in several places: every
-occurrence of one form object in a sequence, word or isomorphism refers
-to the same dict.  Copy such a document (say by a JSON round trip) before
-editing any part of it in place.
+occurrence of one form or isomorphism value in a sequence, word or
+isomorphism refers to the same dict.  Copy such a document (say by a
+JSON round trip) before editing any part of it in place.
 """
 
 from __future__ import annotations
@@ -399,14 +406,11 @@ def form_to_doc(e: EQForm) -> dict:
     return doc
 
 
-def _form_doc(e: EQForm, forms: Dict[int, dict]) -> dict:
-    """``form_to_doc(e)``, made once per form object: ``forms`` maps id(e) to its dict.
-
-    The caller keeps every form it passes alive, so an id is not reused.
-    """
-    doc = forms.get(id(e))
+def _form_doc(e: EQForm, docs: Dict[Any, dict]) -> dict:
+    """``form_to_doc(e)``, made once per form value: ``docs`` maps each form and isomorphism to its dict."""
+    doc = docs.get(e)
     if doc is None:
-        doc = forms[id(e)] = form_to_doc(e)
+        doc = docs[e] = form_to_doc(e)
     return doc
 
 
@@ -488,9 +492,9 @@ def formation_to_doc(q: QuasiFormation) -> dict:
     return _formation_doc(q, {})
 
 
-def _formation_doc(q: QuasiFormation, forms: Dict[int, dict]) -> dict:
+def _formation_doc(q: QuasiFormation, docs: Dict[Any, dict]) -> dict:
     return {
-        "form": _form_doc(q.form, forms),
+        "form": _form_doc(q.form, docs),
         "L": subgroup_to_doc(q.lagrangian),
         "V": subgroup_to_doc(q.summand),
     }
@@ -519,51 +523,79 @@ def iso_to_doc(iso: FormIso) -> dict:
     return _iso_doc(iso, {})
 
 
-def _iso_doc(iso: FormIso, forms: Dict[int, dict]) -> dict:
-    return {
-        "source": _form_doc(iso.source, forms),
-        "target": _form_doc(iso.target, forms),
-        "matrix": iso.hom.matrix.tolist(),
-    }
+def _iso_doc(iso: FormIso, docs: Dict[Any, dict]) -> dict:
+    """``iso_to_doc(iso)``, made once per isomorphism value, its forms through ``_form_doc``."""
+    doc = docs.get(iso)
+    if doc is None:
+        doc = docs[iso] = {
+            "source": _form_doc(iso.source, docs),
+            "target": _form_doc(iso.target, docs),
+            "matrix": iso.hom.matrix.tolist(),
+        }
+    return doc
 
 
 def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
-    return _read_iso(doc, path, [])
+    return _read_iso(doc, path, [], {})
 
 
-def _read_iso(doc: Any, path: str, seen: List[tuple]) -> FormIso:
+def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> FormIso:
+    """The isomorphism of ``doc``, or the one an equal document was read to before.
+
+    ``isos`` maps (the ids of the source and target forms ``_read_form``
+    returned, the matrix's rows as tuples) to the isomorphism decoded from
+    them.  Each isomorphism there holds its two forms, so no other object
+    takes their ids while ``isos`` lives.  Only a list of lists whose
+    entries are exact ints and strings can hit: ``True == 1``,
+    ``1.0 == 1``, and the string "10" iterates like ``["1", "0"]``, but
+    none of them is an integer row.  Any other matrix, like every miss,
+    is decoded and checked at its own path.
+    """
     d = _as_dict(doc, path)
     source = _read_form(_get(d, "source", path), path + ".source", seen)
     target = _read_form(_get(d, "target", path), path + ".target", seen)
+    matrix = _get(d, "matrix", path)
+    key = None
+    if type(matrix) is list and set(map(type, matrix)) <= _LIST_ONLY:
+        try:
+            key = (id(source), id(target), tuple(map(tuple, matrix)))
+            iso = isos.get(key)
+        except TypeError:  # an unhashable entry, which the decoder below reports
+            key = iso = None
+        if iso is not None and _plain(matrix):
+            return iso
     m, n = target.group.num_gens, source.group.num_gens
-    rows = _as_int_rows(_get(d, "matrix", path), path + ".matrix", n)
+    rows = _as_int_rows(matrix, path + ".matrix", n)
     if len(rows) != m:
         raise SchemaError(path + ".matrix", "expected %d rows" % m)
     try:
-        return FormIso(source, target, GroupHom(source.group, target.group, IntMatrix(m, n, tuple(rows))))
+        iso = FormIso(source, target, GroupHom(source.group, target.group, IntMatrix(m, n, tuple(rows))))
     except QformError as exc:
         _locate(exc, path)
         raise
+    if key is not None:
+        isos[key] = iso
+    return iso
 
 
-def _move_doc(move: Any, forms: Dict[int, dict]) -> dict:
+def _move_doc(move: Any, docs: Dict[Any, dict]) -> dict:
     if isinstance(move, Stab):
         return {"move": "stab", "pairs": move.pairs}
     if isinstance(move, Destab):
         return {
             "move": "destab",
             "pairs": move.pairs,
-            "rest": _formation_doc(move.rest, forms),
-            "witness": _iso_doc(move.witness, forms),
+            "rest": _formation_doc(move.rest, docs),
+            "witness": _iso_doc(move.witness, docs),
         }
     if isinstance(move, FlipL):
-        return {"move": "flip", "witness": _iso_doc(move.witness, forms)}
+        return {"move": "flip", "witness": _iso_doc(move.witness, docs)}
     if isinstance(move, ApplyIso):
-        return {"move": "iso", "iso": _iso_doc(move.iso, forms)}
+        return {"move": "iso", "iso": _iso_doc(move.iso, docs)}
     raise SchemaError("", "unknown move %r" % type(move).__name__)
 
 
-def _read_move(doc: Any, path: str, seen: List[tuple]) -> Any:
+def _read_move(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "move", path)
     if kind == "stab":
@@ -572,34 +604,34 @@ def _read_move(doc: Any, path: str, seen: List[tuple]) -> Any:
         return Destab(
             _read_formation(_get(d, "rest", path), path + ".rest", seen),
             _as_int(_get(d, "pairs", path), path + ".pairs"),
-            _read_iso(_get(d, "witness", path), path + ".witness", seen),
+            _read_iso(_get(d, "witness", path), path + ".witness", seen, isos),
         )
     if kind == "flip":
-        return FlipL(_read_iso(_get(d, "witness", path), path + ".witness", seen))
+        return FlipL(_read_iso(_get(d, "witness", path), path + ".witness", seen, isos))
     if kind == "iso":
-        return ApplyIso(_read_iso(_get(d, "iso", path), path + ".iso", seen))
+        return ApplyIso(_read_iso(_get(d, "iso", path), path + ".iso", seen, isos))
     raise SchemaError(path + ".move", "unknown move kind %r" % kind)
 
 
-def _letter_doc(letter: Any, forms: Dict[int, dict]) -> dict:
+def _letter_doc(letter: Any, docs: Dict[Any, dict]) -> dict:
     if isinstance(letter, Keep):
-        return {"letter": "keep", "iso": _iso_doc(letter.iso, forms)}
+        return {"letter": "keep", "iso": _iso_doc(letter.iso, docs)}
     if isinstance(letter, Flip):
         return {
             "letter": "flip",
-            "witness": _iso_doc(letter.witness, forms),
+            "witness": _iso_doc(letter.witness, docs),
             "rest_lagrangian": subgroup_to_doc(letter.rest_lagrangian),
         }
     raise SchemaError("", "unknown word letter %r" % type(letter).__name__)
 
 
-def _read_letter(doc: Any, path: str, seen: List[tuple]) -> Any:
+def _read_letter(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "letter", path)
     if kind == "keep":
-        return Keep(_read_iso(_get(d, "iso", path), path + ".iso", seen))
+        return Keep(_read_iso(_get(d, "iso", path), path + ".iso", seen, isos))
     if kind == "flip":
-        witness = _read_iso(_get(d, "witness", path), path + ".witness", seen)
+        witness = _read_iso(_get(d, "witness", path), path + ".witness", seen, isos)
         try:
             rest = split_pair(witness.target).source
         except HypothesisError as exc:
@@ -614,23 +646,24 @@ def _read_letter(doc: Any, path: str, seen: List[tuple]) -> Any:
 
 
 def word_to_doc(word: RUWord) -> dict:
-    """The word's document, each form object in it written by ``form_to_doc`` once.
+    """The word's document, each form and isomorphism value in it made into a dict once.
 
-    Every occurrence of one ``EQForm`` object refers to the same dict, as
-    in ``sequence_to_doc``: copy the document (say by a JSON round trip)
-    before editing any part of it in place.
+    Every occurrence of one ``EQForm`` or ``FormIso`` value refers to the
+    same dict, as in ``sequence_to_doc``: copy the document (say by a JSON
+    round trip) before editing any part of it in place.
     """
-    forms: Dict[int, dict] = {}
+    docs: Dict[Any, dict] = {}
     return {
-        "form": _form_doc(word.form, forms),
+        "form": _form_doc(word.form, docs),
         "lagrangian": subgroup_to_doc(word.lagrangian),
-        "letters": [_letter_doc(g, forms) for g in word.letters],
+        "letters": [_letter_doc(g, docs) for g in word.letters],
     }
 
 
 def word_from_doc(doc: Any, path: str = "word") -> RUWord:
-    """The word of a document, each form value in it decoded once (see the module docstring)."""
+    """The word of a document, each form and isomorphism value in it decoded once (see the module docstring)."""
     seen: List[tuple] = []
+    isos: Dict[tuple, FormIso] = {}
     d = _as_dict(doc, path)
     form = _read_form(_get(d, "form", path), path + ".form", seen)
     lagr = subgroup_from_doc(_get(d, "lagrangian", path), form.group, path + ".lagrangian")
@@ -638,31 +671,33 @@ def word_from_doc(doc: Any, path: str = "word") -> RUWord:
     if not isinstance(letters_doc, list):
         raise SchemaError(path + ".letters", "expected a list")
     letters = tuple(
-        _read_letter(l, "%s.letters[%d]" % (path, i), seen) for i, l in enumerate(letters_doc)
+        _read_letter(l, "%s.letters[%d]" % (path, i), seen, isos) for i, l in enumerate(letters_doc)
     )
     return RUWord(form, lagr, letters)
 
 
 def sequence_to_doc(seq: MoveSequence) -> dict:
-    """The sequence's document, each form object in it written by ``form_to_doc`` once.
+    """The sequence's document, each form and isomorphism value in it made into a dict once.
 
     Every move acts on the same few forms (each move's target is the
-    next one's source), so every occurrence of one ``EQForm`` object
-    refers to the same dict, which ``canonical_dumps`` then encodes once.
-    The document is thus not a tree: copy it (say by a JSON round trip)
-    before editing any part of it in place.
+    next one's source), and a certificate repeats its isomorphisms, so
+    every occurrence of one ``EQForm`` or ``FormIso`` value refers to the
+    same dict, which ``canonical_dumps`` then encodes once per depth.  The
+    document is thus not a tree: copy it (say by a JSON round trip) before
+    editing any part of it in place.
     """
-    forms: Dict[int, dict] = {}
+    docs: Dict[Any, dict] = {}
     return {
-        "start": _formation_doc(seq.start, forms),
-        "end": _formation_doc(seq.end, forms),
-        "moves": [_move_doc(m, forms) for m in seq.moves],
+        "start": _formation_doc(seq.start, docs),
+        "end": _formation_doc(seq.end, docs),
+        "moves": [_move_doc(m, docs) for m in seq.moves],
     }
 
 
 def sequence_from_doc(doc: Any, path: str = "sequence") -> MoveSequence:
-    """The sequence of a document, each form value in it decoded once (see the module docstring)."""
+    """The sequence of a document, each form and isomorphism value in it decoded once (see the module docstring)."""
     seen: List[tuple] = []
+    isos: Dict[tuple, FormIso] = {}
     d = _as_dict(doc, path)
     moves_doc = _get(d, "moves", path)
     if not isinstance(moves_doc, list):
@@ -670,5 +705,5 @@ def sequence_from_doc(doc: Any, path: str = "sequence") -> MoveSequence:
     return MoveSequence(
         _read_formation(_get(d, "start", path), path + ".start", seen),
         _read_formation(_get(d, "end", path), path + ".end", seen),
-        tuple(_read_move(m, "%s.moves[%d]" % (path, i), seen) for i, m in enumerate(moves_doc)),
+        tuple(_read_move(m, "%s.moves[%d]" % (path, i), seen, isos) for i, m in enumerate(moves_doc)),
     )

@@ -837,11 +837,12 @@ def test_replay_agrees_with_folding_apply_move_on_single_entry_mutations():
 
 
 def test_sequence_documents_write_each_form_object_once(monkeypatch):
-    """sequence_to_doc turns each form object of a certificate into a dict once.
+    """sequence_to_doc turns each form value and each isomorphism value of a certificate into a dict once.
 
     The 41 moves of the rank-4 geometric_double certificate name 82 forms, start and end two more, but
-    only 2 form objects: the ambient of start and end, and the split form every flip works in.  Every
-    later occurrence of one reuses its dict, and each move's target is the next move's source.
+    only 2 form values: the ambient of start and end, and the split form every flip works in.  Their 41
+    isomorphisms hold 10 values.  Every later occurrence of a value reuses its dict, and each move's
+    target is the next move's source.
     """
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
@@ -853,6 +854,7 @@ def test_sequence_documents_write_each_form_object_once(monkeypatch):
     assert len(seq.moves) == 41
     assert counts["forms"] == 2
     isos = [m["iso"] if m["move"] == "iso" else m["witness"] for m in doc["moves"]]
+    assert len({id(d) for d in isos}) == 10
     assert sum(a["target"] is b["source"] for a, b in zip(isos, isos[1:])) == 40
 
 
@@ -880,12 +882,33 @@ def test_sequence_documents_read_each_form_value_once(monkeypatch):
     assert counts["forms"] == len(distinct)
 
 
+def test_sequence_documents_read_each_iso_value_once(monkeypatch):
+    """sequence_from_doc checks each distinct isomorphism value of a certificate once, however often it repeats.
+
+    The 41 iso dicts of the rank-4 geometric_double certificate, no longer shared after a JSON round trip,
+    are copies of 10 values; FormIso's public constructor runs once per value, and each later copy
+    reuses the isomorphism its first copy was read to, with its cached inverse.
+    """
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    seq = jacobi_witness(e, k, l, v).sequence
+    doc = json.loads(json.dumps(sequence_to_doc(seq)))
+    counts = Counter()
+    monkeypatch.setattr(FormIso, "__post_init__", counting(counts, "isos", FormIso.__post_init__))
+    back = sequence_from_doc(doc)
+    assert back == seq
+    isos = [m.iso if isinstance(m, ApplyIso) else m.witness for m in back.moves]
+    assert (len(isos), len(set(map(id, isos))), counts["isos"]) == (41, 10, 10)
+
+
 def test_sequence_documents_compute_one_determinant_per_form_value(monkeypatch):
     """Decoding a certificate computes each form value's determinant once and no iso's.
 
     Every iso of the rank-4 geometric_double certificate is square out of a nonsingular form, so the
     pullback check makes det h = ±1; each of the two form objects the reader hands out caches whether it
-    is nonsingular (43 determinants without the cache: the start's and the end's checks, and one per iso).
+    is nonsingular (12 determinants without the cache: the start's and the end's checks, and one per
+    distinct iso value).
     """
     e = geometric_double()
     k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],

@@ -1,18 +1,20 @@
 """Round-trip and schema tests for the JSON document layer."""
 
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qform import cli
+from qform import abelian, cli, forms
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
-from qform.construct import Flip, RUWord, ru_wall_witness, ru_word_eval
+from qform.construct import Flip, Keep, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NotWellDefined, SchemaError
 from qform.forms import EQForm, FormIso, hyperbolic
 from qform.intmat import IntMatrix
-from qform.lmonoid import MoveSequence, Stab, apply_move, replay, standard_elementary
+from qform.lmonoid import ApplyIso, MoveSequence, QuasiFormation, Stab, apply_move, replay, standard_elementary
 from qform.serialize import (
     MAX_DEPTH,
     canonical_dumps,
@@ -110,6 +112,87 @@ def test_word_round_trip_evaluates_identically():
     assert back == w.word
     assert canonical_dumps(word_to_doc(back)) == text
     assert ru_word_eval(back) == w.expected
+
+
+def twice_the_identity_document(reader):
+    """The JSON copy of a sequence or word document whose two moves or letters are the identity of
+    λ = diag(1, -1), with where its second iso matrix lies: the writer shares one dict, the copy does not."""
+    g = free_group(2)
+    e = EQForm(g, IntMatrix.diagonal([1, -1]), GroupHom.zero(g, ZERO_GROUP))
+    one = FormIso(e, e, GroupHom.identity(g))
+    if reader is sequence_from_doc:
+        q = QuasiFormation(e, SubgroupRep.from_elements(g, [[1, 1]]), SubgroupRep.from_elements(g, [[1, -1]]))
+        doc = sequence_to_doc(MoveSequence(q, q, (ApplyIso(one), ApplyIso(one))))
+        return json.loads(json.dumps(doc)), lambda d: d["moves"][1]["iso"], "sequence.moves[1].iso"
+    doc = word_to_doc(RUWord(e, SubgroupRep.zero(g), (Keep(one), Keep(one))))
+    return json.loads(json.dumps(doc)), lambda d: d["letters"][1]["iso"], "word.letters[1].iso"
+
+
+def isos_of(got):
+    return [m.iso for m in got.moves] if isinstance(got, MoveSequence) else [k.iso for k in got.letters]
+
+
+@pytest.mark.parametrize("reader", [sequence_from_doc, word_from_doc], ids=["sequence", "word"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [(True, "expected an integer"), (1.0, "expected an integer or a decimal string"),
+     ([1], "expected an integer or a decimal string")],
+    ids=["true", "float", "unhashable"],
+)
+def test_a_later_iso_copy_that_is_no_integer_matrix_fails_at_its_own_path(reader, entry, message):
+    """A copy that equals an isomorphism read before (``True == 1.0 == 1``) is still decoded, and fails."""
+    doc, second, path = twice_the_identity_document(reader)
+    second(doc)["matrix"][0][0] = entry
+    where = path + ".matrix[0][0]"
+    with pytest.raises(SchemaError) as err:
+        reader(doc)
+    assert (err.value.path, str(err.value)) == (where, "%s: %s" % (where, message))
+
+
+@pytest.mark.parametrize("reader", [sequence_from_doc, word_from_doc], ids=["sequence", "word"])
+def test_a_later_iso_copy_with_a_string_row_fails_at_its_own_path(reader):
+    """The row "10" iterates like the row ["1", "0"] of decimal strings read before, but is no list."""
+    doc, second, path = twice_the_identity_document(reader)
+    first = doc["moves"][0]["iso"] if reader is sequence_from_doc else doc["letters"][0]["iso"]
+    first["matrix"][0] = ["1", "0"]
+    second(doc)["matrix"][0] = "10"
+    with pytest.raises(SchemaError) as err:
+        reader(doc)
+    assert (err.value.path, str(err.value)) == (path + ".matrix[0]", path + ".matrix[0]: expected a list")
+
+
+@pytest.mark.parametrize("reader", [sequence_from_doc, word_from_doc], ids=["sequence", "word"])
+def test_later_iso_copies_decode_to_their_own_value(reader):
+    """An unchanged copy reuses the isomorphism read before; one that differs in one entry, or spells an
+    entry as a decimal string, decodes at its own path."""
+    doc, second, _ = twice_the_identity_document(reader)
+    first, again = isos_of(reader(doc))
+    assert again is first and first.hom.matrix == IntMatrix.identity(2)
+    second(doc)["matrix"][1][1] = -1
+    first, other = isos_of(reader(doc))
+    assert other.hom.matrix == IntMatrix.diagonal([1, -1]) != first.hom.matrix == IntMatrix.identity(2)
+    second(doc)["matrix"][1][1] = "1"
+    first, spelled = isos_of(reader(doc))
+    assert spelled == first and spelled is not first
+
+
+def test_a_word_read_back_inverts_each_distinct_witness_once(tmp_path, capsys, monkeypatch):
+    """The rank-4 ru-wall word of the benchmark's form-batch generator (seed 1) holds 8 Flip letters with 2
+    distinct witnesses; read back from its document, the letters share 2 isomorphisms, and evaluating
+    the word inverts each once (8 times when every letter held its own copy)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(gen.ru_wall_request(random.Random(1), rank4=True).doc))
+    assert cli.run(["ru-wall", "--input", str(path)]) == 0
+    word = word_from_doc(json.loads(capsys.readouterr().out)["word"])
+    flips = [g.witness for g in word.letters if isinstance(g, Flip)]
+    assert (len(word.letters), len(flips), len(set(map(id, flips)))) == (12, 8, 2)
+    calls = []
+    monkeypatch.setattr(forms, "invert_iso", lambda h: calls.append(h) or abelian.invert_iso(h))
+    ru_word_eval(word)
+    assert len(calls) == 2
 
 
 def flip_word_with_torsion():
