@@ -15,20 +15,21 @@ What is checked where: the frames, ``neg_isomorphism`` and
 constructor (λ and μ pulled back, bijective), and the last checks that it
 carries one lagrangian onto the other; a ``MetabolicBasis`` checks its
 shape, normal form (which makes it unimodular) and span; ``ru_word_eval``
-checks every letter against the word's lagrangian, a Flip letter by
-comparing Hermite bases with ``forms.split_lagrangian``.  What is composed
-from those, such as B⁻¹ for a checked basis B, or ``ru_wall_witness``'s
-Flip letters (permutations after id ⊕ F for its checked frame F) and their
-product F⁻¹ ∘ (id ⊕ Σ) ∘ F, is not checked again, nor are the lattice
-steps in between (complements, matched surjections), which hold by
-construction in ``abelian``.
+checks once that the word's lagrangian is a free lagrangian, and every
+distinct letter against it, a Flip letter as a ``FlipL`` move is checked
+(a split target, and a lagrangian whose Hermite basis ``forms.flip_split``
+reads as ({0} × Z) ⊕ L').  What is composed from those, such as B⁻¹ for a
+checked basis B, or ``ru_wall_witness``'s Flip letters (permutations after
+id ⊕ F for its checked frame F) and their product F⁻¹ ∘ (id ⊕ Σ) ∘ F, is
+not checked again, nor are the lattice steps in between (complements,
+matched surjections), which hold by construction in ``abelian``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import GroupHom, SubgroupRep, direct_complement, direct_sum_with_maps, invert_iso, match_surjections
+from .abelian import GroupHom, SubgroupRep, direct_complement, invert_iso, match_surjections
 from .errors import HypothesisError, NoSolution, NotWellDefined, VMissing
 from .forms import (
     EQForm,
@@ -40,13 +41,13 @@ from .forms import (
     _iso_on_sums,
     negate,
     dual,
+    flip_split,
     permuted,
     _permuted_onto,
     pullback,
-    split_lagrangian,
     split_pair,
     subgroup_classify,
-    swap_blocks,
+    _swap_blocks,
 )
 from .intmat import IntMatrix
 
@@ -326,10 +327,9 @@ class Keep:
 class Flip:
     """Generator I⁻¹ ∘ (σ ⊕ id) ∘ I for a splitting I : M → H_2 ⊕ M'.
 
-    ``witness`` is I; its target must be a split form (see
+    The letter is its witness I, whose target must be a split form (see
     ``forms.split_pair``: the hyperbolic pair in the first two
-    coordinates, the layout FlipL shares).  ``rest_lagrangian`` is the
-    lagrangian L' of M' with I(L) = ({0} × Z) ⊕ L'.
+    coordinates, the layout FlipL shares) with I(L) = ({0} × Z) ⊕ L'.
 
     ``pre`` and ``perm``, when given, factor the witness as P ∘ pre, for P
     the permutation ``permuted(pre.target, perm)`` onto the witness's
@@ -339,9 +339,8 @@ class Flip:
     """
 
     witness: FormIso
-    rest_lagrangian: SubgroupRep
-    pre: FormIso | None = field(default=None, compare=False, repr=False)
-    perm: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    pre: FormIso | None = field(default=None, compare=False, repr=False, kw_only=True)
+    perm: tuple[int, ...] | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def inverse(self) -> "Flip":
         return self  # a flip is an involution
@@ -373,27 +372,30 @@ def _realize_letter(form: EQForm, lagr: SubgroupRep, letter, index: int) -> Form
     if w.source != form:
         bad("flip witness does not start at the ambient form")
     try:
-        embed = split_pair(w.target)
+        split_pair(w.target)  # so the swap of the pair is an automorphism of w.target
     except HypothesisError as exc:
         raise HypothesisError(f"generator {index}: {exc}") from None
-    lp = letter.rest_lagrangian
-    if lp.ambient != embed.source:
-        bad("rest lagrangian lives in the wrong group")
-    if not subgroup_classify(pullback(embed, w.target), lp).free_lagrangian:
-        bad("rest lagrangian fails the lagrangian check")
-    if lagr.transport(w.hom) != split_lagrangian(w.target.group, lp):
+    if flip_split(lagr.transport(w.hom)) is None:
         bad("witness does not carry the lagrangian onto ({0}×Z) ⊕ L'")
-    return w.inverse().compose(swap_blocks(w.target, 1)).compose(w)
+    return w.inverse().compose(_swap_blocks(w.target, 1)).compose(w)
 
 
 def ru_word_eval(word: RUWord) -> FormIso:
-    """Validate every generator and return the ordered product.
+    """Validate the word's lagrangian and every generator, and return the ordered product.
 
     The first letter is applied last: eval([g1, ..., gn]) = g1 ∘ ... ∘ gn.
+    Each (letter kind, isomorphism object) is realized once: ``ru_wall_witness``
+    and the document reader give equal letters one object.
     """
+    if not subgroup_classify(word.form, word.lagrangian).free_lagrangian:
+        raise HypothesisError("not a lagrangian", "the word's lagrangian is not a free lagrangian of its form")
+    realized: dict[tuple, FormIso] = {}
     result = FormIso.identity(word.form)
     for idx, letter in enumerate(word.letters):
-        result = result.compose(_realize_letter(word.form, word.lagrangian, letter, idx))
+        key = (type(letter), id(letter.iso if isinstance(letter, Keep) else getattr(letter, "witness", None)))
+        if key not in realized:
+            realized[key] = _realize_letter(word.form, word.lagrangian, letter, idx)
+        result = result.compose(realized[key])
     return result
 
 
@@ -414,8 +416,6 @@ def _flip_letters_for_stabilization(l: SubgroupRep, pairs: int, pre: FormIso) ->
     ``pre`` and ``perm``, so that w_j ∘ w_i⁻¹ = P_j ∘ P_i⁻¹ is read off as a
     permutation.
     """
-    _, lower = hyperbolic_halves(pairs - 1)
-    rest_l = direct_sum_with_maps(l.ambient, lower.ambient).subgroup(l, lower)
     n, target = l.ambient.num_gens, pre.target
     split = None
     letters = []
@@ -424,7 +424,7 @@ def _flip_letters_for_stabilization(l: SubgroupRep, pairs: int, pre: FormIso) ->
         perm = (a, b) + tuple(j for j in range(target.group.num_gens) if j not in (a, b))
         p = permuted(target, perm) if split is None else _permuted_onto(target, perm, split)
         split = p.target
-        letters.append(Flip(p.compose(pre), rest_l, pre, perm))
+        letters.append(Flip(p.compose(pre), pre=pre, perm=perm))
     return letters
 
 
@@ -464,7 +464,7 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
     neg_e = negate(e)
     dbl_sum = form_direct_sum(e, neg_e)
     frame, hyp_sum = _frame(e, mb, dbl_sum, _WALL_PATTERN)
-    sigma = _iso_on_sums(hyp_sum, hyp_sum, one, swap_blocks(hyperbolic(s, e.target, e.v), s))
+    sigma = _iso_on_sums(hyp_sum, hyp_sum, one, _swap_blocks(hyperbolic(s, e.target, e.v), s))
     w_iso = frame.inverse().compose(sigma).compose(frame)
     phi_neg = FormIso._unchecked(neg_e, neg_e, phi.hom, phi.inverse_hom)  # it pulls back -λ, -μ as well
     phi_phi = _iso_on_sums(dbl_sum, dbl_sum, phi, phi_neg)
@@ -480,7 +480,7 @@ def ru_wall_witness(e: EQForm, l: SubgroupRep, phi: FormIso) -> RUWallWitness:
         pre = _iso_on_sums(outer, form_direct_sum(e, frame.target), one, frame)
         flips = _flip_letters_for_stabilization(l_l, s, pre)
     embedded = flips + [Keep(_iso_on_sums(outer, outer, one, k_iso))] + flips
-    tau = Keep(swap_blocks(ambient, 2 * s))
+    tau = Keep(_swap_blocks(ambient, 2 * s))
     letters = [tau] + embedded + [tau] + [g.inverse() for g in reversed(embedded)]
     word = RUWord(ambient, l3, tuple(letters))
 

@@ -31,7 +31,7 @@ from .errors import (
     NotWellDefined,
     VMissing,
 )
-from .intmat import IntMatrix, int_nullspace, shifted_row
+from .intmat import IntMatrix, int_nullspace
 
 
 @dataclass(frozen=True)
@@ -354,20 +354,15 @@ def _permuted_onto(e: EQForm, perm: Sequence[int], target: EQForm) -> FormIso:
     return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
 
 
-def swap_blocks(e: EQForm, size: int) -> FormIso:
+def _swap_blocks(e: EQForm, size: int) -> FormIso:
     """The automorphism of e exchanging its two leading blocks of ``size`` coordinates.
 
-    It is ``permuted`` when the permuted form is e itself.  Not every form
-    admits the exchange: blocks that are not interchangeable raise
-    ``NotWellDefined``, for the pairing before μ.
+    Private, as ``_iso_on_sums`` is: nothing is checked, and the caller
+    vouches that the permuted form is e itself.  Each caller swaps two
+    equal summands of a sum it built, or the pair of a split form.
     """
     n = e.group.num_gens
-    iso = permuted(e, list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n)))
-    if iso.target.matrix != e.matrix:
-        raise NotWellDefined("map does not pull the pairing back")
-    if iso.target.mu != e.mu:
-        raise NotWellDefined("map does not pull mu back")
-    return FormIso._unchecked(e, e, iso.hom, iso.inverse_hom)
+    return _permuted_onto(e, list(range(size, 2 * size)) + list(range(size)) + list(range(2 * size, n)), e)
 
 
 # -- the split hyperbolic pair -----------------------------------------
@@ -375,16 +370,15 @@ def swap_blocks(e: EQForm, size: int) -> FormIso:
 # A split form is laid out as H_2 ⊕ rest: its first two free coordinates
 # are a hyperbolic pair (a, b) orthogonal to the rest and killed by μ, and
 # the rest keeps its order, torsion generators last.  Flip letters and
-# FlipL moves both use this layout; σ = swap_blocks(t, 1) exchanges a and b.
+# FlipL moves both use this layout; σ = _swap_blocks(t, 1) exchanges a and b.
 # L = ({0} × Z) ⊕ L' exactly when L's Hermite basis starts with the unit row
 # at b: the echelon rows after it lead past b, so they are L''s basis.
 _A_ROW, _B_ROW = ((0, 1),), ((1, 1),)
 
 
-def split_pair(t: EQForm) -> GroupHom:
-    """Check the split-pair layout of t; return the embedding of the rest group."""
-    r = t.group.free_rank
-    if r < 2:
+def split_pair(t: EQForm) -> None:
+    """Check the split-pair layout of t, which makes σ an automorphism of t."""
+    if t.group.free_rank < 2:
         raise HypothesisError("split target has free rank < 2")
     m = t.matrix
     if m[0, 0] != 0 or m[1, 1] != 0 or m[0, 1] != 1:
@@ -393,13 +387,6 @@ def split_pair(t: EQForm) -> GroupHom:
         raise HypothesisError("hyperbolic pair is not orthogonal to the rest")
     if any(t.mu.matrix.column(0) + t.mu.matrix.column(1)):  # μ's matrix is stored reduced
         raise HypothesisError("mu does not vanish on the hyperbolic pair")
-    k = t.group.num_gens - 2
-    return GroupHom(AbGroup(r - 2, t.group.torsion), t.group, IntMatrix.zeros(2, k).vstack(IntMatrix.identity(k)))
-
-
-def split_lagrangian(group: AbGroup, rest_lagrangian: SubgroupRep) -> SubgroupRep:
-    """({0} × Z) ⊕ L' in the split group ``group``, for L' in its rest group."""
-    return SubgroupRep(group, (_B_ROW,) + tuple(shifted_row(row, 2) for row in rest_lagrangian.lattice))
 
 
 def flip_split(l: SubgroupRep) -> SubgroupRep | None:

@@ -49,7 +49,7 @@ from .forms import (
     pullback,
     split_pair,
     subgroup_classify,
-    swap_blocks,
+    _swap_blocks,
 )
 from .intmat import IntMatrix
 
@@ -494,7 +494,7 @@ def _expand_ru_letter(letter, owed: FormIso | _Unflipped) -> tuple[list[Move], F
         sigma = owed.sigma
         step = _permutation_between(sigma, owed.letter, letter)
     else:
-        sigma = swap_blocks(w.target, 1)
+        sigma = _swap_blocks(w.target, 1)  # ru_wall_witness builds every witness onto a split form
         step = sigma.compose(w).compose(_owed_iso(owed))
     return [ApplyIso(step), FlipL(sigma)], _Unflipped(letter, sigma)
 
@@ -574,6 +574,7 @@ def jacobi_witness(e: EQForm, k_sub: SubgroupRep, l_sub: SubgroupRep, v_sub: Sub
     for letter in reversed(wall.word.letters):
         letter_moves, owed = _expand_ru_letter(letter, owed)
         moves.extend(letter_moves)
-    moves.append(ApplyIso(swap_blocks(whole.form, big.group.num_gens).compose(_owed_iso(owed))))
+    # the two copies of big lead whole, which is free
+    moves.append(ApplyIso(_swap_blocks(whole.form, big.group.num_gens).compose(_owed_iso(owed))))
     seq = MoveSequence(start, end, tuple(moves))
     return JacobiWitness(seq, pairs, phi, start_padding, end_paddings)

@@ -76,8 +76,8 @@ from typing import Any, Dict, List
 
 from .abelian import AbGroup, GroupHom, SubgroupRep, Z2
 from .construct import Flip, Keep, RUWord
-from .errors import HypothesisError, QformError, SchemaError
-from .forms import EQForm, FormIso, split_pair
+from .errors import QformError, SchemaError
+from .forms import EQForm, FormIso
 from .intmat import IntMatrix, Row
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
@@ -617,11 +617,7 @@ def _letter_doc(letter: Any, docs: Dict[Any, dict]) -> dict:
     if isinstance(letter, Keep):
         return {"letter": "keep", "iso": _iso_doc(letter.iso, docs)}
     if isinstance(letter, Flip):
-        return {
-            "letter": "flip",
-            "witness": _iso_doc(letter.witness, docs),
-            "rest_lagrangian": subgroup_to_doc(letter.rest_lagrangian),
-        }
+        return {"letter": "flip", "witness": _iso_doc(letter.witness, docs)}
     raise SchemaError("", "unknown word letter %r" % type(letter).__name__)
 
 
@@ -630,18 +626,8 @@ def _read_letter(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormI
     kind = _get(d, "letter", path)
     if kind == "keep":
         return Keep(_read_iso(_get(d, "iso", path), path + ".iso", seen, isos))
-    if kind == "flip":
-        witness = _read_iso(_get(d, "witness", path), path + ".witness", seen, isos)
-        try:
-            rest = split_pair(witness.target).source
-        except HypothesisError as exc:
-            located = HypothesisError(f"{path}.witness: {exc}")
-            located.path = path + ".witness"
-            raise located from None
-        return Flip(
-            witness,
-            subgroup_from_doc(_get(d, "rest_lagrangian", path), rest, path + ".rest_lagrangian"),
-        )
+    if kind == "flip":  # a key an older layout wrote beside the witness is left unread
+        return Flip(_read_iso(_get(d, "witness", path), path + ".witness", seen, isos))
     raise SchemaError(path + ".letter", "unknown letter kind %r" % kind)
 
 

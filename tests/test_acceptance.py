@@ -32,7 +32,7 @@ from qform.forms import (
     hyperbolic_halves,
     pullback,
     subgroup_classify,
-    swap_blocks,
+    _swap_blocks,
 )
 from qform.intmat import IntMatrix
 from qform.lmonoid import (
@@ -341,7 +341,7 @@ def test_flip_words_realize_doubled_automorphisms():
 def test_rank_sixty_four_wall_word_is_built_in_time():
     def with_halves_swapped(m):
         h = hyperbolic(m, ZERO_GROUP, V0)
-        return h, hyperbolic_halves(m)[1], swap_blocks(h, m)
+        return h, hyperbolic_halves(m)[1], _swap_blocks(h, m)
 
     # the word is checked at rank 8 only: ru_word_eval alone takes about 0.4 s at rank 64
     check_wall_word(*with_halves_swapped(4))

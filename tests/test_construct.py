@@ -34,7 +34,7 @@ from qform.forms import (
     permuted,
     pullback,
     subgroup_classify,
-    swap_blocks,
+    _swap_blocks,
 )
 from qform.intmat import IntMatrix, lattice_contains, sparse_row
 
@@ -379,7 +379,7 @@ def test_wall_frame_is_doubling_after_negation_and_swap():
         mb = metabolic_basis(e, lagr)
         j = neg_isomorphism(e, lagr).hom.matrix
         j_back = FormIso(negate(e), e, GroupHom(e.group, e.group, j))
-        sigma = swap_blocks(form_direct_sum(e, e).form, e.group.num_gens)
+        sigma = _swap_blocks(form_direct_sum(e, e).form, e.group.num_gens)
         composite = double_to_hyperbolic(e, lagr).compose(sigma).compose(
             iso_direct_sum(FormIso.identity(e), j_back)
         )
@@ -498,7 +498,7 @@ def test_empty_word_is_identity():
 
 def test_single_flip_is_sigma():
     h = geo_hyperbolic(1)
-    flip = Flip(FormIso.identity(h), SubgroupRep.zero(free_group(0)))
+    flip = Flip(FormIso.identity(h))
     w = RUWord(h, sub(h, (0, 1)), (flip,))
     assert ru_word_eval(w).hom.matrix == IntMatrix.from_rows([[0, 1], [1, 0]])
 
@@ -519,16 +519,15 @@ def test_keep_must_preserve_lagrangian():
     assert "generator 0" in str(err.value)
 
 
-def test_flip_with_a_wrong_rest_lagrangian_is_refused():
-    # H_4 with pair 0 moved to the front: the lagrangian ⟨b1, b2⟩ lands on ({0} × Z) ⊕ ⟨b2⟩
+def test_flip_whose_witness_misses_the_split_lagrangian_is_refused():
+    # H_4 with pair 0 moved to the front: the lagrangian ⟨b1, b2⟩ lands on ({0} × Z) ⊕ ⟨b2⟩;
+    # with b1 put first instead, on the split form's other half (Z × {0}) ⊕ ⟨b2⟩
     h = geo_hyperbolic(2)
     lagr = sub(h, (0, 0, 1, 0), (0, 0, 0, 1))
-    witness = permuted(h, [0, 2, 1, 3])
-    rest = hyperbolic(1, ZERO_GROUP, h.v)
-    good, wrong = sub(rest, (0, 1)), sub(rest, (1, 0))  # both lagrangians of the rest
-    assert ru_word_eval(RUWord(h, lagr, (Flip(witness, good),))).hom.matrix == IntMatrix.permutation([2, 1, 0, 3])
+    good, wrong = permuted(h, [0, 2, 1, 3]), permuted(h, [2, 0, 1, 3])
+    assert ru_word_eval(RUWord(h, lagr, (Flip(good),))).hom.matrix == IntMatrix.permutation([2, 1, 0, 3])
     with pytest.raises(HypothesisError) as err:
-        ru_word_eval(RUWord(h, lagr, (Keep(FormIso.identity(h)), Flip(witness, wrong))))
+        ru_word_eval(RUWord(h, lagr, (Keep(FormIso.identity(h)), Flip(wrong))))
     assert str(err.value) == "generator 1: witness does not carry the lagrangian onto ({0}×Z) ⊕ L'"
 
 
@@ -536,7 +535,7 @@ def test_word_inverse_evaluates_to_inverse():
     h = geo_hyperbolic(1)
     lagr = sub(h, (0, 1))
     minus = FormIso(h, h, GroupHom.from_gen_images(h.group, h.group, [(-1, 0), (0, -1)]))
-    flip = Flip(FormIso.identity(h), SubgroupRep.zero(free_group(0)))
+    flip = Flip(FormIso.identity(h))
     w = RUWord(h, lagr, (Keep(minus), flip))
     fwd = ru_word_eval(w)
     back = ru_word_eval(RUWord(h, lagr, tuple(g.inverse() for g in reversed(w.letters))))

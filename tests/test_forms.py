@@ -25,11 +25,10 @@ from qform.forms import (
     orthogonal_complement,
     permuted,
     pullback,
-    split_lagrangian,
     subgroup_classify,
-    swap_blocks,
+    _swap_blocks,
 )
-from qform.intmat import IntMatrix, lattice_contains, sparse_row
+from qform.intmat import IntMatrix, lattice_contains, shifted_row, sparse_row
 from qform.lmonoid import ApplyIso, FlipL, QuasiFormation, jacobi_witness, standard_elementary
 
 
@@ -480,28 +479,9 @@ def test_identity_is_handed_its_own_inverse(e):
 @pytest.mark.parametrize("e, size", [(hyperbolic(1), 1), (hyperbolic(2), 2), (torsion_form(), 1)],
                          ids=["h2", "h4", "torsion"])
 def test_swap_blocks_is_handed_its_own_inverse(e, size):
-    iso = swap_blocks(e, size)
+    iso = _swap_blocks(e, size)
     assert iso.inverse_hom == iso.hom == reference_inverse(iso)
     assert iso.compose(iso).hom == GroupHom.identity(e.group)
-
-
-def unequal_diagonal_form():
-    g = free_group(3)
-    return EQForm(g, IntMatrix.diagonal([1, 2, 1]), GroupHom.zero(g, Z))
-
-
-@pytest.mark.parametrize(
-    "e, size, reason",
-    [
-        (unequal_diagonal_form(), 1, "map does not pull the pairing back"),
-        (e_form(1, 2), 1, "map does not pull mu back"),
-        (form_direct_sum(e_form(1, 0), e_form(0, 1)).form, 2, "map does not pull mu back"),
-    ],
-    ids=["pairing", "mu", "blocks-of-two"],
-)
-def test_swap_blocks_of_blocks_that_are_not_interchangeable_is_refused(e, size, reason):
-    with pytest.raises(NotWellDefined, match="^%s$" % reason):
-        swap_blocks(e, size)
 
 
 @pytest.mark.parametrize("a, b", list(automorphism_pairs()), ids=["free", "torsion"])
@@ -578,7 +558,7 @@ def test_isos_built_from_checked_ones_pass_the_constructor(g1, g2, rng):
         iso_direct_sum(g.compose(f), k.inverse()),
         # a shuffle of the free coordinates; torsion coordinates stay
         permuted(f.target, rng.sample(range(g1.free_rank), g1.free_rank) + list(range(g1.free_rank, g1.num_gens))),
-        swap_blocks(form_direct_sum(f.target, f.target).form, g1.free_rank),
+        _swap_blocks(form_direct_sum(f.target, f.target).form, g1.free_rank),
     ]
     for iso in built:
         assert_passes_the_constructor(iso)
@@ -641,6 +621,11 @@ def test_iso_direct_sum_matches_the_product_formula(g1, g2, rng):
 
 
 # -- split lagrangians against meets and sums ----------------------------
+
+
+def split_lagrangian(group, rest_lagrangian):
+    """({0} × Z) ⊕ L' in the split group ``group``, for L' in its rest group, from L''s Hermite basis."""
+    return SubgroupRep(group, (((1, 1),),) + tuple(shifted_row(row, 2) for row in rest_lagrangian.lattice))
 
 
 def reference_flip(l):

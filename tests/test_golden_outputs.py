@@ -84,8 +84,8 @@ DIGESTS = {
     "stable-iso-1": (0, "55248c4d36401d6d95f408346b21125c911a09c407fb41f74d83de7b096e1c12"),
     "stable-iso-2": (0, "c79ebbc1642e205d05ff70467f8ed05bcd836d03c36f40c8329d323359f06bec"),
     "stable-iso-3": (0, "c98c4067e829de9a9dd408e832946e1944fb828bd427dd28532bd18cb0d7d7d6"),
-    "ru-wall-h2": (0, "4fa8543242f950114a067ef77dfdf73e43d927b0b6c780c3982f6bbbbd0851fc"),
-    "ru-wall-rank4": (0, "8665f14cef134e43d29ff2f895b48447e16af2bf7fe96b25bab320cb45eaaf83"),
+    "ru-wall-h2": (0, "da45d7711328e10ef33301cee52a2bc99ed9a268a4a98db956cf371573c2f968"),
+    "ru-wall-rank4": (0, "ce725dd36e3b55420bbc3acaffb5a3070b91bcba651a762d29cd2cad085f1e00"),
     "classify": (0, "9ddf97cade98958accf6599df6ab123209b721acf741c53b85e74f2a57bce7d0"),
     "perp": (0, "01bdce3caa9a49f24285d16332387ce2082efd0e2e95236db65d0eb40226f75d"),
     "metabolic-basis": (0, "b133e4b5594da83b56d8c6de623f8b8f4a3b0873a580ff25b2bdc091a063f7d9"),

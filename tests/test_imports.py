@@ -19,7 +19,8 @@ is never reported.  A row whose name is gone or has gained a reader
 fails too, so the table only shrinks.  Outside ``intmat``, ``.det(`` is
 called in exactly the places of ``DECIDING_PLACES``: bijectivity has one
 owner, and a determinant decides nothing else.  ``smith_normal_form(`` is
-called in exactly the places of ``SMITH_PLACES``.
+called in exactly the places of ``SMITH_PLACES``, and ``split_pair(`` in
+exactly those of ``SPLIT_PLACES``.
 """
 
 import ast
@@ -243,6 +244,11 @@ DECIDING_PLACES = {"forms.EQForm.is_nonsingular"}
 SMITH_PLACES = {"intmat.int_solve", "abelian.quotient_with_projection"}
 
 
+# The split-pair layout is checked where a witness onto a split form enters: a FlipL move and a
+# Flip letter.  Every other swap of a split pair is of a split form its caller built.
+SPLIT_PLACES = {"lmonoid._flip", "construct._realize_letter"}
+
+
 def calls_to(names, module, source):
     """'module.Class.function' and line of each call ``f(`` or ``x.f(`` with f in ``names``.
 
@@ -298,12 +304,16 @@ def test_a_stray_determinant_is_found():
     ]
 
 
-def smith_findings(sources):
-    """'place (line n)' for each ``smith_normal_form`` call outside ``SMITH_PLACES``, and each place that makes none."""
-    calls = [call for module, source in sources.items() for call in calls_to({"smith_normal_form"}, module[:-3], source)]
-    return ["%s (line %d)" % call for call in calls if call[0] not in SMITH_PLACES] + [
-        "%s calls no smith_normal_form" % place for place in sorted(SMITH_PLACES - {place for place, _ in calls})
+def placed_findings(name, places, sources):
+    """'place (line n)' for each call of ``name`` outside ``places``, and each place that makes none."""
+    calls = [call for module, source in sources.items() for call in calls_to({name}, module[:-3], source)]
+    return ["%s (line %d)" % call for call in calls if call[0] not in places] + [
+        "%s calls no %s" % (place, name) for place in sorted(places - {place for place, _ in calls})
     ]
+
+
+def smith_findings(sources):
+    return placed_findings("smith_normal_form", SMITH_PLACES, sources)
 
 
 def test_smith_forms_are_computed_in_the_listed_places():
@@ -320,4 +330,24 @@ def test_a_stray_smith_form_is_found():
     assert smith_findings(sources) == [
         "abelian.direct_sum_with_maps (line 9)",
         "abelian.quotient_with_projection calls no smith_normal_form",
+    ]
+
+
+def split_findings(sources):
+    return placed_findings("split_pair", SPLIT_PLACES, sources)
+
+
+def test_the_split_pair_layout_is_checked_in_the_listed_places():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert split_findings(sources) == []
+
+
+def test_a_stray_split_pair_check_is_found():
+    sources = {
+        "lmonoid.py": "def _flip(form, l, w):\n    split_pair(w.target)\n",
+        "serialize.py": "def _read_letter(d):\n    return forms.split_pair(d.witness.target)\n",
+    }
+    assert split_findings(sources) == [
+        "serialize._read_letter (line 2)",
+        "construct._realize_letter calls no split_pair",
     ]

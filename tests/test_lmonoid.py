@@ -685,7 +685,7 @@ def test_certificates_build_each_sum_once(monkeypatch):
     maps = counting(counts, "maps", abelian.direct_sum_with_maps)
     for module in (forms, construct, lmonoid):
         monkeypatch.setattr(module, "form_direct_sum", sums)
-    for module in (abelian, forms, construct, lmonoid):
+    for module in (abelian, forms, lmonoid):
         monkeypatch.setattr(module, "direct_sum_with_maps", maps)
     monkeypatch.setattr(QuasiFormation, "__post_init__", counting(counts, "checks", QuasiFormation.__post_init__))
     classify = counting(counts, "classify", forms.subgroup_classify)

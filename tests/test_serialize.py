@@ -3,12 +3,13 @@
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qform import abelian, cli, forms
+from qform import abelian, cli, construct, forms
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, Keep, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NotWellDefined, SchemaError
@@ -176,17 +177,22 @@ def test_later_iso_copies_decode_to_their_own_value(reader):
     assert spelled == first and spelled is not first
 
 
-def test_a_word_read_back_inverts_each_distinct_witness_once(tmp_path, capsys, monkeypatch):
-    """The rank-4 ru-wall word of the benchmark's form-batch generator (seed 1) holds 8 Flip letters with 2
-    distinct witnesses; read back from its document, the letters share 2 isomorphisms, and evaluating
-    the word inverts each once (8 times when every letter held its own copy)."""
+def seed_one_rank_four_word(tmp_path, capsys, monkeypatch):
+    """The rank-4 ru-wall word of the benchmark's form-batch generator (seed 1), read back from its document."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import gen
 
     path = tmp_path / "in.json"
     path.write_text(json.dumps(gen.ru_wall_request(random.Random(1), rank4=True).doc))
     assert cli.run(["ru-wall", "--input", str(path)]) == 0
-    word = word_from_doc(json.loads(capsys.readouterr().out)["word"])
+    return word_from_doc(json.loads(capsys.readouterr().out)["word"])
+
+
+def test_a_word_read_back_inverts_each_distinct_witness_once(tmp_path, capsys, monkeypatch):
+    """The word holds 8 Flip letters with 2 distinct witnesses; read back from its document, the letters
+    share 2 isomorphisms, and evaluating the word inverts each once (8 times when every letter held its
+    own copy)."""
+    word = seed_one_rank_four_word(tmp_path, capsys, monkeypatch)
     flips = [g.witness for g in word.letters if isinstance(g, Flip)]
     assert (len(word.letters), len(flips), len(set(map(id, flips)))) == (12, 8, 2)
     calls = []
@@ -195,40 +201,84 @@ def test_a_word_read_back_inverts_each_distinct_witness_once(tmp_path, capsys, m
     assert len(calls) == 2
 
 
+def test_a_word_read_back_checks_each_distinct_witness_once(tmp_path, capsys, monkeypatch):
+    """Evaluating the word classifies its lagrangian once, checks the split layout once per distinct
+    witness (8 times when every letter was checked) and restricts no form to a rest group."""
+    word = seed_one_rank_four_word(tmp_path, capsys, monkeypatch)
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or original(*a))
+
+    for module in (construct, forms):
+        for name in ("split_pair", "subgroup_classify", "pullback"):
+            counted(module, name)
+    ru_word_eval(word)
+    assert calls == Counter(split_pair=2, subgroup_classify=1)
+
+
 def flip_word_with_torsion():
-    """H ⊕ 0 on Z² ⊕ Z/2, L = ⟨e₁⟩, one flip whose rest lagrangian is 0 ⊂ Z/2."""
+    """H ⊕ 0 on Z² ⊕ Z/2, L = ⟨e₁⟩, one flip, which leaves 0 ⊂ Z/2 as the rest's lagrangian."""
     g = AbGroup(2, (2,))
     e = EQForm(g, IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), GroupHom.zero(g, ZERO_GROUP))
-    rest = SubgroupRep.zero(AbGroup(0, (2,)))
-    return RUWord(e, SubgroupRep.from_elements(g, [g.gen(1)]), (Flip(FormIso.identity(e), rest),))
+    return RUWord(e, SubgroupRep.from_elements(g, [g.gen(1)]), (Flip(FormIso.identity(e)),))
+
+
+def validate_word(tmp_path, capsys, doc):
+    """The exit code and report of ``validate`` on a word document."""
+    path = tmp_path / "word.json"
+    path.write_text(canonical_dumps(doc))
+    code = cli.run(["validate", "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
 
 
 def test_flip_word_with_torsion_round_trips_and_validates(tmp_path, capsys):
     word = flip_word_with_torsion()
-    text = canonical_dumps(word_to_doc(word))
-    back = word_from_doc(reload(text))
+    doc = word_to_doc(word)
+    back = word_from_doc(reload(canonical_dumps(doc)))
     assert back == word
     assert ru_word_eval(back) == ru_word_eval(word)
-    path = tmp_path / "word.json"
-    path.write_text(text)
-    assert cli.run(["validate", "--input", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"command": "validate", "kind": "word", "letters": 1, "ok": True}
+    assert validate_word(tmp_path, capsys, doc) == (0, {"command": "validate", "kind": "word", "letters": 1, "ok": True})
 
 
 @pytest.mark.parametrize(
-    "group, rows, reason",
+    "group, rows, lagrangian, reason",
     [
-        (AbGroup(0, (2,)), [[0]], "split target has free rank < 2"),
-        (AbGroup(2, (2,)), [[1, 0, 0], [0, -1, 0], [0, 0, 0]], "split target does not start with a hyperbolic pair"),
+        (AbGroup(0, (2,)), [[0]], [], "split target has free rank < 2"),
+        (AbGroup(2, (2,)), [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[1, 1, 0]],
+         "split target does not start with a hyperbolic pair"),
     ],
     ids=["rank-below-two", "no-hyperbolic-pair"],
 )
-def test_flip_letter_with_a_non_split_target_names_the_letter(group, rows, reason):
+def test_flip_letter_with_a_non_split_target_names_the_letter(tmp_path, capsys, group, rows, lagrangian, reason):
+    """``validate`` refuses the word with exit 4, naming the letter; the word's lagrangian is a lagrangian."""
     e = EQForm(group, IntMatrix.from_rows(rows), GroupHom.zero(group, ZERO_GROUP))
-    letter = {"letter": "flip", "witness": iso_to_doc(FormIso.identity(e)), "rest_lagrangian": {"generators": []}}
-    doc = {**word_to_doc(RUWord(e, SubgroupRep.zero(group), ())), "letters": [letter]}
-    with pytest.raises(HypothesisError, match=r"^word\.letters\[0\]\.witness: %s$" % reason):
-        word_from_doc(reload(canonical_dumps(doc)))
+    word = RUWord(e, SubgroupRep.from_elements(group, lagrangian), (Flip(FormIso.identity(e)),))
+    message = "generator 0: " + reason
+    assert validate_word(tmp_path, capsys, word_to_doc(word)) == (4, {"error": message, "detail": message})
+
+
+def test_a_word_in_the_layout_with_rest_lagrangians_still_validates(tmp_path, capsys):
+    """A Flip letter that carries the lagrangian of its rest group, as words were once written, reads and
+    validates: the reader leaves that key unread."""
+    h2 = form_to_doc(hyperbolic(1))
+    letters = [
+        {"letter": "keep", "iso": {"source": h2, "target": h2, "matrix": [[-1, 0], [0, -1]]}},
+        {"letter": "flip", "witness": {"source": h2, "target": h2, "matrix": [[1, 0], [0, 1]]},
+         "rest_lagrangian": {"generators": []}},
+    ]
+    doc = {"form": h2, "lagrangian": {"generators": [[0, 1]]}, "letters": letters}
+    assert validate_word(tmp_path, capsys, doc) == (0, {"command": "validate", "kind": "word", "letters": 2, "ok": True})
+
+
+def test_a_keep_only_word_over_a_subgroup_that_is_not_a_lagrangian_is_refused(tmp_path, capsys):
+    """The word's lagrangian is checked once, whatever its letters: ⟨a + b⟩ in H₂ is not isotropic."""
+    h = hyperbolic(1)
+    minus = FormIso(h, h, GroupHom(h.group, h.group, IntMatrix.diagonal([-1, -1])))
+    doc = word_to_doc(RUWord(h, SubgroupRep.from_elements(h.group, [[1, 1]]), (Keep(minus),)))
+    code, report = validate_word(tmp_path, capsys, doc)
+    assert (code, report["error"]) == (4, "not a lagrangian")
 
 
 # -- canonical layout --------------------------------------------------
