@@ -29,6 +29,15 @@ conversions past ``sys.get_int_max_str_digits()`` digits (4300 by
 default); past that limit, and only there, ``int_to_decimal`` and
 ``decimal_to_int`` convert in chunks by divide and conquer.
 
+``loads_document`` reads a text of 64 KiB or more by a scan that walks
+its top few container levels in Python and hands everything else to the
+json module's C scanner.  At each object long enough to repeat, the scan
+checks whether the text there is a verbatim copy of an object text it has
+read, and if so returns that object's dict and skips the copy.  A
+certificate's text repeats a few form and isomorphism texts once per move,
+so each is decoded once.  The value, and every error, is that of
+``json.loads``.
+
 Loading re-runs every constructor, so a document that parses but encodes
 an inconsistent object (a pairing that is not symmetric, a map that does
 not pull the pairing back, and so on) still fails — with the library's
@@ -47,12 +56,15 @@ share a witness), so ``sequence_from_doc`` and ``word_from_doc`` decode
 each form and isomorphism value once per call, by value.  One memo per
 call holds the last ``_SEEN_FORMS`` distinct form dicts decoded, with
 their forms; the first is the start's (or the word's) form.  A form dict
-that equals one of them with ``==``, and holds nothing but lists, dicts,
-ints and strings (``True == 1``, but ``true`` is no integer), reuses that
-``EQForm``.  A second memo per call, one dict lookup per isomorphism,
-maps the source and target forms so read, with the rows of the matrix,
-to the ``FormIso`` decoded from them; a hit counts under the same guard,
-a matrix of lists of ints and strings alone.  Any other form or matrix
+that is one of them, or equals one of them with ``==`` and holds nothing
+but lists, dicts, ints and strings (``True == 1``, but ``true`` is no
+integer), reuses that ``EQForm``.  A second memo per call, one dict
+lookup per isomorphism, maps each isomorphism dict read, and the source
+and target forms so read with the rows of the matrix, to the
+``FormIso`` decoded from them; a hit by value counts under the same
+guard, a matrix of lists of ints and strings alone.  So the copies that a
+document read by ``loads_document`` shares cost one lookup each, and no
+scan of their entries.  Any other form or matrix
 is decoded at its own path, so the first occurrence of each value is
 still decoded and checked where it stands, and every error keeps its
 JSON path.  Each distinct isomorphism is built once by ``FormIso``'s
@@ -63,8 +75,10 @@ one determinant per form value, not one each.
 
 A document written here may hold one dict in several places: every
 occurrence of one form or isomorphism value in a sequence, word or
-isomorphism refers to the same dict.  Copy such a document (say by a
-JSON round trip) before editing any part of it in place.
+isomorphism refers to the same dict.  So may a document read from a
+large text: every verbatim copy of one long object text is the same
+dict.  Copy such a document (say by a JSON round trip) before editing
+any part of it in place.
 """
 
 from __future__ import annotations
@@ -96,6 +110,26 @@ _SEEN_FORMS = 4
 # recursion limit.
 MAX_DEPTH = 256
 NESTED_TOO_DEEPLY = "document nested too deeply"
+
+# The sharing scan of ``loads_document`` (see ``_sharing_decoder``), set by
+# reading the 3.9 MB rank-8 jacobi result (json.loads: 91 ms), triple A's
+# 447 KB result (10 ms) and 10,000 small dicts in one list (769 KB, 8.1 ms)
+# with CPython 3.11 on a 2-core x86-64 machine.  Texts under 64 KiB keep the
+# one C call: every text form-batch and si-ladder read is under 10.8 KB, and
+# jacobi-certify's are 430-448 KB.  A window of 256 characters read the small
+# dicts in 20 ms, against 55 ms when every container was walked, and 1024
+# read triple A in 2.0 ms, against 1.5 ms.  A prefix of 16, 64 or 256
+# characters made no difference (7.2-8.1 ms on the rank-8 result).  With 16
+# texts to a prefix each distinct object text of that result is walked once
+# (54 objects, 7.6 ms); 4 and 8 walked 108 and 97 (16.8 and 14.5 ms), since
+# its isomorphism texts share their first rows.  Forms sit 5 containers deep
+# in a result (result, sequence, moves, move, isomorphism): walking 4 or 5
+# levels took 16 ms, 6 levels 7.2 ms, and 7 or 8 no less.
+_SHARE_TEXT = 64 * 1024
+_SHARE_OBJECT = 256
+_SHARE_PREFIX = 64
+_SHARE_CANDIDATES = 16
+_SHARE_DEPTH = 6
 
 # Chunks stay below 640 digits, the smallest int/str limit Python accepts.
 _CHUNK_DIGITS = 600
@@ -280,10 +314,21 @@ def _reject_float(text: str) -> None:
 
 
 def loads_document(text: str) -> Any:
-    """Parse JSON, rejecting floats and non-finite constants."""
+    """Parse JSON, rejecting floats and non-finite constants.
+
+    A text of ``_SHARE_TEXT`` characters or more is read by the sharing
+    scan of ``_sharing_decoder``: each verbatim copy of an object text
+    longer than ``_SHARE_OBJECT`` characters, in its top ``_SHARE_DEPTH``
+    container levels, decodes to the one dict its first copy was read
+    to.  The value equals that of ``json.loads``, and so does every error,
+    but a dict may stand in several places: copy the document (say by a
+    JSON round trip) before editing any part of it in place.
+    """
     parse_int = None
     while True:
         try:
+            if len(text) >= _SHARE_TEXT and not text.startswith("\ufeff"):  # json.loads refuses a BOM
+                return _sharing_decoder(parse_int).decode(text)
             return json.loads(
                 text, parse_float=_reject_float, parse_constant=_reject_float, parse_int=parse_int
             )
@@ -295,6 +340,70 @@ def loads_document(text: str) -> Any:
             if parse_int is not None:
                 raise
             parse_int = decimal_to_int  # an integer literal past the digit limit
+
+
+def _sharing_decoder(parse_int: Any) -> json.JSONDecoder:
+    """``loads_document``'s decoder, whose scan decodes each repeated object text once.
+
+    The scan walks the top ``_SHARE_DEPTH`` container levels by the json
+    module's own ``JSONObject`` and ``JSONArray``: every object, and every
+    array whose first item is an object, that is longer than
+    ``_SHARE_OBJECT`` characters.  Any other value, every shorter container
+    (parsed from its next ``_SHARE_OBJECT`` characters alone, as there is
+    nothing in it to share), and every value below those levels goes to
+    the decoder's C scanner.  Each object walked is remembered by its span,
+    under its first ``_SHARE_PREFIX`` characters, at most
+    ``_SHARE_CANDIDATES`` spans to a prefix, most recently used first.  At
+    each such ``{`` the scan looks for a remembered text that starts
+    there; one that does is a verbatim copy, which parses to an equal
+    value, so its dict is returned and the scan goes on past the copy.  A
+    span is cut out of the text the first time it is compared, so that a
+    comparison stops at the first character that differs, and an object
+    whose prefix never recurs (the whole document, say) is never copied.
+    A container the C scanner cannot read from its short window, because
+    it is longer or holds an error, is walked, so every error is raised
+    where ``json.loads`` raises it.
+    """
+    decoder = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float, parse_int=parse_int)
+    c_scan, strict, memo = decoder.scan_once, decoder.strict, decoder.memo
+    parse_object, parse_array = json.decoder.JSONObject, json.decoder.JSONArray
+    skip_space = json.decoder.WHITESPACE.match
+    known: Dict[str, List[list]] = {}  # prefix -> [[(start, end) or its text, dict], ...]
+
+    def scanner(depth: int) -> Any:
+        inner = scanner(depth + 1) if depth + 1 < _SHARE_DEPTH else c_scan
+
+        def scan(s: str, idx: int) -> tuple:
+            is_object = s.startswith("{", idx)
+            if not (is_object or (s.startswith("[", idx) and s.startswith("{", skip_space(s, idx + 1).end()))):
+                return c_scan(s, idx)
+            if s.find("}" if is_object else "]", idx, idx + _SHARE_OBJECT) >= 0:
+                try:
+                    obj, end = c_scan(s[idx : idx + _SHARE_OBJECT], 0)
+                    return obj, idx + end
+                except (StopIteration, ValueError, SchemaError):
+                    pass  # a longer container, or an error, which the walk finds at its place in s
+            if not is_object:
+                return parse_array((s, idx + 1), inner)
+            prefix = s[idx : idx + _SHARE_PREFIX]
+            spans = known.setdefault(prefix, [])
+            for i, entry in enumerate(spans):
+                text = entry[0]
+                if type(text) is not str:
+                    text = entry[0] = s[text[0] : text[1]]
+                if s.startswith(text, idx):
+                    if i:
+                        spans.insert(0, spans.pop(i))
+                    return entry[1], idx + len(text)
+            obj, end = parse_object((s, idx + 1), strict, inner, None, None, memo)
+            spans.insert(0, [(idx, end), obj])
+            del spans[_SHARE_CANDIDATES:]
+            return obj, end
+
+        return scan
+
+    decoder.scan_once = scanner(0)
+    return decoder
 
 
 # -- field access with paths ---------------------------------------------
@@ -460,11 +569,14 @@ def _read_form(doc: Any, path: str, seen: List[tuple]) -> EQForm:
     ``_SEEN_FORMS`` of them; a decoded dict joins it.  ``form_from_doc``
     is a function of the value it reads, and a dict of ints, strings,
     lists and dicts that equals one it read without error reads the same.
+    Such a dict takes the place of the one it equals, so that the places
+    a document shares it in (see ``loads_document``) hit by identity.
     """
     for i, (known, form) in enumerate(seen):
         if doc is known or (doc == known and _plain(doc)):
-            if i:
-                seen.insert(0, seen.pop(i))
+            if i or doc is not known:
+                del seen[i]
+                seen.insert(0, (doc, form))
             return form
     form = form_from_doc(doc, path)
     seen.insert(0, (doc, form))
@@ -539,7 +651,7 @@ def iso_from_doc(doc: Any, path: str = "iso") -> FormIso:
     return _read_iso(doc, path, [], {})
 
 
-def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> FormIso:
+def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[Any, FormIso]) -> FormIso:
     """The isomorphism of ``doc``, or the one an equal document was read to before.
 
     ``isos`` maps (the ids of the source and target forms ``_read_form``
@@ -549,8 +661,14 @@ def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]
     entries are exact ints and strings can hit: ``True == 1``,
     ``1.0 == 1``, and the string "10" iterates like ``["1", "0"]``, but
     none of them is an integer row.  Any other matrix, like every miss,
-    is decoded and checked at its own path.
+    is decoded and checked at its own path.  ``isos`` also maps the id of
+    each dict read to its isomorphism, so a dict the document holds in
+    several places is read once; the document the call reads keeps that
+    dict alive, so no other object takes its id.
     """
+    iso = isos.get(id(doc))
+    if iso is not None:
+        return iso
     d = _as_dict(doc, path)
     source = _read_form(_get(d, "source", path), path + ".source", seen)
     target = _read_form(_get(d, "target", path), path + ".target", seen)
@@ -563,6 +681,7 @@ def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]
         except TypeError:  # an unhashable entry, which the decoder below reports
             key = iso = None
         if iso is not None and _plain(matrix):
+            isos[id(d)] = iso
             return iso
     m, n = target.group.num_gens, source.group.num_gens
     rows = _as_int_rows(matrix, path + ".matrix", n)
@@ -575,6 +694,7 @@ def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]
         raise
     if key is not None:
         isos[key] = iso
+    isos[id(d)] = iso
     return iso
 
 
@@ -595,7 +715,7 @@ def _move_doc(move: Any, docs: Dict[Any, dict]) -> dict:
     raise SchemaError("", "unknown move %r" % type(move).__name__)
 
 
-def _read_move(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> Any:
+def _read_move(doc: Any, path: str, seen: List[tuple], isos: Dict[Any, FormIso]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "move", path)
     if kind == "stab":
@@ -621,7 +741,7 @@ def _letter_doc(letter: Any, docs: Dict[Any, dict]) -> dict:
     raise SchemaError("", "unknown word letter %r" % type(letter).__name__)
 
 
-def _read_letter(doc: Any, path: str, seen: List[tuple], isos: Dict[tuple, FormIso]) -> Any:
+def _read_letter(doc: Any, path: str, seen: List[tuple], isos: Dict[Any, FormIso]) -> Any:
     d = _as_dict(doc, path)
     kind = _get(d, "letter", path)
     if kind == "keep":
@@ -649,7 +769,7 @@ def word_to_doc(word: RUWord) -> dict:
 def word_from_doc(doc: Any, path: str = "word") -> RUWord:
     """The word of a document, each form and isomorphism value in it decoded once (see the module docstring)."""
     seen: List[tuple] = []
-    isos: Dict[tuple, FormIso] = {}
+    isos: Dict[Any, FormIso] = {}
     d = _as_dict(doc, path)
     form = _read_form(_get(d, "form", path), path + ".form", seen)
     lagr = subgroup_from_doc(_get(d, "lagrangian", path), form.group, path + ".lagrangian")
@@ -683,7 +803,7 @@ def sequence_to_doc(seq: MoveSequence) -> dict:
 def sequence_from_doc(doc: Any, path: str = "sequence") -> MoveSequence:
     """The sequence of a document, each form and isomorphism value in it decoded once (see the module docstring)."""
     seen: List[tuple] = []
-    isos: Dict[tuple, FormIso] = {}
+    isos: Dict[Any, FormIso] = {}
     d = _as_dict(doc, path)
     moves_doc = _get(d, "moves", path)
     if not isinstance(moves_doc, list):

@@ -304,13 +304,22 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def sequences():
+def triple_a_result():
+    """The jacobi result of the benchmark's triple A, read back from its text as a tree."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         import gen
 
-        triple_a = cli.COMMANDS["jacobi"].build(gen.geometric_double_request("A").doc)
-        return {"coverage": gen.moves_request().doc, "triple-A": json.loads(canonical_dumps(triple_a["sequence"]))}
+        return json.loads(canonical_dumps(cli.COMMANDS["jacobi"].build(gen.geometric_double_request("A").doc)))
+
+
+@pytest.fixture(scope="module")
+def sequences(triple_a_result):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        return {"coverage": gen.moves_request().doc, "triple-A": triple_a_result["sequence"]}
 
 
 def validate_sequence(tmp_path, capsys, doc):
@@ -415,6 +424,78 @@ def test_a_semantic_read_error_names_the_object_that_failed(tmp_path, capsys, se
     got, report = validate_sequence(tmp_path, capsys, doc)
     assert (got, report["path"]) == (code, path), report
     assert "failed_index" not in report
+
+
+# -- one changed copy of a repeated object ------------------------------
+#
+# Read from a text of 64 KiB or more, the verbatim copies of one object text
+# are one dict.  A copy changed in one entry is a text of its own, so
+# validate reports it exactly as when json.loads reads every copy apart.
+
+
+def validate_shared_and_apart(tmp_path, capsys, doc):
+    """(exit code, report) of validate on the canonical text of doc: read by the sharing scan, and by json.loads."""
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    assert path.stat().st_size >= serialize._SHARE_TEXT
+    runs = []
+    for limit in (serialize._SHARE_TEXT, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_SHARE_TEXT", limit)
+            code = cli.run(["validate", "--input", str(path)])
+        runs.append((code, json.loads(capsys.readouterr().out)))
+    return runs
+
+
+def iso_of(move):
+    return move["iso" if move["move"] == "iso" else "witness"]
+
+
+def changed_copy(moves, field, copy_at):
+    """Change one entry of the first or last copy of move 1's witness: of its source form, or of its matrix.
+
+    Returns the index of the move changed.
+    """
+    copies = [i for i, move in enumerate(moves) if iso_of(move) == iso_of(moves[1])]
+    assert len(copies) > 2
+    i = copies[0 if copy_at == "first" else -1]
+    iso = iso_of(moves[i])
+    rows = iso["source"]["lambda"] if field == "form" else iso["matrix"]
+    rows[0][1] += 3
+    return i
+
+
+@pytest.mark.parametrize("copy_at", ["first", "last"])
+@pytest.mark.parametrize(
+    "field, at, error",
+    [
+        ("form", "witness.source", "pairing matrix is not symmetric"),
+        ("matrix", "witness", "map does not pull the pairing back"),
+    ],
+)
+def test_one_changed_copy_in_a_sequence_is_refused_at_its_move(tmp_path, capsys, sequences, field, at, error, copy_at):
+    doc = json.loads(json.dumps(sequences["triple-A"]))
+    i = changed_copy(doc["moves"], field, copy_at)
+    shared, plain = validate_shared_and_apart(tmp_path, capsys, doc)
+    assert shared == plain == (2, {"error": error, "path": "input.moves[%d].%s" % (i, at)})
+
+
+@pytest.mark.parametrize("field, at", [("form", "source.lambda[0][1]"), ("matrix", "matrix[0][1]")])
+def test_one_changed_copy_in_a_result_is_reported_at_its_path(tmp_path, capsys, triple_a_result, field, at):
+    doc = json.loads(json.dumps(triple_a_result))
+    moves = doc["sequence"]["moves"]
+    i = changed_copy(moves, field, "last")
+    shared, plain = validate_shared_and_apart(tmp_path, capsys, doc)
+    assert shared == plain == (
+        2,
+        {
+            "command": "validate",
+            "kind": "jacobi result",
+            "ok": False,
+            "path": "input.sequence.moves[%d].%s.%s" % (i, "iso" if moves[i]["move"] == "iso" else "witness", at),
+            "reason": "stored results differ from recomputation",
+        },
+    )
 
 
 # -- exit codes and diagnostics ----------------------------------------

@@ -20,7 +20,9 @@ fails too, so the table only shrinks.  Outside ``intmat``, ``.det(`` is
 called in exactly the places of ``DECIDING_PLACES``: bijectivity has one
 owner, and a determinant decides nothing else.  ``smith_normal_form(`` is
 called in exactly the places of ``SMITH_PLACES``, and ``split_pair(`` in
-exactly those of ``SPLIT_PLACES``.
+exactly those of ``SPLIT_PLACES``.  JSON text is decoded in one place: the
+names of ``JSON_DECODING`` appear only inside the definitions of
+``JSON_PLACES``.
 """
 
 import ast
@@ -249,10 +251,32 @@ SMITH_PLACES = {"intmat.int_solve", "abelian.quotient_with_projection"}
 SPLIT_PLACES = {"lmonoid._flip", "construct._realize_letter"}
 
 
-def calls_to(names, module, source):
+# JSON text is decoded by ``loads_document``, through ``json.loads`` or the sharing scan its helper builds
+# from the json module's decoder and its object and array parsers.
+JSON_DECODING = {"loads", "JSONDecoder", "JSONObject", "JSONArray"}
+JSON_PLACES = {"serialize.loads_document", "serialize._sharing_decoder"}
+
+
+def called_name(node):
+    """The name f of a call ``f(`` or ``x.f(``, or None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return None
+
+
+def any_name(node):
+    """The identifier, attribute or imported name of a node, or None."""
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def calls_to(names, module, source, name_of=called_name):
     """'module.Class.function' and line of each call ``f(`` or ``x.f(`` with f in ``names``.
 
-    A call is placed by its enclosing definition.
+    A call is placed by its enclosing definition.  With ``name_of=any_name``
+    every node that names one of ``names`` counts, not only calls.
     """
     found = []
 
@@ -261,10 +285,8 @@ def calls_to(names, module, source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
-                    found.append((".".join([module] + scope), child.lineno))
+            if name_of(child) in names:
+                found.append((".".join([module] + scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), [])
@@ -351,3 +373,34 @@ def test_a_stray_split_pair_check_is_found():
         "serialize._read_letter (line 2)",
         "construct._realize_letter calls no split_pair",
     ]
+
+
+def json_findings(sources):
+    """'place (line n)' for each use of a JSON decoding name outside ``JSON_PLACES`` and the definitions
+    nested in them, and each place that uses none."""
+    uses = [use for module, source in sources.items() for use in calls_to(JSON_DECODING, module[:-3], source, any_name)]
+
+    def owner(place):
+        return next((p for p in JSON_PLACES if place == p or place.startswith(p + ".")), None)
+
+    return ["%s (line %d)" % use for use in uses if owner(use[0]) is None] + [
+        "%s decodes no JSON" % place for place in sorted(JSON_PLACES - {owner(place) for place, _ in uses})
+    ]
+
+
+def test_json_text_is_decoded_in_the_listed_places():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert json_findings(sources) == []
+
+
+def test_a_stray_json_decoder_is_found():
+    sources = {
+        "serialize.py": "import json\n\n\ndef loads_document(text):\n    return json.loads(text)\n\n\n"
+        "def _sharing_decoder(p):\n    def scan(s, i):\n        return json.decoder.JSONObject((s, i))\n    return scan\n",
+        "cli.py": "from json.decoder import JSONArray\nimport json\n\n\ndef _read(text):\n"
+        "    return json.JSONDecoder().decode(text)\n",
+    }
+    assert json_findings(sources) == ["cli (line 1)", "cli._read (line 6)"]
+    del sources["cli.py"]
+    sources["serialize.py"] = sources["serialize.py"].replace("JSONObject", "scanner")
+    assert json_findings(sources) == ["serialize._sharing_decoder decodes no JSON"]

@@ -1,6 +1,7 @@
 """Round-trip and schema tests for the JSON document layer."""
 
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qform import abelian, cli, construct, forms
+from qform import abelian, cli, construct, forms, serialize
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import Flip, Keep, RUWord, ru_wall_witness, ru_word_eval
 from qform.errors import HypothesisError, NotWellDefined, SchemaError
@@ -709,3 +710,205 @@ def test_huge_integers_are_written_and_loaded():
     assert loads_document("[%s, 1]" % HUGE_TEXT) == [HUGE, 1]
     group = group_from_doc({"free_rank": 0, "torsion": ["1" + "0" * 5000]})
     assert group.torsion == (10**5000,)
+
+
+# -- the sharing scan of large texts -------------------------------------
+#
+# loads_document reads a text of 64 KiB or more by a scan that decodes each
+# verbatim copy of an object text once.  Its value and every error must be
+# those of json.loads; these tests drive it also on small texts and objects
+# by lowering its private thresholds.
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def triple_a():
+    """The canonical text of the certificate jacobi writes for the benchmark's triple A (41 moves at rank 30)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        return canonical_dumps(cli.COMMANDS["jacobi"].build(gen.geometric_double_request("A").doc)["sequence"])
+
+
+def typed(value):
+    """The value with each leaf paired with its type (so that true and 1 differ) and each object's keys in order."""
+    if type(value) is dict:
+        return [(key, typed(item)) for key, item in value.items()]
+    if type(value) is list:
+        return value if set(map(type, value)) <= {int} else [typed(item) for item in value]
+    return type(value), value
+
+
+def load_outcome(text):
+    try:
+        return typed(loads_document(text))
+    except SchemaError as exc:
+        return "SchemaError", str(exc), exc.path
+
+
+def both_outcomes(text, share_object=None):
+    """What loads_document makes of text by the sharing scan, and by json.loads.
+
+    The scan reads every text here, and walks every container longer than
+    ``share_object`` characters when that is given.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_SHARE_TEXT", 0)
+        if share_object is not None:
+            mp.setattr(serialize, "_SHARE_OBJECT", share_object)
+        shared = load_outcome(text)
+        mp.setattr(serialize, "_SHARE_TEXT", math.inf)
+        return shared, load_outcome(text)
+
+
+EDIT_CHARS = '{}[],:"\\ \n0123456789-.eEtrufalsnNIy\x00\x1f\ufeff'
+
+
+def edited(text, edit, at, char):
+    """text with one character replaced, deleted or inserted at ``at`` (taken modulo its length)."""
+    i = at % (len(text) + 1)
+    return {
+        "keep": text,
+        "replace": text[:i] + char + text[i + 1 :],
+        "delete": text[:i] + text[i + 1 :],
+        "insert": text[:i] + char + text[i:],
+    }[edit]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents,
+    st.sampled_from([None, 0, 2]),
+    st.booleans(),
+    st.sampled_from(["keep", "replace", "delete", "insert"]),
+    st.integers(min_value=0),
+    st.sampled_from(EDIT_CHARS),
+    st.sampled_from([1, 16, 256]),
+)
+@example({"k": [1, {"x": "y"}]}, None, True, "keep", 0, "{", 1)
+@example({"k": [1, {"x": "y"}]}, 2, True, "delete", 40, "{", 1)
+@example({"k": [1, {"x": "y"}]}, None, True, "replace", 7, "\x00", 16)
+def test_the_sharing_scan_reads_every_text_as_json_loads_does(doc, indent, only_ascii, edit, at, char, share_object):
+    # the part three times at three depths, and twice at one depth, so that the text holds verbatim
+    # copies of each of its objects, then one edit, which may break the JSON or change one copy; the
+    # scan walks every container, those past 16 characters, or those past 256
+    copies = {"a": doc, "b": [doc, {"c": doc}], "d": [{"e": doc}, doc]}
+    text = json.dumps(copies, indent=indent, ensure_ascii=only_ascii)
+    shared, plain = both_outcomes(edited(text, edit, at, char), share_object)
+    assert shared == plain
+
+
+def test_single_character_edits_of_a_certificate_read_as_json_loads_does(triple_a):
+    # the start, end and first three moves of the certificate, which copy its forms and an isomorphism
+    doc = json.loads(triple_a)
+    text = canonical_dumps({"start": doc["start"], "end": doc["end"], "moves": doc["moves"][:3]})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_SHARE_TEXT", 0)
+        moves = loads_document(text)["moves"]
+    assert moves[1]["witness"]["source"] is moves[2]["iso"]["source"]
+    rng = random.Random(32)
+    kinds = Counter()
+    for _ in range(400):
+        shared, plain = both_outcomes(
+            edited(text, rng.choice(["replace", "delete", "insert"]), rng.randrange(len(text)), rng.choice(EDIT_CHARS))
+        )
+        assert shared == plain
+        kinds[shared[0] == "SchemaError"] += 1
+    assert kinds[True] > 100 and kinds[False] > 50, kinds
+
+
+def large_text():
+    """A canonical text of 64 KiB or more, 200 copies of one object of over 256 characters at one depth."""
+    part = {"name": "part", "rows": [list(range(i, i + 30)) for i in range(5)]}
+    text = canonical_dumps({"head": part, "items": [part] * 200, "tail": {"x": [part, part]}})
+    assert len(text) >= serialize._SHARE_TEXT and len(canonical_dumps(part)) > serialize._SHARE_OBJECT
+    return text
+
+
+def one_copy(text, old, new):
+    """text with ``old`` replaced by ``new`` in its 100th occurrence alone."""
+    at = -1
+    for _ in range(100):
+        at = text.index(old, at + 1)
+    return text[:at] + new + text[at + len(old) :]
+
+
+LARGE = large_text()
+DEEP_LISTS = "[" * 100000 + "]" * 100000
+DEEP_OBJECTS = '{"kkkkkkkkkk": ' * 5000 + "1" + "}" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (LARGE, None),
+        ("\ufeff" + LARGE, ": not valid JSON: Unexpected UTF-8 BOM"),
+        (LARGE + "x", ": not valid JSON: Extra data"),
+        (LARGE.replace('"part"', "NaN"), ": floating point numbers are not allowed: NaN"),
+        (one_copy(LARGE, '"part"', "Infinity"), ": floating point numbers are not allowed: Infinity"),
+        (one_copy(LARGE, '"part"', "-Infinity"), ": floating point numbers are not allowed: -Infinity"),
+        (one_copy(LARGE, '"part"', "1.5"), ": floating point numbers are not allowed: 1.5"),
+        (one_copy(LARGE, '"part"', HUGE_TEXT), None),
+        (LARGE.replace('"part"', HUGE_TEXT), None),
+        (LARGE.replace('"name": "part"', '"name": "part", "name": 7'), None),
+        (one_copy(LARGE, '"part"', '"pa\x01rt"'), ": not valid JSON: Invalid control character"),
+        (one_copy(LARGE, '"part"', DEEP_LISTS), ": document nested too deeply"),
+        (DEEP_LISTS, ": document nested too deeply"),
+        (DEEP_OBJECTS, ": document nested too deeply"),
+    ],
+    ids=[
+        "plain", "bom", "trailing-data", "nan", "infinity", "minus-infinity", "float", "huge-integer-in-one-copy",
+        "huge-integer-in-every-copy", "duplicate-keys", "control-character", "deep-list-in-one-copy", "deep-lists",
+        "deep-objects",
+    ],
+)
+def test_large_texts_read_as_json_loads_reads_them(text, error):
+    assert len(text) >= serialize._SHARE_TEXT
+    shared, plain = both_outcomes(text)
+    assert shared == plain
+    if error is None:
+        assert shared[0] != "SchemaError"
+    else:
+        assert shared[0] == "SchemaError" and shared[1].startswith(error) and shared[2] == ""
+
+
+def test_copies_of_a_large_object_text_are_one_dict():
+    # the copies at each depth are one dict; a copy at another depth is indented otherwise
+    doc = loads_document(LARGE)
+    first, tail = doc["items"][0], doc["tail"]["x"]
+    assert all(item is first for item in doc["items"]) and tail[1] is tail[0]
+    assert doc["head"] == first == tail[0] and doc["head"] is not first and tail[0] is not first
+    # a copy that differs in one character is its own dict
+    items = loads_document(one_copy(LARGE, "[4, 5, 6", "[4, 5, 7"))["items"]
+    assert items[98]["rows"][4][2] == 7 and sum(item is items[0] for item in items) == 199
+
+
+def test_a_certificate_read_from_its_text_checks_each_distinct_text_once(triple_a, monkeypatch):
+    """Read from its text, each copy of one of the certificate's 10 isomorphism texts is one dict, read once.
+
+    FormIso's constructor runs once per isomorphism value, and the leaf-type scan ``_plain`` runs once:
+    on the form text at the isomorphisms' depth that equals the start's form text at its own.  The same
+    document read by json.loads, a tree, runs it on every later copy of a value: 82 forms and 31
+    isomorphisms.
+    """
+    counts = Counter()
+    plain, check = serialize._plain, FormIso.__post_init__
+    inside = []
+
+    def counted(value):
+        counts["plain"] += not inside
+        inside.append(value)
+        try:
+            return plain(value)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(serialize, "_plain", counted)
+    monkeypatch.setattr(FormIso, "__post_init__", lambda iso: counts.update(["isos"]) or check(iso))
+    seq = sequence_from_doc(loads_document(triple_a))
+    assert (len(seq.moves), counts) == (41, Counter(isos=10, plain=1))
+    counts.clear()
+    assert sequence_from_doc(json.loads(triple_a)) == seq
+    assert counts == Counter(isos=10, plain=113)
