@@ -36,7 +36,8 @@ checks whether the text there is a verbatim copy of an object text it has
 read, and if so returns that object's dict and skips the copy.  A
 certificate's text repeats a few form and isomorphism texts once per move,
 so each is decoded once.  The value, and every error, is that of
-``json.loads``.
+``json.loads``, which reads every smaller text in one call: there the
+walk costs more than sharing saves.
 
 Loading re-runs every constructor, so a document that parses but encodes
 an inconsistent object (a pairing that is not symmetric, a map that does
@@ -112,13 +113,25 @@ MAX_DEPTH = 256
 NESTED_TOO_DEEPLY = "document nested too deeply"
 
 # The sharing scan of ``loads_document`` (see ``_sharing_decoder``), set by
-# reading the 3.9 MB rank-8 jacobi result (json.loads: 91 ms), triple A's
-# 447 KB result (10 ms) and 10,000 small dicts in one list (769 KB, 8.1 ms)
-# with CPython 3.11 on a 2-core x86-64 machine.  Texts under 64 KiB keep the
-# one C call: every text form-batch and si-ladder read is under 10.8 KB, and
-# jacobi-certify's are 430-448 KB.  A window of 256 characters read the small
-# dicts in 20 ms, against 55 ms when every container was walked, and 1024
-# read triple A in 2.0 ms, against 1.5 ms.  A prefix of 16, 64 or 256
+# timing it against json.loads (best of 5 to 15) with CPython 3.11 on a
+# 2-core x86-64 machine.  The scan gains only where long object texts repeat
+# and pays for its Python walk elsewhere, so json.loads stays the reader of
+# small texts.  The scan took 2.4 times as long on the 662 texts one
+# form-batch pass reads (0.3-10.8 KB: 38.7 ms against 16.4 ms), 5.5 times
+# on si-ladder's 156 (0.3-5.6 KB: 9.0 against 1.6 ms), and 1.3-2.1 times on
+# command outputs of 13-36 KB that repeat no long object (13.5 KB ru-wall
+# words, kappa and si results).  On certificates it took 0.69-0.87 of the
+# time from 32 KB on (rank-2 jacobi results and sequences, 36 KB ru-wall
+# words) and 0.07-0.18 at 0.37-3.9 MB (jacobi results and sequences of rank
+# 4 to 8).  Every losing text measured is at most 36.2 KB; at 64 KiB the rank-2
+# jacobi result (52 KB, 0.7 ms) forgoes 0.2 ms.  A list of short objects
+# loses at any size: an oracle-lagrangians result grown to 640 lagrangians
+# (82 KB) took 1.95 times as long (3.2 against 1.6 ms).
+# For the rest of the constants, the texts were the 3.9 MB rank-8 jacobi
+# result (json.loads: 91 ms), triple A's 447 KB result (10 ms) and 10,000
+# small dicts in one list (769 KB, 8.1 ms).  A window of 256 characters read
+# the small dicts in 20 ms, against 55 ms when every container was walked,
+# and 1024 read triple A in 2.0 ms, against 1.5 ms.  A prefix of 16, 64 or 256
 # characters made no difference (7.2-8.1 ms on the rank-8 result).  With 16
 # texts to a prefix each distinct object text of that result is walked once
 # (54 objects, 7.6 ms); 4 and 8 walked 108 and 97 (16.8 and 14.5 ms), since
