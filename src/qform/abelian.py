@@ -288,12 +288,17 @@ class SubgroupRep:
 
     @staticmethod
     def of_units(ambient: AbGroup, indices: Iterable[int]) -> "SubgroupRep":
-        """The subgroup the generators at ``indices`` span, from sparse unit rows."""
-        return SubgroupRep.from_sparse(ambient, [((i, 1),) for i in indices])
+        """The subgroup the generators at ``indices`` span.  Its Hermite basis is written down, not
+        eliminated: the unit row at each index and the relation row of each other torsion coordinate."""
+        orders = (0,) * ambient.free_rank + ambient.torsion
+        ones = set(indices)
+        if not ones <= set(range(len(orders))):
+            raise DimensionMismatch("generator index out of range for %d generators" % len(orders))
+        return SubgroupRep(ambient, tuple([((j, 1 if j in ones else d),) for j, d in enumerate(orders) if j in ones or d]))
 
     @staticmethod
     def zero(ambient: AbGroup) -> "SubgroupRep":
-        return SubgroupRep.from_elements(ambient, [])
+        return SubgroupRep.of_units(ambient, ())
 
     @staticmethod
     def full(ambient: AbGroup) -> "SubgroupRep":

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import oracle
-from .abelian import GroupHom, Z2
 from .construct import metabolic_basis, ru_wall_witness, ru_word_eval, stable_lagrangian_iso
 from .errors import (
     DEFAULT_NODE_LIMIT,
@@ -34,7 +33,6 @@ from .errors import (
     SchemaError,
 )
 from .forms import form_validate, orthogonal_complement, subgroup_classify
-from .intmat import IntMatrix
 from .lmonoid import (
     bar_reduce,
     is_elementary,
@@ -49,7 +47,7 @@ from .serialize import (
     _as_int,
     _as_int_list,
     _get,
-    _locate,
+    _read_parity,
     canonical_dumps,
     decimal_to_int,
     first_difference,
@@ -248,19 +246,11 @@ def _ru_wall_result(doc) -> dict:
 def _zero_form_result(doc) -> dict:
     d = _as_dict(doc, "input")
     g = group_from_doc(_get(d, "group", "input"), "input.group")
-    row = _as_int_list(_get(d, "v", "input"), "input.v")
-    if len(row) != g.num_gens:
-        raise SchemaError("input.v", "expected %d entries" % g.num_gens)
-    try:
-        v = GroupHom(g, Z2, IntMatrix.from_rows([row], g.num_gens))
-    except QformError as exc:
-        _locate(exc, "input.v")
-        raise
-    q = zero_formation(g, v)
+    q = zero_formation(g, _read_parity(_get(d, "v", "input"), g, "input.v"))
     return {
         "command": "zero-form",
         "group": group_to_doc(g),
-        "v": list(row),
+        "v": _as_int_list(d["v"], "input.v"),
         "formation": formation_to_doc(q),
     }
 

@@ -31,7 +31,7 @@ from .errors import (
     NotWellDefined,
     VMissing,
 )
-from .intmat import IntMatrix, int_nullspace
+from .intmat import IntMatrix, int_nullspace, inverse_permutation
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ class FormIso:
     Every inverse comes from one path, ``invert_iso``, on first use, and is
     cached.  The public constructor's bijectivity check already computes
     it unless the pullback decided, ``identity`` is its own inverse,
-    ``permuted`` and ``_permuted_onto`` hand over the transpose, and
+    ``_permuted_onto`` hands over the inverse permutation, and
     ``inverse()`` hands ``hom`` to its result as that result's inverse.
     """
 
@@ -329,29 +329,26 @@ def _iso_on_sums(src: FormSum, tgt: FormSum, a: FormIso, b: FormIso) -> FormIso:
 
 
 def permuted(e: EQForm, perm: Sequence[int]) -> FormIso:
-    """e onto the form whose new slot i holds old slot perm[i].
+    """e onto the form whose new slot i holds old slot perm[i], its pullback along P⁻¹ (see ``_permuted_onto``).
 
-    That form is the pullback of e along the inverse permutation Pᵀ, so the
-    permutation P is an isomorphism onto it by construction and nothing is
-    checked: Pᵀ(PλPᵀ)P = λ, μPᵀP = μ and det P = ±1.  Pᵀ is handed over as
-    the inverse.  Every permutation of coordinates in the package is one.
+    P is an isomorphism onto it by construction: Pᵀ(PλPᵀ)P = λ, μP⁻¹P = μ and det P = ±1.
     """
-    p = IntMatrix.permutation(perm)
-    back = GroupHom(e.group, e.group, p.transpose())
-    target = pullback(back, e)
-    return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
+    return _permuted_onto(e, perm, None)
 
 
-def _permuted_onto(e: EQForm, perm: Sequence[int], target: EQForm) -> FormIso:
+def _permuted_onto(e: EQForm, perm: Sequence[int], target: EQForm | None) -> FormIso:
     """``permuted(e, perm)`` onto ``target``, which the caller holds as a form equal to that one's target.
 
     Private, as ``_iso_on_sums`` is: only the caller knows that the permuted
     form is ``target`` again (a form it already built, or e itself), so no
-    form is computed and ``target``'s object is kept.
+    form is computed and ``target``'s object is kept; None stands for the pullback,
+    which is then built.  P⁻¹, from ``inverse_permutation``, is handed over as the inverse.
     """
     p = IntMatrix.permutation(perm)
-    back = GroupHom(target.group, e.group, p.transpose())
-    return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), back)
+    back = IntMatrix.permutation(inverse_permutation(perm))
+    if target is None:
+        target = pullback(GroupHom(e.group, e.group, back), e)
+    return FormIso._unchecked(e, target, GroupHom(e.group, target.group, p), GroupHom(target.group, e.group, back))
 
 
 def _swap_blocks(e: EQForm, size: int) -> FormIso:

@@ -45,7 +45,7 @@ columns of one matrix, and solves them all from one Smith decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
@@ -76,6 +76,12 @@ def _dense_list(row: Row, width: int) -> list[int]:
 def shifted_row(row: Row, by: int) -> Row:
     """``row`` with every column moved by ``by``."""
     return tuple([(j + by, x) for j, x in row]) if by else row
+
+
+@lru_cache(maxsize=8)
+def _unit_rows(n: int) -> tuple[Row, ...]:
+    """The rows of the n × n identity, made once per size and shared by its identity and permutation matrices."""
+    return tuple([((i, 1),) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
+        if n < 0:
+            raise DimensionMismatch("negative matrix dimensions")
+        return IntMatrix._of(n, n, _unit_rows(n))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -149,8 +157,12 @@ class IntMatrix:
 
     @staticmethod
     def permutation(perm: Sequence[int]) -> "IntMatrix":
-        """The permutation matrix under which new slot i holds old perm[i]."""
-        return IntMatrix(len(perm), len(perm), tuple(((p, 1),) for p in perm))
+        """The permutation matrix under which new slot i holds old perm[i]; see ``inverse_permutation``."""
+        n = len(perm)
+        if sorted(perm) != list(range(n)):
+            raise DimensionMismatch("not a permutation of range(%d)" % n)
+        units = _unit_rows(n)
+        return IntMatrix._of(n, n, tuple([units[p] for p in perm]))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
@@ -375,6 +387,11 @@ def _combine(coeffs: Row, rows: Sequence[Row]) -> Row:
         for j, x in rows[k]:
             acc[j] = get(j, 0) + c * x
     return tuple(sorted([p for p in acc.items() if p[1]]))
+
+
+def inverse_permutation(perm: Sequence[int]) -> list[int]:
+    """The permutation q with q[perm[i]] = i, for perm a permutation of range(len(perm))."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:

@@ -51,7 +51,7 @@ from .forms import (
     subgroup_classify,
     _swap_blocks,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, inverse_permutation
 
 
 @dataclass(frozen=True)
@@ -446,14 +446,14 @@ class _Unflipped:
 
 
 def _owed_iso(owed: FormIso | _Unflipped) -> FormIso:
-    """The isomorphism ``owed`` stands for: a letter's w⁻¹ = pre⁻¹ ∘ Pᵀ for its witness w = P ∘ pre.
+    """The isomorphism ``owed`` stands for: a letter's w⁻¹ = pre⁻¹ ∘ P⁻¹ for its witness w = P ∘ pre.
 
     w is handed over as the inverse, and ``pre`` is inverted once for all the letters that share it.
     """
     if isinstance(owed, FormIso):
         return owed
     w, pre = owed.letter.witness, owed.letter.pre
-    back = GroupHom(w.target.group, pre.target.group, IntMatrix.permutation(owed.letter.perm).transpose())
+    back = GroupHom(w.target.group, pre.target.group, IntMatrix.permutation(inverse_permutation(owed.letter.perm)))
     return FormIso._unchecked(w.target, w.source, pre.inverse_hom.compose(back), w.hom)
 
 
@@ -466,7 +466,7 @@ def _permutation_between(sigma: FormIso, before: Flip, after: Flip) -> FormIso:
     σ's form and σ is an automorphism of it, so the permuted form is
     that form again, and the iso stays on its object.
     """
-    slot = {j: k for k, j in enumerate(before.perm)}
+    slot = inverse_permutation(before.perm)
     q = [slot[j] for j in after.perm]
     return _permuted_onto(sigma.source, [q[1], q[0]] + q[2:], sigma.source)
 

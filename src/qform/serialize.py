@@ -41,11 +41,11 @@ walk costs more than sharing saves.
 
 Loading re-runs every constructor, so a document that parses but encodes
 an inconsistent object (a pairing that is not symmetric, a map that does
-not pull the pairing back, and so on) still fails — with the library's
-own error, carrying in ``path`` the JSON path of the form, subgroup,
-formation or isomorphism that failed — while purely structural problems
-raise SchemaError with the path of the offending field.  Matrix rows are
-read straight into sparse rows.  A matrix whose rows are all lists of
+not pull the pairing back, and so on) still fails with the library's own
+error, to which ``_at`` gives the JSON path of the group, form, parity map,
+formation or isomorphism that failed; purely structural problems raise
+SchemaError with the path of the offending field.  ``_read_matrix`` reads
+every matrix straight into sparse rows: one whose rows are all lists of
 exact ints of the expected length is type-checked by one scan over all
 its entries; any other is read row by row, so every error names its row
 or entry, and decimal strings are accepted there.
@@ -93,7 +93,7 @@ from .abelian import AbGroup, GroupHom, SubgroupRep, Z2
 from .construct import Flip, Keep, RUWord
 from .errors import QformError, SchemaError
 from .forms import EQForm, FormIso
-from .intmat import IntMatrix, Row
+from .intmat import IntMatrix
 from .lmonoid import ApplyIso, Destab, FlipL, MoveSequence, QuasiFormation, Stab
 
 _SAFE = 1 << 53
@@ -456,12 +456,11 @@ def _as_int_list(value: Any, path: str) -> List[int]:
     return [v if type(v) is int else _as_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
-def _as_int_rows(value: Any, path: str, cols: int) -> List[Row]:
-    """The rows of a matrix, each read into its sparse (column, value) pairs.
+def _read_matrix(value: Any, path: str, cols: int, rows: int | None = None) -> IntMatrix:
+    """The matrix of a list of rows of ``cols`` entries, ``rows`` of them unless None; each row is read canonical.
 
-    A nonempty matrix of ``cols``-long lists of exact ints (no ``bool``),
-    the bulk of every document, passes three C-level scans; any other goes
-    row by row, so each error names its row or entry.
+    A nonempty matrix of ``cols``-long lists of exact ints (no ``bool``), the bulk of every document, passes
+    three C-level scans; any other goes row by row, so each error names its row or entry.
     """
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of rows")
@@ -470,24 +469,32 @@ def _as_int_rows(value: Any, path: str, cols: int) -> List[Row]:
         and set(map(len, value)) == {cols}
         and set(map(type, chain.from_iterable(value))) <= _INT_ONLY
     ):
-        return [tuple(compress(enumerate(row), row)) for row in value]
-    rows = []
-    for i, row in enumerate(value):
-        parsed = _as_int_list(row, "%s[%d]" % (path, i))
-        if len(parsed) != cols:
-            raise SchemaError("%s[%d]" % (path, i), "expected %d entries" % cols)
-        rows.append(tuple(compress(enumerate(parsed), parsed)))
-    return rows
+        read = [tuple(compress(enumerate(row), row)) for row in value]
+    else:
+        read = []
+        for i, row in enumerate(value):
+            parsed = _as_int_list(row, "%s[%d]" % (path, i))
+            if len(parsed) != cols:
+                raise SchemaError("%s[%d]" % (path, i), "expected %d entries" % cols)
+            read.append(tuple(compress(enumerate(parsed), parsed)))
+    if rows is not None and len(read) != rows:
+        raise SchemaError(path, "expected %d rows" % rows)
+    return IntMatrix._of(len(read), cols, tuple(read))
 
 
-def _locate(exc: QformError, path: str) -> None:
-    """Give a library error raised while building the object at ``path`` that path.
+class _at:
+    """Gives a library error raised while building the object at ``where`` that JSON path, unless it has one:
+    the innermost object keeps its path.  (A class: entering it costs a third of a ``contextmanager``'s.)"""
 
-    The innermost object keeps its path: an error that already has one
-    is left as it is.
-    """
-    if exc.path is None:
-        exc.path = path
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: Any, exc: Any, tb: Any) -> None:
+        if isinstance(exc, QformError) and exc.path is None:
+            exc.path = self.where
 
 
 # -- groups --------------------------------------------------------------
@@ -506,11 +513,8 @@ def group_from_doc(doc: Any, path: str = "group") -> AbGroup:
     for i, t in enumerate(torsion):
         if t < 2:
             raise SchemaError("%s.torsion[%d]" % (path, i), "orders must be at least 2")
-    try:
+    with _at(path):
         return AbGroup(rank, tuple(torsion))
-    except QformError as exc:
-        _locate(exc, path)
-        raise
 
 
 # -- forms ---------------------------------------------------------------
@@ -541,25 +545,20 @@ def form_from_doc(doc: Any, path: str = "form") -> EQForm:
     group = group_from_doc(_get(d, "group", path), path + ".group")
     target = group_from_doc(_get(d, "target", path), path + ".target")
     n = group.num_gens
-    lam_rows = _as_int_rows(_get(d, "lambda", path), path + ".lambda", n)
-    if len(lam_rows) != n:
-        raise SchemaError(path + ".lambda", "expected %d rows" % n)
-    mu_rows = _as_int_rows(_get(d, "mu", path), path + ".mu", n)
-    if len(mu_rows) != target.num_gens:
-        raise SchemaError(path + ".mu", "expected %d rows" % target.num_gens)
-    try:
-        lam = IntMatrix(n, n, tuple(lam_rows))
-        mu = GroupHom(group, target, IntMatrix(target.num_gens, n, tuple(mu_rows)))
-        v = None
-        if "v" in d:
-            row = _as_int_list(d["v"], path + ".v")
-            if len(row) != target.num_gens:
-                raise SchemaError(path + ".v", "expected %d entries" % target.num_gens)
-            v = GroupHom(target, Z2, IntMatrix.from_rows([row], target.num_gens))
+    lam = _read_matrix(_get(d, "lambda", path), path + ".lambda", n, n)
+    with _at(path):
+        mu = GroupHom(group, target, _read_matrix(_get(d, "mu", path), path + ".mu", n, target.num_gens))
+        v = _read_parity(d["v"], target, path + ".v") if "v" in d else None
         return EQForm(group, lam, mu, v)
-    except QformError as exc:
-        _locate(exc, path)
-        raise
+
+
+def _read_parity(value: Any, q: AbGroup, path: str) -> GroupHom:
+    """The parity map Q → Z/2 of a row of one entry per generator of Q."""
+    row = _as_int_list(value, path)
+    if len(row) != q.num_gens:
+        raise SchemaError(path, "expected %d entries" % q.num_gens)
+    with _at(path):
+        return GroupHom(q, Z2, IntMatrix.from_rows([row], q.num_gens))
 
 
 def _plain(value: Any) -> bool:
@@ -605,9 +604,8 @@ def subgroup_to_doc(s: SubgroupRep) -> dict:
 
 
 def subgroup_from_doc(doc: Any, ambient: AbGroup, path: str = "subgroup") -> SubgroupRep:
-    d = _as_dict(doc, path)
-    rows = _as_int_rows(_get(d, "generators", path), path + ".generators", ambient.num_gens)
-    return SubgroupRep.from_sparse(ambient, rows)
+    generators = _get(_as_dict(doc, path), "generators", path)
+    return SubgroupRep.from_sparse(ambient, _read_matrix(generators, path + ".generators", ambient.num_gens).sparse)
 
 
 # -- quasi-formations ----------------------------------------------------
@@ -634,11 +632,8 @@ def _read_formation(doc: Any, path: str, seen: List[tuple]) -> QuasiFormation:
     form = _read_form(_get(d, "form", path), path + ".form", seen)
     lagr = subgroup_from_doc(_get(d, "L", path), form.group, path + ".L")
     summ = subgroup_from_doc(_get(d, "V", path), form.group, path + ".V")
-    try:
+    with _at(path):
         return QuasiFormation(form, lagr, summ)
-    except QformError as exc:
-        _locate(exc, path)
-        raise
 
 
 # -- isomorphisms and move sequences -------------------------------------
@@ -696,15 +691,9 @@ def _read_iso(doc: Any, path: str, seen: List[tuple], isos: Dict[Any, FormIso]) 
         if iso is not None and _plain(matrix):
             isos[id(d)] = iso
             return iso
-    m, n = target.group.num_gens, source.group.num_gens
-    rows = _as_int_rows(matrix, path + ".matrix", n)
-    if len(rows) != m:
-        raise SchemaError(path + ".matrix", "expected %d rows" % m)
-    try:
-        iso = FormIso(source, target, GroupHom(source.group, target.group, IntMatrix(m, n, tuple(rows))))
-    except QformError as exc:
-        _locate(exc, path)
-        raise
+    h = _read_matrix(matrix, path + ".matrix", source.group.num_gens, target.group.num_gens)
+    with _at(path):
+        iso = FormIso(source, target, GroupHom(source.group, target.group, h))
     if key is not None:
         isos[key] = iso
     isos[id(d)] = iso

@@ -643,6 +643,27 @@ def test_summand_decision_matches_direct_complement(b):
     assert is_direct_summand(b) == isinstance(outcome(direct_complement, b), SubgroupRep)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_lattices_are_their_hermite_bases(data):
+    """of_units, zero and full write down the Hermite basis that from_sparse computes from the unit rows.
+
+    The drawn index sets may repeat an index and come in any order; from_sparse, the Hermite path, is the
+    reference.
+    """
+    g = data.draw(groups())
+    indices = data.draw(st.lists(st.integers(0, g.num_gens - 1), max_size=5)) if g.num_gens else []
+    assert SubgroupRep.of_units(g, indices) == SubgroupRep.from_sparse(g, [((i, 1),) for i in indices])
+    assert SubgroupRep.zero(g) == SubgroupRep.from_sparse(g, [])
+    assert SubgroupRep.full(g) == SubgroupRep.from_sparse(g, [((i, 1),) for i in range(g.num_gens)])
+
+
+@pytest.mark.parametrize("indices", [[3], [-1], [0, 3]])
+def test_unit_lattices_refuse_an_index_outside_the_group(indices):
+    with pytest.raises(DimensionMismatch):
+        SubgroupRep.of_units(AbGroup(2, (2,)), indices)
+
+
 def test_summand_decision_on_images_under_endomorphisms():
     rng = random.Random(53)
     summands = 0

@@ -534,8 +534,14 @@ FORM_WITH_TARGET_6_4 = {
             "source generator 0 of order 3 maps to an element not killed by 3",
             "input.v",
         ),
+        (
+            "invariants",
+            {**FORM_WITH_TARGET_6_4, "target": {"free_rank": 0, "torsion": [3]}, "mu": [[0, 0]], "v": [1]},
+            "source generator 0 of order 3 maps to an element not killed by 3",
+            "input.v",
+        ),
     ],
-    ids=["bare-group", "zero-form-group", "form-target", "zero-form-v"],
+    ids=["bare-group", "zero-form-group", "form-target", "zero-form-v", "form-v"],
 )
 def test_a_group_or_parity_map_that_fails_its_constructor_names_its_path(tmp_path, capsys, command, doc, error, path):
     code, report, _ = invoke(capsys, command, "--input", write_doc(tmp_path, "in.json", doc))

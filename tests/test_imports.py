@@ -22,7 +22,9 @@ owner, and a determinant decides nothing else.  ``smith_normal_form(`` is
 called in exactly the places of ``SMITH_PLACES``, and ``split_pair(`` in
 exactly those of ``SPLIT_PLACES``.  JSON text is decoded in one place: the
 names of ``JSON_DECODING`` appear only inside the definitions of
-``JSON_PLACES``.
+``JSON_PLACES``.  ``IntMatrix.permutation(`` is called only in
+``PERMUTATION_PLACES``, and the ``path`` of an error is set only in
+``PATH_PLACES``.
 """
 
 import ast
@@ -257,6 +259,16 @@ JSON_DECODING = {"loads", "JSONDecoder", "JSONObject", "JSONArray"}
 JSON_PLACES = {"serialize.loads_document", "serialize._sharing_decoder"}
 
 
+# A permutation isomorphism is built, with the inverse permutation as its inverse, by ``forms._permuted_onto``;
+# ``lmonoid._owed_iso`` inverts the permutation of a Flip letter's witness.
+PERMUTATION_PLACES = {"forms._permuted_onto", "lmonoid._owed_iso"}
+
+
+# A library error gets the JSON path of the object being read from ``serialize._at``; a SchemaError is
+# raised with the path of its field.
+PATH_PLACES = {"serialize._at", "errors.SchemaError.__init__"}
+
+
 def called_name(node):
     """The name f of a call ``f(`` or ``x.f(``, or None."""
     if isinstance(node, ast.Call):
@@ -404,3 +416,68 @@ def test_a_stray_json_decoder_is_found():
     del sources["cli.py"]
     sources["serialize.py"] = sources["serialize.py"].replace("JSONObject", "scanner")
     assert json_findings(sources) == ["serialize._sharing_decoder decodes no JSON"]
+
+
+def permutation_findings(sources):
+    return placed_findings("permutation", PERMUTATION_PLACES, sources)
+
+
+def test_permutation_matrices_are_built_in_the_listed_places():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert permutation_findings(sources) == []
+
+
+def test_a_stray_permutation_matrix_is_found():
+    sources = {
+        "forms.py": "def _permuted_onto(e, perm, t):\n    return IntMatrix.permutation(perm)\n",
+        "lmonoid.py": "def _permutation_between(s, a, b):\n    return IntMatrix.permutation(a.perm).transpose()\n",
+    }
+    assert permutation_findings(sources) == [
+        "lmonoid._permutation_between (line 2)",
+        "lmonoid._owed_iso calls no permutation",
+    ]
+
+
+def path_assignment(node):
+    """``"path"`` for ``x.path = ...`` (alone, augmented or in a tuple) and ``setattr(x, "path", ...)``, else None."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "path" for target in targets for t in ast.walk(target)):
+            return "path"
+    if called_name(node) in ("setattr", "__setattr__") and any(
+        isinstance(a, ast.Constant) and a.value == "path" for a in node.args
+    ):
+        return "path"
+    return None
+
+
+def path_findings(sources):
+    """'place (line n)' for each assignment to a ``path`` outside ``PATH_PLACES`` and the definitions nested in
+    them, and each place that makes none."""
+    sets = [s for module, source in sources.items() for s in calls_to({"path"}, module[:-3], source, path_assignment)]
+
+    def owner(place):
+        return next((p for p in PATH_PLACES if place == p or place.startswith(p + ".")), None)
+
+    return ["%s (line %d)" % s for s in sets if owner(s[0]) is None] + [
+        "%s sets no path" % place for place in sorted(PATH_PLACES - {owner(place) for place, _ in sets})
+    ]
+
+
+def test_error_paths_are_set_in_the_listed_places():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert path_findings(sources) == []
+
+
+def test_a_stray_error_path_is_found():
+    sources = {
+        "errors.py": "class SchemaError(QformError):\n    def __init__(self, path, detail):\n        self.path = path\n",
+        "serialize.py": "class _at:\n    def __exit__(self, kind, exc, tb):\n        exc.path = self.where\n",
+        "cli.py": "def _zero_form_result(doc):\n    try:\n        read(doc)\n    except QformError as exc:\n"
+        "        exc.path, kind = 'input.v', 2\n        raise\n\n\ndef _locate(exc, path):\n"
+        "    object.__setattr__(exc, 'path', path)\n",
+    }
+    assert path_findings(sources) == ["cli._zero_form_result (line 5)", "cli._locate (line 10)"]
+    sources["serialize.py"] = sources["serialize.py"].replace("exc.path = self.where", "pass")
+    del sources["cli.py"]
+    assert path_findings(sources) == ["serialize._at sets no path"]

@@ -16,6 +16,7 @@ from qform.intmat import (
     hermite_row_basis,
     int_nullspace,
     int_solve,
+    inverse_permutation,
     lattice_contains,
     smith_normal_form,
     sparse_row,
@@ -160,6 +161,23 @@ def test_solve_detects_unsolvable():
     # one column without a solution leaves the whole system without one
     assert int_solve(a, IntMatrix.from_rows([[2, 1], [-4, 0]])) is None
     assert int_solve(a, IntMatrix.from_rows([[2, 4], [-4, 0]])) == IntMatrix.from_rows([[1, 2], [-2, 0]])
+
+
+# -- permutations --------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda n: st.permutations(range(n))))
+def test_the_inverse_permutation_gives_the_transpose(perm):
+    p = IntMatrix.permutation(perm)
+    assert IntMatrix.permutation(inverse_permutation(perm)) == p.transpose()
+    assert p.mul(p.transpose()) == IntMatrix.identity(len(perm))
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [1], [0, 2], [-1, 0], [1, 1, 0]])
+def test_a_permutation_matrix_refuses_what_is_no_permutation(perm):
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.permutation(perm)
 
 
 # -- the product kernel against the textbook triple loop ---------------

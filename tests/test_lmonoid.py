@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from collections import Counter
 from functools import reduce
@@ -778,6 +779,52 @@ def test_jacobi_certificates_merge_their_iso_moves():
     seq = jacobi_witness(q.form, q.lagrangian, q.lagrangian, q.lagrangian).sequence
     assert replay(seq)
     assert [type(m) for m in seq.moves] == [ApplyIso]
+
+
+# the functions that build a permutation isomorphism or the inverse of one
+PERMUTATION_SITES = {
+    ("qform.forms", "permuted"),
+    ("qform.forms", "_permuted_onto"),
+    ("qform.forms", "_swap_blocks"),
+    ("qform.lmonoid", "_owed_iso"),
+    ("qform.lmonoid", "_permutation_between"),
+}
+
+
+def test_jacobi_inverts_each_permutation_as_a_permutation(monkeypatch):
+    """The rank-4 geometric_double certificate transposes no matrix where it builds a permutation isomorphism.
+
+    P⁻¹ is the permutation of ``inverse_permutation(perm)``, in ``forms._permuted_onto`` and in
+    ``lmonoid._owed_iso``.  The certificate still transposes elsewhere (pullbacks, products of frames), and
+    the count sees those calls.
+    """
+    callers = Counter()
+    transpose = IntMatrix.transpose
+
+    def counted(m):
+        caller = sys._getframe(1)
+        callers[caller.f_globals["__name__"], caller.f_code.co_name] += 1
+        return transpose(m)
+
+    monkeypatch.setattr(IntMatrix, "transpose", counted)
+    e = geometric_double()
+    k, l, v = (sub(e, *gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                                            [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    assert len(jacobi_witness(e, k, l, v).sequence.moves) == 41
+    assert sum(callers.values()) > 0
+    assert {site: n for site, n in callers.items() if site in PERMUTATION_SITES} == {}
+
+
+def test_a_stabilization_computes_no_hermite_basis(monkeypatch):
+    """Stab(1) on the rank-0 formation writes the halves of H_2 down and sums bases it holds: no Hermite basis."""
+    q = zero_formation(ZERO_GROUP, V0)
+    counts = Counter()
+    hermite = counting(counts, "hermite", intmat.hermite_row_basis)
+    for module in (intmat, abelian):
+        monkeypatch.setattr(module, "hermite_row_basis", hermite)
+    stabbed = apply_move(q, Stab(1))
+    assert counts["hermite"] == 0
+    assert stabbed == standard_elementary(1, ZERO_GROUP, V0)
 
 
 def test_replay_agrees_with_folding_apply_move_on_single_entry_mutations():
