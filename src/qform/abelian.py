@@ -396,9 +396,10 @@ def _zero_head_tails(ambient: AbGroup, head: int, rows: list[Row]) -> SubgroupRe
     ``head`` entries vanish are echelon and reduced, so they are already
     the canonical lattice.  It contains the relations: both lattices of a
     meet do, and a well-defined hom maps source relations into the target's.
+    The basis is built with ``head`` passed on, so it holds those rows alone.
     """
-    basis = hermite_row_basis(rows, head + ambient.num_gens)
-    return SubgroupRep(ambient, tuple(shifted_row(r, -head) for r in basis if r[0][0] >= head))
+    basis = hermite_row_basis(rows, head + ambient.num_gens, head)
+    return SubgroupRep(ambient, tuple([shifted_row(r, -head) for r in basis]))
 
 
 def free_section(g: AbGroup) -> GroupHom:

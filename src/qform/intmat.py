@@ -23,6 +23,10 @@ not the width squared:
   the basis rows that are nonzero in its column.  Rows leading in one
   column meet by remainder rounds while more than two are left, which
   keeps dense rows small, and the last pair by one extended-gcd step.
+  Columns below its ``head`` argument make no basis row, so a caller
+  that keeps only the rows leading past them pays for no Bézout inverse
+  of a discarded head; a lattice of single-entry rows is read off, one
+  gcd per column, with no elimination.
 * ``det`` eliminates on ±1 pivots while a column offers one, updating
   only the rows nonzero in the pivot column along the pivot row's
   entries; at the first column without a ±1 entry it hands the remaining
@@ -30,7 +34,8 @@ not the width squared:
 
 Kernels, inverses and lattice membership come from Hermite bases:
 ``int_nullspace``, ``inverse_unimodular`` and ``lattice_contains``
-compute no Smith form.
+compute no Smith form.  ``int_nullspace`` and ``abelian``'s kernels,
+preimages and meets pass ``head``.
 
 The dense rows (``IntMatrix.entries``) are built on each access, never
 stored: the format-1 serializer writes them, ``smith_normal_form`` works
@@ -582,7 +587,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix.from_rows(u, rows), IntMatrix.from_rows(m, cols), IntMatrix.from_rows(v, cols))
 
 
-def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
+def hermite_row_basis(rows: Iterable[Row], width: int, head: int = 0) -> tuple[Row, ...]:
     """Canonical row Hermite basis of the lattice spanned by the sparse ``rows``.
 
     The result is the unique echelon basis: pivot columns strictly
@@ -607,14 +612,29 @@ def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
     row and reduces the entries above it, in the basis rows ``holders``
     lists as nonzero in its column.  A column no row leads in costs one
     lookup.
+
+    Only the rows leading in a column ``head`` or later are returned.  A
+    head column runs its remainder rounds and, for its last pair, builds
+    the cancelled row alone: no inverse, no top row, no sign fix and no
+    reduction of the rows above.  The rows reaching later buckets are the
+    same as with ``head = 0``, and a basis row is reduced only by pivots
+    right of it, so the rows returned are exactly the full basis's rows
+    leading at or past ``head``.  When every nonzero input row has one
+    entry, the basis is one row per column at or past ``head`` that some
+    row leads in, holding the gcd of that column's entries.
     """
     buckets: dict[int, list[Row]] = {}
+    single = True
     for r in rows:
         if not r:
             continue
         if r[-1][0] >= width:
             raise DimensionMismatch("row width mismatch in lattice basis")
+        if len(r) > 1:
+            single = False
         buckets.setdefault(r[0][0], []).append(r)
+    if single:
+        return tuple([((col, gcd(*[r[0][1] for r in buckets[col]])),) for col in sorted(buckets) if col >= head])
     basis: list[dict[int, int]] = []
     holders: dict[int, set[int]] = {}  # column -> basis rows nonzero there
     for col in range(width):
@@ -637,13 +657,17 @@ def hermite_row_basis(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
             if b % a:
                 g = gcd(a, b)
                 a, b = a // g, b // g
-                u = pow(a, -1, abs(b))
                 pair = (top, r)
-                top, r = _combine(((0, u), (1, (1 - u * a) // b)), pair), _combine(((0, b), (1, -a)), pair)
+                if col >= head:
+                    u = pow(a, -1, abs(b))
+                    top = _combine(((0, u), (1, (1 - u * a) // b)), pair)
+                r = _combine(((0, b), (1, -a)), pair)
             else:
                 r = _combine(((0, 1), (1, -(b // a))), (r, top))
             if r:
                 buckets.setdefault(r[0][0], []).append(r)
+        if col < head:
+            continue
         if top[0][1] < 0:
             top = tuple([(j, -x) for j, x in top])
         p = top[0][1]
@@ -691,11 +715,12 @@ def int_nullspace(a: IntMatrix) -> list[Row]:
 
     The rows (column j of A | e_j) span {(A*x, x)}; in their Hermite basis
     the tails of the rows whose head (first ``a.rows`` entries) is zero
-    are echelon and reduced, so they are the kernel's Hermite basis.
+    are echelon and reduced, so they are the kernel's Hermite basis.  The
+    basis is built with ``head = a.rows``, so the head rows are never made.
     """
     m = a.rows
     rows = [c + ((m + j, 1),) for j, c in enumerate(a.transpose().sparse)]
-    return [shifted_row(r, -m) for r in hermite_row_basis(rows, m + a.cols) if r[0][0] >= m]
+    return [shifted_row(r, -m) for r in hermite_row_basis(rows, m + a.cols, m)]
 
 
 def int_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -16,7 +16,7 @@ import time
 from functools import reduce
 from pathlib import Path
 
-from qform import cli
+from qform import cli, intmat
 from qform.abelian import AbGroup, GroupHom, SubgroupRep, Z2, ZERO_GROUP, free_group
 from qform.construct import (
     is_hyperbolic_with_witness,
@@ -197,6 +197,37 @@ def test_si_and_stable_class_factor_past_trial_division_in_time(capsys):
             # trial division took 1.4 s on the first pair on a 2-core x86-64
             # machine with CPython 3.11, and about ten times that on the second
             assert elapsed < 0.5, (argv, a, b)
+
+
+def smooth_pair(seed, digits=4000):
+    """A coprime pair of four prime powers over primes below 50, with |ab| of about ``digits`` decimal digits."""
+    rng = random.Random(seed)
+    primes = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], 4)
+    weights = [rng.random() + 0.5 for _ in primes]
+    p = [q ** max(1, round(digits * w / sum(weights) / math.log10(q))) for q, w in zip(primes, weights)]
+    return rng.choice((1, -1)) * p[0] * p[1], rng.choice((1, -1)) * p[2] * p[3]
+
+
+def test_kappa_of_a_smooth_pair_takes_no_modular_inverse(monkeypatch):
+    """Ker μ and its perp keep only the Hermite rows past their head column, whose Bézout row is never built."""
+    a, b = smooth_pair(1)
+    assert len(str(abs(a * b))) == 4000 and math.gcd(a, b) == 1
+    inverses = []
+    monkeypatch.setattr(intmat, "pow", lambda *args: inverses.append(args) or pow(*args), raising=False)
+    assert kappa(e_ab(a, b)) == kappa_ab(a, b)
+    assert inverses == []
+
+
+def test_kappa_of_a_four_thousand_digit_smooth_pair_runs_in_time(capsys):
+    a, b = smooth_pair(1)
+    argv = ["kappa", "--a", str(a), "--b", str(b)]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agree"] is True and doc["kappa"] == doc["direct"]
+    elapsed = best_of_three(lambda: cli.run(argv))
+    # measured at 1.2-1.7 ms (best of 3) on a 2-core x86-64 machine with CPython 3.11, and at
+    # 7.3-14 ms when the kernel and its perp each took a Bézout inverse of the 6,700-bit leads
+    assert elapsed < 0.004
 
 
 # -- 3: the explicit plane-stabilized isomorphism on a 625-pair grid
@@ -577,6 +608,16 @@ def test_rank_sixty_four_jacobi_certificate_is_built_in_time():
     # measured at 0.21 s (best of 3) on a 2-core x86-64 machine with CPython 3.11; 0.34 s when
     # each permutation matrix made its own unit rows, 0.39-0.42 s when each inverse was a transpose
     assert elapsed < 0.45
+
+
+def test_rank_sixty_four_jacobi_certificate_replays_in_time():
+    seq = jacobi_witness(*hyperbolic_triple(32)).sequence
+    res = replay(seq)
+    assert res.ok and res.steps == 761, res.reason
+    elapsed = best_of_three(lambda: replay(seq))
+    # measured at 0.24-0.28 s (best of 3) on a 2-core x86-64 machine with CPython 3.11, up to 0.39 s in
+    # a slow spell of that machine, and at 0.36-0.39 s when each lattice of single-entry rows was eliminated
+    assert elapsed < 0.55
 
 
 def jacobi_request(k):

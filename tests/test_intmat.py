@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qform import intmat
 from qform.errors import DimensionMismatch, NoSolution
 from qform.intmat import (
     IntMatrix,
@@ -568,6 +569,60 @@ def test_hermite_checks_the_width_of_nonzero_rows_only():
     for basis in (dense_hermite, rescanning_hermite_row_basis):
         with pytest.raises(DimensionMismatch):
             basis([[1, 2], [0, 0, 1]], 2)
+
+
+HUGE = 2**8000  # the leads of a 4000-digit smooth pair run to about 6,700 bits
+
+
+@st.composite
+def headed_row_lists(draw):
+    """Row lists with entries of up to 8,000 bits, or single-entry lattices with repeated, negative and zero
+    entries, and a head from 0 to the width."""
+    width = draw(st.integers(0, 6))
+    huge = st.integers(-HUGE, HUGE)
+    if width and draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.integers(-6, 6), huge)
+        rows = []
+        for _ in range(draw(st.integers(0, 8))):
+            j, x = draw(st.integers(0, width - 1)), draw(entry)
+            rows.append([x if i == j else 0 for i in range(width)])
+    else:
+        entry = st.one_of(st.just(0), st.integers(-4, 4), huge)
+        rows = [[draw(entry) for _ in range(width)] for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return rows, width, draw(st.integers(0, width))
+
+
+def leading_column(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(headed_row_lists())
+@example(([[4, 6, 1], [6, 9, 0], [0, 3, 5]], 3, 0))
+@example(([[3, 5], [0, 7], [2, 1]], 2, 2))
+@example(([[2, 3, 0], [0, 4, 6], [0, 6, 3]], 3, 1))  # column 0 leads one row alone
+@example(([[-HUGE + 1, 0, 5], [HUGE, 3, 0], [0, 0, -HUGE]], 3, 1))
+def test_a_head_keeps_exactly_the_basis_rows_leading_past_it(case):
+    rows, width, head = case
+    sparse = [sparse_row(r) for r in rows]
+    got = hermite_row_basis(sparse, width, head)
+    assert got == tuple([r for r in hermite_row_basis(sparse, width) if r[0][0] >= head])
+    reference = tuple([r for r in rescanning_hermite_row_basis(rows, width) if leading_column(r) >= head])
+    assert tuple([dense_row(r, width) for r in got]) == reference
+
+
+def test_a_single_entry_lattice_is_read_off_without_elimination(monkeypatch):
+    combine, calls = intmat._combine, Counter()
+    monkeypatch.setattr(intmat, "_combine", lambda *args: calls.update(["combine"]) or combine(*args))
+    rows = [((2, -6),), ((0, 4),), ((2, 9),), (), ((0, -6),), ((2, -6),), ((3, -1),)]
+    assert hermite_row_basis(rows, 4) == (((0, 2),), ((2, 3),), ((3, 1),))
+    assert hermite_row_basis(rows, 4, 1) == (((2, 3),), ((3, 1),))
+    assert hermite_row_basis(rows, 4, 4) == ()
+    assert calls["combine"] == 0
+    with pytest.raises(DimensionMismatch):
+        hermite_row_basis(rows, 3)
 
 
 # -- block matrices against the former index loop ------------------------
